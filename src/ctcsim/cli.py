@@ -13,16 +13,16 @@ import argparse
 import csv
 import io
 import json
+import math
 import os
 import sys
 from fractions import Fraction
 from pathlib import Path
 
-from scipy.stats import norm
-
 from . import counterfactual as cf
 from .classifier import CATEGORY_ORDER, ReliefCategory, Scenario
-from .errors import CtcsimError, ValidationError
+from .errors import CtcsimError, ParseError, ValidationError
+from .memo import command_scope
 from .money import ceil_to_cent, dollars_str
 from .params import ParentalGroup, apply_overrides, load_params, params_for_year
 from .population import load_population
@@ -33,29 +33,64 @@ GROUPS = tuple(ParentalGroup)
 
 OUTCOME_CHOICES = [c.value for c in ReliefCategory] + ["cd", "bc"]
 
+# Shared options that take one of fixed values, for flags and config alike.
+CHOICES = {
+    "scenario": [s.value for s in Scenario],
+    "format": ["csv", "json"],
+    "liability": [m.value for m in LiabilityMode],
+}
+# Shared options a run-config file may set.
+CONFIG_KEYS = ("params", "population", "children", "scenario", "years", "format",
+               "liability", "out")
+
 
 def _data_dir() -> Path:
     return Path(os.environ.get("CTCSIM_DATA_DIR", "data"))
 
 
+def _ints(parts: list[str], what: str, text: str) -> list[int]:
+    try:
+        return [int(p) for p in parts]
+    except ValueError:
+        raise ValidationError(f"bad {what} {text!r}") from None
+
+
 def _parse_years(text: str) -> tuple[int, int]:
-    if ":" in text:
-        lo, hi = (int(p) for p in text.split(":", 1))
-        if hi < lo:
-            raise ValidationError(f"bad year range {text!r}")
-        return lo, hi
-    year = int(text)
-    return year, year
+    parts = text.split(":", 1)
+    lo, hi = _ints(parts if len(parts) == 2 else parts * 2, "year range", text)
+    if hi < lo:
+        raise ValidationError(f"bad year range {text!r}")
+    return lo, hi
 
 
 def _parse_credits(text: str) -> list[int]:
     parts = text.split(":")
     if len(parts) == 3:
-        lo, hi, step = (int(p) for p in parts)
+        lo, hi, step = _ints(parts, "credits", text)
         if step <= 0 or hi < lo:
             raise ValidationError(f"bad credit range {text!r}")
         return list(range(lo, hi + 1, step))
-    return [int(p) for p in text.split(",")]
+    return _ints(text.split(","), "credits", text)
+
+
+def _load_config(path: str) -> dict:
+    """A run-config file: a JSON object of shared options, each a string as on the command line."""
+    with open(path, "r", encoding="utf-8") as fh:
+        try:
+            config = json.load(fh)
+        except json.JSONDecodeError as exc:
+            raise ParseError(f"{path}: invalid JSON: {exc}") from exc
+    if not isinstance(config, dict):
+        raise ParseError(f"{path}: expected a JSON object")
+    for name, value in config.items():
+        if name not in CONFIG_KEYS:
+            raise ValidationError(f"{path}: unknown config key {name!r}")
+        if not isinstance(value, str):
+            raise ValidationError(f"{path}: config {name!r} must be a string, not {value!r}")
+        if name in CHOICES and value not in CHOICES[name]:
+            raise ValidationError(
+                f"{path}: config {name!r} must be one of {', '.join(CHOICES[name])}, not {value!r}")
+    return config
 
 
 def _fmt_share(value: Fraction) -> str:
@@ -70,10 +105,7 @@ class Run:
     """Resolved configuration plus lazily loaded inputs."""
 
     def __init__(self, args: argparse.Namespace):
-        config = {}
-        if args.config:
-            with open(args.config, "r", encoding="utf-8") as fh:
-                config = json.load(fh)
+        config = _load_config(args.config) if args.config else {}
 
         def pick(name, default):
             flag = getattr(args, name, None)
@@ -313,7 +345,7 @@ ELIMINATE_FIELDS = ["year", "scenario", "group", "access_delta", "gaining_househ
 def _stars(estimate: float, se: float) -> str:
     if se == 0.0:
         return "***" if estimate != 0.0 else ""
-    p = 2.0 * (1.0 - norm.cdf(abs(estimate / se)))
+    p = math.erfc(abs(estimate / se) / math.sqrt(2.0))  # two-sided normal p-value
     if p < 0.01:
         return "***"
     if p < 0.05:
@@ -474,10 +506,10 @@ def build_parser() -> argparse.ArgumentParser:
     shared.add_argument("--params", help="parameter file (JSON)")
     shared.add_argument("--population", help="population bins CSV")
     shared.add_argument("--children", help="children histogram CSV")
-    shared.add_argument("--scenario", choices=["s1", "s2"], default=None)
+    shared.add_argument("--scenario", choices=CHOICES["scenario"], default=None)
     shared.add_argument("--years", help="year range A:B or single year")
-    shared.add_argument("--format", choices=["csv", "json"], default=None)
-    shared.add_argument("--liability", choices=["exact", "table"], default=None)
+    shared.add_argument("--format", choices=CHOICES["format"], default=None)
+    shared.add_argument("--liability", choices=CHOICES["liability"], default=None)
     shared.add_argument("--out", help="write output to this path instead of stdout")
     shared.add_argument("--config", help="JSON run-config file; flags take precedence")
 
@@ -540,7 +572,8 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         run = Run(args)
-        args.func(run, args)
+        with command_scope():
+            args.func(run, args)
     except CtcsimError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

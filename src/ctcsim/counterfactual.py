@@ -23,6 +23,7 @@ from .classifier import (
     cut_income,
 )
 from .errors import Unreachable, ValidationError
+from .memo import once
 from .money import as_money
 from .params import ParentalGroup, ProgramParameters, apply_overrides, overrides_to
 from .population import INCOME_CEILING, IncomeBin, PopulationTable
@@ -57,8 +58,16 @@ def eligibility(
     children_year: int | None = None,
     mode: LiabilityMode = LiabilityMode.EXACT,
 ) -> EligibilityEstimate:
-    """Classify the (pop_year, group) distribution under `params`."""
+    """Classify the (pop_year, group) distribution under `params`.
+
+    Inside a command scope each distinct cell is classified once (see
+    :mod:`ctcsim.memo`), so every row builder shares one panel.
+    """
     cy = params.year if children_year is None else children_year
+    return once(_eligibility, pop, pop_year, group, params, scenario, cy, mode)
+
+
+def _eligibility(pop, pop_year, group, params, scenario, cy, mode) -> EligibilityEstimate:
     profile = profile_for(pop, group, scenario, cy)
     ts = thresholds(profile, params, mode)
     return classify(pop, pop_year, group, ts, scenario.rule, scenario)

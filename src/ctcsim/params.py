@@ -116,22 +116,39 @@ class FilingParams:
 
 @dataclass(frozen=True)
 class ProgramParameters:
-    """All program rules for one year, both filing statuses."""
+    """All program rules for one year, both filing statuses.
+
+    Hashable by value: `filing` holds (status, rules) pairs in FilingStatus
+    order, so equal rule sets built separately are equal keys.
+    """
 
     year: int
-    filing: Mapping[FilingStatus, FilingParams]
+    filing: tuple[tuple[FilingStatus, FilingParams], ...]
     ctc_per_child: Fraction
     actc_per_child: Fraction
     refund_threshold: Fraction
     refund_rate: Fraction
     phaseout_rate: Fraction
 
+    def __hash__(self) -> int:
+        # Hashing the nested Fractions is costly and the fields never change,
+        # so the hash is computed once per object.
+        cached = self.__dict__.get("_hash")
+        if cached is None:
+            cached = hash((self.year, self.filing, self.ctc_per_child, self.actc_per_child,
+                           self.refund_threshold, self.refund_rate, self.phaseout_rate))
+            object.__setattr__(self, "_hash", cached)
+        return cached
+
     def for_status(self, status: FilingStatus) -> FilingParams:
-        return self.filing[status]
+        for s, fp in self.filing:
+            if s is status:
+                return fp
+        raise KeyError(status)
 
     def validate(self, strict: bool = True) -> None:
         """Check invariants; `strict=False` permits actc > ctc for counterfactuals."""
-        if set(self.filing) != set(FilingStatus):
+        if [s for s, _ in self.filing] != list(FilingStatus):
             raise ValidationError(f"year {self.year}: both filing statuses required")
         if self.ctc_per_child <= 0:
             raise ValidationError(f"year {self.year}: ctc_per_child must be positive")
@@ -147,7 +164,7 @@ class ProgramParameters:
             raise ValidationError(f"year {self.year}: phaseout_rate outside (0, 1)")
         if self.refund_threshold < 0:
             raise ValidationError(f"year {self.year}: refund_threshold negative")
-        for status, fp in self.filing.items():
+        for status, fp in self.filing:
             label = f"year {self.year} {status.value}"
             if fp.standard_deduction < 0:
                 raise ValidationError(f"{label}: standard_deduction negative")
@@ -236,7 +253,7 @@ def load_params(path: str | Path) -> dict[int, ProgramParameters]:
                 raise ValidationError(f"year {year}: field {field!r} differs across filing statuses")
             shared[field] = values.pop()
         try:
-            filing = {status: _record_to_filing(rec) for status, rec in recs.items()}
+            filing = tuple((s, _record_to_filing(recs[s])) for s in FilingStatus)
         except KeyError as exc:
             raise ParseError(f"year {year}: missing field {exc}") from exc
         params = ProgramParameters(
@@ -323,7 +340,7 @@ def apply_overrides(
         refund_rate=base.refund_rate,
         phaseout_rate=base.phaseout_rate,
     )
-    filing = {s: base.for_status(s) for s in FilingStatus}
+    filing = dict(base.filing)
 
     def per_status(value, coerce):
         if isinstance(value, Mapping) and any(isinstance(k, FilingStatus) for k in value):
@@ -344,7 +361,7 @@ def apply_overrides(
         else:
             raise ValidationError(f"unknown override field {name!r}")
 
-    params = ProgramParameters(year=base.year, filing=filing, **fields)
+    params = ProgramParameters(year=base.year, filing=tuple(filing.items()), **fields)
     params.validate(strict=strict)
     return params
 

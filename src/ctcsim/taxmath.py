@@ -19,6 +19,7 @@ from enum import Enum
 from fractions import Fraction
 
 from .errors import OrderingViolation, Unreachable
+from .memo import once
 from .money import as_money
 from .params import FilingParams, ParentalGroup, ProgramParameters
 
@@ -313,7 +314,17 @@ def thresholds(
     params: ProgramParameters,
     mode: LiabilityMode = LiabilityMode.EXACT,
 ) -> ThresholdSet:
-    """All category-boundary incomes for one household under one rule set."""
+    """All category-boundary incomes for one household under one rule set.
+
+    Inside a command scope each distinct (profile, params, mode) is
+    inverted once (see :mod:`ctcsim.memo`).
+    """
+    return once(_thresholds, profile, params, mode)
+
+
+def _thresholds(
+    profile: HouseholdProfile, params: ProgramParameters, mode: LiabilityMode
+) -> ThresholdSet:
     fp = _filing(profile, params)
     ts = ThresholdSet(
         t_refund_floor=params.refund_threshold,

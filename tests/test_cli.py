@@ -1,4 +1,5 @@
 import csv
+import hashlib
 import io
 import json
 import subprocess
@@ -150,6 +151,15 @@ class TestConfigAndDeterminism:
         rows = parse_csv(out)  # flags win
         assert {r["scenario"] for r in rows} == {"s1"}
 
+    @pytest.mark.parametrize("flags, digest", [
+        ([], "cbaaea0df2166e0347710af8f5fd6be202db615865677e37b6cf3ae3e38ab508"),
+        (["--liability", "table"], "2fa01f7c44c27be29028421bd3c08b4779d12fd9283de54ee956f4ba386b7450"),
+    ], ids=["exact", "table"])
+    def test_report_bytes_are_pinned(self, tmp_path, flags, digest):
+        out = tmp_path / "report.json"
+        assert main(["report", "--out", str(out), *flags]) == 0
+        assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
+
     def test_report_runs_are_byte_identical(self, tmp_path):
         a, b = tmp_path / "a.json", tmp_path / "b.json"
         assert main(["report", "--out", str(a)]) == 0
@@ -172,3 +182,51 @@ class TestConfigAndDeterminism:
         )
         assert proc.returncode == 0
         assert "9666.67" in proc.stdout
+
+
+class TestBadInput:
+    """Each bad input ends with exit code 1 and one `error:` line, not a traceback."""
+
+    def assert_one_line_error(self, capsys, *argv):
+        code = main(list(argv))
+        captured = capsys.readouterr()
+        assert code == 1
+        assert captured.out == ""
+        lines = captured.err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error: ")
+        return lines[0]
+
+    def config(self, tmp_path, text):
+        path = tmp_path / "run.json"
+        path.write_text(text)
+        return str(path)
+
+    def test_years_flag_not_a_number(self, capsys):
+        self.assert_one_line_error(capsys, "thresholds", "--years", "abc")
+
+    def test_credits_flag_not_a_number(self, capsys):
+        self.assert_one_line_error(capsys, "sweep", "--credits", "1:x")
+
+    def test_config_unknown_scenario(self, capsys, tmp_path):
+        line = self.assert_one_line_error(
+            capsys, "classify", "--config", self.config(tmp_path, '{"scenario": "s9"}'))
+        assert "scenario" in line
+
+    def test_config_years_not_a_string(self, capsys, tmp_path):
+        line = self.assert_one_line_error(
+            capsys, "classify", "--config", self.config(tmp_path, '{"years": 2018}'))
+        assert "years" in line
+
+    def test_config_unknown_liability(self, capsys, tmp_path):
+        line = self.assert_one_line_error(
+            capsys, "classify", "--config", self.config(tmp_path, '{"liability": "nope"}'))
+        assert "liability" in line
+
+    def test_config_years_parsed_like_the_flag(self, capsys, tmp_path):
+        line = self.assert_one_line_error(
+            capsys, "classify", "--config", self.config(tmp_path, '{"years": "abc"}'))
+        assert line == "error: bad year range 'abc'"
+
+    @pytest.mark.parametrize("text", ["{bad", "[1]", '{"scenaro": "s1"}'])
+    def test_config_malformed(self, capsys, tmp_path, text):
+        self.assert_one_line_error(capsys, "classify", "--config", self.config(tmp_path, text))

@@ -1,0 +1,90 @@
+"""The per-command memo: what it shares, and that nothing outlives a command."""
+
+import json
+from fractions import Fraction
+
+import pytest
+
+from ctcsim import ParentalGroup, apply_overrides
+from ctcsim import memo, taxmath
+from ctcsim.cli import main
+from ctcsim.errors import OrderingViolation
+from ctcsim.taxmath import HouseholdProfile, thresholds
+
+from conftest import DATA
+
+
+@pytest.fixture(autouse=True)
+def data_env(monkeypatch):
+    monkeypatch.setenv("CTCSIM_DATA_DIR", str(DATA))
+
+
+@pytest.fixture
+def inversions(monkeypatch):
+    """Counts runs of the uncached threshold inversion."""
+    calls = []
+    inner = taxmath._thresholds
+
+    def counted(*args):
+        calls.append(args)
+        return inner(*args)
+
+    monkeypatch.setattr(taxmath, "_thresholds", counted)
+    return calls
+
+
+def test_report_inverts_each_distinct_threshold_set_once(inversions, tmp_path):
+    assert main(["report", "--out", str(tmp_path / "r.json")]) == 0
+    assert len(inversions) == 156
+    assert len(set(inversions)) == 156
+
+
+def test_no_memo_outside_a_command(inversions, params_by_year, tmp_path):
+    assert main(["classify", "--year", "2017", "--out", str(tmp_path / "c.csv")]) == 0
+    assert memo._results.get() is None
+    inversions.clear()
+    profile = HouseholdProfile.one_child(ParentalGroup.MARRIED)
+    first = thresholds(profile, params_by_year[2017])
+    second = thresholds(profile, params_by_year[2017])
+    assert first == second
+    assert len(inversions) == 2
+
+
+def test_consecutive_commands_share_nothing(tmp_path):
+    raised = json.loads((DATA / "params.json").read_text())
+    for record in raised:
+        record["ctc_per_child"] += 500
+    raised_path = tmp_path / "raised.json"
+    raised_path.write_text(json.dumps(raised))
+
+    def report(name, *flags):
+        out = tmp_path / name
+        assert main(["report", "--out", str(out), *flags]) == 0
+        return out.read_bytes()
+
+    shipped_alone = report("shipped_alone.json")
+    raised_alone = report("raised_alone.json", "--params", str(raised_path))
+    assert shipped_alone != raised_alone
+    assert report("shipped.json") == shipped_alone
+    assert report("raised.json", "--params", str(raised_path)) == raised_alone
+
+
+def test_errors_are_raised_again_not_cached(inversions, params_by_year):
+    bad = apply_overrides(params_by_year[2017], {"refund_threshold": 60000})
+    profile = HouseholdProfile.one_child(ParentalGroup.MARRIED)
+    with memo.command_scope():
+        for _ in range(2):
+            with pytest.raises(OrderingViolation):
+                thresholds(profile, bad)
+    assert len(inversions) == 2
+
+
+def test_equal_rule_sets_are_equal_keys(params_by_year):
+    base = params_by_year[2017]
+    a = apply_overrides(base, {"ctc_per_child": 2000, "refund_threshold": 2500})
+    b = apply_overrides(base, {"refund_threshold": Fraction(2500), "ctc_per_child": Fraction(2000)})
+    assert a is not b
+    assert a == b
+    assert hash(a) == hash(b)
+    assert a != base
+    assert len({a, b, base}) == 2
