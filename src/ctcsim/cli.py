@@ -15,6 +15,7 @@ import io
 import json
 import math
 import os
+import secrets
 import sys
 from fractions import Fraction
 from pathlib import Path
@@ -156,10 +157,27 @@ class Run:
             writer.writeheader()
             writer.writerows(rows)
             text = buf.getvalue()
-        if self.out:
-            Path(self.out).write_text(text, encoding="utf-8")
-        else:
+        self.write(text)
+
+    def write(self, text: str) -> None:
+        """Write `text` to stdout, or to the `--out` path whole or not at all.
+
+        The text goes to a new file beside the target that then replaces it,
+        so a failed write leaves neither a partial target nor the temp file.
+        """
+        if not self.out:
             sys.stdout.write(text)
+            return
+        target = Path(self.out)
+        tmp = target.parent / f".{target.name}.{os.getpid()}.{secrets.token_hex(4)}.tmp"
+        fh = open(tmp, "x", encoding="utf-8")
+        try:
+            with fh:
+                fh.write(text)
+            os.replace(tmp, target)
+        except BaseException:
+            tmp.unlink()
+            raise
 
 
 def _scenarios(run: Run, both: bool = False) -> list[Scenario]:
@@ -494,11 +512,7 @@ def cmd_report(run: Run, args) -> None:
         "fixed_effects": rows_regress(run, ["a", "b", "c", "d", "e", "f", "cd", "bc"], fe_years, list(Scenario)),
         "did": rows_did(run, ["c", "d", "e"], years, new_law_year, list(Scenario)),
     }
-    text = json.dumps(bundle, indent=2) + "\n"
-    if run.out:
-        Path(run.out).write_text(text, encoding="utf-8")
-    else:
-        sys.stdout.write(text)
+    run.write(json.dumps(bundle, indent=2) + "\n")
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -5,7 +5,10 @@ tax liability and a refund that phases in above the refundability floor,
 with the combined total capped by the (possibly phased-out) per-child
 maximum. Every function here is a pure function of exact rational inputs;
 inversions are closed-form over the piecewise-linear segments, so results
-are exact to the cent.
+are exact to the cent. In table mode they first bisect on the $50 row
+index: row liability never falls as the index grows, so the income the
+refund still needs never rises while the row's top edge does, and "this
+row holds a solution" is false, then true.
 
 Two liability modes are supported: ``EXACT`` applies the bracket schedule
 analytically; ``TABLE`` evaluates liability at the midpoint of the
@@ -14,11 +17,12 @@ enclosing $50-wide taxable-income row, mimicking lookup-table filing.
 
 from __future__ import annotations
 
+from contextlib import suppress
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 
-from .errors import OrderingViolation, Unreachable
+from .errors import OrderingViolation, Unreachable, ValidationError
 from .memo import once
 from .money import as_money
 from .params import FilingParams, ParentalGroup, ProgramParameters
@@ -170,14 +174,10 @@ def benefit_at_income(
     return BenefitSplit(credit=credit, refund=refund)
 
 
-def _phase_in_capped(income: Fraction, profile, params) -> Fraction:
-    raw = params.refund_rate * max(Fraction(0), income - params.refund_threshold)
-    return min(raw, max_refund(profile, params))
-
-
 def _pre_phaseout_total(income: Fraction, profile, params, mode) -> Fraction:
     """Credit + refund ignoring the high-income phaseout cap."""
-    return tax_liability(income, profile, params, mode) + _phase_in_capped(income, profile, params)
+    phase_in = params.refund_rate * max(Fraction(0), income - params.refund_threshold)
+    return tax_liability(income, profile, params, mode) + min(phase_in, max_refund(profile, params))
 
 
 def refund_credit_threshold(
@@ -192,6 +192,9 @@ def refund_credit_threshold(
     the total is not otherwise capped, so this also answers "what income
     realizes the full refundable benefit" when the refundable maximum
     exceeds the credit maximum (a configuration some counterfactuals visit).
+
+    In table mode a result equal to the tax-free amount may be an infimum:
+    liability is 0 there but ``tax($25)`` a cent above, where the target is met.
     """
     target = as_money(target)
     if target <= 0:
@@ -228,36 +231,33 @@ def refund_credit_threshold(
 
 
 def _table_threshold(target: Fraction, profile, params) -> Fraction:
-    """Row-wise scan: within a $50 taxable row liability is constant."""
-    free = tax_free_amount(profile, params)
-    refundable = max_refund(profile, params)
-    fp = _filing(profile, params)
-    rate = params.refund_rate
-    floor = params.refund_threshold
+    """Bisect for the first $50 row holding a solution, then solve within it."""
+    free, refundable = tax_free_amount(profile, params), max_refund(profile, params)
+    tax = _filing(profile, params).brackets.tax
+    rate, floor = params.refund_rate, params.refund_threshold
 
-    def min_income_in(lo: Fraction, hi, liability: Fraction):
-        need = target - liability
+    def min_income_in(k: int):
+        """Minimal income in row k reaching the target, or None; row -1 is all below `free`."""
+        lo = free + k * TABLE_ROW_WIDTH if k >= 0 else Fraction(0)
+        need = target - tax((k + Fraction(1, 2)) * TABLE_ROW_WIDTH)
         if need <= 0:
             return lo
         if need > refundable or rate == 0:
             return None
         y = max(lo, floor + need / rate)
-        if hi is None or y < hi:
-            return y
-        return None
+        return y if y < free + (k + 1) * TABLE_ROW_WIDTH else None
 
-    found = min_income_in(Fraction(0), free, Fraction(0))
-    if found is not None:
-        return found
-    guard = refund_credit_threshold(target, profile, params, LiabilityMode.EXACT)
-    row_lo = Fraction(0)
-    while free + row_lo <= guard + 10 * TABLE_ROW_WIDTH:
-        liability = fp.brackets.tax(row_lo + TABLE_ROW_WIDTH / 2)
-        found = min_income_in(free + row_lo, free + row_lo + TABLE_ROW_WIDTH, liability)
-        if found is not None:
-            return found
-        row_lo += TABLE_ROW_WIDTH
-    raise Unreachable(f"benefit target {target} is never reached (table mode)")
+    # Incomes whose rows surely hold a solution: by refund alone, or by liability alone.
+    bounds = [floor + target / rate] if rate and target <= refundable else []
+    with suppress(ValidationError):  # an all-zero-rate schedule never reaches the target
+        bounds.append(liability_threshold(target, profile, params, LiabilityMode.TABLE))
+    if not bounds:
+        raise Unreachable(f"benefit target {target} is never reached (table mode)")
+    lo, hi = -1, max(-1, (min(bounds) - free) // TABLE_ROW_WIDTH)
+    while lo < hi:
+        mid = (lo + hi) // 2
+        lo, hi = (lo, mid) if min_income_in(mid) is not None else (mid + 1, hi)
+    return min_income_in(lo)
 
 
 def liability_threshold(

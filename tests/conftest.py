@@ -3,6 +3,12 @@ import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import settings
+
+# Property tests draw the same examples on every run, so a pass or a failure
+# repeats; no example database replays earlier failures first.
+settings.register_profile("deterministic", derandomize=True, database=None)
+settings.load_profile("deterministic")
 
 TESTS = Path(__file__).resolve().parent
 ROOT = TESTS.parent

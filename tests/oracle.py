@@ -6,9 +6,15 @@ bin machinery. Comparisons carry a 1e-6 dollar guard: rule boundaries are
 rationals with denominator dividing 300, so no integer-dollar grid point
 sits closer to a boundary than 1/300 and the guard can never flip a
 classification.
+
+The exception is :func:`table_threshold_scan`, the exact table-mode
+inversion by walking every $50 row, kept as the reference for the engine's
+bisection.
 """
 
 from __future__ import annotations
+
+from fractions import Fraction
 
 import numpy as np
 
@@ -87,3 +93,46 @@ def grid_categories(incomes: np.ndarray, params, group, children: float) -> np.n
     cats[none_at_all & ~low_side] = 5
     cats[none_at_all & low_side] = 0
     return cats
+
+
+def table_threshold_scan(target: Fraction, profile, params) -> Fraction:
+    """Minimal income reaching `target` with table-mode liability, row by row.
+
+    Within a $50 taxable row liability is constant, so each row's minimal
+    income is linear in the refund phase-in; the walk runs from zero to the
+    exact-mode threshold plus ten rows and calls the bracket tax once a row.
+    """
+    # Imported here so that loading this module binds no library function.
+    from ctcsim.errors import Unreachable
+    from ctcsim.taxmath import (TABLE_ROW_WIDTH, LiabilityMode, _filing, max_refund,
+                                refund_credit_threshold, tax_free_amount)
+
+    free = tax_free_amount(profile, params)
+    refundable = max_refund(profile, params)
+    fp = _filing(profile, params)
+    rate = params.refund_rate
+    floor = params.refund_threshold
+
+    def min_income_in(lo: Fraction, hi, liability: Fraction):
+        need = target - liability
+        if need <= 0:
+            return lo
+        if need > refundable or rate == 0:
+            return None
+        y = max(lo, floor + need / rate)
+        if hi is None or y < hi:
+            return y
+        return None
+
+    found = min_income_in(Fraction(0), free, Fraction(0))
+    if found is not None:
+        return found
+    guard = refund_credit_threshold(target, profile, params, LiabilityMode.EXACT)
+    row_lo = Fraction(0)
+    while free + row_lo <= guard + 10 * TABLE_ROW_WIDTH:
+        liability = fp.brackets.tax(row_lo + TABLE_ROW_WIDTH / 2)
+        found = min_income_in(free + row_lo, free + row_lo + TABLE_ROW_WIDTH, liability)
+        if found is not None:
+            return found
+        row_lo += TABLE_ROW_WIDTH
+    raise Unreachable(f"benefit target {target} is never reached (table mode)")

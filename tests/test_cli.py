@@ -173,6 +173,31 @@ class TestConfigAndDeterminism:
         assert out == ""
         assert out_path.read_text().startswith("year,")
 
+    @pytest.mark.parametrize("argv", [["thresholds", "--year", "2009"],
+                                      ["report", "--years", "2017:2018"]])
+    @pytest.mark.parametrize("out", ["taken", "."])
+    def test_out_directory_is_io_error_and_leaves_nothing(self, tmp_path, capsys, monkeypatch,
+                                                          argv, out):
+        target = tmp_path / "taken"
+        target.mkdir()
+        monkeypatch.chdir(target if out == "." else tmp_path)
+        code = main([*argv, "--out", out])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        lines = captured.err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("i/o error: ")
+        assert [p.name for p in tmp_path.iterdir()] == ["taken"]
+        assert list(target.iterdir()) == []
+
+    def test_out_replaces_target_and_leaves_only_it(self, tmp_path, capsys):
+        target = tmp_path / "t.csv"
+        target.write_text("stale\n")
+        code, out = run_cli(capsys, "thresholds", "--year", "2009", "--out", str(target))
+        assert code == 0 and out == ""
+        assert [p.name for p in tmp_path.iterdir()] == ["t.csv"]
+        assert target.read_text().startswith("year,")
+
     def test_console_entry_point(self):
         proc = subprocess.run(
             [sys.executable, "-m", "ctcsim.cli", "thresholds", "--year", "2009"],

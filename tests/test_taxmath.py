@@ -2,23 +2,30 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from ctcsim import (
     HouseholdProfile,
     LiabilityMode,
     ParentalGroup,
+    apply_overrides,
     benefit_at_income,
     invert_benefit,
     tax_liability,
     thresholds,
 )
 from ctcsim.errors import Unreachable
-from ctcsim.taxmath import liability_threshold, refund_credit_threshold
+from ctcsim.taxmath import (
+    liability_threshold,
+    max_credit,
+    max_refund,
+    refund_credit_threshold,
+    tax_free_amount,
+)
 
 import goldens
-from oracle import grid_categories
+from oracle import grid_categories, table_threshold_scan
 
 ONE_SINGLE = HouseholdProfile.one_child(ParentalGroup.SINGLE_MOTHER)
 ONE_MARRIED = HouseholdProfile.one_child(ParentalGroup.MARRIED)
@@ -108,21 +115,28 @@ class TestInversion:
         with pytest.raises(Unreachable):
             invert_benefit(5000, ONE_SINGLE, params_by_year[2009])
 
+    @pytest.mark.parametrize("mode", list(LiabilityMode), ids=lambda m: m.value)
     @given(
         year=st.sampled_from(sorted(range(2003, 2019))),
         kind=st.sampled_from(["married", "single"]),
         cents=st.integers(min_value=1, max_value=100_000),
     )
+    # $1 above the phase-in at the tax-free amount: table mode returns that amount.
+    @example(year=2003, kind="married", cents=8160)
     @settings(max_examples=120, deadline=None)
-    def test_soundness_minimal_income(self, request, year, kind, cents):
+    def test_soundness_minimal_income(self, request, mode, year, kind, cents):
         params = request.getfixturevalue("params_by_year")[year]
         profile = profile_one(kind)
         target = Fraction(cents, 100) * 10  # up to the 1000-per-child ceiling
         target = min(target, params.ctc_per_child)
-        income = invert_benefit(target, profile, params)
-        assert benefit_at_income(income, profile, params).total >= target
+        income = invert_benefit(target, profile, params, mode)
+        if benefit_at_income(income, profile, params, mode).total < target:
+            # Table liability is 0 at the tax-free amount and tax($25) just above
+            # it, so there the minimal income is an infimum reached a cent later.
+            assert mode is LiabilityMode.TABLE and income == tax_free_amount(profile, params)
+            assert benefit_at_income(income + Fraction(1, 100), profile, params, mode).total >= target
         if income > 0:
-            just_below = benefit_at_income(income - Fraction(1, 100), profile, params).total
+            just_below = benefit_at_income(income - Fraction(1, 100), profile, params, mode).total
             assert just_below < target
 
 
@@ -322,6 +336,77 @@ class TestTableMode:
         # Pure-refund thresholds do not snap: no liability is involved.
         income = refund_credit_threshold(1400, ONE_SINGLE, params_by_year[2018], LiabilityMode.TABLE)
         assert abs(income - Fraction("11833.33")) < 1
+
+
+@st.composite
+def rule_overrides(draw):
+    """Overrides of a shipped year's rules, valid under ``strict=False``.
+
+    Covers refundable maxima above the credit maximum, refund floors above
+    the tax-free amount and bracket schedules whose rates are all zero.
+    """
+    overrides = {
+        "ctc_per_child": draw(st.integers(100, 4_000)),
+        "actc_per_child": draw(st.integers(100, 4_000)),
+        "refund_threshold": draw(st.integers(0, 60_000)),
+        "refund_rate": draw(st.sampled_from(["0.05", "0.1", "0.15", "0.45", "1"])),
+    }
+    bands = draw(st.integers(0, 3))
+    if bands:
+        rate = st.sampled_from(["0", "0.05", "0.1", "0.15", "0.25", "0.37"])
+        rates = sorted(draw(st.lists(rate, min_size=bands, max_size=bands)), key=Fraction)
+        uppers = sorted(draw(st.sets(st.integers(1, 100_000), min_size=bands - 1,
+                                     max_size=bands - 1)))
+        overrides["brackets"] = ([{"upper": u, "rate": r} for u, r in zip(uppers, rates)]
+                                 + [{"rate": rates[-1]}])
+    return overrides
+
+
+class TestTableInversionMatchesScan:
+    """Table-mode inversion equals the row-by-row scan of tests/oracle.py exactly."""
+
+    @staticmethod
+    def assert_matches_scan(target, profile, params):
+        try:
+            expected = table_threshold_scan(target, profile, params)
+        except Unreachable:
+            with pytest.raises(Unreachable):
+                refund_credit_threshold(target, profile, params, LiabilityMode.TABLE)
+            return
+        got = refund_credit_threshold(target, profile, params, LiabilityMode.TABLE)
+        assert (type(got), got) == (Fraction, expected)
+
+    def test_shipped_years(self, params_by_year, pop):
+        for year, params in params_by_year.items():
+            for group in ParentalGroup:
+                for children in (Fraction(1), pop.average_children(year, group)):
+                    profile = HouseholdProfile(group, children)
+                    for target in (max_refund(profile, params), max_credit(profile, params)):
+                        self.assert_matches_scan(target, profile, params)
+
+    @given(
+        year=st.sampled_from(sorted(range(2003, 2019))),
+        group=st.sampled_from(list(ParentalGroup)),
+        children=st.integers(0, 800).map(lambda c: Fraction(c, 100)),
+        overrides=rule_overrides(),
+        target=st.one_of(st.sampled_from(["max_refund", "max_credit"]),
+                         st.integers(1, 1_000_000).map(lambda c: Fraction(c, 100))),
+    )
+    # No liability is ever owed, yet the refund alone reaches the target.
+    @example(year=2010, group=ParentalGroup.SINGLE_MOTHER, children=Fraction(2),
+             overrides={"brackets": [{"rate": "0"}], "refund_threshold": 20_000},
+             target="max_refund")
+    @settings(max_examples=300, deadline=None)
+    def test_random_rule_sets(self, request, year, group, children, overrides, target):
+        params = apply_overrides(request.getfixturevalue("params_by_year")[year], overrides,
+                                 strict=False)
+        profile = HouseholdProfile(group, children)
+        if target == "max_refund":
+            target = max_refund(profile, params)
+        elif target == "max_credit":
+            target = max_credit(profile, params)
+        if target > 0:
+            self.assert_matches_scan(target, profile, params)
 
 
 class TestGridEquivalence:
