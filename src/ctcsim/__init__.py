@@ -41,7 +41,6 @@ from .population import (
     ChildrenHistogram,
     IncomeBin,
     PopulationTable,
-    average_children,
     distribution_proportions,
     load_population,
 )

@@ -18,6 +18,7 @@ import os
 import secrets
 import sys
 from fractions import Fraction
+from functools import partial
 from pathlib import Path
 
 from . import counterfactual as cf
@@ -180,8 +181,8 @@ class Run:
             raise
 
 
-def _scenarios(run: Run, both: bool = False) -> list[Scenario]:
-    return list(Scenario) if both else [run.scenario]
+def _scenarios(run: Run) -> list[Scenario]:
+    return [run.scenario]
 
 
 # ---------------------------------------------------------------------------
@@ -388,13 +389,12 @@ def _outcome_series(run: Run, outcome: str, years, scenario: Scenario):
     return build_panel(rows)
 
 
-def rows_regress(run: Run, outcomes, years, scenarios) -> list[dict]:
+def _fit_rows(run: Run, fit, outcomes, years, scenarios) -> list[dict]:
+    """One row per term of `fit(panel)` for each scenario and outcome series."""
     rows = []
-    baseline_year = max(years)
     for scenario in scenarios:
         for outcome in outcomes:
-            panel = _outcome_series(run, outcome, years, scenario)
-            res = fixed_effects(panel, baseline_year=baseline_year)
+            res = fit(_outcome_series(run, outcome, years, scenario))
             for name in res.names:
                 est, se = res.estimate(name), res.se(name)
                 rows.append({
@@ -406,28 +406,18 @@ def rows_regress(run: Run, outcomes, years, scenarios) -> list[dict]:
                     "stars": _stars(est, se),
                 })
     return rows
+
+
+def rows_regress(run: Run, outcomes, years, scenarios) -> list[dict]:
+    fit = partial(fixed_effects, baseline_year=max(years))
+    return _fit_rows(run, fit, outcomes, years, scenarios)
 
 
 REGRESS_FIELDS = ["scenario", "outcome", "term", "estimate", "robust_se", "stars"]
 
 
 def rows_did(run: Run, outcomes, years, post_year, scenarios) -> list[dict]:
-    rows = []
-    for scenario in scenarios:
-        for outcome in outcomes:
-            panel = _outcome_series(run, outcome, years, scenario)
-            res = did(panel, post_year=post_year)
-            for name in res.names:
-                est, se = res.estimate(name), res.se(name)
-                rows.append({
-                    "scenario": scenario.value,
-                    "outcome": outcome,
-                    "term": name,
-                    "estimate": f"{est:.6f}",
-                    "robust_se": f"{se:.6f}",
-                    "stars": _stars(est, se),
-                })
-    return rows
+    return _fit_rows(run, partial(did, post_year=post_year), outcomes, years, scenarios)
 
 
 # ---------------------------------------------------------------------------
@@ -437,8 +427,6 @@ def rows_did(run: Run, outcomes, years, post_year, scenarios) -> list[dict]:
 def cmd_thresholds(run: Run, args) -> None:
     years = [args.year] if args.year else run.year_range()
     groups = [ParentalGroup(args.group)] if args.group else list(GROUPS)
-    for year in years:
-        params_for_year(run.params, year)
     run.emit(THRESHOLD_FIELDS, rows_thresholds(run, years, groups, _scenarios(run)))
 
 
@@ -510,7 +498,9 @@ def cmd_report(run: Run, args) -> None:
         "credit_sweep": rows_sweep(run, [y for y in (2017, 2018) if y in years] or [new_law_year],
                                    [500, 1000, 1400, 2000, 3000, 3600], list(Scenario), True),
         "fixed_effects": rows_regress(run, ["a", "b", "c", "d", "e", "f", "cd", "bc"], fe_years, list(Scenario)),
-        "did": rows_did(run, ["c", "d", "e"], years, new_law_year, list(Scenario)),
+        # A range with no year before the new law has no pre-period to difference.
+        "did": rows_did(run, ["c", "d", "e"], years, new_law_year, list(Scenario))
+        if years[0] < new_law_year else [],
     }
     run.write(json.dumps(bundle, indent=2) + "\n")
 
@@ -591,9 +581,6 @@ def main(argv: list[str] | None = None) -> int:
     except CtcsimError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    except FileNotFoundError as exc:
-        print(f"i/o error: {exc}", file=sys.stderr)
-        return 2
     except OSError as exc:
         print(f"i/o error: {exc}", file=sys.stderr)
         return 2

@@ -13,7 +13,6 @@ from fractions import Fraction
 from typing import Iterable, Mapping, Sequence
 
 from .classifier import (
-    CATEGORY_ORDER,
     BoundRule,
     EligibilityEstimate,
     ReliefCategory,
@@ -25,8 +24,14 @@ from .classifier import (
 from .errors import Unreachable, ValidationError
 from .memo import once
 from .money import as_money
-from .params import ParentalGroup, ProgramParameters, apply_overrides, overrides_to
-from .population import INCOME_CEILING, IncomeBin, PopulationTable
+from .params import (
+    ParentalGroup,
+    ProgramParameters,
+    apply_overrides,
+    overrides_to,
+    params_for_year,
+)
+from .population import IncomeBin, PopulationTable
 from .taxmath import (
     HouseholdProfile,
     LiabilityMode,
@@ -190,49 +195,34 @@ def builtin_piecemeal_steps(
     applies the new-law rules outright so the walk's endpoint can be
     checked against it.
     """
-    new = params_by_year[pop_year]
-    base = params_by_year[base_year]
-    deduction_package = overrides_to(base, new, ["standard_deduction", "exemption_per_person"])
-    phaseout = overrides_to(base, new, ["phaseout_start"])
-    brackets = overrides_to(base, new, ["brackets"])
-    opening = PiecemealStep(
-        label=f"{pop_year} rules outright",
-        overrides={},
-        children_year=pop_year,
-    )
+    new = params_for_year(params_by_year, pop_year)
+    base = params_for_year(params_by_year, base_year)
+    credit = PiecemealStep("raise credit maximum", {"ctc_per_child": new.ctc_per_child})
+    refundable = PiecemealStep("raise refundable maximum", {"actc_per_child": new.actc_per_child})
     if table == "1a":
-        target = ReliefCategory.FULL_CTC
-        walk = [
-            PiecemealStep(f"{base_year} rules baseline"),
-            PiecemealStep("raise credit maximum", {"ctc_per_child": new.ctc_per_child}),
-            PiecemealStep("new standard deduction, exemptions repealed", deduction_package),
-            PiecemealStep("new refundability floor", {"refund_threshold": new.refund_threshold}),
-            PiecemealStep("new phaseout start", phaseout),
-            PiecemealStep("raise refundable maximum", {"actc_per_child": new.actc_per_child}),
-            PiecemealStep(
-                "new rate brackets and children averages",
-                brackets,
-                children_year=pop_year,
-            ),
-        ]
+        target, first, last = ReliefCategory.FULL_CTC, credit, refundable
     elif table == "1b":
-        target = ReliefCategory.FULL_ACTC
-        walk = [
-            PiecemealStep(f"{base_year} rules baseline"),
-            PiecemealStep("raise refundable maximum", {"actc_per_child": new.actc_per_child}),
-            PiecemealStep("new standard deduction, exemptions repealed", deduction_package),
-            PiecemealStep("new refundability floor", {"refund_threshold": new.refund_threshold}),
-            PiecemealStep("new phaseout start", phaseout),
-            PiecemealStep("raise credit maximum", {"ctc_per_child": new.ctc_per_child}),
-            PiecemealStep(
-                "new rate brackets and children averages",
-                brackets,
-                children_year=pop_year,
-            ),
-        ]
+        target, first, last = ReliefCategory.FULL_ACTC, refundable, credit
     else:
         raise ValidationError(f"unknown piecemeal table {table!r}")
-    return base, [opening] + walk, target
+    steps = [
+        PiecemealStep(f"{pop_year} rules outright", children_year=pop_year),
+        PiecemealStep(f"{base_year} rules baseline"),
+        first,
+        PiecemealStep(
+            "new standard deduction, exemptions repealed",
+            overrides_to(base, new, ["standard_deduction", "exemption_per_person"]),
+        ),
+        PiecemealStep("new refundability floor", {"refund_threshold": new.refund_threshold}),
+        PiecemealStep("new phaseout start", overrides_to(base, new, ["phaseout_start"])),
+        last,
+        PiecemealStep(
+            "new rate brackets and children averages",
+            overrides_to(base, new, ["brackets"]),
+            children_year=pop_year,
+        ),
+    ]
+    return base, steps, target
 
 
 def run_piecemeal_table(
@@ -246,16 +236,10 @@ def run_piecemeal_table(
 ) -> list[StepRow]:
     """Stock walk as step rows 1..8; row 1 is new law, rows 2..8 the walk."""
     base, steps, target = builtin_piecemeal_steps(table, params_by_year, pop_year, base_year)
-    opening, walk = steps[0], steps[1:]
-    rows: list[StepRow] = []
-    new = params_by_year[pop_year]
-    for group in GROUPS:
-        est = eligibility(pop, pop_year, group, new, scenario,
-                          children_year=opening.children_year, mode=mode)
-        rows.append(StepRow(1, opening.label, group, est.proportion(target)))
-    for row in piecemeal(pop, pop_year, base, walk, target, scenario, mode):
+    new = params_for_year(params_by_year, pop_year)
+    rows = piecemeal(pop, pop_year, new, steps[:1], target, scenario, mode)
+    for row in piecemeal(pop, pop_year, base, steps[1:], target, scenario, mode):
         rows.append(StepRow(row.step + 1, row.label, row.group, row.proportion))
-    rows.sort(key=lambda r: (r.step, r.group.value))
     return rows
 
 
@@ -298,24 +282,16 @@ def priced_out(
         raise ValidationError("new credit maximum must exceed the baseline")
     est = eligibility(pop, year, group, params_parity, scenario, mode=mode)
     profile = profile_for(pop, group, scenario, params_parity.year)
-    ts = thresholds(profile, params_parity, mode)
-    cuts = _category_cut_bounds(ts, scenario.rule)
+    cuts = category_cuts(thresholds(profile, params_parity, mode), scenario.rule)
+    c_lo, d_hi = cuts[1], cuts[3]
     raised = apply_overrides(params_parity, {"ctc_per_child": new_ctc}, strict=False)
-    new_threshold = refund_credit_threshold(
-        raised.ctc_per_child * profile.children, profile, raised, mode
-    )
-    new_cut = cut_income(new_threshold, strictly_above=False, rule=scenario.rule)
-    bins = pop.bins(year, group)
-    c_lo, d_hi = cuts[ReliefCategory.FULL_ACTC][0], cuts[ReliefCategory.FULL_CTC][1]
+    try:
+        new_cut = min(full_relief_cuts(profile, raised, scenario.rule, mode)[0], d_hi)
+    except Unreachable:
+        new_cut = d_hi  # the raised maximum never accrues: all of c and d lose full relief
     old_full = est.counts[ReliefCategory.FULL_ACTC] + est.counts[ReliefCategory.FULL_CTC]
-    lost = _mass_between(bins, c_lo, min(new_cut, d_hi))
+    lost = _mass_between(pop.bins(year, group), c_lo, new_cut)
     return PricedOutResult(full_relief_old=old_full, priced_out=lost)
-
-
-def _category_cut_bounds(ts, rule) -> dict[ReliefCategory, tuple[int, int]]:
-    cuts = category_cuts(ts, rule)
-    edges = [0] + [min(c, INCOME_CEILING) for c in cuts] + [INCOME_CEILING]
-    return {cat: (edges[i], max(edges[i], edges[i + 1])) for i, cat in enumerate(CATEGORY_ORDER)}
 
 
 def credit_size_sweep(
@@ -452,22 +428,15 @@ def dependent_gap(
     moving part is the number of dependents.
     """
     years = list(years)
-    singles = (ParentalGroup.SINGLE_FATHER, ParentalGroup.SINGLE_MOTHER)
-    fixed: dict[ParentalGroup, Fraction] = {}
-    averaged: dict[ParentalGroup, Fraction] = {}
-    for group in singles:
-        fixed_vals = []
-        avg_vals = []
-        for year in years:
-            params = params_by_year[year]
-            one = HouseholdProfile.one_child(group)
-            ts = thresholds(one, params, mode)
-            est = classify(pop, year, group, ts, BoundRule.UPPER, Scenario.S1)
-            fixed_vals.append(est.proportion(ReliefCategory.FULL_CTC))
-            many = HouseholdProfile(group, pop.average_children(year, group))
-            ts2 = thresholds(many, params, mode)
-            est2 = classify(pop, year, group, ts2, BoundRule.UPPER, Scenario.S1)
-            avg_vals.append(est2.proportion(ReliefCategory.FULL_CTC))
-        fixed[group] = sum(fixed_vals, Fraction(0)) / len(years)
-        averaged[group] = sum(avg_vals, Fraction(0)) / len(years)
-    return DependentGapResult(fixed_one=fixed, group_average=averaged)
+    means: dict[Scenario, dict[ParentalGroup, Fraction]] = {}
+    for convention in (Scenario.S1, Scenario.S2):
+        means[convention] = {}
+        for group in (ParentalGroup.SINGLE_FATHER, ParentalGroup.SINGLE_MOTHER):
+            total = Fraction(0)
+            for year in years:
+                profile = profile_for(pop, group, convention, year)
+                ts = thresholds(profile, params_for_year(params_by_year, year), mode)
+                est = classify(pop, year, group, ts, BoundRule.UPPER, Scenario.S1)
+                total += est.proportion(ReliefCategory.FULL_CTC)
+            means[convention][group] = total / len(years)
+    return DependentGapResult(fixed_one=means[Scenario.S1], group_average=means[Scenario.S2])

@@ -12,7 +12,7 @@ import csv
 from dataclasses import dataclass
 from fractions import Fraction
 from pathlib import Path
-from typing import Iterable, Mapping, Sequence
+from typing import Mapping, Sequence
 
 from .errors import EmptyGroup, EmptyHistogram, GapError, NegativeCount, ParseError
 from .params import ParentalGroup
@@ -85,25 +85,6 @@ class PopulationTable:
 
     def average_children(self, year: int, group: ParentalGroup) -> Fraction:
         return self.children_histogram(year, group).average()
-
-    def period_average_children(
-        self, group: ParentalGroup, years: Iterable[int] | None = None
-    ) -> Fraction:
-        """Mean of the per-year averages over `years` (default: all loaded).
-
-        Off the default path: year-specific averages drive the standard
-        middle-bound scenario; this exists for period-level summaries.
-        """
-        years = list(years) if years is not None else self.years()
-        if not years:
-            raise EmptyHistogram("no years to average over")
-        total = sum((self.average_children(y, group) for y in years), Fraction(0))
-        return total / len(years)
-
-
-def average_children(histogram: ChildrenHistogram) -> Fraction:
-    """Mean children per respondent, treating '8plus' as 8."""
-    return histogram.average()
 
 
 def _int_field(row: Mapping[str, str], field: str, where: str) -> int:

@@ -198,6 +198,15 @@ class TestConfigAndDeterminism:
         assert [p.name for p in tmp_path.iterdir()] == ["t.csv"]
         assert target.read_text().startswith("year,")
 
+    def test_one_year_report_has_no_did_rows(self, tmp_path):
+        out = tmp_path / "report.json"
+        assert main(["report", "--years", "2018", "--out", str(out)]) == 0
+        bundle = json.loads(out.read_text())
+        assert bundle["did"] == []
+        assert bundle["fixed_effects"]
+        assert main(["report", "--years", "2017:2018", "--out", str(out)]) == 0
+        assert json.loads(out.read_text())["did"]
+
     def test_console_entry_point(self):
         proc = subprocess.run(
             [sys.executable, "-m", "ctcsim.cli", "thresholds", "--year", "2009"],
@@ -255,3 +264,9 @@ class TestBadInput:
     @pytest.mark.parametrize("text", ["{bad", "[1]", '{"scenaro": "s1"}'])
     def test_config_malformed(self, capsys, tmp_path, text):
         self.assert_one_line_error(capsys, "classify", "--config", self.config(tmp_path, text))
+
+    @pytest.mark.parametrize("argv", [["piecemeal", "--base-year", "2002"],
+                                      ["report", "--years", "2003"]])
+    def test_missing_walk_year(self, capsys, argv):
+        line = self.assert_one_line_error(capsys, *argv)
+        assert line == "error: year 2002 not present in parameter data"

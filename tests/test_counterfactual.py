@@ -136,6 +136,15 @@ class TestPricedOut:
             priced_out(pop, 2018, ParentalGroup.MARRIED, params_by_year[2018],
                        3000, Scenario.S1)
 
+    def test_raised_credit_eroded_by_phaseout_prices_out_everyone(self, pop, params_by_year):
+        # The raised maximum would accrue only past the lowered phaseout start.
+        params = apply_overrides(params_by_year[2017], {"phaseout_start": 50_000})
+        for scenario in Scenario:
+            for group in GROUPS:
+                result = priced_out(pop, 2017, group, params, 10_000, scenario)
+                assert result.full_relief_old > 0
+                assert result.priced_out == result.full_relief_old
+
     def test_new_ctc_must_increase(self, pop, params_by_year):
         with pytest.raises(ValidationError):
             priced_out(pop, 2017, ParentalGroup.MARRIED, params_by_year[2017],
@@ -233,6 +242,11 @@ class TestDependentGap:
         result = dependent_gap(pop, params_by_year)
         assert abs(float(result.fixed_one[ParentalGroup.SINGLE_FATHER]) - 0.6429) < 1e-3
         assert abs(float(result.fixed_one[ParentalGroup.SINGLE_MOTHER]) - 0.5648) < 1e-3
+        years = range(2003, 2018)
+        for group in result.fixed_one:
+            shares = [eligibility(pop, y, group, params_by_year[y], Scenario.S1)
+                      .proportion(ReliefCategory.FULL_CTC) for y in years]
+            assert result.fixed_one[group] == sum(shares, Fraction(0)) / len(years)
         # More dependents raise the credit threshold, widening the gap.
         assert result.widening() > 0
 

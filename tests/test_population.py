@@ -112,15 +112,6 @@ class TestChildren:
                 want = Fraction(str(benchmarks["children_average"][group.value][year - 2003]))
                 assert pop.average_children(year, group) == want
 
-    def test_period_average(self, pop):
-        for group, want in ((ParentalGroup.MARRIED, "1.89"),
-                            (ParentalGroup.SINGLE_FATHER, "1.69"),
-                            (ParentalGroup.SINGLE_MOTHER, "1.74")):
-            value = pop.period_average_children(group)
-            assert abs(value - Fraction(want)) < Fraction(1, 200)  # rounds to want
-        sub = pop.period_average_children(ParentalGroup.MARRIED, [2009])
-        assert sub == pop.average_children(2009, ParentalGroup.MARRIED)
-
 
 class TestProportions:
     def test_sum_to_one(self, pop):
