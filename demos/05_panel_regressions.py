@@ -40,8 +40,9 @@ def panel(categories, years):
 print("== fixed effects on full-credit shares, 2003-2017, scenario s1 ==")
 res = fixed_effects(panel([ReliefCategory.FULL_CTC], range(2003, 2018)), baseline_year=2017)
 for term in ("const", "single_father", "single_mother"):
-    print(f"  {term:<16} {res.estimate(term):+8.4f}  (robust se {res.se(term):.4f})")
-print(f"  observations {res.nobs}, R^2 {res.r_squared:.4f}")
+    print(f"  {term:<16} {res.estimate(term):+8.4f}")
+print(f"  observations {res.nobs}, residual df {res.df_resid}, R^2 {res.r_squared:.4f}")
+print("  (saturated: every cell is fitted exactly, so no standard errors are defined)")
 
 print("\n== difference-in-differences around 2018, scenario s1 ==")
 for cats, label in (

@@ -295,7 +295,9 @@ def rows_priced_out(run: Run, years, scenarios, new_ctc: int, skip_non_parity: b
                     "group": group.value,
                     "full_relief_old": result.full_relief_old,
                     "priced_out": result.priced_out,
-                    "proportion": _fmt_share(result.proportion_priced_out),
+                    # Undefined when no household had full relief at baseline.
+                    "proportion": _fmt_share(result.proportion_priced_out)
+                    if result.full_relief_old else "",
                 })
     return rows
 
@@ -361,6 +363,12 @@ def rows_eliminate(run: Run, year: int, scenarios) -> list[dict]:
 ELIMINATE_FIELDS = ["year", "scenario", "group", "access_delta", "gaining_households"]
 
 
+def _fmt_estimate(value: float) -> str:
+    """Six decimals; a value that rounds to zero prints without a sign."""
+    text = f"{value:.6f}"
+    return "0.000000" if text == "-0.000000" else text
+
+
 def _stars(estimate: float, se: float) -> str:
     if se == 0.0:
         return "***" if estimate != 0.0 else ""
@@ -395,15 +403,16 @@ def _fit_rows(run: Run, fit, outcomes, years, scenarios) -> list[dict]:
     for scenario in scenarios:
         for outcome in outcomes:
             res = fit(_outcome_series(run, outcome, years, scenario))
+            defined = res.df_resid > 0  # a zero-df fit has no SE, hence no stars
             for name in res.names:
                 est, se = res.estimate(name), res.se(name)
                 rows.append({
                     "scenario": scenario.value,
                     "outcome": outcome,
                     "term": name,
-                    "estimate": f"{est:.6f}",
-                    "robust_se": f"{se:.6f}",
-                    "stars": _stars(est, se),
+                    "estimate": _fmt_estimate(est),
+                    "robust_se": f"{se:.6f}" if defined else "",
+                    "stars": _stars(est, se) if defined else "",
                 })
     return rows
 
@@ -463,17 +472,22 @@ def cmd_eliminate(run: Run, args) -> None:
     run.emit(ELIMINATE_FIELDS, rows_eliminate(run, args.year, _scenarios(run)))
 
 
-def cmd_regress(run: Run, args) -> None:
-    outcomes = args.outcome.split(",") if args.outcome else ["a", "b", "c", "d", "e", "f", "cd", "bc"]
+def _outcomes(text: str | None, default: list[str]) -> list[str]:
+    outcomes = text.split(",") if text else default
     for outcome in outcomes:
         if outcome not in OUTCOME_CHOICES:
             raise ValidationError(f"unknown outcome {outcome!r}")
+    return outcomes
+
+
+def cmd_regress(run: Run, args) -> None:
+    outcomes = _outcomes(args.outcome, ["a", "b", "c", "d", "e", "f", "cd", "bc"])
     years = run.year_range() if run.years else list(range(2003, 2018))
     run.emit(REGRESS_FIELDS, rows_regress(run, outcomes, years, _scenarios(run)))
 
 
 def cmd_did(run: Run, args) -> None:
-    outcomes = args.outcome.split(",") if args.outcome else ["c", "d", "e"]
+    outcomes = _outcomes(args.outcome, ["c", "d", "e"])
     years = run.year_range() if run.years else sorted(run.params)
     run.emit(REGRESS_FIELDS, rows_did(run, outcomes, years, args.post_year, _scenarios(run)))
 
@@ -505,6 +519,13 @@ def cmd_report(run: Run, args) -> None:
     run.write(json.dumps(bundle, indent=2) + "\n")
 
 
+class _Parser(argparse.ArgumentParser):
+    """A usage error ends like any other bad value: one `error:` line, exit code 1."""
+
+    def error(self, message):
+        self.exit(1, f"error: {message}\n")
+
+
 def build_parser() -> argparse.ArgumentParser:
     shared = argparse.ArgumentParser(add_help=False)
     shared.add_argument("--params", help="parameter file (JSON)")
@@ -517,7 +538,7 @@ def build_parser() -> argparse.ArgumentParser:
     shared.add_argument("--out", help="write output to this path instead of stdout")
     shared.add_argument("--config", help="JSON run-config file; flags take precedence")
 
-    parser = argparse.ArgumentParser(prog="ctcsim", description=__doc__)
+    parser = _Parser(prog="ctcsim", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("thresholds", parents=[shared], help="category-boundary incomes")
@@ -578,7 +599,7 @@ def main(argv: list[str] | None = None) -> int:
         run = Run(args)
         with command_scope():
             args.func(run, args)
-    except CtcsimError as exc:
+    except (CtcsimError, UnicodeDecodeError) as exc:  # or an input file that is not UTF-8
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except OSError as exc:

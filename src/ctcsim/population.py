@@ -141,6 +141,8 @@ def load_population(path: str | Path, children_path: str | Path | None = None) -
             raise GapError(
                 f"year {key[0]} {key[1].value}: bins stop at {expected_lower}, expected {INCOME_CEILING}"
             )
+        if not any(b.count for b in seq):
+            raise EmptyGroup(f"year {key[0]} {key[1].value}: population has zero total")
         bins[key] = tuple(seq)
 
     years = sorted({year for year, _ in bins})

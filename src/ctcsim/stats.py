@@ -1,19 +1,20 @@
 """Least squares with heteroskedasticity-robust covariance, dummy designs.
 
 The solver is QR-based (no normal-equations inversion); rank problems are
-detected from the pivoted R factor and reported with the offending column
-names. Robust covariance follows the sandwich form with the HC1
-small-sample scaling by default (HC0 available).
+detected from the R factor and reported with the offending column names.
+Robust covariance is the HC1 sandwich, the HC0 form scaled by n / (n - k).
+A fit with no residual degrees of freedom (n == k, as in a saturated dummy
+design) reproduces its outcomes exactly and has no defined covariance.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Mapping, Sequence
 
 import numpy as np
-from scipy import linalg
 
 from .errors import RankDeficient, ValidationError
 from .params import ParentalGroup
@@ -32,39 +33,30 @@ class PanelObservation:
 class RegressionResult:
     names: tuple[str, ...]
     estimates: np.ndarray
-    cov: np.ndarray
+    cov: np.ndarray  # all NaN when df_resid is 0
     residuals: np.ndarray
     fitted: np.ndarray
     r_squared: float
     nobs: int
-    cov_type: str
+    df_resid: int
 
     def estimate(self, name: str) -> float:
         return float(self.estimates[self.names.index(name)])
 
     def se(self, name: str) -> float:
+        """Robust standard error of one term; NaN when df_resid is 0."""
+        if self.df_resid == 0:
+            return math.nan
         idx = self.names.index(name)
         return float(np.sqrt(max(self.cov[idx, idx], 0.0)))
 
-    def robust_se(self) -> dict[str, float]:
-        return {n: self.se(n) for n in self.names}
 
-    def params(self) -> dict[str, float]:
-        return {n: float(b) for n, b in zip(self.names, self.estimates)}
-
-
-def ols(
-    columns: Mapping[str, Sequence[float]],
-    y: Sequence[float],
-    cov_type: str = "HC1",
-) -> RegressionResult:
-    """Least squares of `y` on the named columns, robust covariance.
+def ols(columns: Mapping[str, Sequence[float]], y: Sequence[float]) -> RegressionResult:
+    """Least squares of `y` on the named columns, HC1 robust covariance.
 
     Columns enter the design in mapping order. Raises RankDeficient naming
-    the collinear columns when the design is not full rank.
+    the columns that depend on earlier ones when the design is not full rank.
     """
-    if cov_type not in ("HC0", "HC1"):
-        raise ValidationError(f"unsupported covariance type {cov_type!r}")
     names = tuple(columns)
     X = np.column_stack([np.asarray(columns[n], dtype=float) for n in names])
     yv = np.asarray(y, dtype=float)
@@ -74,31 +66,25 @@ def ols(
     if n < k:
         raise RankDeficient(f"{n} observations cannot identify {k} coefficients")
 
-    Q, R, piv = linalg.qr(X, mode="economic", pivoting=True)
+    Q, R = np.linalg.qr(X)
     diag = np.abs(np.diag(R))
-    scale_ref = diag[0] if diag.size else 0.0
-    dependent = [i for i, d in enumerate(diag) if d <= RANK_RTOL * scale_ref]
-    if scale_ref == 0.0 or dependent:
-        bad = sorted(names[piv[i]] for i in (dependent or range(k)))
-        raise RankDeficient(f"collinear design columns: {', '.join(bad)}")
+    dependent = sorted(names[j] for j in np.flatnonzero(diag <= RANK_RTOL * diag.max()))
+    if dependent:
+        raise RankDeficient(f"collinear design columns: {', '.join(dependent)}")
 
-    beta_piv = linalg.solve_triangular(R, Q.T @ yv)
-    beta = np.empty(k)
-    beta[piv] = beta_piv
+    r_inv = np.linalg.inv(R)
+    beta = r_inv @ (Q.T @ yv)
     fitted = X @ beta
     resid = yv - fitted
 
-    r_inv = linalg.solve_triangular(R, np.eye(k))
-    bread_piv = r_inv @ r_inv.T  # (X'X)^-1 in pivoted order
-    perm = np.empty(k, dtype=int)
-    perm[piv] = np.arange(k)
-    bread = bread_piv[np.ix_(perm, perm)]
-
-    meat = (X * (resid**2)[:, None]).T @ X
-    cov = bread @ meat @ bread
-    if cov_type == "HC1" and n > k:
-        cov = cov * (n / (n - k))
-    cov = (cov + cov.T) / 2.0
+    df_resid = n - k
+    if df_resid:
+        bread = r_inv @ r_inv.T  # (X'X)^-1
+        meat = (X * (resid**2)[:, None]).T @ X
+        cov = bread @ meat @ bread * (n / df_resid)
+        cov = (cov + cov.T) / 2.0
+    else:
+        cov = np.full((k, k), np.nan)
 
     ss_res = float(resid @ resid)
     centered = yv - yv.mean()
@@ -113,7 +99,7 @@ def ols(
         fitted=fitted,
         r_squared=r_squared,
         nobs=n,
-        cov_type=cov_type,
+        df_resid=df_resid,
     )
 
 
@@ -136,7 +122,6 @@ def fixed_effects(
     panel: Sequence[PanelObservation],
     baseline_year: int = 2017,
     baseline_group: ParentalGroup = ParentalGroup.MARRIED,
-    cov_type: str = "HC1",
 ) -> RegressionResult:
     """Saturated group/year dummy regression with all interactions.
 
@@ -157,29 +142,15 @@ def fixed_effects(
 
     other_groups = [g for g in groups if g is not baseline_group]
     other_years = [y for y in years if y != baseline_year]
-    columns: dict[str, list[float]] = {"const": []}
+    columns = {"const": [1.0] * len(panel)}
     for g in other_groups:
-        columns[g.value] = []
+        columns[g.value] = [float(o.group is g) for o in panel]
     for y in other_years:
-        columns[f"year_{y}"] = []
+        columns[f"year_{y}"] = [float(o.year == y) for o in panel]
     for g in other_groups:
         for y in other_years:
-            columns[f"{g.value}:year_{y}"] = []
-
-    y_vec = []
-    for obs in panel:
-        columns["const"].append(1.0)
-        for g in other_groups:
-            columns[g.value].append(1.0 if obs.group is g else 0.0)
-        for yr in other_years:
-            columns[f"year_{yr}"].append(1.0 if obs.year == yr else 0.0)
-        for g in other_groups:
-            for yr in other_years:
-                columns[f"{g.value}:year_{yr}"].append(
-                    1.0 if (obs.group is g and obs.year == yr) else 0.0
-                )
-        y_vec.append(obs.outcome)
-    return ols(columns, y_vec, cov_type=cov_type)
+            columns[f"{g.value}:year_{y}"] = [float(o.group is g and o.year == y) for o in panel]
+    return ols(columns, [o.outcome for o in panel])
 
 
 def did(
@@ -187,7 +158,6 @@ def did(
     treated: ParentalGroup = ParentalGroup.SINGLE_MOTHER,
     control: ParentalGroup = ParentalGroup.SINGLE_FATHER,
     post_year: int = 2018,
-    cov_type: str = "HC1",
 ) -> RegressionResult:
     """Two-group difference-in-differences; `treated_post` is the estimate."""
     rows = [o for o in panel if o.group in (treated, control)]
@@ -198,14 +168,8 @@ def did(
     for g in (treated, control):
         if not any(o.group is g for o in rows):
             raise ValidationError(f"panel is missing group {g.value}")
-    columns: dict[str, list[float]] = {"const": [], "treated": [], "post": [], "treated_post": []}
-    y_vec = []
-    for obs in rows:
-        t = 1.0 if obs.group is treated else 0.0
-        p = 1.0 if obs.year >= post_year else 0.0
-        columns["const"].append(1.0)
-        columns["treated"].append(t)
-        columns["post"].append(p)
-        columns["treated_post"].append(t * p)
-        y_vec.append(obs.outcome)
-    return ols(columns, y_vec, cov_type=cov_type)
+    treated_col = [float(o.group is treated) for o in rows]
+    post = [float(o.year >= post_year) for o in rows]
+    columns = {"const": [1.0] * len(rows), "treated": treated_col, "post": post,
+               "treated_post": [t * p for t, p in zip(treated_col, post)]}
+    return ols(columns, [o.outcome for o in rows])

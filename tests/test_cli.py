@@ -138,6 +138,28 @@ class TestAnalyses:
         rows = parse_csv(out)
         assert any(r["term"] == "treated_post" for r in rows)
 
+    def test_saturated_did_has_no_standard_errors(self, capsys):
+        # Two groups x two years against four coefficients: no residual df.
+        code, out = run_cli(capsys, "did", "--years", "2017:2018")
+        assert code == 0
+        rows = parse_csv(out)
+        assert len(rows) == 3 * 4
+        assert all(r["estimate"] and r["robust_se"] == "" and r["stars"] == "" for r in rows)
+
+    def test_priced_out_without_baseline_full_relief(self, capsys, bad_populations):
+        population = str(bad_populations["no_baseline"])
+        code, out = run_cli(capsys, "priced-out", "--year", "2017", "--population", population)
+        assert code == 0
+        rows = {r["group"]: r for r in parse_csv(out)}
+        assert rows["single_father"]["full_relief_old"] == "0"
+        assert rows["single_father"]["proportion"] == ""
+        assert abs(float(rows["married"]["proportion"]) - 0.1472) < 1e-3
+        code, out = run_cli(capsys, "report", "--years", "2016:2018", "--population", population)
+        assert code == 0
+        priced = [r for r in json.loads(out)["priced_out"] if r["full_relief_old"] == 0]
+        assert [(r["year"], r["group"], r["proportion"]) for r in priced] == [
+            (2017, "single_father", ""), (2017, "single_father", "")]
+
 
 class TestConfigAndDeterminism:
     def test_config_file_with_flag_precedence(self, capsys, tmp_path):
@@ -152,13 +174,22 @@ class TestConfigAndDeterminism:
         assert {r["scenario"] for r in rows} == {"s1"}
 
     @pytest.mark.parametrize("flags, digest", [
-        ([], "cbaaea0df2166e0347710af8f5fd6be202db615865677e37b6cf3ae3e38ab508"),
-        (["--liability", "table"], "2fa01f7c44c27be29028421bd3c08b4779d12fd9283de54ee956f4ba386b7450"),
+        ([], "4aa013303a98256127d70a22ba7f675393ff03144a2262487399593517d1cc58"),
+        (["--liability", "table"], "96c85aed6143d919fc367b74910f84dfcef924ee9570c4cbe796aabdc18588c8"),
     ], ids=["exact", "table"])
     def test_report_bytes_are_pinned(self, tmp_path, flags, digest):
         out = tmp_path / "report.json"
         assert main(["report", "--out", str(out), *flags]) == 0
         assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
+
+    def test_report_zero_df_fits_have_no_standard_errors(self, tmp_path):
+        out = tmp_path / "report.json"
+        assert main(["report", "--out", str(out)]) == 0
+        text = out.read_text()
+        assert '"-0.000000"' not in text
+        bundle = json.loads(text)
+        assert all(r["robust_se"] == "" and r["stars"] == "" for r in bundle["fixed_effects"])
+        assert all(r["robust_se"] != "" for r in bundle["did"])
 
     def test_report_runs_are_byte_identical(self, tmp_path):
         a, b = tmp_path / "a.json", tmp_path / "b.json"
@@ -217,6 +248,15 @@ class TestConfigAndDeterminism:
         assert proc.returncode == 0
         assert "9666.67" in proc.stdout
 
+    def test_import_leaves_scipy_out(self):
+        proc = subprocess.run(
+            [sys.executable, "-c",
+             "import sys, ctcsim.cli; print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"],
+            capture_output=True, text=True, env={"PATH": "", "PYTHONPATH": str(DATA.parent / "src")},
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout == "[]\n"
+
 
 class TestBadInput:
     """Each bad input ends with exit code 1 and one `error:` line, not a traceback."""
@@ -264,6 +304,34 @@ class TestBadInput:
     @pytest.mark.parametrize("text", ["{bad", "[1]", '{"scenaro": "s1"}'])
     def test_config_malformed(self, capsys, tmp_path, text):
         self.assert_one_line_error(capsys, "classify", "--config", self.config(tmp_path, text))
+
+    def test_did_outcome_checked_like_regress(self, capsys):
+        line = self.assert_one_line_error(capsys, "did", "--outcome", "c,,d")
+        assert line == "error: unknown outcome ''"
+
+    @pytest.mark.parametrize("command", ["classify", "report", "regress"])
+    def test_population_group_with_zero_total(self, capsys, bad_populations, command):
+        line = self.assert_one_line_error(
+            capsys, command, "--population", str(bad_populations["zero_group"]))
+        assert line.endswith("year 2010 single_father: population has zero total")
+
+    def test_input_file_not_utf8(self, capsys, tmp_path):
+        path = tmp_path / "population.csv"
+        path.write_bytes(b"year,group\n\xc0\xff\n")
+        self.assert_one_line_error(capsys, "classify", "--population", str(path))
+
+    @pytest.mark.parametrize("argv", [["thresholds", "--year", "abc"],
+                                      ["classify", "--group", "nobody"],
+                                      ["did", "--table", "1a"],
+                                      []])
+    def test_usage_error(self, capsys, argv):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        captured = capsys.readouterr()
+        assert exc.value.code == 1
+        assert captured.out == ""
+        lines = captured.err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error: ")
 
     @pytest.mark.parametrize("argv", [["piecemeal", "--base-year", "2002"],
                                       ["report", "--years", "2003"]])

@@ -36,6 +36,11 @@ class TestLoad:
         for (year, group), total in raw.items():
             assert pop.total(year, ParentalGroup(group)) == total
 
+    def test_group_with_zero_total_rejected(self, tmp_path):
+        rows = full_rows() + full_rows(group="single_father", count=0)
+        with pytest.raises(EmptyGroup, match="2010 single_father: population has zero total"):
+            load_population(write_population(tmp_path, rows))
+
     def test_gap_detected(self, tmp_path):
         rows = full_rows()
         del rows[1]  # remove [2500, 5000)

@@ -1,3 +1,4 @@
+import math
 from fractions import Fraction
 
 import numpy as np
@@ -18,8 +19,8 @@ from ctcsim import (
 from ctcsim.errors import RankDeficient, ValidationError
 
 
-def naive_sandwich(X, y, scale_hc1=True):
-    """Dense normal-equations oracle for the robust covariance."""
+def naive_sandwich(X, y):
+    """Dense normal-equations oracle for the HC1 robust covariance."""
     X = np.asarray(X, float)
     y = np.asarray(y, float)
     n, k = X.shape
@@ -28,7 +29,7 @@ def naive_sandwich(X, y, scale_hc1=True):
     e = y - X @ beta
     meat = X.T @ np.diag(e**2) @ X
     cov = xtx_inv @ meat @ xtx_inv
-    if scale_hc1 and n > k:
+    if n > k:
         cov *= n / (n - k)
     return beta, cov
 
@@ -48,6 +49,9 @@ class TestOls:
         res = ols({"const": [1, 1], "x": [1, 2]}, [2, 4])
         assert res.estimate("x") == pytest.approx(2.0, abs=1e-12)
         assert np.allclose(res.residuals, 0.0, atol=1e-12)
+        # Two points, two coefficients: no residual df, so no covariance.
+        assert res.df_resid == 0
+        assert np.isnan(res.cov).all() and math.isnan(res.se("x"))
 
     def test_three_point_closed_form(self):
         # Hand-derived: beta = (5/6, 3/2) for y = [1, 2, 4] on x = [0, 1, 2].
@@ -59,21 +63,15 @@ class TestOls:
         _, cov = naive_sandwich(np.column_stack([columns["const"], columns["x"]]), y)
         assert np.allclose(res.cov, cov, rtol=1e-10, atol=1e-14)
 
-    def test_hc0_option(self):
-        columns = {"const": [1, 1, 1, 1], "x": [0.0, 1.0, 2.0, 5.0]}
-        y = [0.5, 1.9, 4.2, 9.9]
-        res = ols(columns, y, cov_type="HC0")
-        _, cov = naive_sandwich(np.column_stack(list(columns.values())), y, scale_hc1=False)
-        assert np.allclose(res.cov, cov, rtol=1e-10, atol=1e-14)
-
-    def test_unknown_cov_type(self):
-        with pytest.raises(ValidationError):
-            ols({"const": [1, 1]}, [1, 2], cov_type="HC3")
-
     def test_rank_deficiency_names_columns(self):
-        columns = {"const": [1, 1, 1], "a": [1, 2, 3], "a_copy": [1, 2, 3]}
-        with pytest.raises(RankDeficient, match="a"):
-            ols(columns, [1, 2, 3])
+        columns = {"const": [1, 1, 1, 1], "a": [1, 2, 3, 4], "a_copy": [1, 2, 3, 4],
+                   "b": [0, 1, 0, 0]}
+        with pytest.raises(RankDeficient, match="^collinear design columns: a_copy$"):
+            ols(columns, [1, 2, 3, 5])
+
+    def test_zero_design_names_every_column(self):
+        with pytest.raises(RankDeficient, match="^collinear design columns: a, b$"):
+            ols({"b": [0, 0, 0], "a": [0, 0, 0]}, [1, 2, 3])
 
     def test_residual_orthogonality(self):
         rng = np.random.default_rng(7)
@@ -111,6 +109,13 @@ class TestFixedEffects:
         assert np.max(np.abs(res.residuals)) < 1e-10
         outcomes = np.array([o.outcome for o in panel])
         assert np.allclose(res.fitted, outcomes, atol=1e-10)
+
+    def test_saturated_design_has_no_standard_errors(self, pop, params_by_year):
+        panel = fixture_panel(pop, params_by_year, [ReliefCategory.FULL_CTC])
+        res = fixed_effects(panel, baseline_year=2017)
+        assert res.nobs == len(res.names) == 45
+        assert res.df_resid == 0
+        assert all(math.isnan(res.se(name)) for name in res.names)
 
     def test_group_coefficient_is_baseline_year_difference(self, pop, params_by_year):
         panel = fixture_panel(pop, params_by_year, [ReliefCategory.FULL_CTC])
