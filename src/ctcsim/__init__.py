@@ -11,13 +11,11 @@ from .classifier import (
     flag_categories,
 )
 from .counterfactual import (
-    DependentGapResult,
     EliminationResult,
     ParityResult,
     PiecemealStep,
     PricedOutResult,
     credit_size_sweep,
-    dependent_gap,
     eligibility,
     eliminate_refundability,
     full_relief_proportion,
@@ -27,7 +25,6 @@ from .counterfactual import (
     run_piecemeal_table,
 )
 from .params import (
-    Bracket,
     BracketSchedule,
     FilingStatus,
     ParentalGroup,
@@ -35,18 +32,15 @@ from .params import (
     apply_overrides,
     load_params,
     params_for_year,
-    serialize_params,
 )
 from .population import (
     ChildrenHistogram,
     IncomeBin,
     PopulationTable,
-    distribution_proportions,
     load_population,
 )
-from .stats import PanelObservation, RegressionResult, build_panel, did, fixed_effects, ols
+from .stats import build_panel, did, fixed_effects, ols
 from .taxmath import (
-    BenefitSplit,
     HouseholdProfile,
     LiabilityMode,
     ThresholdSet,

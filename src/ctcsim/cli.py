@@ -289,15 +289,14 @@ def rows_priced_out(run: Run, years, scenarios, new_ctc: int, skip_non_parity: b
         for scenario in scenarios:
             for group in GROUPS:
                 result = cf.priced_out(run.pop, year, group, params, new_ctc, scenario, run.mode)
+                share = result.proportion_priced_out
                 rows.append({
                     "year": year,
                     "scenario": scenario.value,
                     "group": group.value,
                     "full_relief_old": result.full_relief_old,
                     "priced_out": result.priced_out,
-                    # Undefined when no household had full relief at baseline.
-                    "proportion": _fmt_share(result.proportion_priced_out)
-                    if result.full_relief_old else "",
+                    "proportion": "" if share is None else _fmt_share(share),
                 })
     return rows
 

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Iterable, Mapping, Sequence
+from typing import Mapping, Sequence
 
 from .classifier import (
     BoundRule,
@@ -253,9 +253,10 @@ class PricedOutResult:
     priced_out: int
 
     @property
-    def proportion_priced_out(self) -> Fraction:
+    def proportion_priced_out(self) -> Fraction | None:
+        """None when no household had full relief at baseline: nothing to divide by."""
         if self.full_relief_old == 0:
-            raise ZeroDivisionError("no households qualified for full relief at baseline")
+            return None
         return Fraction(self.priced_out, self.full_relief_old)
 
 
@@ -397,46 +398,3 @@ def eliminate_refundability(
         deltas[group] = est.proportion(ReliefCategory.INELIGIBLE_LOW)
         gaining += est.counts[ReliefCategory.INELIGIBLE_LOW]
     return EliminationResult(deltas=deltas, gaining_households=gaining)
-
-
-@dataclass(frozen=True)
-class DependentGapResult:
-    """Single-father vs single-mother full-credit gap under two children conventions."""
-
-    fixed_one: Mapping[ParentalGroup, Fraction]
-    group_average: Mapping[ParentalGroup, Fraction]
-
-    def gap_fixed(self) -> Fraction:
-        return self.fixed_one[ParentalGroup.SINGLE_FATHER] - self.fixed_one[ParentalGroup.SINGLE_MOTHER]
-
-    def gap_average(self) -> Fraction:
-        return self.group_average[ParentalGroup.SINGLE_FATHER] - self.group_average[ParentalGroup.SINGLE_MOTHER]
-
-    def widening(self) -> Fraction:
-        return self.gap_average() - self.gap_fixed()
-
-
-def dependent_gap(
-    pop: PopulationTable,
-    params_by_year: Mapping[int, ProgramParameters],
-    years: Iterable[int] = range(2003, 2018),
-    mode: LiabilityMode = LiabilityMode.EXACT,
-) -> DependentGapResult:
-    """Average full-credit eligibility with one child vs group-average children.
-
-    Both conventions keep the conservative upper-bound bin rule so the only
-    moving part is the number of dependents.
-    """
-    years = list(years)
-    means: dict[Scenario, dict[ParentalGroup, Fraction]] = {}
-    for convention in (Scenario.S1, Scenario.S2):
-        means[convention] = {}
-        for group in (ParentalGroup.SINGLE_FATHER, ParentalGroup.SINGLE_MOTHER):
-            total = Fraction(0)
-            for year in years:
-                profile = profile_for(pop, group, convention, year)
-                ts = thresholds(profile, params_for_year(params_by_year, year), mode)
-                est = classify(pop, year, group, ts, BoundRule.UPPER, Scenario.S1)
-                total += est.proportion(ReliefCategory.FULL_CTC)
-            means[convention][group] = total / len(years)
-    return DependentGapResult(fixed_one=means[Scenario.S1], group_average=means[Scenario.S2])

@@ -277,49 +277,6 @@ def params_for_year(params_by_year: Mapping[int, ProgramParameters], year: int) 
         raise MissingYear(f"year {year} not present in parameter data") from None
 
 
-def _rate_token(rate: Fraction) -> float:
-    # Rates in shipped data are short decimals; float repr round-trips them.
-    return float(rate)
-
-
-def _money_token(amount: Fraction) -> int:
-    if amount.denominator != 1:
-        raise ValidationError(f"cannot serialize non-integer dollar amount {amount}")
-    return amount.numerator
-
-
-def serialize_params(params_by_year: Mapping[int, ProgramParameters]) -> str:
-    """Render parameters back to the JSON file schema (stable ordering)."""
-    records = []
-    for year in sorted(params_by_year):
-        p = params_by_year[year]
-        for status in FilingStatus:
-            fp = p.for_status(status)
-            brackets = []
-            for b in fp.brackets.brackets:
-                entry: dict = {}
-                if b.upper is not None:
-                    entry["upper"] = _money_token(b.upper)
-                entry["rate"] = _rate_token(b.rate)
-                brackets.append(entry)
-            records.append(
-                {
-                    "year": year,
-                    "filing_status": status.value,
-                    "standard_deduction": _money_token(fp.standard_deduction),
-                    "exemption_per_person": _money_token(fp.exemption_per_person),
-                    "brackets": brackets,
-                    "ctc_per_child": _money_token(p.ctc_per_child),
-                    "actc_per_child": _money_token(p.actc_per_child),
-                    "refund_threshold": _money_token(p.refund_threshold),
-                    "refund_rate": _rate_token(p.refund_rate),
-                    "phaseout_start": _money_token(fp.phaseout_start),
-                    "phaseout_rate": _rate_token(p.phaseout_rate),
-                }
-            )
-    return json.dumps(records, indent=2) + "\n"
-
-
 def apply_overrides(
     base: ProgramParameters,
     overrides: Mapping[str, OverrideValue],

@@ -172,31 +172,3 @@ def _load_children(path: Path) -> dict[tuple[int, ParentalGroup], ChildrenHistog
                 raise NegativeCount(f"{where}: negative count {count}")
             out.setdefault((year, group), {})[key] = out.setdefault((year, group), {}).get(key, 0) + count
     return {key: ChildrenHistogram(counts) for key, counts in out.items()}
-
-
-def distribution_proportions(
-    pop: PopulationTable,
-    year: int,
-    group: ParentalGroup,
-    bin_width: int = BIN_WIDTH,
-) -> list[tuple[IncomeBin, Fraction]]:
-    """Share of the group in each bin; optionally re-aggregated to wider bins.
-
-    `bin_width` must be a multiple of the native width (e.g. 5000 for
-    figure-style output). Fractions sum to exactly 1.
-    """
-    bins = pop.bins(year, group)
-    total = sum(b.count for b in bins)
-    if total <= 0:
-        raise EmptyGroup(f"year {year} {group.value}: no parents recorded")
-    if bin_width % BIN_WIDTH != 0 or bin_width <= 0:
-        raise ValueError(f"bin_width must be a positive multiple of {BIN_WIDTH}")
-    merged: list[IncomeBin] = []
-    if bin_width == BIN_WIDTH:
-        merged = list(bins)
-    else:
-        step = bin_width // BIN_WIDTH
-        for i in range(0, len(bins), step):
-            chunk = bins[i : i + step]
-            merged.append(IncomeBin(chunk[0].lower, chunk[-1].upper, sum(b.count for b in chunk)))
-    return [(b, Fraction(b.count, total)) for b in merged]

@@ -1,10 +1,16 @@
-"""Least squares with heteroskedasticity-robust covariance, dummy designs.
+"""Exact least squares with heteroskedasticity-robust (HC1) covariance.
 
-The solver is QR-based (no normal-equations inversion); rank problems are
-detected from the R factor and reported with the offending column names.
-Robust covariance is the HC1 sandwich, the HC0 form scaled by n / (n - k).
-A fit with no residual degrees of freedom (n == k, as in a saturated dummy
-design) reproduces its outcomes exactly and has no defined covariance.
+Every number is computed exactly from the float inputs and rounded once to a
+float, so no result depends on a solver's rounding or a rank tolerance.
+
+`ols` is the general path: Gauss-Jordan over `Fraction` on the normal
+equations, where a zero pivot names a column that depends on earlier ones.
+`fixed_effects` and `did` are saturated two-way cell-means models, whose
+coefficients are contrasts of at most four cell means (Angrist & Pischke,
+*Mostly Harmless Econometrics*, ch. 3 and 5); they are computed from integer
+cell statistics without building a design. Robust covariance is the HC1
+sandwich, the HC0 form scaled by n / (n - k). A fit with no residual degrees
+of freedom (n == k) reproduces its outcomes exactly and has no covariance.
 """
 
 from __future__ import annotations
@@ -14,12 +20,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Mapping, Sequence
 
-import numpy as np
-
 from .errors import RankDeficient, ValidationError
 from .params import ParentalGroup
-
-RANK_RTOL = 1e-10
 
 
 @dataclass(frozen=True)
@@ -32,23 +34,25 @@ class PanelObservation:
 @dataclass(frozen=True)
 class RegressionResult:
     names: tuple[str, ...]
-    estimates: np.ndarray
-    cov: np.ndarray  # all NaN when df_resid is 0
-    residuals: np.ndarray
-    fitted: np.ndarray
+    estimates: tuple[float, ...]
+    cov: tuple[tuple[float, ...], ...]  # every entry math.nan when df_resid is 0
+    residuals: tuple[float, ...]
+    fitted: tuple[float, ...]
     r_squared: float
     nobs: int
     df_resid: int
 
     def estimate(self, name: str) -> float:
-        return float(self.estimates[self.names.index(name)])
+        return self.estimates[self.names.index(name)]
 
     def se(self, name: str) -> float:
         """Robust standard error of one term; NaN when df_resid is 0."""
-        if self.df_resid == 0:
-            return math.nan
         idx = self.names.index(name)
-        return float(np.sqrt(max(self.cov[idx, idx], 0.0)))
+        return math.sqrt(self.cov[idx][idx])
+
+
+def _no_cov(k: int) -> tuple[tuple[float, ...], ...]:
+    return ((math.nan,) * k,) * k
 
 
 def ols(columns: Mapping[str, Sequence[float]], y: Sequence[float]) -> RegressionResult:
@@ -58,49 +62,131 @@ def ols(columns: Mapping[str, Sequence[float]], y: Sequence[float]) -> Regressio
     the columns that depend on earlier ones when the design is not full rank.
     """
     names = tuple(columns)
-    X = np.column_stack([np.asarray(columns[n], dtype=float) for n in names])
-    yv = np.asarray(y, dtype=float)
-    n, k = X.shape
-    if yv.shape != (n,):
+    if not names:
+        raise ValidationError("design has no columns")
+    try:
+        X = [[Fraction(v) for v in columns[name]] for name in names]  # one list per column
+        yv = [Fraction(v) for v in y]
+    except (ValueError, OverflowError):
+        raise ValidationError("design and outcome values must be finite") from None
+    n, k = len(X[0]), len(names)
+    if any(len(col) != n for col in X):
+        raise ValidationError("design columns differ in length")
+    if len(yv) != n:
         raise ValidationError("outcome length does not match design rows")
     if n < k:
         raise RankDeficient(f"{n} observations cannot identify {k} coefficients")
 
-    Q, R = np.linalg.qr(X)
-    diag = np.abs(np.diag(R))
-    dependent = sorted(names[j] for j in np.flatnonzero(diag <= RANK_RTOL * diag.max()))
+    # Gauss-Jordan on [X'X | I]. X'X is positive semidefinite, so a zero pivot
+    # means that column lies in the span of the columns before it. Dummy designs
+    # are mostly zeros, so zero terms are skipped.
+    a = [[sum((u * v for u, v in zip(X[i], X[j]) if u and v), Fraction(0)) for j in range(k)]
+         + [Fraction(i == j) for j in range(k)] for i in range(k)]
+    dependent = []
+    for j in range(k):
+        if not a[j][j]:
+            dependent.append(names[j])
+            continue
+        pivot = a[j] = [v / a[j][j] for v in a[j]]
+        for i in range(k):
+            if i != j and a[i][j]:
+                f = a[i][j]
+                a[i] = [u - f * v if v else u for u, v in zip(a[i], pivot)]
     if dependent:
-        raise RankDeficient(f"collinear design columns: {', '.join(dependent)}")
+        raise RankDeficient(f"collinear design columns: {', '.join(sorted(dependent))}")
+    bread = [row[k:] for row in a]  # (X'X)^-1
 
-    r_inv = np.linalg.inv(R)
-    beta = r_inv @ (Q.T @ yv)
-    fitted = X @ beta
-    resid = yv - fitted
+    xty = [sum(u * v for u, v in zip(col, yv)) for col in X]
+    beta = [sum(b * t for b, t in zip(row, xty)) for row in bread]
+    fitted = [sum(col[i] * b for col, b in zip(X, beta)) for i in range(n)]
+    resid = [u - v for u, v in zip(yv, fitted)]
 
     df_resid = n - k
     if df_resid:
-        bread = r_inv @ r_inv.T  # (X'X)^-1
-        meat = (X * (resid**2)[:, None]).T @ X
-        cov = bread @ meat @ bread * (n / df_resid)
-        cov = (cov + cov.T) / 2.0
+        e2 = [e * e for e in resid]
+        meat = [[sum(w * u * v for w, u, v in zip(e2, X[i], X[j])) for j in range(k)]
+                for i in range(k)]
+        half = [[sum(b * m for b, m in zip(row, col)) for col in zip(*meat)] for row in bread]
+        scale = Fraction(n, df_resid)
+        cov = tuple(tuple(float(sum(h * b for h, b in zip(row, col)) * scale)
+                          for col in zip(*bread)) for row in half)
     else:
-        cov = np.full((k, k), np.nan)
+        cov = _no_cov(k)
 
-    ss_res = float(resid @ resid)
-    centered = yv - yv.mean()
-    ss_tot = float(centered @ centered)
-    r_squared = 1.0 if ss_tot == 0.0 else 1.0 - ss_res / ss_tot
-
+    mean = sum(yv) / n
+    ss_tot = sum((v - mean) ** 2 for v in yv)
+    ss_res = sum(e * e for e in resid)
     return RegressionResult(
         names=names,
-        estimates=beta,
+        estimates=tuple(map(float, beta)),
         cov=cov,
-        residuals=resid,
-        fitted=fitted,
-        r_squared=r_squared,
+        residuals=tuple(map(float, resid)),
+        fitted=tuple(map(float, fitted)),
+        r_squared=1.0 if not ss_tot else float(1 - ss_res / ss_tot),
         nobs=n,
         df_resid=df_resid,
     )
+
+
+def _contrast(weights: Mapping[int, int], nums: Sequence[int], dens: Sequence[int]) -> tuple[int, int]:
+    """Σ w_c · nums[c] / dens[c] over cells c, as an integer numerator and denominator."""
+    common = math.lcm(*(dens[c] for c in weights))
+    return sum(w * nums[c] * (common // dens[c]) for c, w in weights.items()), common
+
+
+def _two_way(
+    obs: Sequence[tuple[int, int, float]], rows: Sequence[str], cols: Sequence[str], sep: str
+) -> RegressionResult:
+    """Saturated two-way cell-means fit of each (row index, col index, outcome).
+
+    Equals `ols` on the dummy design with terms `const`, one per row after
+    `rows[0]`, one per column after `cols[0]` and one per pair of those (named
+    row + sep + col), in that order. Each outcome is read exactly as an integer
+    over one common power of two, so each cell keeps an exact integer count,
+    sum and sum of squares, and each result is one correctly rounded int / int.
+    """
+    width = len(cols)
+    k = len(rows) * width
+    unit = max((y.as_integer_ratio()[1] for _, _, y in obs), default=1)
+    cells = [(r * width + c, num * (unit // den))
+             for r, c, y in obs for num, den in [y.as_integer_ratio()]]
+    count, total, squares = [0] * k, [0] * k, [0] * k
+    for cell, v in cells:
+        count[cell] += 1
+        total[cell] += v
+        squares[cell] += v * v
+    for cell, m in enumerate(count):
+        if not m:
+            raise ValidationError(
+                f"panel has no observations for {rows[cell // width]}, {cols[cell % width]}")
+
+    # Each term as {cell: ±1}, the contrast of cell means it estimates.
+    terms = {"const": {0: 1}}
+    terms.update({rows[r]: {r * width: 1, 0: -1} for r in range(1, len(rows))})
+    terms.update({cols[c]: {c: 1, 0: -1} for c in range(1, width)})
+    terms.update({f"{rows[r]}{sep}{cols[c]}": {r * width + c: 1, r * width: -1, c: -1, 0: 1}
+                  for r in range(1, len(rows)) for c in range(1, width)})
+
+    estimates = tuple(num / (den * unit)
+                      for num, den in (_contrast(w, total, count) for w in terms.values()))
+    fitted = tuple(total[cell] / (count[cell] * unit) for cell, _ in cells)
+    residuals = tuple((v * count[cell] - total[cell]) / (count[cell] * unit) for cell, v in cells)
+    n = len(cells)
+    df_resid = n - k
+    if not df_resid:  # one observation per cell: an exact fit
+        return RegressionResult(tuple(terms), estimates, _no_cov(k), residuals, fitted, 1.0, n, 0)
+
+    # n_c times each cell's sum of squared residuals, in units of 1 / unit^2.
+    spread = [m * q - s * s for m, s, q in zip(count, total, squares)]
+    # HC1: cov(b_i, b_j) = n / (n - k) · Σ_c w_ic w_jc SSR_c / n_c^2.
+    cubes = [m ** 3 for m in count]
+    cov = tuple(tuple(num * n / (den * unit * unit * df_resid) for num, den in (
+        _contrast({c: w * wj[c] for c, w in wi.items() if c in wj}, spread, cubes)
+        for wj in terms.values())) for wi in terms.values())
+    ss_res, den = _contrast(dict.fromkeys(range(k), 1), spread, count)
+    ss_tot = n * sum(squares) - sum(total) ** 2  # n times the total sum of squares
+    r_squared = 1.0 if not ss_tot else (den * ss_tot - n * ss_res) / (den * ss_tot)
+    return RegressionResult(tuple(terms), estimates, cov, residuals, fitted, r_squared, n, df_resid)
 
 
 def build_panel(
@@ -129,28 +215,18 @@ def fixed_effects(
     so each group dummy reads as that group's difference from the baseline
     group in the baseline year.
     """
-    years = sorted({o.year for o in panel})
-    groups = [g for g in ParentalGroup if any(o.group is g for o in panel)]
+    groups = {o.group for o in panel}
+    years = {o.year for o in panel}
     if baseline_year not in years:
         raise ValidationError(f"baseline year {baseline_year} absent from panel")
     if baseline_group not in groups:
         raise ValidationError(f"baseline group {baseline_group.value} absent from panel")
-    for year in years:
-        for group in groups:
-            if not any(o.year == year and o.group is group for o in panel):
-                raise ValidationError(f"panel is missing cell {year}, {group.value}")
-
-    other_groups = [g for g in groups if g is not baseline_group]
-    other_years = [y for y in years if y != baseline_year]
-    columns = {"const": [1.0] * len(panel)}
-    for g in other_groups:
-        columns[g.value] = [float(o.group is g) for o in panel]
-    for y in other_years:
-        columns[f"year_{y}"] = [float(o.year == y) for o in panel]
-    for g in other_groups:
-        for y in other_years:
-            columns[f"{g.value}:year_{y}"] = [float(o.group is g and o.year == y) for o in panel]
-    return ols(columns, [o.outcome for o in panel])
+    rows = [baseline_group] + [g for g in ParentalGroup if g in groups and g is not baseline_group]
+    cols = [baseline_year] + sorted(years - {baseline_year})
+    row = {g: i for i, g in enumerate(rows)}
+    col = {y: j for j, y in enumerate(cols)}
+    return _two_way([(row[o.group], col[o.year], o.outcome) for o in panel],
+                    [g.value for g in rows], [f"year_{y}" for y in cols], ":")
 
 
 def did(
@@ -160,16 +236,6 @@ def did(
     post_year: int = 2018,
 ) -> RegressionResult:
     """Two-group difference-in-differences; `treated_post` is the estimate."""
-    rows = [o for o in panel if o.group in (treated, control)]
-    if not any(o.year >= post_year for o in rows):
-        raise ValidationError("panel has no post-period observations")
-    if not any(o.year < post_year for o in rows):
-        raise ValidationError("panel has no pre-period observations")
-    for g in (treated, control):
-        if not any(o.group is g for o in rows):
-            raise ValidationError(f"panel is missing group {g.value}")
-    treated_col = [float(o.group is treated) for o in rows]
-    post = [float(o.year >= post_year) for o in rows]
-    columns = {"const": [1.0] * len(rows), "treated": treated_col, "post": post,
-               "treated_post": [t * p for t, p in zip(treated_col, post)]}
-    return ols(columns, [o.outcome for o in rows])
+    obs = [(o.group is treated, o.year >= post_year, o.outcome)
+           for o in panel if o.group in (treated, control)]
+    return _two_way(obs, ("control", "treated"), ("pre", "post"), "_")

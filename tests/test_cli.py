@@ -248,14 +248,16 @@ class TestConfigAndDeterminism:
         assert proc.returncode == 0
         assert "9666.67" in proc.stdout
 
-    def test_import_leaves_scipy_out(self):
+    @pytest.mark.parametrize("run", ["0", "ctcsim.cli.main(['report'])"], ids=["import", "report"])
+    def test_leaves_scipy_and_numpy_out(self, run):
         proc = subprocess.run(
-            [sys.executable, "-c",
-             "import sys, ctcsim.cli; print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"],
-            capture_output=True, text=True, env={"PATH": "", "PYTHONPATH": str(DATA.parent / "src")},
+            [sys.executable, "-c", f"import sys, ctcsim.cli; print({run}, sorted(m for m in "
+             "sys.modules if m.split('.')[0] in ('scipy', 'numpy')), file=sys.stderr)"],
+            capture_output=True, text=True,
+            env={"PATH": "", "CTCSIM_DATA_DIR": str(DATA), "PYTHONPATH": str(DATA.parent / "src")},
         )
         assert proc.returncode == 0, proc.stderr
-        assert proc.stdout == "[]\n"
+        assert proc.stderr == "0 []\n"
 
 
 class TestBadInput:

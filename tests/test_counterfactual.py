@@ -9,9 +9,9 @@ from ctcsim import (
     Scenario,
     apply_overrides,
     credit_size_sweep,
-    dependent_gap,
     eligibility,
     eliminate_refundability,
+    load_population,
     piecemeal,
     priced_out,
     restore_parity,
@@ -124,12 +124,15 @@ class TestPricedOut:
         assert result.priced_out == 0
         assert result.proportion_priced_out == 0
 
-    def test_empty_baseline_divides_by_zero(self, params_by_year):
-        pop = single_mass_table(2017, 0)  # everyone below the refund floor
-        result = priced_out(pop, 2017, ParentalGroup.MARRIED, params_by_year[2017],
-                            2000, Scenario.S1)
-        with pytest.raises(ZeroDivisionError):
-            result.proportion_priced_out
+    def test_empty_baseline_has_no_proportion(self, params_by_year, bad_populations, data_dir):
+        no_baseline = load_population(bad_populations["no_baseline"], data_dir / "children.csv")
+        cases = [(single_mass_table(2017, 0), ParentalGroup.MARRIED),  # all below the refund floor
+                 (no_baseline, ParentalGroup.SINGLE_FATHER)]
+        for pop, group in cases:
+            for scenario in Scenario:
+                result = priced_out(pop, 2017, group, params_by_year[2017], 2000, scenario)
+                assert result.full_relief_old == 0
+                assert result.proportion_priced_out is None
 
     def test_requires_parity_baseline(self, pop, params_by_year):
         with pytest.raises(ValidationError):
@@ -236,30 +239,3 @@ class TestEliminateRefundability:
         assert result.gaining_households == 0
         assert all(d == 0 for d in result.deltas.values())
 
-
-class TestDependentGap:
-    def test_fixture_averages(self, pop, params_by_year):
-        result = dependent_gap(pop, params_by_year)
-        assert abs(float(result.fixed_one[ParentalGroup.SINGLE_FATHER]) - 0.6429) < 1e-3
-        assert abs(float(result.fixed_one[ParentalGroup.SINGLE_MOTHER]) - 0.5648) < 1e-3
-        years = range(2003, 2018)
-        for group in result.fixed_one:
-            shares = [eligibility(pop, y, group, params_by_year[y], Scenario.S1)
-                      .proportion(ReliefCategory.FULL_CTC) for y in years]
-            assert result.fixed_one[group] == sum(shares, Fraction(0)) / len(years)
-        # More dependents raise the credit threshold, widening the gap.
-        assert result.widening() > 0
-
-    def test_single_child_averages_are_neutral(self, params_by_year):
-        bins = {}
-        hists = {}
-        for year in range(2003, 2018):
-            for group in GROUPS:
-                bins[(year, group)] = [
-                    IncomeBin(lo, lo + 2500, 7) for lo in range(0, 100_000, 2500)
-                ]
-                hists[(year, group)] = ChildrenHistogram({"1": 100})
-        pop = PopulationTable(bins, hists)
-        result = dependent_gap(pop, params_by_year)
-        assert result.widening() == 0
-        assert result.fixed_one == result.group_average

@@ -10,7 +10,6 @@ from ctcsim import (
     apply_overrides,
     load_params,
     params_for_year,
-    serialize_params,
 )
 from ctcsim.errors import MissingYear, ParseError, ValidationError
 
@@ -68,13 +67,6 @@ class TestLoad:
     def test_missing_year_accessor(self, params_by_year):
         with pytest.raises(MissingYear):
             params_for_year(params_by_year, 1999)
-
-    def test_round_trip(self, params_by_year, data_dir, tmp_path):
-        text = serialize_params(params_by_year)
-        out = tmp_path / "params.json"
-        out.write_text(text)
-        again = load_params(out)
-        assert again == params_by_year
 
     def test_malformed_file(self, tmp_path):
         bad = tmp_path / "bad.json"

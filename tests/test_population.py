@@ -2,9 +2,9 @@ from fractions import Fraction
 
 import pytest
 
-from ctcsim import ParentalGroup, distribution_proportions, load_population
+from ctcsim import ParentalGroup, load_population
 from ctcsim.errors import EmptyGroup, EmptyHistogram, GapError, NegativeCount, ParseError
-from ctcsim.population import ChildrenHistogram, PopulationTable, IncomeBin
+from ctcsim.population import ChildrenHistogram
 
 
 def write_population(tmp_path, rows):
@@ -117,62 +117,3 @@ class TestChildren:
                 want = Fraction(str(benchmarks["children_average"][group.value][year - 2003]))
                 assert pop.average_children(year, group) == want
 
-
-class TestProportions:
-    def test_sum_to_one(self, pop):
-        shares = distribution_proportions(pop, 2017, ParentalGroup.SINGLE_MOTHER)
-        assert sum(s for _, s in shares) == 1
-        assert len(shares) == 40
-
-    def test_uniform_counts(self):
-        bins = {(2010, ParentalGroup.MARRIED): [
-            IncomeBin(lo, lo + 2500, 5) for lo in range(0, 100_000, 2500)
-        ]}
-        table = PopulationTable(bins)
-        shares = distribution_proportions(table, 2010, ParentalGroup.MARRIED)
-        assert all(s == Fraction(1, 40) for _, s in shares)
-
-    def test_single_loaded_bin(self):
-        counts = [0] * 40
-        counts[7] = 123
-        bins = {(2010, ParentalGroup.MARRIED): [
-            IncomeBin(lo, lo + 2500, counts[i]) for i, lo in enumerate(range(0, 100_000, 2500))
-        ]}
-        table = PopulationTable(bins)
-        shares = distribution_proportions(table, 2010, ParentalGroup.MARRIED)
-        assert shares[7][1] == 1
-        assert sum(s for _, s in shares) == 1
-
-    def test_reaggregation_to_5000(self, pop):
-        narrow = distribution_proportions(pop, 2010, ParentalGroup.MARRIED)
-        wide = distribution_proportions(pop, 2010, ParentalGroup.MARRIED, bin_width=5000)
-        assert len(wide) == 20
-        for i, (b, share) in enumerate(wide):
-            assert b.lower == i * 5000 and b.upper == (i + 1) * 5000
-            assert share == narrow[2 * i][1] + narrow[2 * i + 1][1]
-
-    def test_scale_invariance(self, pop):
-        base = pop.bins(2012, ParentalGroup.SINGLE_FATHER)
-        scaled = PopulationTable({(2012, ParentalGroup.SINGLE_FATHER): [
-            IncomeBin(b.lower, b.upper, 3 * b.count) for b in base
-        ]})
-        a = distribution_proportions(pop, 2012, ParentalGroup.SINGLE_FATHER)
-        b = distribution_proportions(scaled, 2012, ParentalGroup.SINGLE_FATHER)
-        assert [s for _, s in a] == [s for _, s in b]
-
-    def test_naive_summation_oracle(self, pop):
-        # Spreadsheet-style recomputation.
-        bins = pop.bins(2015, ParentalGroup.SINGLE_MOTHER)
-        total = 0
-        for b in bins:
-            total += b.count
-        shares = distribution_proportions(pop, 2015, ParentalGroup.SINGLE_MOTHER)
-        for b, share in shares:
-            assert share == Fraction(b.count, total)
-
-    def test_empty_group(self):
-        bins = {(2010, ParentalGroup.MARRIED): [
-            IncomeBin(lo, lo + 2500, 0) for lo in range(0, 100_000, 2500)
-        ]}
-        with pytest.raises(EmptyGroup):
-            distribution_proportions(PopulationTable(bins), 2010, ParentalGroup.MARRIED)

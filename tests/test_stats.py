@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from ctcsim import (
@@ -32,6 +32,38 @@ def naive_sandwich(X, y):
     if n > k:
         cov *= n / (n - k)
     return beta, cov
+
+
+def fe_design(panel, baseline_year, baseline_group=ParentalGroup.MARRIED):
+    """The explicit dummy design that `fixed_effects` fits: const, groups, years, interactions."""
+    groups = [g for g in ParentalGroup if g is not baseline_group and any(o.group is g for o in panel)]
+    years = sorted({o.year for o in panel} - {baseline_year})
+    columns = {"const": [1.0] * len(panel)}
+    for g in groups:
+        columns[g.value] = [float(o.group is g) for o in panel]
+    for y in years:
+        columns[f"year_{y}"] = [float(o.year == y) for o in panel]
+    for g in groups:
+        for y in years:
+            columns[f"{g.value}:year_{y}"] = [float(o.group is g and o.year == y) for o in panel]
+    return columns, [o.outcome for o in panel]
+
+
+def did_design(panel, treated=ParentalGroup.SINGLE_MOTHER, control=ParentalGroup.SINGLE_FATHER,
+               post_year=2018):
+    """The explicit 2x2 dummy design that `did` fits."""
+    rows = [o for o in panel if o.group in (treated, control)]
+    treated_col = [float(o.group is treated) for o in rows]
+    post = [float(o.year >= post_year) for o in rows]
+    columns = {"const": [1.0] * len(rows), "treated": treated_col, "post": post,
+               "treated_post": [t * p for t, p in zip(treated_col, post)]}
+    return columns, [o.outcome for o in rows]
+
+
+def assert_same_fit(res, oracle):
+    # Zero-df covariances hold the same math.nan object on both sides, so == holds.
+    for field in ("names", "estimates", "cov", "residuals", "fitted", "r_squared", "df_resid"):
+        assert getattr(res, field) == getattr(oracle, field), field
 
 
 def fixture_panel(pop, params_by_year, categories, scenario=Scenario.S1, years=range(2003, 2018)):
@@ -69,6 +101,16 @@ class TestOls:
         with pytest.raises(RankDeficient, match="^collinear design columns: a_copy$"):
             ols(columns, [1, 2, 3, 5])
 
+    @pytest.mark.parametrize("columns, y, message", [
+        ({"a": [1, 2, 3], "b": [1, 2]}, [1, 2, 3], "design columns differ in length"),
+        ({}, [1, 2], "design has no columns"),
+        ({"a": [1.0, math.inf]}, [1, 2], "design and outcome values must be finite"),
+        ({"a": [1.0, 2.0]}, [1, math.nan], "design and outcome values must be finite"),
+    ], ids=["unequal-columns", "no-columns", "inf", "nan"])
+    def test_malformed_design_rejected(self, columns, y, message):
+        with pytest.raises(ValidationError, match=f"^{message}$"):
+            ols(columns, y)
+
     def test_zero_design_names_every_column(self):
         with pytest.raises(RankDeficient, match="^collinear design columns: a, b$"):
             ols({"b": [0, 0, 0], "a": [0, 0, 0]}, [1, 2, 3])
@@ -97,7 +139,7 @@ class TestOls:
         X = rng.normal(size=(25, 3))
         y = rng.normal(size=25)
         res = ols({f"x{i}": X[:, i] for i in range(3)}, y)
-        assert np.allclose(res.cov, res.cov.T)
+        assert np.allclose(res.cov, np.asarray(res.cov).T)
         assert np.min(np.linalg.eigvalsh(res.cov)) > -1e-12
 
 
@@ -206,3 +248,52 @@ class TestDid:
                 (2017, ParentalGroup.SINGLE_MOTHER, 0.4)]
         with pytest.raises(ValidationError):
             did(build_panel(rows), post_year=2018)
+
+
+outcomes = st.one_of(st.sampled_from([0.0, 0.25, 0.1, 1.0]), st.floats(min_value=-1, max_value=1))
+
+
+@st.composite
+def did_panels(draw):
+    """Unbalanced panels with every did cell filled; married rows are ignored by `did`."""
+    rows = []
+    for group in ParentalGroup:
+        for years in (range(2014, 2018), range(2018, 2021)):
+            chosen = draw(st.sets(st.sampled_from(years), min_size=group is not ParentalGroup.MARRIED))
+            rows += [(year, group, draw(outcomes)) for year in sorted(chosen)]
+    return build_panel(draw(st.permutations(rows)))
+
+
+@st.composite
+def fe_panels(draw):
+    """Complete group x year panels holding the married 2017 baseline, in any row order."""
+    others = draw(st.sets(st.sampled_from([ParentalGroup.SINGLE_FATHER, ParentalGroup.SINGLE_MOTHER])))
+    years = draw(st.sets(st.sampled_from(range(2012, 2017)))) | {2017}
+    rows = [(y, g, draw(outcomes)) for g in [ParentalGroup.MARRIED, *others] for y in sorted(years)]
+    return build_panel(draw(st.permutations(rows)))
+
+
+class TestCellMeansEqualExactOls:
+    """`fixed_effects` and `did` give bit for bit what exact `ols` gives on their dummy designs."""
+
+    def test_shipped_fixed_effects_panel(self, pop, params_by_year):
+        panel = fixture_panel(pop, params_by_year, [ReliefCategory.FULL_CTC])
+        assert_same_fit(fixed_effects(panel, baseline_year=2017), ols(*fe_design(panel, 2017)))
+
+    @pytest.mark.parametrize("scenario", list(Scenario))
+    @pytest.mark.parametrize("outcome", ["c", "d", "e"])  # the report's did outcomes
+    def test_shipped_did_panels(self, pop, params_by_year, scenario, outcome):
+        panel = fixture_panel(pop, params_by_year, [ReliefCategory(outcome)], scenario,
+                              range(2003, 2019))
+        assert_same_fit(did(panel), ols(*did_design(panel)))
+
+    @given(panel=did_panels())
+    @example(panel=build_panel((y, g, 0.5) for y in (2016, 2017, 2018) for g in ParentalGroup))
+    @settings(max_examples=100, deadline=None)
+    def test_unbalanced_did_panels(self, panel):
+        assert_same_fit(did(panel), ols(*did_design(panel)))
+
+    @given(panel=fe_panels())
+    @settings(max_examples=60, deadline=None)
+    def test_fixed_effects_panels(self, panel):
+        assert_same_fit(fixed_effects(panel, baseline_year=2017), ols(*fe_design(panel, 2017)))
