@@ -35,7 +35,8 @@ from .population import IncomeBin, PopulationTable
 from .taxmath import (
     HouseholdProfile,
     LiabilityMode,
-    refund_credit_threshold,
+    invert_benefit,
+    max_credit,
     thresholds,
 )
 
@@ -92,13 +93,11 @@ def full_relief_cuts(
 
     The lower cut comes from the income at which credit plus refund reaches
     the full per-household maximum; the upper cut is the phaseout start
-    (incomes above it can no longer realize the full amount).
+    (incomes above it can no longer realize the full amount). Raises
+    Unreachable when the phaseout erodes the full benefit before it accrues.
     """
-    target = params.ctc_per_child * profile.children
-    t_combined = refund_credit_threshold(target, profile, params, mode)
+    t_combined = invert_benefit(max_credit(profile, params), profile, params, mode)
     phaseout = params.for_status(profile.group.filing_status).phaseout_start
-    if t_combined > phaseout:
-        raise Unreachable("full benefit is eroded by the phaseout before it accrues")
     lo = cut_income(t_combined, strictly_above=False, rule=rule)
     hi = cut_income(phaseout, strictly_above=True, rule=rule)
     return lo, hi

@@ -86,25 +86,6 @@ class BracketSchedule:
             lower = b.upper
         return total
 
-    def taxable_for(self, target: Fraction) -> Fraction:
-        """Minimal taxable income whose tax is at least `target`.
-
-        Raises ValidationError if the schedule tops out below `target`
-        (possible only when the last rate is zero).
-        """
-        if target <= 0:
-            return Fraction(0)
-        lower = Fraction(0)
-        tax_at_lower = Fraction(0)
-        for b in self.brackets:
-            tax_at_upper = tax_at_lower if b.upper is None else tax_at_lower + (b.upper - lower) * b.rate
-            if b.upper is None or tax_at_upper >= target:
-                if b.rate == 0:
-                    raise ValidationError(f"tax target {target} unreachable under schedule")
-                return lower + (target - tax_at_lower) / b.rate
-            lower, tax_at_lower = b.upper, tax_at_upper
-        raise ValidationError(f"tax target {target} unreachable under schedule")
-
 
 @dataclass(frozen=True)
 class FilingParams:

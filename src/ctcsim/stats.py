@@ -192,7 +192,7 @@ def _two_way(
 def build_panel(
     rows: Iterable[tuple[int, ParentalGroup, float | Fraction]]
 ) -> list[PanelObservation]:
-    """Panel observations from (year, group, outcome) rows, one per cell."""
+    """Panel observations from (year, group, outcome) rows: one per cell, each finite."""
     panel = []
     seen = set()
     for year, group, outcome in rows:
@@ -200,6 +200,8 @@ def build_panel(
         if key in seen:
             raise ValidationError(f"duplicate panel cell {year}, {group.value}")
         seen.add(key)
+        if not math.isfinite(outcome):
+            raise ValidationError(f"panel cell {year}, {group.value} has outcome {outcome}")
         panel.append(PanelObservation(year, group, float(outcome)))
     return panel
 

@@ -1,23 +1,27 @@
 """Tax liability, realizable credit/refund benefits, and threshold inversion.
 
 The benefit at income Y decomposes into a nonrefundable credit limited by
-tax liability and a refund that phases in above the refundability floor,
-with the combined total capped by the (possibly phased-out) per-child
-maximum. Every function here is a pure function of exact rational inputs;
-inversions are closed-form over the piecewise-linear segments, so results
-are exact to the cent. In table mode they first bisect on the $50 row
-index: row liability never falls as the index grows, so the income the
-refund still needs never rises while the row's top edge does, and "this
-row holds a solution" is false, then true.
+tax liability L and a refund that phases in above the refundability floor,
+capped at the refundable maximum R, with the combined total capped by the
+(possibly phased-out) per-child maximum. Every function here is a pure
+function of exact rational inputs, so results are exact to the cent.
+
+Inversion rests on one identity: L + min(phase-in, R) reaches a target t
+exactly where L + phase-in reaches t and L alone reaches t - R. Both sums
+never fall as income grows, so the threshold is the larger of their two
+minimal incomes, and one walk over the linear segments in income space
+finds each (with the refund rate as ramp, then with ramp 0).
 
 Two liability modes are supported: ``EXACT`` applies the bracket schedule
 analytically; ``TABLE`` evaluates liability at the midpoint of the
-enclosing $50-wide taxable-income row, mimicking lookup-table filing.
+enclosing $50-wide taxable-income row, mimicking lookup-table filing. There
+the liability term rounds the exact walk up to its first row, and the
+phase-in term bisects on the row index: row liability never falls, so
+"this row holds a solution" is false, then true.
 """
 
 from __future__ import annotations
 
-from contextlib import suppress
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
@@ -121,13 +125,6 @@ def tax_free_amount(profile: HouseholdProfile, params: ProgramParameters) -> Fra
     return fp.standard_deduction + fp.exemption_per_person * profile.persons_for_exemptions
 
 
-def _table_tax(taxable: Fraction, fp: FilingParams) -> Fraction:
-    if taxable <= 0:
-        return Fraction(0)
-    row = (taxable // TABLE_ROW_WIDTH) * TABLE_ROW_WIDTH
-    return fp.brackets.tax(row + TABLE_ROW_WIDTH / 2)
-
-
 def tax_liability(
     income,
     profile: HouseholdProfile,
@@ -139,10 +136,9 @@ def tax_liability(
     if income < 0:
         raise ValueError("income must be nonnegative")
     taxable = income - tax_free_amount(profile, params)
-    fp = _filing(profile, params)
-    if mode is LiabilityMode.TABLE:
-        return _table_tax(taxable, fp)
-    return fp.brackets.tax(taxable)
+    if mode is LiabilityMode.TABLE and taxable > 0:
+        taxable = (taxable // TABLE_ROW_WIDTH) * TABLE_ROW_WIDTH + TABLE_ROW_WIDTH / 2
+    return _filing(profile, params).brackets.tax(taxable)
 
 
 def max_credit(profile: HouseholdProfile, params: ProgramParameters) -> Fraction:
@@ -174,10 +170,50 @@ def benefit_at_income(
     return BenefitSplit(credit=credit, refund=refund)
 
 
-def _pre_phaseout_total(income: Fraction, profile, params, mode) -> Fraction:
-    """Credit + refund ignoring the high-income phaseout cap."""
-    phase_in = params.refund_rate * max(Fraction(0), income - params.refund_threshold)
-    return tax_liability(income, profile, params, mode) + min(phase_in, max_refund(profile, params))
+def _first_income(target: Fraction, profile, params, ramp: Fraction) -> Fraction | None:
+    """Minimal income where exact liability plus `ramp` per dollar above the
+    refund floor reaches `target` > 0, or None if the total tops out below it.
+
+    Segments: the tax-free band, then the brackets shifted by the tax-free
+    amount, each split at the refund floor, with a running total.
+    """
+    free = tax_free_amount(profile, params)
+    floor = params.refund_threshold
+    bands = [(free, Fraction(0))] + [
+        (None if b.upper is None else free + b.upper, b.rate)
+        for b in _filing(profile, params).brackets.brackets
+    ]
+    lo, total = Fraction(0), Fraction(0)
+    for hi, rate in bands:
+        for end in (floor, hi) if lo < floor and (hi is None or floor < hi) else (hi,):
+            slope = rate + ramp if lo >= floor else rate
+            if slope and (end is None or total + slope * (end - lo) >= target):
+                return lo + (target - total) / slope
+            if end is not None:
+                total, lo = total + slope * (end - lo), end
+    return None
+
+
+def _table_phase_in_threshold(target: Fraction, profile, params) -> Fraction:
+    """Minimal income where table liability plus the uncapped phase-in reaches
+    `target`: the first $50 row holding a solution, then the solve within it."""
+    free = tax_free_amount(profile, params)
+    tax = _filing(profile, params).brackets.tax
+    rate, floor = params.refund_rate, params.refund_threshold
+
+    def min_income_in(k: int):
+        """Minimal income in row k reaching the target, or None; row -1 is all below `free`."""
+        lo = free + k * TABLE_ROW_WIDTH if k >= 0 else Fraction(0)
+        need = target - tax((k + Fraction(1, 2)) * TABLE_ROW_WIDTH)
+        y = lo if need <= 0 else max(lo, floor + need / rate)
+        return y if y < free + (k + 1) * TABLE_ROW_WIDTH else None
+
+    # The row where the phase-in alone reaches the target holds a solution.
+    lo, hi = -1, max(-1, (floor + target / rate - free) // TABLE_ROW_WIDTH)
+    while lo < hi:
+        mid = (lo + hi) // 2
+        lo, hi = (lo, mid) if min_income_in(mid) is not None else (mid + 1, hi)
+    return min_income_in(lo)
 
 
 def refund_credit_threshold(
@@ -200,64 +236,14 @@ def refund_credit_threshold(
     if target <= 0:
         raise Unreachable("threshold target must be positive")
     if mode is LiabilityMode.TABLE:
-        return _table_threshold(target, profile, params)
-
-    fp = _filing(profile, params)
-    free = tax_free_amount(profile, params)
-    points = {Fraction(0), params.refund_threshold, free}
-    if params.refund_rate > 0:
-        points.add(params.refund_threshold + max_refund(profile, params) / params.refund_rate)
-    for b in fp.brackets.brackets:
-        if b.upper is not None:
-            points.add(free + b.upper)
-    breaks = sorted(p for p in points if p >= 0)
-
-    def g(y: Fraction) -> Fraction:
-        return _pre_phaseout_total(y, profile, params, LiabilityMode.EXACT)
-
-    prev, g_prev = breaks[0], g(breaks[0])
-    if g_prev >= target:
-        return prev
-    for point in breaks[1:]:
-        g_point = g(point)
-        if g_point >= target:
-            slope = (g_point - g_prev) / (point - prev)
-            return prev + (target - g_prev) / slope
-        prev, g_prev = point, g_point
-    tail_slope = g(prev + 1) - g_prev
-    if tail_slope <= 0:
-        raise Unreachable(f"benefit target {target} is never reached")
-    return prev + (target - g_prev) / tail_slope
-
-
-def _table_threshold(target: Fraction, profile, params) -> Fraction:
-    """Bisect for the first $50 row holding a solution, then solve within it."""
-    free, refundable = tax_free_amount(profile, params), max_refund(profile, params)
-    tax = _filing(profile, params).brackets.tax
-    rate, floor = params.refund_rate, params.refund_threshold
-
-    def min_income_in(k: int):
-        """Minimal income in row k reaching the target, or None; row -1 is all below `free`."""
-        lo = free + k * TABLE_ROW_WIDTH if k >= 0 else Fraction(0)
-        need = target - tax((k + Fraction(1, 2)) * TABLE_ROW_WIDTH)
-        if need <= 0:
-            return lo
-        if need > refundable or rate == 0:
-            return None
-        y = max(lo, floor + need / rate)
-        return y if y < free + (k + 1) * TABLE_ROW_WIDTH else None
-
-    # Incomes whose rows surely hold a solution: by refund alone, or by liability alone.
-    bounds = [floor + target / rate] if rate and target <= refundable else []
-    with suppress(ValidationError):  # an all-zero-rate schedule never reaches the target
-        bounds.append(liability_threshold(target, profile, params, LiabilityMode.TABLE))
-    if not bounds:
-        raise Unreachable(f"benefit target {target} is never reached (table mode)")
-    lo, hi = -1, max(-1, (min(bounds) - free) // TABLE_ROW_WIDTH)
-    while lo < hi:
-        mid = (lo + hi) // 2
-        lo, hi = (lo, mid) if min_income_in(mid) is not None else (mid + 1, hi)
-    return min_income_in(lo)
+        income = _table_phase_in_threshold(target, profile, params)
+    else:
+        income = _first_income(target, profile, params, params.refund_rate)
+    gap = target - max_refund(profile, params)
+    try:
+        return max(income, liability_threshold(gap, profile, params, mode)) if gap > 0 else income
+    except ValidationError:
+        raise Unreachable(f"benefit target {target} is never reached") from None
 
 
 def liability_threshold(
@@ -266,17 +252,23 @@ def liability_threshold(
     params: ProgramParameters,
     mode: LiabilityMode = LiabilityMode.EXACT,
 ) -> Fraction:
-    """Minimal income whose tax liability reaches `target`."""
+    """Minimal income whose tax liability reaches `target`.
+
+    Raises ValidationError if the schedule tops out below `target`
+    (possible only when the last rate is zero).
+    """
     target = as_money(target)
     free = tax_free_amount(profile, params)
-    fp = _filing(profile, params)
-    taxable = fp.brackets.taxable_for(target)
-    if mode is LiabilityMode.TABLE and target > 0:
+    if target <= 0:
+        return free
+    income = _first_income(target, profile, params, Fraction(0))
+    if income is None:
+        raise ValidationError(f"tax target {target} unreachable under schedule")
+    if mode is LiabilityMode.TABLE:
         # First $50 row whose midpoint liability clears the target.
-        half = TABLE_ROW_WIDTH / 2
-        row = -((-(taxable - half)) // TABLE_ROW_WIDTH) * TABLE_ROW_WIDTH
-        return free + row
-    return free + taxable
+        row = -((free + TABLE_ROW_WIDTH / 2 - income) // TABLE_ROW_WIDTH)
+        return free + row * TABLE_ROW_WIDTH
+    return income
 
 
 def invert_benefit(
@@ -296,17 +288,10 @@ def invert_benefit(
     if target <= 0 or target > ceiling:
         raise Unreachable(f"benefit target {target} exceeds the maximum {ceiling}")
     y = refund_credit_threshold(target, profile, params, mode)
-    fp = _filing(profile, params)
-    if y > fp.phaseout_start:
+    if y > _filing(profile, params).phaseout_start:
         # Past the phaseout start the attainable total only shrinks.
         raise Unreachable(f"benefit target {target} is eroded by the phaseout before it accrues")
     return y
-
-
-def total_phaseout_income(profile: HouseholdProfile, params: ProgramParameters) -> Fraction:
-    """Income at which the phaseout extinguishes the full benefit."""
-    fp = _filing(profile, params)
-    return fp.phaseout_start + max_credit(profile, params) / params.phaseout_rate
 
 
 def thresholds(
@@ -331,7 +316,7 @@ def _thresholds(
         t_full_actc=refund_credit_threshold(max_refund(profile, params), profile, params, mode),
         t_full_ctc=liability_threshold(max_credit(profile, params), profile, params, mode),
         t_phaseout_start=fp.phaseout_start,
-        t_total_phaseout=total_phaseout_income(profile, params),
+        t_total_phaseout=fp.phaseout_start + max_credit(profile, params) / params.phaseout_rate,
         t_full_combined=refund_credit_threshold(max_credit(profile, params), profile, params, mode),
     )
     ordered = (

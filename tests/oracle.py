@@ -7,9 +7,12 @@ rationals with denominator dividing 300, so no integer-dollar grid point
 sits closer to a boundary than 1/300 and the guard can never flip a
 classification.
 
-The exception is :func:`table_threshold_scan`, the exact table-mode
-inversion by walking every $50 row, kept as the reference for the engine's
-bisection.
+The exceptions are the exact references for the engine's threshold
+inversion, built only on the public ``tax_liability`` and the bracket
+schedule: :func:`exact_threshold_walk` evaluates credit plus capped refund
+at every breakpoint of the piecewise-linear benefit and interpolates,
+:func:`table_threshold_scan` walks every $50 row in table mode, and
+:func:`liability_reference` solves the brackets one by one.
 """
 
 from __future__ import annotations
@@ -95,21 +98,63 @@ def grid_categories(incomes: np.ndarray, params, group, children: float) -> np.n
     return cats
 
 
+def exact_threshold_walk(target: Fraction, profile, params) -> Fraction:
+    """Minimal income where exact liability plus the capped refund reaches `target`.
+
+    Evaluates the total at every breakpoint (zero, the refund floor, the
+    refund cap, the tax-free amount and each bracket edge above it) and
+    interpolates inside the first segment that reaches the target; past the
+    last breakpoint it probes the tail slope one dollar on.
+    """
+    # Imported here so that loading this module binds no library function.
+    from ctcsim.errors import Unreachable
+    from ctcsim.taxmath import max_refund, tax_free_amount, tax_liability
+
+    if target <= 0:
+        raise Unreachable("threshold target must be positive")
+    refundable = max_refund(profile, params)
+    free = tax_free_amount(profile, params)
+    points = {Fraction(0), params.refund_threshold, free}
+    if params.refund_rate > 0:
+        points.add(params.refund_threshold + refundable / params.refund_rate)
+    for b in params.for_status(profile.group.filing_status).brackets.brackets:
+        if b.upper is not None:
+            points.add(free + b.upper)
+    breaks = sorted(p for p in points if p >= 0)
+
+    def total(y: Fraction) -> Fraction:
+        phase_in = params.refund_rate * max(Fraction(0), y - params.refund_threshold)
+        return tax_liability(y, profile, params) + min(phase_in, refundable)
+
+    prev, t_prev = breaks[0], total(breaks[0])
+    if t_prev >= target:
+        return prev
+    for point in breaks[1:]:
+        t_point = total(point)
+        if t_point >= target:
+            slope = (t_point - t_prev) / (point - prev)
+            return prev + (target - t_prev) / slope
+        prev, t_prev = point, t_point
+    tail_slope = total(prev + 1) - t_prev
+    if tail_slope <= 0:
+        raise Unreachable(f"benefit target {target} is never reached")
+    return prev + (target - t_prev) / tail_slope
+
+
 def table_threshold_scan(target: Fraction, profile, params) -> Fraction:
     """Minimal income reaching `target` with table-mode liability, row by row.
 
     Within a $50 taxable row liability is constant, so each row's minimal
     income is linear in the refund phase-in; the walk runs from zero to the
-    exact-mode threshold plus ten rows and calls the bracket tax once a row.
+    exact-mode threshold of :func:`exact_threshold_walk` plus ten rows and
+    calls the bracket tax once a row.
     """
-    # Imported here so that loading this module binds no library function.
     from ctcsim.errors import Unreachable
-    from ctcsim.taxmath import (TABLE_ROW_WIDTH, LiabilityMode, _filing, max_refund,
-                                refund_credit_threshold, tax_free_amount)
+    from ctcsim.taxmath import TABLE_ROW_WIDTH, max_refund, tax_free_amount
 
     free = tax_free_amount(profile, params)
     refundable = max_refund(profile, params)
-    fp = _filing(profile, params)
+    brackets = params.for_status(profile.group.filing_status).brackets
     rate = params.refund_rate
     floor = params.refund_threshold
 
@@ -127,12 +172,44 @@ def table_threshold_scan(target: Fraction, profile, params) -> Fraction:
     found = min_income_in(Fraction(0), free, Fraction(0))
     if found is not None:
         return found
-    guard = refund_credit_threshold(target, profile, params, LiabilityMode.EXACT)
+    guard = exact_threshold_walk(target, profile, params)
     row_lo = Fraction(0)
     while free + row_lo <= guard + 10 * TABLE_ROW_WIDTH:
-        liability = fp.brackets.tax(row_lo + TABLE_ROW_WIDTH / 2)
+        liability = brackets.tax(row_lo + TABLE_ROW_WIDTH / 2)
         found = min_income_in(free + row_lo, free + row_lo + TABLE_ROW_WIDTH, liability)
         if found is not None:
             return found
         row_lo += TABLE_ROW_WIDTH
-    raise Unreachable(f"benefit target {target} is never reached (table mode)")
+    raise Unreachable(f"benefit target {target} is never reached")
+
+
+def liability_reference(target: Fraction, profile, params, mode) -> Fraction:
+    """Minimal income whose liability reaches `target`, bracket by bracket.
+
+    In table mode, the first $50 row from which the midpoint liability
+    clears the target, found by scanning rows up from just below the exact
+    answer. Raises ValidationError when the schedule tops out below `target`.
+    """
+    from ctcsim.errors import ValidationError
+    from ctcsim.taxmath import TABLE_ROW_WIDTH, LiabilityMode, tax_free_amount
+
+    schedule = params.for_status(profile.group.filing_status).brackets
+    free = tax_free_amount(profile, params)
+    if target <= 0:
+        return free
+    lower = Fraction(0)
+    tax_at_lower = Fraction(0)
+    for b in schedule.brackets:
+        tax_at_upper = tax_at_lower if b.upper is None else tax_at_lower + (b.upper - lower) * b.rate
+        if b.upper is None or tax_at_upper >= target:
+            if b.rate == 0:
+                raise ValidationError(f"tax target {target} unreachable under schedule")
+            taxable = lower + (target - tax_at_lower) / b.rate
+            break
+        lower, tax_at_lower = b.upper, tax_at_upper
+    if mode is LiabilityMode.TABLE:
+        row = max(0, taxable // TABLE_ROW_WIDTH - 1)
+        while schedule.tax((row + Fraction(1, 2)) * TABLE_ROW_WIDTH) < target:
+            row += 1
+        taxable = row * TABLE_ROW_WIDTH
+    return free + taxable

@@ -201,6 +201,12 @@ class TestFixedEffects:
             build_panel([(2017, ParentalGroup.MARRIED, 0.5),
                          (2017, ParentalGroup.MARRIED, 0.6)])
 
+    @pytest.mark.parametrize("outcome", [math.nan, math.inf, -math.inf])
+    def test_non_finite_outcome_rejected(self, outcome):
+        with pytest.raises(ValidationError, match="panel cell 2018, single_father"):
+            build_panel([(2017, ParentalGroup.MARRIED, 0.5),
+                         (2018, ParentalGroup.SINGLE_FATHER, outcome)])
+
 
 class TestDid:
     @staticmethod

@@ -15,7 +15,7 @@ from ctcsim import (
     tax_liability,
     thresholds,
 )
-from ctcsim.errors import Unreachable
+from ctcsim.errors import Unreachable, ValidationError
 from ctcsim.taxmath import (
     liability_threshold,
     max_credit,
@@ -25,7 +25,7 @@ from ctcsim.taxmath import (
 )
 
 import goldens
-from oracle import grid_categories, table_threshold_scan
+from oracle import exact_threshold_walk, grid_categories, liability_reference, table_threshold_scan
 
 ONE_SINGLE = HouseholdProfile.one_child(ParentalGroup.SINGLE_MOTHER)
 ONE_MARRIED = HouseholdProfile.one_child(ParentalGroup.MARRIED)
@@ -362,27 +362,42 @@ def rule_overrides(draw):
     return overrides
 
 
-class TestTableInversionMatchesScan:
-    """Table-mode inversion equals the row-by-row scan of tests/oracle.py exactly."""
+@pytest.mark.parametrize("mode", list(LiabilityMode), ids=lambda m: m.value)
+class TestInversionMatchesOracle:
+    """Threshold inversion equals the references of tests/oracle.py exactly.
+
+    Exact mode is checked against the breakpoint walk, table mode against
+    the row-by-row scan, and ``liability_threshold`` against the
+    bracket-by-bracket solve in both modes.
+    """
 
     @staticmethod
-    def assert_matches_scan(target, profile, params):
+    def assert_same(reference, engine):
+        """Both calls return the same Fraction, or both raise the same error."""
         try:
-            expected = table_threshold_scan(target, profile, params)
-        except Unreachable:
-            with pytest.raises(Unreachable):
-                refund_credit_threshold(target, profile, params, LiabilityMode.TABLE)
+            expected = reference()
+        except (Unreachable, ValidationError) as exc:
+            with pytest.raises(type(exc)) as raised:
+                engine()
+            assert (type(raised.value), str(raised.value)) == (type(exc), str(exc))
             return
-        got = refund_credit_threshold(target, profile, params, LiabilityMode.TABLE)
+        got = engine()
         assert (type(got), got) == (Fraction, expected)
 
-    def test_shipped_years(self, params_by_year, pop):
+    def assert_matches_oracle(self, target, profile, params, mode):
+        walk = exact_threshold_walk if mode is LiabilityMode.EXACT else table_threshold_scan
+        self.assert_same(lambda: walk(target, profile, params),
+                         lambda: refund_credit_threshold(target, profile, params, mode))
+        self.assert_same(lambda: liability_reference(target, profile, params, mode),
+                         lambda: liability_threshold(target, profile, params, mode))
+
+    def test_shipped_years(self, params_by_year, pop, mode):
         for year, params in params_by_year.items():
             for group in ParentalGroup:
                 for children in (Fraction(1), pop.average_children(year, group)):
                     profile = HouseholdProfile(group, children)
                     for target in (max_refund(profile, params), max_credit(profile, params)):
-                        self.assert_matches_scan(target, profile, params)
+                        self.assert_matches_oracle(target, profile, params, mode)
 
     @given(
         year=st.sampled_from(sorted(range(2003, 2019))),
@@ -396,8 +411,12 @@ class TestTableInversionMatchesScan:
     @example(year=2010, group=ParentalGroup.SINGLE_MOTHER, children=Fraction(2),
              overrides={"brackets": [{"rate": "0"}], "refund_threshold": 20_000},
              target="max_refund")
+    # No liability is ever owed and the target exceeds the refundable maximum.
+    @example(year=2018, group=ParentalGroup.MARRIED, children=Fraction(1),
+             overrides={"brackets": [{"rate": "0"}], "actc_per_child": 1_400},
+             target="max_credit")
     @settings(max_examples=300, deadline=None)
-    def test_random_rule_sets(self, request, year, group, children, overrides, target):
+    def test_random_rule_sets(self, request, mode, year, group, children, overrides, target):
         params = apply_overrides(request.getfixturevalue("params_by_year")[year], overrides,
                                  strict=False)
         profile = HouseholdProfile(group, children)
@@ -406,7 +425,7 @@ class TestTableInversionMatchesScan:
         elif target == "max_credit":
             target = max_credit(profile, params)
         if target > 0:
-            self.assert_matches_scan(target, profile, params)
+            self.assert_matches_oracle(target, profile, params, mode)
 
 
 class TestGridEquivalence:
