@@ -13,13 +13,11 @@ from .classifier import (
 from .counterfactual import (
     EliminationResult,
     ParityResult,
-    PiecemealStep,
     PricedOutResult,
     credit_size_sweep,
     eligibility,
     eliminate_refundability,
     full_relief_proportion,
-    piecemeal,
     priced_out,
     restore_parity,
     run_piecemeal_table,

@@ -37,10 +37,6 @@ class ReliefCategory(Enum):
     INELIGIBLE_HIGH = "f"
 
     @property
-    def code(self) -> str:
-        return self.value
-
-    @property
     def label(self) -> str:
         return {
             "a": "ineligible (low income)",
@@ -180,11 +176,10 @@ def classify(
     year: int,
     group: ParentalGroup,
     thresholds: ThresholdSet,
-    rule: BoundRule,
     scenario: Scenario,
 ) -> EligibilityEstimate:
-    """Classify one (year, group) population under the given thresholds."""
-    counts = assign_bins(pop.bins(year, group), thresholds, rule)
+    """Classify one (year, group) population under `thresholds` and the scenario's bound rule."""
+    counts = assign_bins(pop.bins(year, group), thresholds, scenario.rule)
     return EligibilityEstimate(
         year=year,
         group=group,
@@ -202,7 +197,7 @@ def combine_categories(
     for c in categories:
         if estimate.flags[c] is GeneralizabilityFlag.UNAVAILABLE:
             raise UnavailableCategory(
-                f"category {c.code} is not estimable for {estimate.group.value} {estimate.year}"
+                f"category {c.value} is not estimable for {estimate.group.value} {estimate.year}"
             )
         total += estimate.proportion(c)
     return total

@@ -181,10 +181,6 @@ class Run:
             raise
 
 
-def _scenarios(run: Run) -> list[Scenario]:
-    return [run.scenario]
-
-
 # ---------------------------------------------------------------------------
 # Row builders (shared between single commands and `report`)
 
@@ -315,8 +311,7 @@ def rows_parity(run: Run, year: int, scenarios) -> list[dict]:
             ("1", "full credit, baseline rules", result.before),
             ("2", "full relief after refundable parity", result.after),
             ("3", "full relief after parity, floor removed", {
-                g: cf.full_relief_proportion(run.pop, year, g, no_floor, scenario,
-                                             children_year=year, mode=run.mode)
+                g: cf.full_relief_proportion(run.pop, year, g, no_floor, scenario, run.mode)
                 for g in GROUPS
             }),
         ]
@@ -435,40 +430,40 @@ def rows_did(run: Run, outcomes, years, post_year, scenarios) -> list[dict]:
 def cmd_thresholds(run: Run, args) -> None:
     years = [args.year] if args.year else run.year_range()
     groups = [ParentalGroup(args.group)] if args.group else list(GROUPS)
-    run.emit(THRESHOLD_FIELDS, rows_thresholds(run, years, groups, _scenarios(run)))
+    run.emit(THRESHOLD_FIELDS, rows_thresholds(run, years, groups, [run.scenario]))
 
 
 def cmd_classify(run: Run, args) -> None:
     years = [args.year] if args.year else run.year_range()
     groups = [ParentalGroup(args.group)] if args.group else list(GROUPS)
-    run.emit(CLASSIFY_FIELDS, rows_classify(run, years, groups, _scenarios(run)))
+    run.emit(CLASSIFY_FIELDS, rows_classify(run, years, groups, [run.scenario]))
 
 
 def cmd_piecemeal(run: Run, args) -> None:
     run.emit(PIECEMEAL_FIELDS,
-             rows_piecemeal(run, args.table, _scenarios(run), args.pop_year, args.base_year))
+             rows_piecemeal(run, args.table, [run.scenario], args.pop_year, args.base_year))
 
 
 def cmd_sweep(run: Run, args) -> None:
     credits = _parse_credits(args.credits)
     years = [args.year] if args.year else [max(run.year_range())]
-    run.emit(SWEEP_FIELDS, rows_sweep(run, years, credits, _scenarios(run), not args.no_parity))
+    run.emit(SWEEP_FIELDS, rows_sweep(run, years, credits, [run.scenario], not args.no_parity))
 
 
 def cmd_priced_out(run: Run, args) -> None:
     years = [args.year] if args.year else run.year_range()
     # An explicitly named year must qualify; scans skip non-parity years.
-    rows = rows_priced_out(run, years, _scenarios(run), args.new_ctc,
+    rows = rows_priced_out(run, years, [run.scenario], args.new_ctc,
                            skip_non_parity=args.year is None)
     run.emit(PRICED_FIELDS, rows)
 
 
 def cmd_parity(run: Run, args) -> None:
-    run.emit(PARITY_FIELDS, rows_parity(run, args.year, _scenarios(run)))
+    run.emit(PARITY_FIELDS, rows_parity(run, args.year, [run.scenario]))
 
 
 def cmd_eliminate(run: Run, args) -> None:
-    run.emit(ELIMINATE_FIELDS, rows_eliminate(run, args.year, _scenarios(run)))
+    run.emit(ELIMINATE_FIELDS, rows_eliminate(run, args.year, [run.scenario]))
 
 
 def _outcomes(text: str | None, default: list[str]) -> list[str]:
@@ -479,21 +474,25 @@ def _outcomes(text: str | None, default: list[str]) -> list[str]:
     return outcomes
 
 
+def _fe_years(years: list[int]) -> list[int]:
+    """Fixed-effects fits cover the years before the 2018 reform, or all if none precede it."""
+    return [y for y in years if y < 2018] or years
+
+
 def cmd_regress(run: Run, args) -> None:
     outcomes = _outcomes(args.outcome, ["a", "b", "c", "d", "e", "f", "cd", "bc"])
-    years = run.year_range() if run.years else list(range(2003, 2018))
-    run.emit(REGRESS_FIELDS, rows_regress(run, outcomes, years, _scenarios(run)))
+    years = _fe_years(run.year_range())
+    run.emit(REGRESS_FIELDS, rows_regress(run, outcomes, years, [run.scenario]))
 
 
 def cmd_did(run: Run, args) -> None:
     outcomes = _outcomes(args.outcome, ["c", "d", "e"])
-    years = run.year_range() if run.years else sorted(run.params)
-    run.emit(REGRESS_FIELDS, rows_did(run, outcomes, years, args.post_year, _scenarios(run)))
+    rows = rows_did(run, outcomes, run.year_range(), args.post_year, [run.scenario])
+    run.emit(REGRESS_FIELDS, rows)
 
 
 def cmd_report(run: Run, args) -> None:
     years = run.year_range()
-    fe_years = [y for y in years if y < 2018] or years
     new_law_year = max(years)
     bundle = {
         "settings": {
@@ -510,7 +509,7 @@ def cmd_report(run: Run, args) -> None:
         "priced_out": rows_priced_out(run, years, list(Scenario), 2000),
         "credit_sweep": rows_sweep(run, [y for y in (2017, 2018) if y in years] or [new_law_year],
                                    [500, 1000, 1400, 2000, 3000, 3600], list(Scenario), True),
-        "fixed_effects": rows_regress(run, ["a", "b", "c", "d", "e", "f", "cd", "bc"], fe_years, list(Scenario)),
+        "fixed_effects": rows_regress(run, ["a", "b", "c", "d", "e", "f", "cd", "bc"], _fe_years(years), list(Scenario)),
         # A range with no year before the new law has no pre-period to difference.
         "did": rows_did(run, ["c", "d", "e"], years, new_law_year, list(Scenario))
         if years[0] < new_law_year else [],

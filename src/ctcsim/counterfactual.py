@@ -2,13 +2,16 @@
 
 All operations here classify a fixed income distribution under modified
 program parameters; population year and parameter year are independent so
-that rule changes can be isolated from demographic drift. Results carry
-exact fractions; rendering to percentages happens at the output layer.
+that rule changes can be isolated from demographic drift. A rule set's
+`year` picks the children averages its thresholds use (middle-bound
+scenarios only), so a walk is a list of labelled, fully resolved rule sets.
+Results carry exact fractions; rendering to percentages happens at the
+output layer.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, replace
 from fractions import Fraction
 from typing import Mapping, Sequence
 
@@ -61,7 +64,6 @@ def eligibility(
     group: ParentalGroup,
     params: ProgramParameters,
     scenario: Scenario,
-    children_year: int | None = None,
     mode: LiabilityMode = LiabilityMode.EXACT,
 ) -> EligibilityEstimate:
     """Classify the (pop_year, group) distribution under `params`.
@@ -69,14 +71,13 @@ def eligibility(
     Inside a command scope each distinct cell is classified once (see
     :mod:`ctcsim.memo`), so every row builder shares one panel.
     """
-    cy = params.year if children_year is None else children_year
-    return once(_eligibility, pop, pop_year, group, params, scenario, cy, mode)
+    return once(_eligibility, pop, pop_year, group, params, scenario, mode)
 
 
-def _eligibility(pop, pop_year, group, params, scenario, cy, mode) -> EligibilityEstimate:
-    profile = profile_for(pop, group, scenario, cy)
+def _eligibility(pop, pop_year, group, params, scenario, mode) -> EligibilityEstimate:
+    profile = profile_for(pop, group, scenario, params.year)
     ts = thresholds(profile, params, mode)
-    return classify(pop, pop_year, group, ts, scenario.rule, scenario)
+    return classify(pop, pop_year, group, ts, scenario)
 
 
 def _mass_between(bins: Sequence[IncomeBin], lo: int, hi: int) -> int:
@@ -109,12 +110,10 @@ def full_relief_proportion(
     group: ParentalGroup,
     params: ProgramParameters,
     scenario: Scenario,
-    children_year: int | None = None,
     mode: LiabilityMode = LiabilityMode.EXACT,
 ) -> Fraction:
     """Share of the group able to realize the full benefit as credit and/or refund."""
-    cy = params.year if children_year is None else children_year
-    profile = profile_for(pop, group, scenario, cy)
+    profile = profile_for(pop, group, scenario, params.year)
     bins = pop.bins(pop_year, group)
     total = sum(b.count for b in bins)
     try:
@@ -129,19 +128,6 @@ def full_relief_proportion(
 
 
 @dataclass(frozen=True)
-class PiecemealStep:
-    """One cumulative stop on a parameter walk.
-
-    `overrides` accumulate over prior steps; `children_year` switches the
-    children averages used for threshold math (middle-bound scenarios only).
-    """
-
-    label: str
-    overrides: Mapping[str, object] = field(default_factory=dict)
-    children_year: int | None = None
-
-
-@dataclass(frozen=True)
 class StepRow:
     step: int
     label: str
@@ -149,79 +135,47 @@ class StepRow:
     proportion: Fraction
 
 
-def piecemeal(
-    pop: PopulationTable,
-    pop_year: int,
-    base: ProgramParameters,
-    steps: Sequence[PiecemealStep],
-    target: ReliefCategory,
-    scenario: Scenario,
-    mode: LiabilityMode = LiabilityMode.EXACT,
-) -> list[StepRow]:
-    """Classify `pop_year` under each step's cumulative parameter set.
-
-    The first step must carry no overrides (it is the baseline). Overrides
-    are applied leniently: intermediate stops may pass through
-    configurations (e.g. refundable maximum above the credit maximum) that
-    strict validation would reject.
-    """
-    if steps and steps[0].overrides:
-        raise ValidationError("the first piecemeal step must have empty overrides")
-    rows: list[StepRow] = []
-    cumulative: dict[str, object] = {}
-    for index, step in enumerate(steps, start=1):
-        cumulative.update(step.overrides)
-        params = apply_overrides(base, cumulative, strict=False)
-        for group in GROUPS:
-            est = eligibility(
-                pop, pop_year, group, params, scenario,
-                children_year=step.children_year, mode=mode,
-            )
-            rows.append(StepRow(index, step.label, group, est.proportion(target)))
-    return rows
-
-
-def builtin_piecemeal_steps(
+def piecemeal_walk(
     table: str,
     params_by_year: Mapping[int, ProgramParameters],
     pop_year: int = 2018,
     base_year: int = 2017,
-) -> tuple[ProgramParameters, list[PiecemealStep], ReliefCategory]:
-    """The stock walks from old-law baseline to new-law rules.
+) -> tuple[ReliefCategory, list[tuple[str, ProgramParameters]]]:
+    """The stock walk from old-law baseline to new-law rules, as labelled rule sets.
 
-    Table "1a" walks the full-credit category; "1b" walks the full
-    refundable category with the credit raised last. The opening step
-    applies the new-law rules outright so the walk's endpoint can be
-    checked against it.
+    Table "1a" walks the full-credit category; "1b" the full refundable
+    category with the credit raised last. Step 1 is the new law outright,
+    step 2 the baseline; each later step copies more fields from the new
+    law, passing leniently through rule sets strict validation would
+    reject (e.g. refundable maximum above the credit maximum). The last
+    step also takes the new law's year, hence its children averages, so it
+    equals step 1 when the two years differ only in the walked fields.
     """
     new = params_for_year(params_by_year, pop_year)
     base = params_for_year(params_by_year, base_year)
-    credit = PiecemealStep("raise credit maximum", {"ctc_per_child": new.ctc_per_child})
-    refundable = PiecemealStep("raise refundable maximum", {"actc_per_child": new.actc_per_child})
+    credit = ("raise credit maximum", ["ctc_per_child"])
+    refundable = ("raise refundable maximum", ["actc_per_child"])
     if table == "1a":
         target, first, last = ReliefCategory.FULL_CTC, credit, refundable
     elif table == "1b":
         target, first, last = ReliefCategory.FULL_ACTC, refundable, credit
     else:
         raise ValidationError(f"unknown piecemeal table {table!r}")
-    steps = [
-        PiecemealStep(f"{pop_year} rules outright", children_year=pop_year),
-        PiecemealStep(f"{base_year} rules baseline"),
+    moves = [
         first,
-        PiecemealStep(
-            "new standard deduction, exemptions repealed",
-            overrides_to(base, new, ["standard_deduction", "exemption_per_person"]),
-        ),
-        PiecemealStep("new refundability floor", {"refund_threshold": new.refund_threshold}),
-        PiecemealStep("new phaseout start", overrides_to(base, new, ["phaseout_start"])),
+        ("new standard deduction, exemptions repealed", ["standard_deduction", "exemption_per_person"]),
+        ("new refundability floor", ["refund_threshold"]),
+        ("new phaseout start", ["phaseout_start"]),
         last,
-        PiecemealStep(
-            "new rate brackets and children averages",
-            overrides_to(base, new, ["brackets"]),
-            children_year=pop_year,
-        ),
+        ("new rate brackets and children averages", ["brackets"]),
     ]
-    return base, steps, target
+    walk = [(f"{pop_year} rules outright", new), (f"{base_year} rules baseline", base)]
+    rules = base
+    for label, names in moves:
+        rules = apply_overrides(rules, overrides_to(new, names), strict=False)
+        walk.append((label, rules))
+    walk[-1] = (label, replace(rules, year=new.year))
+    return target, walk
 
 
 def run_piecemeal_table(
@@ -233,13 +187,14 @@ def run_piecemeal_table(
     base_year: int = 2017,
     mode: LiabilityMode = LiabilityMode.EXACT,
 ) -> list[StepRow]:
-    """Stock walk as step rows 1..8; row 1 is new law, rows 2..8 the walk."""
-    base, steps, target = builtin_piecemeal_steps(table, params_by_year, pop_year, base_year)
-    new = params_for_year(params_by_year, pop_year)
-    rows = piecemeal(pop, pop_year, new, steps[:1], target, scenario, mode)
-    for row in piecemeal(pop, pop_year, base, steps[1:], target, scenario, mode):
-        rows.append(StepRow(row.step + 1, row.label, row.group, row.proportion))
-    return rows
+    """The walked category's share of `pop_year` under each step, per group."""
+    target, walk = piecemeal_walk(table, params_by_year, pop_year, base_year)
+    return [
+        StepRow(step, label, group,
+                eligibility(pop, pop_year, group, rules, scenario, mode).proportion(target))
+        for step, (label, rules) in enumerate(walk, start=1)
+        for group in GROUPS
+    ]
 
 
 # ---------------------------------------------------------------------------
@@ -318,8 +273,7 @@ def credit_size_sweep(
             overrides["actc_per_child"] = credit
         swapped = apply_overrides(params, overrides, strict=False)
         for group in GROUPS:
-            share = full_relief_proportion(pop, year, group, swapped, scenario,
-                                           children_year=params.year, mode=mode)
+            share = full_relief_proportion(pop, year, group, swapped, scenario, mode)
             rows.append((credit, group, share))
     return rows
 
@@ -354,11 +308,7 @@ def restore_parity(
     is full relief via either pathway under parity.
     """
     if params.actc_per_child == params.ctc_per_child:
-        before = {
-            g: full_relief_proportion(pop, year, g, params, scenario,
-                                      children_year=params.year, mode=mode)
-            for g in GROUPS
-        }
+        before = {g: full_relief_proportion(pop, year, g, params, scenario, mode) for g in GROUPS}
     else:
         before = {
             g: eligibility(pop, year, g, params, scenario, mode=mode).proportion(
@@ -366,11 +316,7 @@ def restore_parity(
             for g in GROUPS
         }
     at_parity = apply_overrides(params, {"actc_per_child": params.ctc_per_child})
-    after = {
-        g: full_relief_proportion(pop, year, g, at_parity, scenario,
-                                  children_year=params.year, mode=mode)
-        for g in GROUPS
-    }
+    after = {g: full_relief_proportion(pop, year, g, at_parity, scenario, mode) for g in GROUPS}
     return ParityResult(before=before, after=after)
 
 

@@ -304,7 +304,7 @@ def apply_overrides(
     return params
 
 
-def overrides_to(base_year_params: ProgramParameters, target: ProgramParameters, names: Iterable[str]) -> dict:
+def overrides_to(target: ProgramParameters, names: Iterable[str]) -> dict:
     """Build an override mapping that copies the named fields from `target`."""
     out: dict = {}
     for name in names:

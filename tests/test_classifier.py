@@ -209,7 +209,7 @@ class TestCombine:
     def _estimate(self, pop, params_by_year, year=2017, group=ParentalGroup.MARRIED,
                   scenario=Scenario.S1):
         ts = thresholds(HouseholdProfile.one_child(group), params_by_year[year])
-        return classify(pop, year, group, ts, scenario.rule, scenario)
+        return classify(pop, year, group, ts, scenario)
 
     def test_full_relief_2017_married(self, pop, params_by_year):
         est = self._estimate(pop, params_by_year)

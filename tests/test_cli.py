@@ -132,6 +132,19 @@ class TestAnalyses:
         assert all(set(r) == {"scenario", "outcome", "term", "estimate", "robust_se", "stars"}
                    for r in rows)
 
+    @pytest.mark.parametrize("first_year, nrows", [(2003, 360), (2005, 312)])
+    def test_regress_fits_the_years_report_fits(self, capsys, tmp_path, first_year, nrows):
+        records = json.loads((DATA / "params.json").read_text())
+        params = tmp_path / "params.json"
+        params.write_text(json.dumps([r for r in records if r["year"] >= first_year]))
+        code, out = run_cli(capsys, "regress", "--format", "json", "--params", str(params))
+        assert code == 0
+        rows = json.loads(out)
+        code, out = run_cli(capsys, "report", "--params", str(params))
+        assert code == 0
+        assert rows == [r for r in json.loads(out)["fixed_effects"] if r["scenario"] == "s1"]
+        assert len(rows) == nrows
+
     def test_did_emits_interaction(self, capsys):
         code, out = run_cli(capsys, "did", "--outcome", "d")
         assert code == 0
@@ -181,6 +194,21 @@ class TestConfigAndDeterminism:
         out = tmp_path / "report.json"
         assert main(["report", "--out", str(out), *flags]) == 0
         assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
+
+    # Commands whose inputs the report pins do not reach: non-default walk
+    # years, the S2 walk alone, and the full sweep with and without parity.
+    @pytest.mark.parametrize("argv, digest", [
+        (["piecemeal", "--table", "1a", "--pop-year", "2017", "--base-year", "2010"],
+         "955aea302af0a3b469501f628b319a328c64e85eaad8b5719a84b5ca12b09aec"),
+        (["piecemeal", "--table", "1b", "--scenario", "s2", "--base-year", "2005"],
+         "2a328051e78d7a3cd0107931d442d32509aa20c146b330816ffb859cc6691a83"),
+        (["sweep"], "ed2d5785a7450fb3b0cad5d0144f77b9a1ec751a9d775cc12c637d33262d8755"),
+        (["sweep", "--no-parity"], "22d5df475ceca7c78005194334af6028355b9472bd762a9ad309f33358305596"),
+    ], ids=["walk-1a-2010-to-2017", "walk-1b-s2-from-2005", "sweep", "sweep-no-parity"])
+    def test_command_bytes_are_pinned(self, capsys, argv, digest):
+        code, out = run_cli(capsys, *argv)
+        assert code == 0
+        assert hashlib.sha256(out.encode("utf-8")).hexdigest() == digest
 
     def test_report_zero_df_fits_have_no_standard_errors(self, tmp_path):
         out = tmp_path / "report.json"

@@ -4,7 +4,6 @@ import pytest
 
 from ctcsim import (
     ParentalGroup,
-    PiecemealStep,
     ReliefCategory,
     Scenario,
     apply_overrides,
@@ -12,11 +11,10 @@ from ctcsim import (
     eligibility,
     eliminate_refundability,
     load_population,
-    piecemeal,
     priced_out,
     restore_parity,
 )
-from ctcsim.counterfactual import full_relief_cuts, profile_for, run_piecemeal_table
+from ctcsim.counterfactual import full_relief_cuts, piecemeal_walk, profile_for, run_piecemeal_table
 from ctcsim.errors import ValidationError
 from ctcsim.population import ChildrenHistogram, IncomeBin, PopulationTable
 
@@ -37,21 +35,26 @@ def single_mass_table(year, lower, count=1000):
 
 
 class TestPiecemeal:
-    def test_identity_step(self, pop, params_by_year):
-        rows = piecemeal(
-            pop, 2018, params_by_year[2017],
-            [PiecemealStep("baseline")],
-            ReliefCategory.FULL_CTC, Scenario.S1,
-        )
+    @pytest.mark.parametrize("table", ["1a", "1b"])
+    def test_rows_classify_each_walk_step(self, pop, params_by_year, table):
+        target, walk = piecemeal_walk(table, params_by_year)
+        rows = run_piecemeal_table(table, pop, params_by_year, Scenario.S2)
+        assert len(rows) == len(walk) * len(GROUPS)
         for row in rows:
-            direct = eligibility(pop, 2018, row.group, params_by_year[2017], Scenario.S1)
-            assert row.proportion == direct.proportion(ReliefCategory.FULL_CTC)
+            label, rules = walk[row.step - 1]
+            assert row.label == label
+            direct = eligibility(pop, 2018, row.group, rules, Scenario.S2)
+            assert row.proportion == direct.proportion(target)
 
-    def test_first_step_must_be_bare(self, pop, params_by_year):
+    @pytest.mark.parametrize("table", ["1a", "1b"])
+    def test_walk_starts_at_new_law_and_ends_there(self, params_by_year, table):
+        _, walk = piecemeal_walk(table, params_by_year)
+        assert walk[0][1] == walk[-1][1] == params_by_year[2018]
+        assert walk[1][1] == params_by_year[2017]
+
+    def test_unknown_table_rejected(self, params_by_year):
         with pytest.raises(ValidationError):
-            piecemeal(pop, 2018, params_by_year[2017],
-                      [PiecemealStep("x", {"ctc_per_child": 2000})],
-                      ReliefCategory.FULL_CTC, Scenario.S1)
+            piecemeal_walk("1c", params_by_year)
 
     @pytest.mark.parametrize("table", ["1a", "1b"])
     @pytest.mark.parametrize("scenario", list(Scenario))

@@ -35,8 +35,8 @@ def inversions(monkeypatch):
 
 def test_report_inverts_each_distinct_threshold_set_once(inversions, tmp_path):
     assert main(["report", "--out", str(tmp_path / "r.json")]) == 0
-    assert len(inversions) == 156
-    assert len(set(inversions)) == 156
+    assert len(inversions) == 150
+    assert len(set(inversions)) == 150
 
 
 def test_no_memo_outside_a_command(inversions, params_by_year, tmp_path):

@@ -26,7 +26,7 @@ ROOT = Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(ROOT / "src"))
 
 from ctcsim.classifier import CATEGORY_ORDER, Scenario, category_cuts, cut_income
-from ctcsim.counterfactual import builtin_piecemeal_steps, full_relief_cuts
+from ctcsim.counterfactual import full_relief_cuts, piecemeal_walk
 from ctcsim.params import ParentalGroup, apply_overrides, load_params
 from ctcsim.population import BIN_WIDTH, INCOME_CEILING
 from ctcsim.taxmath import HouseholdProfile, thresholds
@@ -367,16 +367,13 @@ def walk_pins(all_pins: dict, params_by_year, table: str, walk: dict):
     # S1 rows only: the S2 interleaving of the deduction package is not
     # reproducible from the stated step sequence, so S2 rows are informational.
     scenario = Scenario.S1
-    base, steps, target = builtin_piecemeal_steps(table, params_by_year)
+    target, steps = piecemeal_walk(table, params_by_year)
     target_idx = CATEGORY_ORDER.index(target)
     for group in GROUPS:
         pins = all_pins[(2018, group)]
         rows = walk["s1"][group]
-        cumulative: dict[str, object] = {}
         profile = HouseholdProfile.one_child(group_enum(group))
-        for step_no, step in enumerate(steps[1:], start=2):
-            cumulative.update(step.overrides)
-            params = apply_overrides(base, cumulative, strict=False)
+        for step_no, (_, params) in enumerate(steps[1:], start=2):
             cuts = category_cuts(thresholds(profile, params), scenario.rule)
             lo = min(max(cuts[target_idx - 1], 0), INCOME_CEILING)
             hi = min(cuts[target_idx], INCOME_CEILING)
