@@ -20,6 +20,7 @@ from bisect import bisect_right
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
+from itertools import accumulate
 from typing import Iterable, Mapping, Sequence
 
 from .errors import ThresholdOutOfRange, UnavailableCategory
@@ -104,25 +105,21 @@ def cut_income(boundary: Fraction, strictly_above: bool, rule: BoundRule) -> int
     """
     if boundary < 0:
         raise ThresholdOutOfRange(f"negative classification boundary {boundary}")
-    floor_edge = int(boundary // BIN_WIDTH) * BIN_WIDTH
-    on_edge = boundary == floor_edge
+    num, den = boundary.numerator, boundary.denominator
+    floor_edge = num // (den * BIN_WIDTH) * BIN_WIDTH
     if rule is BoundRule.MIDDLE:
-        midpoint = floor_edge + Fraction(BIN_WIDTH, 2)
-        return floor_edge + BIN_WIDTH if boundary >= midpoint else floor_edge
-    if on_edge and not strictly_above:
+        # At or past the bin midpoint: 2 * boundary >= 2 * floor_edge + BIN_WIDTH.
+        return floor_edge + BIN_WIDTH if 2 * num >= (2 * floor_edge + BIN_WIDTH) * den else floor_edge
+    if num == floor_edge * den and not strictly_above:
         return floor_edge
     return floor_edge + BIN_WIDTH
 
 
 def category_cuts(thresholds: ThresholdSet, rule: BoundRule) -> list[int]:
     """The five nondecreasing bin-edge cuts separating categories a-f."""
-    cuts: list[int] = []
-    for boundary, strictly_above in thresholds.boundaries():
-        cut = cut_income(boundary, strictly_above, rule)
-        if cuts and cut < cuts[-1]:
-            cut = cuts[-1]
-        cuts.append(cut)
-    return cuts
+    cuts = (cut_income(boundary, strictly_above, rule)
+            for boundary, strictly_above in thresholds.boundaries())
+    return list(accumulate(cuts, max))
 
 
 def assign_bins(
@@ -130,11 +127,10 @@ def assign_bins(
 ) -> dict[ReliefCategory, int]:
     """Total count per category; conserves the population exactly."""
     cuts = category_cuts(thresholds, rule)
-    counts = {c: 0 for c in CATEGORY_ORDER}
+    counts = [0] * len(CATEGORY_ORDER)
     for b in bins:
-        idx = bisect_right(cuts, b.lower)
-        counts[CATEGORY_ORDER[idx]] += b.count
-    return counts
+        counts[bisect_right(cuts, b.lower)] += b.count
+    return dict(zip(CATEGORY_ORDER, counts))
 
 
 def flag_categories(

@@ -1,7 +1,8 @@
 """Program parameters: loading, validation, overrides.
 
 A parameter file is a JSON array with one record per (year, filing status).
-Money fields are integer dollars; rates are decimal literals parsed exactly.
+Money fields (whole dollars in the shipped file) and rates may be decimal
+literals, parsed exactly; `year` must be a JSON integer.
 Loaded parameter sets are frozen dataclasses and safe to share across
 threads; counterfactuals derive new sets through :func:`apply_overrides`.
 """
@@ -174,22 +175,29 @@ def _parse_brackets(raw) -> BracketSchedule:
         if isinstance(entry, Bracket):
             brackets.append(entry)
             continue
+        if not isinstance(entry, Mapping):
+            raise TypeError(f"bracket must be an object, got {type(entry).__name__}")
         upper = entry.get("upper")
-        brackets.append(
-            Bracket(
-                upper=None if upper is None else as_money(upper),
-                rate=as_rate(entry["rate"]),
-            )
-        )
+        brackets.append(Bracket(None if upper is None else as_money(upper), as_rate(entry.get("rate"))))
     return BracketSchedule(tuple(brackets))
+
+
+def _field(rec: Mapping, name: str, coerce):
+    """``coerce(rec[name])``; a missing or malformed value is a ParseError naming the field."""
+    if name not in rec:
+        raise ParseError(f"missing field {name!r}")
+    try:
+        return coerce(rec[name])
+    except (TypeError, ValueError) as exc:
+        raise ParseError(f"bad field {name!r}: {exc}") from None
 
 
 def _record_to_filing(rec: Mapping) -> FilingParams:
     return FilingParams(
-        standard_deduction=as_money(rec["standard_deduction"]),
-        exemption_per_person=as_money(rec["exemption_per_person"]),
-        brackets=_parse_brackets(rec["brackets"]),
-        phaseout_start=as_money(rec["phaseout_start"]),
+        standard_deduction=_field(rec, "standard_deduction", as_money),
+        exemption_per_person=_field(rec, "exemption_per_person", as_money),
+        brackets=_field(rec, "brackets", _parse_brackets),
+        phaseout_start=_field(rec, "phaseout_start", as_money),
     )
 
 
@@ -207,10 +215,12 @@ def load_params(path: str | Path) -> dict[int, ProgramParameters]:
     by_year: dict[int, dict[FilingStatus, Mapping]] = {}
     for rec in raw:
         try:
-            year = int(rec["year"])
+            year = rec["year"]
             status = FilingStatus(rec["filing_status"])
         except (KeyError, TypeError, ValueError) as exc:
             raise ParseError(f"{path}: bad record header: {exc}") from exc
+        if type(year) is not int:
+            raise ParseError(f"{path}: year {year!r} is not an integer")
         slot = by_year.setdefault(year, {})
         if status in slot:
             raise ParseError(f"{path}: duplicate record for year {year} {status.value}")
@@ -222,21 +232,17 @@ def load_params(path: str | Path) -> dict[int, ProgramParameters]:
         if set(recs) != set(FilingStatus):
             raise ValidationError(f"year {year}: both filing statuses required")
         shared = {}
-        for field in _SCALAR_MONEY + _SCALAR_RATES:
-            values = set()
-            for rec in recs.values():
-                try:
-                    v = as_money(rec[field]) if field in _SCALAR_MONEY else as_rate(rec[field])
-                except (KeyError, TypeError) as exc:
-                    raise ParseError(f"year {year}: missing or bad field {field!r}") from exc
-                values.add(v)
-            if len(values) != 1:
-                raise ValidationError(f"year {year}: field {field!r} differs across filing statuses")
-            shared[field] = values.pop()
         try:
+            for field in _SCALAR_MONEY + _SCALAR_RATES:
+                coerce = as_money if field in _SCALAR_MONEY else as_rate
+                values = {_field(rec, field, coerce) for rec in recs.values()}
+                if len(values) != 1:
+                    raise ValidationError(
+                        f"year {year}: field {field!r} differs across filing statuses")
+                shared[field] = values.pop()
             filing = tuple((s, _record_to_filing(recs[s])) for s in FilingStatus)
-        except KeyError as exc:
-            raise ParseError(f"year {year}: missing field {exc}") from exc
+        except ParseError as exc:
+            raise ParseError(f"{path}: year {year}: {exc}") from None
         params = ProgramParameters(
             year=year,
             filing=filing,

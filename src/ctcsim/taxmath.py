@@ -12,6 +12,12 @@ never fall as income grows, so the threshold is the larger of their two
 minimal incomes, and one walk over the linear segments in income space
 finds each (with the refund rate as ramp, then with ramp 0).
 
+The walk runs on integers: money (the tax-free amount, refund floor, bracket
+uppers, target) over D, the lcm of its denominators, and rates over Q, the
+lcm of theirs, so each running total is an integer over D·Q. Integers over a
+fixed denominator add, multiply and compare exactly, as Fractions do but
+without a gcd per step; each answer is then built as one Fraction.
+
 Two liability modes are supported: ``EXACT`` applies the bracket schedule
 analytically; ``TABLE`` evaluates liability at the midpoint of the
 enclosing $50-wide taxable-income row, mimicking lookup-table filing. There
@@ -25,6 +31,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
+from math import lcm
 
 from .errors import OrderingViolation, Unreachable, ValidationError
 from .memo import once
@@ -63,10 +70,6 @@ class HouseholdProfile:
     @property
     def adults(self) -> int:
         return self.group.adults
-
-    @property
-    def persons_for_exemptions(self) -> Fraction:
-        return self.adults + self.children
 
 
 @dataclass(frozen=True)
@@ -122,7 +125,12 @@ def _filing(profile: HouseholdProfile, params: ProgramParameters) -> FilingParam
 def tax_free_amount(profile: HouseholdProfile, params: ProgramParameters) -> Fraction:
     """Standard deduction plus per-person exemptions for the household."""
     fp = _filing(profile, params)
-    return fp.standard_deduction + fp.exemption_per_person * profile.persons_for_exemptions
+    ded, ex, kids = fp.standard_deduction, fp.exemption_per_person, profile.children
+    # ded + ex * (adults + kids), one Fraction over the product of the denominators
+    persons = profile.adults * kids.denominator + kids.numerator  # over kids.denominator
+    return Fraction(ded.numerator * ex.denominator * kids.denominator
+                    + ex.numerator * persons * ded.denominator,
+                    ded.denominator * ex.denominator * kids.denominator)
 
 
 def tax_liability(
@@ -170,25 +178,42 @@ def benefit_at_income(
     return BenefitSplit(credit=credit, refund=refund)
 
 
+def _over(x: Fraction, den: int) -> int:
+    """The numerator of `x` over `den`, a multiple of its denominator."""
+    return x.numerator * (den // x.denominator)
+
+
+def _scaled(target: Fraction, profile, params, ramp: Fraction):
+    """``(D, target over D·Q, floor over D, ramp over Q, bands)``, where the
+    bands are (upper income over D or None, rate over Q), the tax-free band first.
+    """
+    free = tax_free_amount(profile, params)
+    floor = params.refund_threshold
+    brackets = _filing(profile, params).brackets.brackets
+    d = lcm(free.denominator, floor.denominator, target.denominator,
+            *(b.upper.denominator for b in brackets if b.upper is not None))
+    q = lcm(ramp.denominator, *(b.rate.denominator for b in brackets))
+    free = _over(free, d)
+    bands = [(free, 0)] + [
+        (None if b.upper is None else free + _over(b.upper, d), _over(b.rate, q)) for b in brackets
+    ]
+    return d, _over(target, d) * q, _over(floor, d), _over(ramp, q), bands
+
+
 def _first_income(target: Fraction, profile, params, ramp: Fraction) -> Fraction | None:
     """Minimal income where exact liability plus `ramp` per dollar above the
     refund floor reaches `target` > 0, or None if the total tops out below it.
 
     Segments: the tax-free band, then the brackets shifted by the tax-free
-    amount, each split at the refund floor, with a running total.
+    amount, each split at the refund floor, with a running total over D·Q.
     """
-    free = tax_free_amount(profile, params)
-    floor = params.refund_threshold
-    bands = [(free, Fraction(0))] + [
-        (None if b.upper is None else free + b.upper, b.rate)
-        for b in _filing(profile, params).brackets.brackets
-    ]
-    lo, total = Fraction(0), Fraction(0)
+    d, target, floor, ramp, bands = _scaled(target, profile, params, ramp)
+    lo = total = 0
     for hi, rate in bands:
         for end in (floor, hi) if lo < floor and (hi is None or floor < hi) else (hi,):
             slope = rate + ramp if lo >= floor else rate
             if slope and (end is None or total + slope * (end - lo) >= target):
-                return lo + (target - total) / slope
+                return Fraction(lo * slope + target - total, d * slope)
             if end is not None:
                 total, lo = total + slope * (end - lo), end
     return None
@@ -196,24 +221,32 @@ def _first_income(target: Fraction, profile, params, ramp: Fraction) -> Fraction
 
 def _table_phase_in_threshold(target: Fraction, profile, params) -> Fraction:
     """Minimal income where table liability plus the uncapped phase-in reaches
-    `target`: the first $50 row holding a solution, then the solve within it."""
-    free = tax_free_amount(profile, params)
-    tax = _filing(profile, params).brackets.tax
-    rate, floor = params.refund_rate, params.refund_threshold
+    `target`: the first $50 row holding a solution, then the solve within it.
+    Incomes in the search are integers over D·rate (the refund rate over Q)."""
+    d, target, floor, rate, bands = _scaled(target, profile, params, params.refund_rate)
+    free, width = bands[0][0], int(TABLE_ROW_WIDTH) * d
+
+    def liability(income: int) -> int:
+        """Exact liability at `income` over D, as an integer over D·Q."""
+        total = lo = 0
+        for hi, band_rate in bands:
+            if hi is None or income <= hi:
+                return total + band_rate * (income - lo)
+            total, lo = total + band_rate * (hi - lo), hi
 
     def min_income_in(k: int):
         """Minimal income in row k reaching the target, or None; row -1 is all below `free`."""
-        lo = free + k * TABLE_ROW_WIDTH if k >= 0 else Fraction(0)
-        need = target - tax((k + Fraction(1, 2)) * TABLE_ROW_WIDTH)
-        y = lo if need <= 0 else max(lo, floor + need / rate)
-        return y if y < free + (k + 1) * TABLE_ROW_WIDTH else None
+        lo = (free + k * width if k >= 0 else 0) * rate
+        need = target - liability(free + (2 * k + 1) * width // 2)
+        y = lo if need <= 0 else max(lo, floor * rate + need)
+        return y if y < (free + (k + 1) * width) * rate else None
 
     # The row where the phase-in alone reaches the target holds a solution.
-    lo, hi = -1, max(-1, (floor + target / rate - free) // TABLE_ROW_WIDTH)
+    lo, hi = -1, max(-1, ((floor - free) * rate + target) // (width * rate))
     while lo < hi:
         mid = (lo + hi) // 2
         lo, hi = (lo, mid) if min_income_in(mid) is not None else (mid + 1, hi)
-    return min_income_in(lo)
+    return Fraction(min_income_in(lo), d * rate)
 
 
 def refund_credit_threshold(
@@ -258,14 +291,14 @@ def liability_threshold(
     (possible only when the last rate is zero).
     """
     target = as_money(target)
-    free = tax_free_amount(profile, params)
     if target <= 0:
-        return free
+        return tax_free_amount(profile, params)
     income = _first_income(target, profile, params, Fraction(0))
     if income is None:
         raise ValidationError(f"tax target {target} unreachable under schedule")
     if mode is LiabilityMode.TABLE:
         # First $50 row whose midpoint liability clears the target.
+        free = tax_free_amount(profile, params)
         row = -((free + TABLE_ROW_WIDTH / 2 - income) // TABLE_ROW_WIDTH)
         return free + row * TABLE_ROW_WIDTH
     return income

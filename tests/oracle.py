@@ -12,7 +12,8 @@ inversion, built only on the public ``tax_liability`` and the bracket
 schedule: :func:`exact_threshold_walk` evaluates credit plus capped refund
 at every breakpoint of the piecewise-linear benefit and interpolates,
 :func:`table_threshold_scan` walks every $50 row in table mode, and
-:func:`liability_reference` solves the brackets one by one.
+:func:`liability_reference` solves the brackets one by one. The bin cut has
+one too: :func:`cut_income_reference` computes it in Fraction arithmetic.
 """
 
 from __future__ import annotations
@@ -213,3 +214,25 @@ def liability_reference(target: Fraction, profile, params, mode) -> Fraction:
             row += 1
         taxable = row * TABLE_ROW_WIDTH
     return free + taxable
+
+
+def cut_income_reference(boundary: Fraction, strictly_above: bool, rule) -> int:
+    """Bin edge at which the category above `boundary` starts, in Fraction arithmetic.
+
+    The classifier's cut before it moved to the boundary's numerator and
+    denominator, kept as the reference for that integer version.
+    """
+    from ctcsim.classifier import BoundRule
+    from ctcsim.errors import ThresholdOutOfRange
+    from ctcsim.population import BIN_WIDTH
+
+    if boundary < 0:
+        raise ThresholdOutOfRange(f"negative classification boundary {boundary}")
+    floor_edge = int(boundary // BIN_WIDTH) * BIN_WIDTH
+    on_edge = boundary == floor_edge
+    if rule is BoundRule.MIDDLE:
+        midpoint = floor_edge + Fraction(BIN_WIDTH, 2)
+        return floor_edge + BIN_WIDTH if boundary >= midpoint else floor_edge
+    if on_edge and not strictly_above:
+        return floor_edge
+    return floor_edge + BIN_WIDTH

@@ -2,6 +2,8 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ctcsim import (
     GeneralizabilityFlag,
@@ -15,10 +17,10 @@ from ctcsim import (
 )
 from ctcsim.classifier import BoundRule, CATEGORY_ORDER, assign_bins, category_cuts, cut_income
 from ctcsim.errors import ThresholdOutOfRange, UnavailableCategory
-from ctcsim.population import IncomeBin
+from ctcsim.population import BIN_WIDTH, IncomeBin
 from ctcsim.taxmath import ThresholdSet
 
-from oracle import grid_categories
+from oracle import cut_income_reference, grid_categories
 
 A, B, C, D, E, F = CATEGORY_ORDER
 
@@ -68,6 +70,37 @@ class TestCutRules:
     def test_negative_boundary_rejected(self):
         with pytest.raises(ThresholdOutOfRange):
             cut_income(Fraction(-1), False, BoundRule.UPPER)
+
+
+def denominators():
+    return st.one_of(st.integers(1, 1_000),
+                     st.sampled_from([7_919, 104_729, 1_299_709, 2**31 - 1, 2**61 - 1]))
+
+
+def boundaries():
+    """Incomes up to $200,000 and a little below zero: anywhere over a drawn
+    denominator, exactly on a bin edge or midpoint, or one unit of the
+    denominator to either side of one."""
+    anywhere = denominators().flatmap(
+        lambda den: st.integers(-den, 200_000 * den).map(lambda num: Fraction(num, den)))
+    half_edges = st.integers(0, 160).map(lambda k: Fraction(k * BIN_WIDTH, 2))
+    near = st.tuples(half_edges, st.sampled_from([-1, 1]), denominators()).map(
+        lambda t: t[0] + Fraction(t[1], t[2]))
+    return st.one_of(anywhere, half_edges, near)
+
+
+def cut_or_error(cut, boundary, strictly_above, rule):
+    try:
+        return cut(boundary, strictly_above, rule)
+    except ThresholdOutOfRange as exc:
+        return str(exc)
+
+
+@given(boundary=boundaries(), strictly_above=st.booleans(), rule=st.sampled_from(list(BoundRule)))
+@settings(max_examples=500, deadline=None)
+def test_cut_income_matches_fraction_reference(boundary, strictly_above, rule):
+    assert cut_or_error(cut_income, boundary, strictly_above, rule) == cut_or_error(
+        cut_income_reference, boundary, strictly_above, rule)
 
 
 class TestAssignment:

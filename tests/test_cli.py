@@ -210,6 +210,27 @@ class TestConfigAndDeterminism:
         assert code == 0
         assert hashlib.sha256(out.encode("utf-8")).hexdigest() == digest
 
+    @pytest.mark.parametrize("flags, digest", [
+        ([], "5be325217e44a22f9725bbdc2d6bbbc5a276b657de928e819b6989359fd3da4d"),
+        (["--liability", "table"], "c216f7c82ef2ccfe8fa1a0203cd991e82533baeaa1d411ee7542966365995907"),
+    ], ids=["exact", "table"])
+    def test_report_bytes_on_non_integer_money_are_pinned(self, capsys, tmp_path, flags, digest):
+        # Every money field the inversion scales gets a different denominator.
+        records = json.loads((DATA / "params.json").read_text())
+        for r in records:
+            r["standard_deduction"] += 0.5
+            if r["exemption_per_person"]:
+                r["exemption_per_person"] += 0.25
+            r["refund_threshold"] += 0.75
+            for b in r["brackets"]:
+                if "upper" in b:
+                    b["upper"] += 0.5
+        params = tmp_path / "params.json"
+        params.write_text(json.dumps(records))
+        code, out = run_cli(capsys, "report", "--params", str(params), *flags)
+        assert code == 0
+        assert hashlib.sha256(out.encode("utf-8")).hexdigest() == digest
+
     def test_report_zero_df_fits_have_no_standard_errors(self, tmp_path):
         out = tmp_path / "report.json"
         assert main(["report", "--out", str(out)]) == 0
@@ -349,6 +370,35 @@ class TestBadInput:
         path = tmp_path / "population.csv"
         path.write_bytes(b"year,group\n\xc0\xff\n")
         self.assert_one_line_error(capsys, "classify", "--population", str(path))
+
+    @pytest.mark.parametrize("edit", [
+        lambda r: r.update(standard_deduction="9500"),
+        lambda r: r.update(standard_deduction=float("nan")),
+        lambda r: r["brackets"][0].update(rate="abc"),
+        lambda r: r.update(refund_rate="x"),
+        lambda r: r.update(brackets=5),
+        lambda r: r.update(brackets=[5]),
+        lambda r: r["brackets"][0].update(upper="14000"),
+        lambda r: r["brackets"][0].pop("rate"),
+    ], ids=["deduction-string", "deduction-nan", "bracket-rate-string", "refund-rate-string",
+            "brackets-number", "bracket-number", "bracket-upper-string", "bracket-without-rate"])
+    def test_bad_parameter_value_names_file_and_year(self, capsys, tmp_path, edit):
+        records = json.loads((DATA / "params.json").read_text())
+        edit(records[0])  # the 2003 married_joint record
+        params = tmp_path / "params.json"
+        params.write_text(json.dumps(records))
+        line = self.assert_one_line_error(capsys, "thresholds", "--params", str(params),
+                                          "--year", "2003")
+        assert line.startswith(f"error: {params}: year 2003: ")
+
+    def test_non_integer_year_rejected(self, capsys, tmp_path):
+        records = json.loads((DATA / "params.json").read_text())
+        records[0]["year"] = 2003.5
+        params = tmp_path / "params.json"
+        params.write_text(json.dumps(records))
+        line = self.assert_one_line_error(capsys, "thresholds", "--params", str(params),
+                                          "--year", "2003")
+        assert line == f"error: {params}: year Fraction(4007, 2) is not an integer"
 
     @pytest.mark.parametrize("argv", [["thresholds", "--year", "abc"],
                                       ["classify", "--group", "nobody"],

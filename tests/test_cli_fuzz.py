@@ -1,7 +1,10 @@
-"""Argv fuzz: whatever the flags, a command exits 0, 1 or 2 with at most one stderr line."""
+"""Argv and parameter-file fuzz: whatever the flags or the parameter values, a command
+exits 0, 1 or 2 with at most one stderr line."""
 
 import contextlib
 import io
+import json
+from pathlib import Path
 
 import pytest
 from hypothesis import example, given, settings
@@ -84,6 +87,11 @@ def test_every_argv_ends_with_a_documented_exit(paths, drawn):
     argv = [command]
     for flag, value in own + other:
         argv += [flag] if value is None else [flag, paths.get(value, value)]
+    assert_documented_exit(argv)
+
+
+def assert_documented_exit(argv):
+    """`main(argv)` exits 0 silently on stderr, or 1 or 2 with one error line and no stdout."""
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         try:
@@ -97,3 +105,32 @@ def test_every_argv_ends_with_a_documented_exit(paths, drawn):
     else:
         assert len(lines) == 1 and lines[0].startswith(("error: ", "i/o error: ")), (argv, lines)
         assert out.getvalue() == "", argv
+
+
+RECORDS = json.loads((DATA / "params.json").read_text())
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=8)
+    | st.sampled_from(["9500", "0.1", "abc", 2003.5, [5], [{"rate": 0.1}], {}]),
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=6), inner,
+                                                                max_size=3),
+    max_leaves=6)
+
+
+@st.composite
+def edited_records(draw):
+    """The shipped parameter records with one field of one record, or of one of its
+    brackets, replaced by a drawn JSON value."""
+    records = json.loads(json.dumps(RECORDS))
+    record = draw(st.sampled_from(records))
+    target = draw(st.sampled_from([record, *record["brackets"]]))
+    target[draw(st.sampled_from(sorted(target)))] = draw(JSON_VALUES)
+    return records
+
+
+@given(records=edited_records(), argv=st.sampled_from([
+    ["thresholds"], ["thresholds", "--liability", "table"], ["classify", "--year", "2018"]]))
+@settings(max_examples=80, deadline=None)
+def test_every_parameter_value_ends_with_a_documented_exit(paths, records, argv):
+    params = Path(paths["directory"]) / "fuzzed-params.json"
+    params.write_text(json.dumps(records))
+    assert_documented_exit([*argv, "--params", str(params)])

@@ -231,7 +231,7 @@ class TestGoldenTables:
             params = params_by_year[year]
             fp = params.for_status(group.filing_status)
             profile = HouseholdProfile(group, pop.average_children(year, group))
-            total = fp.exemption_per_person * profile.persons_for_exemptions
+            total = fp.exemption_per_person * (profile.adults + profile.children)
             assert abs(total - table["exemption_total"][i]) <= Fraction(1, 2), year
 
     def test_group_average_breakdowns(self, params_by_year, pop):
@@ -338,24 +338,39 @@ class TestTableMode:
         assert abs(income - Fraction("11833.33")) < 1
 
 
+# Denominators that share no factor with one another or with the shipped money.
+COPRIME_DENOMINATORS = [3, 7, 9_973, 104_729, 1_299_709]
+
+
+def money(lo, hi):
+    """Whole dollars, or an amount over a drawn denominator: cents, quarters or a prime."""
+    denominator = st.sampled_from([2, 4, 100, *COPRIME_DENOMINATORS])
+    return st.one_of(st.integers(lo, hi), denominator.flatmap(
+        lambda den: st.integers(lo * den, hi * den).map(lambda num: Fraction(num, den))))
+
+
 @st.composite
 def rule_overrides(draw):
     """Overrides of a shipped year's rules, valid under ``strict=False``.
 
     Covers refundable maxima above the credit maximum, refund floors above
-    the tax-free amount and bracket schedules whose rates are all zero.
+    the tax-free amount, bracket schedules whose rates are all zero, and
+    money whose denominators differ from field to field.
     """
     overrides = {
         "ctc_per_child": draw(st.integers(100, 4_000)),
         "actc_per_child": draw(st.integers(100, 4_000)),
-        "refund_threshold": draw(st.integers(0, 60_000)),
+        "refund_threshold": draw(money(0, 60_000)),
         "refund_rate": draw(st.sampled_from(["0.05", "0.1", "0.15", "0.45", "1"])),
     }
+    for name, hi in (("standard_deduction", 30_000), ("exemption_per_person", 5_000)):
+        if draw(st.booleans()):
+            overrides[name] = draw(money(0, hi))
     bands = draw(st.integers(0, 3))
     if bands:
         rate = st.sampled_from(["0", "0.05", "0.1", "0.15", "0.25", "0.37"])
         rates = sorted(draw(st.lists(rate, min_size=bands, max_size=bands)), key=Fraction)
-        uppers = sorted(draw(st.sets(st.integers(1, 100_000), min_size=bands - 1,
+        uppers = sorted(draw(st.sets(money(1, 100_000), min_size=bands - 1,
                                      max_size=bands - 1)))
         overrides["brackets"] = ([{"upper": u, "rate": r} for u, r in zip(uppers, rates)]
                                  + [{"rate": rates[-1]}])
@@ -402,7 +417,10 @@ class TestInversionMatchesOracle:
     @given(
         year=st.sampled_from(sorted(range(2003, 2019))),
         group=st.sampled_from(list(ParentalGroup)),
-        children=st.integers(0, 800).map(lambda c: Fraction(c, 100)),
+        children=st.one_of(
+            st.integers(0, 800).map(lambda c: Fraction(c, 100)),
+            st.sampled_from(COPRIME_DENOMINATORS).flatmap(
+                lambda den: st.integers(0, 8 * den).map(lambda c: Fraction(c, den)))),
         overrides=rule_overrides(),
         target=st.one_of(st.sampled_from(["max_refund", "max_credit"]),
                          st.integers(1, 1_000_000).map(lambda c: Fraction(c, 100))),
@@ -414,6 +432,14 @@ class TestInversionMatchesOracle:
     # No liability is ever owed and the target exceeds the refundable maximum.
     @example(year=2018, group=ParentalGroup.MARRIED, children=Fraction(1),
              overrides={"brackets": [{"rate": "0"}], "actc_per_child": 1_400},
+             target="max_credit")
+    # Every money field the inversion scales has its own denominator.
+    @example(year=2018, group=ParentalGroup.SINGLE_FATHER, children=Fraction(17, 7),
+             overrides={"refund_threshold": Fraction(10_001, 4),
+                        "standard_deduction": Fraction(1_800_001, 100),
+                        "exemption_per_person": Fraction(4_051, 3),
+                        "brackets": [{"upper": Fraction(27_201, 2), "rate": "0.1"},
+                                     {"rate": "0.12"}]},
              target="max_credit")
     @settings(max_examples=300, deadline=None)
     def test_random_rule_sets(self, request, mode, year, group, children, overrides, target):

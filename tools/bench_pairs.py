@@ -1,0 +1,98 @@
+#!/usr/bin/env python3
+"""Paired parent/change benchmark runs, summarised into one record file.
+
+    python3 tools/bench_pairs.py --parent DIR --change DIR --seeds 9101:9110 \\
+        --workloads rule-sweep,report-exact,report-table --out BENCH_9.json
+
+Each DIR is a plain checkout of one commit (``git archive``, not a worktree).
+Both get their bytecode caches built the same way first. Then, per seed and
+workload, each side runs ``ctcbench/run.py --trace 0`` once; the side that runs
+first alternates from pair to pair. The record keeps every run's end-to-end
+metrics and, per workload and metric, each side's median and quartiles, the
+pairs the change won, and whether a gain may be claimed: wins in at least nine
+tenths of the pairs, and medians further apart than the parent's quartiles.
+"""
+
+from __future__ import annotations
+
+import argparse
+import json
+import os
+import platform
+import statistics
+import subprocess
+import sys
+from pathlib import Path
+
+
+def run_once(checkout: Path, workload: str, seed: int, seconds: float) -> dict:
+    proc = subprocess.run(
+        [sys.executable, "ctcbench/run.py", "--workload", workload, "--seed", str(seed),
+         "--seconds", str(seconds), "--trace", "0"],
+        cwd=checkout, capture_output=True, text=True, check=True)
+    result = json.loads(proc.stdout.strip().splitlines()[-1])
+    return {"correct": result["correct"], "attempted": result["attempted"],
+            "failed": result["failed"],
+            "metrics": {name: m["value"] for name, m in result["metrics"].items()}}
+
+
+def spread(values: list[float]) -> dict:
+    q1, median, q3 = statistics.quantiles(values, n=4, method="inclusive")
+    return {"median": median, "q1": q1, "q3": q3}
+
+
+def summarise(runs: list[dict], metrics: list[dict]) -> dict:
+    out: dict = {}
+    for workload in dict.fromkeys(r["workload"] for r in runs):
+        pairs = [r for r in runs if r["workload"] == workload]
+        out[workload] = {}
+        for m in metrics:
+            name, sign = m["name"], 1 if m["better"] == "higher" else -1
+            parent = [p["parent"]["metrics"][name] for p in pairs]
+            change = [p["change"]["metrics"][name] for p in pairs]
+            wins = sum(sign * (c - p) > 0 for p, c in zip(parent, change))
+            ties = sum(c == p for p, c in zip(parent, change))
+            before, after = spread(parent), spread(change)
+            gain = (wins >= 0.9 * len(pairs)
+                    and sign * (after["median"] - before["median"]) > before["q3"] - before["q1"])
+            out[workload][name] = {"unit": m["unit"], "better": m["better"], "parent": before,
+                                   "change": after, "change_wins": wins, "ties": ties,
+                                   "pairs": len(pairs), "gain_claimable": gain}
+    return out
+
+
+def main(argv: list[str] | None = None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    parser.add_argument("--parent", type=Path, required=True)
+    parser.add_argument("--change", type=Path, required=True)
+    parser.add_argument("--seeds", required=True, help="FIRST:LAST, inclusive")
+    parser.add_argument("--workloads", required=True, help="comma-separated")
+    parser.add_argument("--seconds", type=float, default=20)
+    parser.add_argument("--out", type=Path, required=True)
+    args = parser.parse_args(argv)
+    first, last = map(int, args.seeds.split(":"))
+    seeds = list(range(first, last + 1))
+    workloads = args.workloads.split(",")
+    sides = {"parent": args.parent.resolve(), "change": args.change.resolve()}
+    for checkout in sides.values():
+        subprocess.run([sys.executable, "-m", "compileall", "-q", "src", "ctcbench", "tests"],
+                       cwd=checkout, check=True)
+    metrics = json.loads((sides["change"] / "BENCHMARK.json").read_text())["end_to_end"]
+    runs = []
+    for i, (seed, workload) in enumerate((s, w) for s in seeds for w in workloads):
+        order = ["parent", "change"] if i % 2 == 0 else ["change", "parent"]
+        pair = {"seed": seed, "workload": workload, "first": order[0]}
+        for side in order:
+            pair[side] = run_once(sides[side], workload, seed, args.seconds)
+        runs.append(pair)
+        print(json.dumps(pair), file=sys.stderr, flush=True)
+    record = {"seeds": seeds, "pairs_per_workload": len(seeds), "seconds": args.seconds,
+              "nproc": len(os.sched_getaffinity(0)), "cpu_count": os.cpu_count(),
+              "python": platform.python_version(),
+              "workloads": summarise(runs, metrics), "runs": runs}
+    args.out.write_text(json.dumps(record, indent=1) + "\n")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
