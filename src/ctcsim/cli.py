@@ -163,13 +163,17 @@ class Run:
     def write(self, text: str) -> None:
         """Write `text` to stdout, or to the `--out` path whole or not at all.
 
-        The text goes to a new file beside the target that then replaces it,
-        so a failed write leaves neither a partial target nor the temp file.
+        The text goes to a new file beside the target, or the file a symlink
+        names, that then replaces it, so a failed write leaves neither a partial
+        target nor the temp file. A FIFO or device is written in place.
         """
         if not self.out:
             sys.stdout.write(text)
             return
-        target = Path(self.out)
+        target = Path(os.path.realpath(self.out))
+        if target.exists() and not target.is_file():
+            target.write_text(text, encoding="utf-8")
+            return
         tmp = target.parent / f".{target.name}.{os.getpid()}.{secrets.token_hex(4)}.tmp"
         fh = open(tmp, "x", encoding="utf-8")
         try:

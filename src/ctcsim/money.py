@@ -22,7 +22,7 @@ def as_money(value: MoneyLike) -> Fraction:
     if isinstance(value, bool):
         raise TypeError("bool is not a money amount")
     if isinstance(value, (int, Fraction)):
-        return Fraction(value)
+        return value if type(value) is Fraction else Fraction(value)
     raise TypeError(f"money must be int or Fraction, got {type(value).__name__}")
 
 

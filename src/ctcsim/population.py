@@ -12,7 +12,7 @@ import csv
 from dataclasses import dataclass
 from fractions import Fraction
 from pathlib import Path
-from typing import Mapping, Sequence
+from typing import Callable, Mapping, Sequence
 
 from .errors import EmptyGroup, EmptyHistogram, GapError, NegativeCount, ParseError
 from .params import ParentalGroup
@@ -59,6 +59,7 @@ class PopulationTable:
     ):
         self._bins = {key: tuple(value) for key, value in bins.items()}
         self._children = dict(children or {})
+        self._averages = {key: h.average() for key, h in self._children.items() if h.total() > 0}
 
     def years(self) -> list[int]:
         return sorted({year for year, _ in self._bins})
@@ -84,7 +85,8 @@ class PopulationTable:
             ) from None
 
     def average_children(self, year: int, group: ParentalGroup) -> Fraction:
-        return self.children_histogram(year, group).average()
+        average = self._averages.get((year, group))
+        return self.children_histogram(year, group).average() if average is None else average
 
 
 def _int_field(row: Mapping[str, str], field: str, where: str) -> int:
@@ -103,33 +105,54 @@ def _group_field(row: Mapping[str, str], where: str) -> ParentalGroup:
         raise ParseError(f"{where}: unknown group {raw!r}") from None
 
 
-def load_population(path: str | Path, children_path: str | Path | None = None) -> PopulationTable:
-    """Load bin counts (and optionally children histograms) from CSV files."""
-    path = Path(path)
-    rows: dict[tuple[int, ParentalGroup], list[IncomeBin]] = {}
+def _read_cells(path: Path, header: list[str], parse: Callable) -> dict:
+    """A CSV file with `header` as {(year, group): {key: value}}, each row checked and
+    keyed by ``parse(row, where)``; a key repeated in a (year, group) names both lines."""
+    cells: dict = {}  # (year, group) -> key -> (value, line)
     with path.open(newline="", encoding="utf-8") as fh:
         reader = csv.DictReader(fh)
-        expected = ["year", "group", "bin_lower", "bin_upper", "count"]
-        if reader.fieldnames != expected:
-            raise ParseError(f"{path}: header must be {','.join(expected)}")
+        if reader.fieldnames != header:
+            raise ParseError(f"{path}: header must be {','.join(header)}")
         for lineno, row in enumerate(reader, start=2):
             where = f"{path}:{lineno}"
-            year = _int_field(row, "year", where)
-            group = _group_field(row, where)
-            lower = _int_field(row, "bin_lower", where)
-            upper = _int_field(row, "bin_upper", where)
-            count = _int_field(row, "count", where)
-            if count < 0:
-                raise NegativeCount(f"{where}: negative count {count}")
-            if upper - lower != BIN_WIDTH:
-                raise ParseError(f"{where}: bin width must be {BIN_WIDTH}")
-            if lower < 0 or upper > INCOME_CEILING:
-                raise ParseError(f"{where}: bins must lie within [0, {INCOME_CEILING})")
-            rows.setdefault((year, group), []).append(IncomeBin(lower, upper, count))
+            cell = cells.setdefault((_int_field(row, "year", where), _group_field(row, where)), {})
+            key, value = parse(row, where)
+            if key in cell:
+                raise ParseError(f"{where}: duplicate row, first seen on line {cell[key][1]}")
+            cell[key] = value, lineno
+    return {k: {key: value for key, (value, _) in cell.items()} for k, cell in cells.items()}
 
+
+def _income_bin(row: Mapping[str, str], where: str) -> tuple[int, IncomeBin]:
+    lower = _int_field(row, "bin_lower", where)
+    upper = _int_field(row, "bin_upper", where)
+    count = _int_field(row, "count", where)
+    if count < 0:
+        raise NegativeCount(f"{where}: negative count {count}")
+    if upper - lower != BIN_WIDTH:
+        raise ParseError(f"{where}: bin width must be {BIN_WIDTH}")
+    if lower < 0 or upper > INCOME_CEILING:
+        raise ParseError(f"{where}: bins must lie within [0, {INCOME_CEILING})")
+    return lower, IncomeBin(lower, upper, count)
+
+
+def _children_count(row: Mapping[str, str], where: str) -> tuple[str, int]:
+    key = (row.get("children") or "").strip()
+    if key not in CHILDREN_KEYS:
+        raise ParseError(f"{where}: children must be one of {CHILDREN_KEYS}")
+    count = _int_field(row, "count", where)
+    if count < 0:
+        raise NegativeCount(f"{where}: negative count {count}")
+    return key, count
+
+
+def load_population(path: str | Path, children_path: str | Path | None = None) -> PopulationTable:
+    """Load bin counts (and optionally children histograms) from CSV files."""
+    rows = _read_cells(Path(path), ["year", "group", "bin_lower", "bin_upper", "count"],
+                       _income_bin)
     bins: dict[tuple[int, ParentalGroup], tuple[IncomeBin, ...]] = {}
-    for key, seq in rows.items():
-        seq.sort(key=lambda b: b.lower)
+    for key, by_lower in rows.items():
+        seq = sorted(by_lower.values(), key=lambda b: b.lower)
         expected_lower = 0
         for b in seq:
             if b.lower != expected_lower:
@@ -149,26 +172,6 @@ def load_population(path: str | Path, children_path: str | Path | None = None) -
     if years and years[-1] - years[0] + 1 != len(years):
         raise GapError(f"years are not contiguous: {years}")
 
-    children = _load_children(Path(children_path)) if children_path else {}
-    return PopulationTable(bins, children)
-
-
-def _load_children(path: Path) -> dict[tuple[int, ParentalGroup], ChildrenHistogram]:
-    out: dict[tuple[int, ParentalGroup], dict[str, int]] = {}
-    with path.open(newline="", encoding="utf-8") as fh:
-        reader = csv.DictReader(fh)
-        expected = ["year", "group", "children", "count"]
-        if reader.fieldnames != expected:
-            raise ParseError(f"{path}: header must be {','.join(expected)}")
-        for lineno, row in enumerate(reader, start=2):
-            where = f"{path}:{lineno}"
-            year = _int_field(row, "year", where)
-            group = _group_field(row, where)
-            key = (row.get("children") or "").strip()
-            if key not in CHILDREN_KEYS:
-                raise ParseError(f"{where}: children must be one of {CHILDREN_KEYS}")
-            count = _int_field(row, "count", where)
-            if count < 0:
-                raise NegativeCount(f"{where}: negative count {count}")
-            out.setdefault((year, group), {})[key] = out.setdefault((year, group), {}).get(key, 0) + count
-    return {key: ChildrenHistogram(counts) for key, counts in out.items()}
+    children = (_read_cells(Path(children_path), ["year", "group", "children", "count"],
+                            _children_count) if children_path else {})
+    return PopulationTable(bins, {cell: ChildrenHistogram(c) for cell, c in children.items()})

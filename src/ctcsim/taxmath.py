@@ -12,11 +12,12 @@ never fall as income grows, so the threshold is the larger of their two
 minimal incomes, and one walk over the linear segments in income space
 finds each (with the refund rate as ramp, then with ramp 0).
 
-The walk runs on integers: money (the tax-free amount, refund floor, bracket
-uppers, target) over D, the lcm of its denominators, and rates over Q, the
-lcm of theirs, so each running total is an integer over D·Q. Integers over a
-fixed denominator add, multiply and compare exactly, as Fractions do but
-without a gcd per step; each answer is then built as one Fraction.
+The walk runs on integers, scaled once per household: money (the tax-free
+amount, refund floor, bracket uppers, targets) over D, the lcm of its
+denominators, and rates over Q, the lcm of theirs, so each running total is
+an integer over D·Q. Integers over a fixed denominator add, multiply and
+compare exactly, as Fractions do but without a gcd per step; each answer is
+then built as one Fraction.
 
 Two liability modes are supported: ``EXACT`` applies the bracket schedule
 analytically; ``TABLE`` evaluates liability at the midpoint of the
@@ -183,70 +184,97 @@ def _over(x: Fraction, den: int) -> int:
     return x.numerator * (den // x.denominator)
 
 
-def _scaled(target: Fraction, profile, params, ramp: Fraction):
-    """``(D, target over D·Q, floor over D, ramp over Q, bands)``, where the
-    bands are (upper income over D or None, rate over Q), the tax-free band first.
+class _Kernel:
+    """One household's rules on integers, scaled once for all its inversions.
+
+    D also covers the refundable maximum and the targets named when it is built,
+    and only those; the bands are (upper income over D or None, rate over Q).
     """
-    free = tax_free_amount(profile, params)
-    floor = params.refund_threshold
-    brackets = _filing(profile, params).brackets.brackets
-    d = lcm(free.denominator, floor.denominator, target.denominator,
-            *(b.upper.denominator for b in brackets if b.upper is not None))
-    q = lcm(ramp.denominator, *(b.rate.denominator for b in brackets))
-    free = _over(free, d)
-    bands = [(free, 0)] + [
-        (None if b.upper is None else free + _over(b.upper, d), _over(b.rate, q)) for b in brackets
-    ]
-    return d, _over(target, d) * q, _over(floor, d), _over(ramp, q), bands
 
+    __slots__ = ("mode", "d", "q", "free_amount", "refundable", "free", "floor", "rate", "bands")
 
-def _first_income(target: Fraction, profile, params, ramp: Fraction) -> Fraction | None:
-    """Minimal income where exact liability plus `ramp` per dollar above the
-    refund floor reaches `target` > 0, or None if the total tops out below it.
+    def __init__(self, profile: HouseholdProfile, params: ProgramParameters,
+                 mode: LiabilityMode, *targets: Fraction):
+        free = self.free_amount = tax_free_amount(profile, params)
+        refundable = self.refundable = max_refund(profile, params)
+        floor, brackets = params.refund_threshold, _filing(profile, params).brackets.brackets
+        d = lcm(free.denominator, floor.denominator, refundable.denominator,
+                *(t.denominator for t in targets),
+                *(b.upper.denominator for b in brackets if b.upper is not None))
+        q = lcm(params.refund_rate.denominator, *(b.rate.denominator for b in brackets))
+        self.mode, self.d, self.q, self.rate = mode, d, q, _over(params.refund_rate, q)
+        self.free, self.floor = free, floor = _over(free, d), _over(floor, d)
+        self.bands = [(free, 0)] + [(None if b.upper is None else free + _over(b.upper, d),
+                                     _over(b.rate, q)) for b in brackets]
 
-    Segments: the tax-free band, then the brackets shifted by the tax-free
-    amount, each split at the refund floor, with a running total over D·Q.
-    """
-    d, target, floor, ramp, bands = _scaled(target, profile, params, ramp)
-    lo = total = 0
-    for hi, rate in bands:
-        for end in (floor, hi) if lo < floor and (hi is None or floor < hi) else (hi,):
-            slope = rate + ramp if lo >= floor else rate
-            if slope and (end is None or total + slope * (end - lo) >= target):
-                return Fraction(lo * slope + target - total, d * slope)
-            if end is not None:
-                total, lo = total + slope * (end - lo), end
-    return None
+    def refund_credit(self, target: Fraction) -> Fraction:
+        """See :func:`refund_credit_threshold`."""
+        t = _over(target, self.d)
+        if t <= 0:
+            raise Unreachable("threshold target must be positive")
+        income = (self._table_phase_in(t) if self.mode is LiabilityMode.TABLE
+                  else self._first_income(t, self.rate))
+        gap = t - _over(self.refundable, self.d)
+        try:
+            return max(income, self.liability(gap)) if gap > 0 else income
+        except ValidationError:
+            raise Unreachable(f"benefit target {target} is never reached") from None
 
+    def liability(self, t: int) -> Fraction:
+        """See :func:`liability_threshold`; the target is t/D."""
+        if t <= 0:
+            return self.free_amount
+        income = self._first_income(t, 0)
+        if income is None:
+            raise ValidationError(f"tax target {Fraction(t, self.d)} unreachable under schedule")
+        if self.mode is LiabilityMode.TABLE:  # the first $50 row whose midpoint clears t/D
+            row = -((self.free_amount + TABLE_ROW_WIDTH / 2 - income) // TABLE_ROW_WIDTH)
+            return self.free_amount + row * TABLE_ROW_WIDTH
+        return income
 
-def _table_phase_in_threshold(target: Fraction, profile, params) -> Fraction:
-    """Minimal income where table liability plus the uncapped phase-in reaches
-    `target`: the first $50 row holding a solution, then the solve within it.
-    Incomes in the search are integers over D·rate (the refund rate over Q)."""
-    d, target, floor, rate, bands = _scaled(target, profile, params, params.refund_rate)
-    free, width = bands[0][0], int(TABLE_ROW_WIDTH) * d
+    def _first_income(self, t: int, ramp: int) -> Fraction | None:
+        """Minimal income where exact liability plus `ramp` (over Q) per dollar above
+        the refund floor reaches t/D > 0, or None if the total tops out below it.
+        Segments are the bands split at the refund floor; the running total is over D·Q."""
+        floor, target = self.floor, t * self.q
+        lo = total = 0
+        for hi, rate in self.bands:
+            for end in (floor, hi) if lo < floor and (hi is None or floor < hi) else (hi,):
+                slope = rate + ramp if lo >= floor else rate
+                if slope and (end is None or total + slope * (end - lo) >= target):
+                    return Fraction(lo * slope + target - total, self.d * slope)
+                if end is not None:
+                    total, lo = total + slope * (end - lo), end
+        return None
 
-    def liability(income: int) -> int:
-        """Exact liability at `income` over D, as an integer over D·Q."""
-        total = lo = 0
-        for hi, band_rate in bands:
-            if hi is None or income <= hi:
-                return total + band_rate * (income - lo)
-            total, lo = total + band_rate * (hi - lo), hi
+    def _table_phase_in(self, t: int) -> Fraction:
+        """Minimal income where table liability plus the uncapped phase-in reaches
+        t/D: the first $50 row holding a solution, then the solve within it.
+        Incomes in the search are integers over D·rate (the refund rate over Q)."""
+        d, target, floor, rate, bands = self.d, t * self.q, self.floor, self.rate, self.bands
+        free, width = self.free, int(TABLE_ROW_WIDTH) * d
 
-    def min_income_in(k: int):
-        """Minimal income in row k reaching the target, or None; row -1 is all below `free`."""
-        lo = (free + k * width if k >= 0 else 0) * rate
-        need = target - liability(free + (2 * k + 1) * width // 2)
-        y = lo if need <= 0 else max(lo, floor * rate + need)
-        return y if y < (free + (k + 1) * width) * rate else None
+        def liability(income: int) -> int:
+            """Exact liability at `income` over D, as an integer over D·Q."""
+            total = lo = 0
+            for hi, band_rate in bands:
+                if hi is None or income <= hi:
+                    return total + band_rate * (income - lo)
+                total, lo = total + band_rate * (hi - lo), hi
 
-    # The row where the phase-in alone reaches the target holds a solution.
-    lo, hi = -1, max(-1, ((floor - free) * rate + target) // (width * rate))
-    while lo < hi:
-        mid = (lo + hi) // 2
-        lo, hi = (lo, mid) if min_income_in(mid) is not None else (mid + 1, hi)
-    return Fraction(min_income_in(lo), d * rate)
+        def min_income_in(k: int):
+            """Minimal income in row k reaching the target, or None; row -1 is all below `free`."""
+            lo = (free + k * width if k >= 0 else 0) * rate
+            need = target - liability(free + (2 * k + 1) * width // 2)
+            y = lo if need <= 0 else max(lo, floor * rate + need)
+            return y if y < (free + (k + 1) * width) * rate else None
+
+        # The row where the phase-in alone reaches the target holds a solution.
+        lo, hi = -1, max(-1, ((floor - free) * rate + target) // (width * rate))
+        while lo < hi:
+            mid = (lo + hi) // 2
+            lo, hi = (lo, mid) if min_income_in(mid) is not None else (mid + 1, hi)
+        return Fraction(min_income_in(lo), d * rate)
 
 
 def refund_credit_threshold(
@@ -266,17 +294,7 @@ def refund_credit_threshold(
     liability is 0 there but ``tax($25)`` a cent above, where the target is met.
     """
     target = as_money(target)
-    if target <= 0:
-        raise Unreachable("threshold target must be positive")
-    if mode is LiabilityMode.TABLE:
-        income = _table_phase_in_threshold(target, profile, params)
-    else:
-        income = _first_income(target, profile, params, params.refund_rate)
-    gap = target - max_refund(profile, params)
-    try:
-        return max(income, liability_threshold(gap, profile, params, mode)) if gap > 0 else income
-    except ValidationError:
-        raise Unreachable(f"benefit target {target} is never reached") from None
+    return _Kernel(profile, params, mode, target).refund_credit(target)
 
 
 def liability_threshold(
@@ -291,17 +309,8 @@ def liability_threshold(
     (possible only when the last rate is zero).
     """
     target = as_money(target)
-    if target <= 0:
-        return tax_free_amount(profile, params)
-    income = _first_income(target, profile, params, Fraction(0))
-    if income is None:
-        raise ValidationError(f"tax target {target} unreachable under schedule")
-    if mode is LiabilityMode.TABLE:
-        # First $50 row whose midpoint liability clears the target.
-        free = tax_free_amount(profile, params)
-        row = -((free + TABLE_ROW_WIDTH / 2 - income) // TABLE_ROW_WIDTH)
-        return free + row * TABLE_ROW_WIDTH
-    return income
+    kernel = _Kernel(profile, params, mode, target)
+    return kernel.liability(_over(target, kernel.d))
 
 
 def invert_benefit(
@@ -344,13 +353,15 @@ def _thresholds(
     profile: HouseholdProfile, params: ProgramParameters, mode: LiabilityMode
 ) -> ThresholdSet:
     fp = _filing(profile, params)
+    credit = max_credit(profile, params)
+    kernel = _Kernel(profile, params, mode, credit)
     ts = ThresholdSet(
         t_refund_floor=params.refund_threshold,
-        t_full_actc=refund_credit_threshold(max_refund(profile, params), profile, params, mode),
-        t_full_ctc=liability_threshold(max_credit(profile, params), profile, params, mode),
+        t_full_actc=kernel.refund_credit(kernel.refundable),
+        t_full_ctc=kernel.liability(_over(credit, kernel.d)),
         t_phaseout_start=fp.phaseout_start,
-        t_total_phaseout=fp.phaseout_start + max_credit(profile, params) / params.phaseout_rate,
-        t_full_combined=refund_credit_threshold(max_credit(profile, params), profile, params, mode),
+        t_total_phaseout=fp.phaseout_start + credit / params.phaseout_rate,
+        t_full_combined=kernel.refund_credit(credit),
     )
     ordered = (
         ts.t_refund_floor <= ts.t_full_actc <= ts.t_full_ctc <= ts.t_phaseout_start

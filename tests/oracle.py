@@ -12,8 +12,10 @@ inversion, built only on the public ``tax_liability`` and the bracket
 schedule: :func:`exact_threshold_walk` evaluates credit plus capped refund
 at every breakpoint of the piecewise-linear benefit and interpolates,
 :func:`table_threshold_scan` walks every $50 row in table mode, and
-:func:`liability_reference` solves the brackets one by one. The bin cut has
-one too: :func:`cut_income_reference` computes it in Fraction arithmetic.
+:func:`liability_reference` solves the brackets one by one;
+:func:`thresholds_reference` and :func:`full_relief_cuts_reference` assemble
+a threshold set and the full-benefit cuts from them. The bin cut has one
+too: :func:`cut_income_reference` computes it in Fraction arithmetic.
 """
 
 from __future__ import annotations
@@ -214,6 +216,56 @@ def liability_reference(target: Fraction, profile, params, mode) -> Fraction:
             row += 1
         taxable = row * TABLE_ROW_WIDTH
     return free + taxable
+
+
+def thresholds_reference(profile, params, mode):
+    """The threshold set from the references above, inverted in the engine's order.
+
+    Full refundable benefit and full combined benefit come from the refund
+    walk (the breakpoint walk, or the row scan in table mode), full credit
+    from :func:`liability_reference`; a target of zero is never reached.
+    """
+    from ctcsim.errors import Unreachable
+    from ctcsim.taxmath import LiabilityMode, ThresholdSet, max_credit, max_refund
+
+    def refund_walk(target):
+        if target <= 0:
+            raise Unreachable("threshold target must be positive")
+        walk = exact_threshold_walk if mode is LiabilityMode.EXACT else table_threshold_scan
+        return walk(target, profile, params)
+
+    fp = params.for_status(profile.group.filing_status)
+    credit = max_credit(profile, params)
+    return ThresholdSet(
+        t_refund_floor=params.refund_threshold,
+        t_full_actc=refund_walk(max_refund(profile, params)),
+        t_full_ctc=liability_reference(credit, profile, params, mode),
+        t_phaseout_start=fp.phaseout_start,
+        t_total_phaseout=fp.phaseout_start + credit / params.phaseout_rate,
+        t_full_combined=refund_walk(credit),
+    )
+
+
+def full_relief_cuts_reference(profile, params, rule, mode) -> tuple[int, int]:
+    """Bin-edge cuts of full-benefit eligibility from the references above.
+
+    The lower cut is where the refund walk reaches the credit maximum, the
+    upper one the phaseout start; a maximum of zero, or one reached only past
+    the phaseout start, is unreachable.
+    """
+    from ctcsim.errors import Unreachable
+    from ctcsim.taxmath import LiabilityMode, max_credit
+
+    target = max_credit(profile, params)
+    if target <= 0:
+        raise Unreachable(f"benefit target {target} exceeds the maximum {target}")
+    walk = exact_threshold_walk if mode is LiabilityMode.EXACT else table_threshold_scan
+    income = walk(target, profile, params)
+    phaseout = params.for_status(profile.group.filing_status).phaseout_start
+    if income > phaseout:
+        raise Unreachable(f"benefit target {target} is eroded by the phaseout before it accrues")
+    return (cut_income_reference(income, strictly_above=False, rule=rule),
+            cut_income_reference(phaseout, strictly_above=True, rule=rule))
 
 
 def cut_income_reference(boundary: Fraction, strictly_above: bool, rule) -> int:

@@ -2,8 +2,11 @@ import csv
 import hashlib
 import io
 import json
+import os
+import stat
 import subprocess
 import sys
+import threading
 
 import pytest
 
@@ -278,6 +281,33 @@ class TestConfigAndDeterminism:
         assert [p.name for p in tmp_path.iterdir()] == ["t.csv"]
         assert target.read_text().startswith("year,")
 
+    def test_out_through_symlink_writes_the_file_it_names(self, tmp_path, capsys):
+        real = tmp_path / "real.csv"
+        real.write_text("stale\n")
+        link = tmp_path / "link.csv"
+        link.symlink_to(real)
+        code, out = run_cli(capsys, "thresholds", "--year", "2009", "--out", str(link))
+        assert code == 0 and out == ""
+        assert link.is_symlink() and os.readlink(link) == str(real)
+        assert real.read_text().startswith("year,")
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["link.csv", "real.csv"]
+
+    def test_out_fifo_receives_the_bytes_and_stays_a_fifo(self, tmp_path, capsys):
+        _, expected = run_cli(capsys, "thresholds", "--year", "2009")
+        fifo = tmp_path / "pipe"
+        os.mkfifo(fifo)
+        received = []
+        # A daemon, so that a writer which never opens the FIFO cannot hang the run.
+        reader = threading.Thread(target=lambda: received.append(fifo.read_bytes()), daemon=True)
+        reader.start()
+        code, out = run_cli(capsys, "thresholds", "--year", "2009", "--out", str(fifo))
+        reader.join(timeout=30)
+        assert not reader.is_alive()
+        assert code == 0 and out == ""
+        assert received == [expected.encode("utf-8")]
+        assert stat.S_ISFIFO(os.stat(fifo).st_mode)
+        assert [p.name for p in tmp_path.iterdir()] == ["pipe"]
+
     def test_one_year_report_has_no_did_rows(self, tmp_path):
         out = tmp_path / "report.json"
         assert main(["report", "--years", "2018", "--out", str(out)]) == 0
@@ -365,6 +395,18 @@ class TestBadInput:
         line = self.assert_one_line_error(
             capsys, command, "--population", str(bad_populations["zero_group"]))
         assert line.endswith("year 2010 single_father: population has zero total")
+
+    @pytest.mark.parametrize("flag, name, prefix", [
+        ("--population", "population.csv", "2003,married,2500,"),
+        ("--children", "children.csv", "2003,married,0,"),
+    ])
+    def test_duplicated_row_names_both_lines(self, capsys, tmp_path, flag, name, prefix):
+        lines = (DATA / name).read_text().splitlines()
+        first = next(n for n, line in enumerate(lines, start=1) if line.startswith(prefix))
+        path = tmp_path / name
+        path.write_text("\n".join([*lines, lines[first - 1]]) + "\n")
+        line = self.assert_one_line_error(capsys, "classify", flag, str(path))
+        assert line == f"error: {path}:{len(lines) + 1}: duplicate row, first seen on line {first}"
 
     def test_input_file_not_utf8(self, capsys, tmp_path):
         path = tmp_path / "population.csv"

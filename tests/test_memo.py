@@ -33,10 +33,43 @@ def inversions(monkeypatch):
     return calls
 
 
+@pytest.fixture
+def kernels(monkeypatch):
+    """Counts builds of the per-household integer kernel."""
+    built = []
+
+    class Counted(taxmath._Kernel):
+        __slots__ = ()
+
+        def __init__(self, *args):
+            built.append(args)
+            super().__init__(*args)
+
+    monkeypatch.setattr(taxmath, "_Kernel", Counted)
+    return built
+
+
 def test_report_inverts_each_distinct_threshold_set_once(inversions, tmp_path):
     assert main(["report", "--out", str(tmp_path / "r.json")]) == 0
     assert len(inversions) == 150
     assert len(set(inversions)) == 150
+
+
+@pytest.mark.parametrize("liability", ["exact", "table"])
+def test_report_scales_each_household_once_per_inversion_set(kernels, tmp_path, liability):
+    # 150 threshold sets, one kernel each, and 174 full-benefit inversions.
+    assert main(["report", "--liability", liability, "--out", str(tmp_path / "r.json")]) == 0
+    assert len(kernels) == 324
+
+
+def test_one_kernel_per_threshold_set(kernels, params_by_year, pop):
+    for profile in (HouseholdProfile.one_child(ParentalGroup.SINGLE_MOTHER),
+                    HouseholdProfile(ParentalGroup.MARRIED,
+                                     pop.average_children(2017, ParentalGroup.MARRIED))):
+        for mode in taxmath.LiabilityMode:
+            kernels.clear()
+            thresholds(profile, params_by_year[2017], mode)
+            assert len(kernels) == 1
 
 
 def test_no_memo_outside_a_command(inversions, params_by_year, tmp_path):

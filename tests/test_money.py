@@ -10,6 +10,12 @@ def test_as_money_accepts_int_and_fraction():
     assert as_money(Fraction(1, 3)) == Fraction(1, 3)
 
 
+def test_as_money_returns_an_exact_fraction_itself():
+    amount = Fraction(7, 3)
+    assert as_money(amount) is amount
+    assert type(as_money(7)) is Fraction
+
+
 def test_as_money_rejects_float_and_bool():
     with pytest.raises(TypeError):
         as_money(1.5)

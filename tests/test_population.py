@@ -88,6 +88,13 @@ class TestLoad:
         table = load_population(write_population(tmp_path, full_rows("2018")))
         assert table.years() == [2018]
 
+    def test_duplicate_bin_names_both_lines(self, tmp_path):
+        rows = full_rows() + ["2010,married,2500,5000,7"]
+        path = write_population(tmp_path, rows)
+        with pytest.raises(ParseError) as raised:
+            load_population(path)
+        assert str(raised.value) == f"{path}:42: duplicate row, first seen on line 3"
+
 
 class TestChildren:
     def test_all_one(self):
@@ -110,6 +117,31 @@ class TestChildren:
         h = ChildrenHistogram({"0": 3, "2": 5, "5": 1})
         scaled = ChildrenHistogram({k: 7 * v for k, v in h.counts.items()})
         assert h.average() == scaled.average()
+
+    def test_duplicate_children_row_names_both_lines(self, tmp_path):
+        children = tmp_path / "children.csv"
+        children.write_text("year,group,children,count\n2010,married,0,5\n"
+                            "2010,married,1,3\n2010,married,0,5\n")
+        with pytest.raises(ParseError) as raised:
+            load_population(write_population(tmp_path, full_rows()), children)
+        assert str(raised.value) == f"{children}:4: duplicate row, first seen on line 2"
+
+    def test_average_children_is_the_histogram_average(self, pop):
+        for year in pop.years():
+            for group in ParentalGroup:
+                average = pop.children_histogram(year, group).average()
+                assert pop.average_children(year, group) == average
+
+    def test_empty_histogram_raises_at_lookup_not_load(self, tmp_path):
+        children = tmp_path / "children.csv"
+        children.write_text("year,group,children,count\n2010,married,0,0\n"
+                            "2010,single_mother,2,4\n")
+        table = load_population(write_population(tmp_path, full_rows()), children)
+        assert table.average_children(2010, ParentalGroup.SINGLE_MOTHER) == 2
+        with pytest.raises(EmptyHistogram, match="no respondents"):
+            table.average_children(2010, ParentalGroup.MARRIED)
+        with pytest.raises(EmptyHistogram, match="no children histogram"):
+            table.average_children(2010, ParentalGroup.SINGLE_FATHER)
 
     def test_fixture_averages_match_benchmarks(self, pop, benchmarks):
         for group in ParentalGroup:

@@ -15,8 +15,11 @@ from ctcsim import (
     tax_liability,
     thresholds,
 )
-from ctcsim.errors import Unreachable, ValidationError
+from ctcsim.classifier import BoundRule
+from ctcsim.counterfactual import full_relief_cuts
+from ctcsim.errors import OrderingViolation, Unreachable, ValidationError
 from ctcsim.taxmath import (
+    ThresholdSet,
     liability_threshold,
     max_credit,
     max_refund,
@@ -25,7 +28,14 @@ from ctcsim.taxmath import (
 )
 
 import goldens
-from oracle import exact_threshold_walk, grid_categories, liability_reference, table_threshold_scan
+from oracle import (
+    exact_threshold_walk,
+    full_relief_cuts_reference,
+    grid_categories,
+    liability_reference,
+    table_threshold_scan,
+    thresholds_reference,
+)
 
 ONE_SINGLE = HouseholdProfile.one_child(ParentalGroup.SINGLE_MOTHER)
 ONE_MARRIED = HouseholdProfile.one_child(ParentalGroup.MARRIED)
@@ -383,12 +393,14 @@ class TestInversionMatchesOracle:
 
     Exact mode is checked against the breakpoint walk, table mode against
     the row-by-row scan, and ``liability_threshold`` against the
-    bracket-by-bracket solve in both modes.
+    bracket-by-bracket solve in both modes. ``thresholds`` and
+    ``full_relief_cuts``, which run their inversions without the public
+    functions, are checked against the same references.
     """
 
     @staticmethod
-    def assert_same(reference, engine):
-        """Both calls return the same Fraction, or both raise the same error."""
+    def assert_same(reference, engine, kind=Fraction):
+        """Both calls return the same `kind` of value, or both raise the same error."""
         try:
             expected = reference()
         except (Unreachable, ValidationError) as exc:
@@ -397,7 +409,18 @@ class TestInversionMatchesOracle:
             assert (type(raised.value), str(raised.value)) == (type(exc), str(exc))
             return
         got = engine()
-        assert (type(got), got) == (Fraction, expected)
+        assert (type(got), got) == (kind, expected)
+
+    def assert_thresholds_match_oracle(self, profile, params, mode):
+        try:
+            self.assert_same(lambda: thresholds_reference(profile, params, mode),
+                             lambda: thresholds(profile, params, mode), kind=ThresholdSet)
+        except OrderingViolation as exc:  # every inversion succeeded; the message names them
+            expected = thresholds_reference(profile, params, mode)
+            assert str(exc) == f"thresholds are not monotone for year {params.year}: {expected}"
+        for rule in BoundRule:
+            self.assert_same(lambda: full_relief_cuts_reference(profile, params, rule, mode),
+                             lambda: full_relief_cuts(profile, params, rule, mode), kind=tuple)
 
     def assert_matches_oracle(self, target, profile, params, mode):
         walk = exact_threshold_walk if mode is LiabilityMode.EXACT else table_threshold_scan
@@ -413,6 +436,7 @@ class TestInversionMatchesOracle:
                     profile = HouseholdProfile(group, children)
                     for target in (max_refund(profile, params), max_credit(profile, params)):
                         self.assert_matches_oracle(target, profile, params, mode)
+                    self.assert_thresholds_match_oracle(profile, params, mode)
 
     @given(
         year=st.sampled_from(sorted(range(2003, 2019))),
@@ -452,6 +476,7 @@ class TestInversionMatchesOracle:
             target = max_credit(profile, params)
         if target > 0:
             self.assert_matches_oracle(target, profile, params, mode)
+        self.assert_thresholds_match_oracle(profile, params, mode)
 
 
 class TestGridEquivalence:
