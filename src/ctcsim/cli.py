@@ -25,7 +25,6 @@ from . import counterfactual as cf
 from .classifier import CATEGORY_ORDER, ReliefCategory, Scenario
 from .errors import CtcsimError, ParseError, ValidationError
 from .memo import command_scope
-from .money import ceil_to_cent, dollars_str
 from .params import ParentalGroup, apply_overrides, load_params, params_for_year
 from .population import load_population
 from .stats import build_panel, did, fixed_effects
@@ -95,12 +94,16 @@ def _load_config(path: str) -> dict:
     return config
 
 
-def _fmt_share(value: Fraction) -> str:
+def _fmt_share(value: Fraction | float) -> str:
+    """Six decimals; ``count / total`` prints as its Fraction: int / int is correctly rounded."""
     return f"{float(value):.6f}"
 
 
-def _fmt_money(value) -> str:
-    return dollars_str(ceil_to_cent(Fraction(value)))
+def _fmt_money(value: Fraction) -> str:
+    """Dollars rounded up to the cent."""
+    cents = -(-value.numerator * 100 // value.denominator)
+    sign, cents = ("-", -cents) if cents < 0 else ("", cents)
+    return f"{sign}{cents // 100}.{cents % 100:02d}"
 
 
 class Run:
@@ -223,6 +226,7 @@ def rows_classify(run: Run, years, groups, scenarios) -> list[dict]:
         for group in groups:
             for scenario in scenarios:
                 est = cf.eligibility(run.pop, year, group, params, scenario, mode=run.mode)
+                total = est.total
                 for cat in CATEGORY_ORDER:
                     rows.append({
                         "year": year,
@@ -230,7 +234,7 @@ def rows_classify(run: Run, years, groups, scenarios) -> list[dict]:
                         "scenario": scenario.value,
                         "category": cat.value,
                         "count": est.counts[cat],
-                        "proportion": _fmt_share(est.proportion(cat)),
+                        "proportion": _fmt_share(est.counts[cat] / total),
                         "flag": est.flags[cat].value,
                     })
     return rows
@@ -390,8 +394,7 @@ def _outcome_series(run: Run, outcome: str, years, scenario: Scenario):
         params = params_for_year(run.params, year)
         for group in GROUPS:
             est = cf.eligibility(run.pop, year, group, params, scenario, mode=run.mode)
-            share = sum((est.proportion(c) for c in cats), Fraction(0))
-            rows.append((year, group, share))
+            rows.append((year, group, sum(est.counts[c] for c in cats) / est.total))
     return build_panel(rows)
 
 
@@ -601,7 +604,7 @@ def main(argv: list[str] | None = None) -> int:
         run = Run(args)
         with command_scope():
             args.func(run, args)
-    except (CtcsimError, UnicodeDecodeError) as exc:  # or an input file that is not UTF-8
+    except (CtcsimError, UnicodeDecodeError, csv.Error) as exc:  # or a file not UTF-8 or CSV
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except OSError as exc:

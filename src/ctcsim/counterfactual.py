@@ -239,7 +239,7 @@ def priced_out(
     profile = profile_for(pop, group, scenario, params_parity.year)
     cuts = category_cuts(thresholds(profile, params_parity, mode), scenario.rule)
     c_lo, d_hi = cuts[1], cuts[3]
-    raised = apply_overrides(params_parity, {"ctc_per_child": new_ctc}, strict=False)
+    raised = once(_raised_credit, params_parity, new_ctc)
     try:
         new_cut = min(full_relief_cuts(profile, raised, scenario.rule, mode)[0], d_hi)
     except Unreachable:
@@ -247,6 +247,10 @@ def priced_out(
     old_full = est.counts[ReliefCategory.FULL_ACTC] + est.counts[ReliefCategory.FULL_CTC]
     lost = _mass_between(pop.bins(year, group), c_lo, new_cut)
     return PricedOutResult(full_relief_old=old_full, priced_out=lost)
+
+
+def _raised_credit(params: ProgramParameters, new_ctc: Fraction) -> ProgramParameters:
+    return apply_overrides(params, {"ctc_per_child": new_ctc}, strict=False)
 
 
 def credit_size_sweep(

@@ -89,60 +89,65 @@ class PopulationTable:
         return self.children_histogram(year, group).average() if average is None else average
 
 
-def _int_field(row: Mapping[str, str], field: str, where: str) -> int:
-    raw = (row.get(field) or "").strip()
+_GROUPS = {g.value: g for g in ParentalGroup}
+
+
+def _int_field(raw: str, field: str) -> int:
     try:
         return int(raw)
     except ValueError:
-        raise ParseError(f"{where}: field {field!r} is not an integer: {raw!r}") from None
-
-
-def _group_field(row: Mapping[str, str], where: str) -> ParentalGroup:
-    raw = (row.get("group") or "").strip()
-    try:
-        return ParentalGroup(raw)
-    except ValueError:
-        raise ParseError(f"{where}: unknown group {raw!r}") from None
+        raise ParseError(f"field {field!r} is not an integer: {raw.strip()!r}") from None
 
 
 def _read_cells(path: Path, header: list[str], parse: Callable) -> dict:
-    """A CSV file with `header` as {(year, group): {key: value}}, each row checked and
-    keyed by ``parse(row, where)``; a key repeated in a (year, group) names both lines."""
+    """A CSV file with `header` as {(year, group): {key: value}}, the fields after year and
+    group checked and keyed by ``parse(*fields)``. An error names the file and line; a key
+    repeated in a (year, group) names both lines."""
     cells: dict = {}  # (year, group) -> key -> (value, line)
     with path.open(newline="", encoding="utf-8") as fh:
-        reader = csv.DictReader(fh)
-        if reader.fieldnames != header:
+        reader = csv.reader(fh)
+        if next(reader, None) != header:
             raise ParseError(f"{path}: header must be {','.join(header)}")
-        for lineno, row in enumerate(reader, start=2):
-            where = f"{path}:{lineno}"
-            cell = cells.setdefault((_int_field(row, "year", where), _group_field(row, where)), {})
-            key, value = parse(row, where)
-            if key in cell:
-                raise ParseError(f"{where}: duplicate row, first seen on line {cell[key][1]}")
-            cell[key] = value, lineno
+        for row in reader:
+            if not row:
+                continue  # a blank line
+            try:
+                if len(row) != len(header):
+                    raise ParseError(f"expected {len(header)} fields, got {len(row)}")
+                year, group, *fields = row
+                year, group = _int_field(year, "year"), group.strip()
+                if group not in _GROUPS:
+                    raise ParseError(f"unknown group {group!r}")
+                cell = cells.setdefault((year, _GROUPS[group]), {})
+                key, value = parse(*fields)
+                if key in cell:
+                    raise ParseError(f"duplicate row, first seen on line {cell[key][1]}")
+            except (ParseError, NegativeCount) as exc:
+                raise type(exc)(f"{path}:{reader.line_num}: {exc}") from None
+            cell[key] = value, reader.line_num
     return {k: {key: value for key, (value, _) in cell.items()} for k, cell in cells.items()}
 
 
-def _income_bin(row: Mapping[str, str], where: str) -> tuple[int, IncomeBin]:
-    lower = _int_field(row, "bin_lower", where)
-    upper = _int_field(row, "bin_upper", where)
-    count = _int_field(row, "count", where)
+def _income_bin(lower: str, upper: str, count: str) -> tuple[int, IncomeBin]:
+    lower = _int_field(lower, "bin_lower")
+    upper = _int_field(upper, "bin_upper")
+    count = _int_field(count, "count")
     if count < 0:
-        raise NegativeCount(f"{where}: negative count {count}")
+        raise NegativeCount(f"negative count {count}")
     if upper - lower != BIN_WIDTH:
-        raise ParseError(f"{where}: bin width must be {BIN_WIDTH}")
+        raise ParseError(f"bin width must be {BIN_WIDTH}")
     if lower < 0 or upper > INCOME_CEILING:
-        raise ParseError(f"{where}: bins must lie within [0, {INCOME_CEILING})")
+        raise ParseError(f"bins must lie within [0, {INCOME_CEILING})")
     return lower, IncomeBin(lower, upper, count)
 
 
-def _children_count(row: Mapping[str, str], where: str) -> tuple[str, int]:
-    key = (row.get("children") or "").strip()
+def _children_count(key: str, count: str) -> tuple[str, int]:
+    key = key.strip()
     if key not in CHILDREN_KEYS:
-        raise ParseError(f"{where}: children must be one of {CHILDREN_KEYS}")
-    count = _int_field(row, "count", where)
+        raise ParseError(f"children must be one of {CHILDREN_KEYS}")
+    count = _int_field(count, "count")
     if count < 0:
-        raise NegativeCount(f"{where}: negative count {count}")
+        raise NegativeCount(f"negative count {count}")
     return key, count
 
 

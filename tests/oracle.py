@@ -15,7 +15,9 @@ at every breakpoint of the piecewise-linear benefit and interpolates,
 :func:`liability_reference` solves the brackets one by one;
 :func:`thresholds_reference` and :func:`full_relief_cuts_reference` assemble
 a threshold set and the full-benefit cuts from them. The bin cut has one
-too: :func:`cut_income_reference` computes it in Fraction arithmetic.
+too: :func:`cut_income_reference` computes it in Fraction arithmetic. And the
+population loader: :func:`load_population_reference` reads the CSV files
+through ``csv.DictReader``, a field at a time by name.
 """
 
 from __future__ import annotations
@@ -288,3 +290,103 @@ def cut_income_reference(boundary: Fraction, strictly_above: bool, rule) -> int:
     if on_edge and not strictly_above:
         return floor_edge
     return floor_edge + BIN_WIDTH
+
+
+def load_population_reference(path, children_path=None):
+    """The population loader before it moved to ``csv.reader``, kept as its reference.
+
+    It numbers records, not lines, and drops the fields past a row's header
+    width; on any other input the two loaders agree.
+    """
+    import csv
+    from pathlib import Path
+    from typing import Callable, Mapping
+
+    from ctcsim.errors import EmptyGroup, GapError, NegativeCount, ParseError
+    from ctcsim.params import ParentalGroup
+    from ctcsim.population import (
+        BIN_WIDTH,
+        CHILDREN_KEYS,
+        INCOME_CEILING,
+        ChildrenHistogram,
+        IncomeBin,
+        PopulationTable,
+    )
+
+    def _int_field(row: Mapping[str, str], field: str, where: str) -> int:
+        raw = (row.get(field) or "").strip()
+        try:
+            return int(raw)
+        except ValueError:
+            raise ParseError(f"{where}: field {field!r} is not an integer: {raw!r}") from None
+
+    def _group_field(row: Mapping[str, str], where: str) -> ParentalGroup:
+        raw = (row.get("group") or "").strip()
+        try:
+            return ParentalGroup(raw)
+        except ValueError:
+            raise ParseError(f"{where}: unknown group {raw!r}") from None
+
+    def _read_cells(path: Path, header: list[str], parse: Callable) -> dict:
+        cells: dict = {}  # (year, group) -> key -> (value, line)
+        with path.open(newline="", encoding="utf-8") as fh:
+            reader = csv.DictReader(fh)
+            if reader.fieldnames != header:
+                raise ParseError(f"{path}: header must be {','.join(header)}")
+            for lineno, row in enumerate(reader, start=2):
+                where = f"{path}:{lineno}"
+                cell = cells.setdefault((_int_field(row, "year", where), _group_field(row, where)), {})
+                key, value = parse(row, where)
+                if key in cell:
+                    raise ParseError(f"{where}: duplicate row, first seen on line {cell[key][1]}")
+                cell[key] = value, lineno
+        return {k: {key: value for key, (value, _) in cell.items()} for k, cell in cells.items()}
+
+    def _income_bin(row: Mapping[str, str], where: str) -> tuple[int, IncomeBin]:
+        lower = _int_field(row, "bin_lower", where)
+        upper = _int_field(row, "bin_upper", where)
+        count = _int_field(row, "count", where)
+        if count < 0:
+            raise NegativeCount(f"{where}: negative count {count}")
+        if upper - lower != BIN_WIDTH:
+            raise ParseError(f"{where}: bin width must be {BIN_WIDTH}")
+        if lower < 0 or upper > INCOME_CEILING:
+            raise ParseError(f"{where}: bins must lie within [0, {INCOME_CEILING})")
+        return lower, IncomeBin(lower, upper, count)
+
+    def _children_count(row: Mapping[str, str], where: str) -> tuple[str, int]:
+        key = (row.get("children") or "").strip()
+        if key not in CHILDREN_KEYS:
+            raise ParseError(f"{where}: children must be one of {CHILDREN_KEYS}")
+        count = _int_field(row, "count", where)
+        if count < 0:
+            raise NegativeCount(f"{where}: negative count {count}")
+        return key, count
+
+    rows = _read_cells(Path(path), ["year", "group", "bin_lower", "bin_upper", "count"],
+                       _income_bin)
+    bins: dict[tuple[int, ParentalGroup], tuple[IncomeBin, ...]] = {}
+    for key, by_lower in rows.items():
+        seq = sorted(by_lower.values(), key=lambda b: b.lower)
+        expected_lower = 0
+        for b in seq:
+            if b.lower != expected_lower:
+                raise GapError(
+                    f"year {key[0]} {key[1].value}: expected bin starting at {expected_lower}, got {b.lower}"
+                )
+            expected_lower = b.upper
+        if expected_lower != INCOME_CEILING:
+            raise GapError(
+                f"year {key[0]} {key[1].value}: bins stop at {expected_lower}, expected {INCOME_CEILING}"
+            )
+        if not any(b.count for b in seq):
+            raise EmptyGroup(f"year {key[0]} {key[1].value}: population has zero total")
+        bins[key] = tuple(seq)
+
+    years = sorted({year for year, _ in bins})
+    if years and years[-1] - years[0] + 1 != len(years):
+        raise GapError(f"years are not contiguous: {years}")
+
+    children = (_read_cells(Path(children_path), ["year", "group", "children", "count"],
+                            _children_count) if children_path else {})
+    return PopulationTable(bins, {cell: ChildrenHistogram(c) for cell, c in children.items()})

@@ -1,0 +1,48 @@
+"""tools/bench_pairs.py: run order and the record, without running the benchmark."""
+
+import importlib.util
+import json
+
+import pytest
+
+from conftest import ROOT
+
+spec = importlib.util.spec_from_file_location("bench_pairs", ROOT / "tools" / "bench_pairs.py")
+bench_pairs = importlib.util.module_from_spec(spec)
+spec.loader.exec_module(bench_pairs)
+
+
+@pytest.mark.parametrize("workloads", [["a"], ["a", "b"], ["a", "b", "c"], ["a", "b", "c", "d"]])
+def test_first_side_alternates_within_each_workload(workloads):
+    runs = list(bench_pairs.schedule(list(range(101, 107)), workloads))
+    assert len(runs) == 6 * len(workloads)
+    for workload in workloads:
+        firsts = [order[0] for _, w, order in runs if w == workload]
+        assert firsts == ["parent", "change"] * 3
+    assert all(sorted(order) == ["change", "parent"] for _, _, order in runs)
+
+
+def test_one_pair_still_writes_the_record(tmp_path, monkeypatch):
+    parent, change = tmp_path / "parent", tmp_path / "change"
+    for side in (parent, change):
+        side.mkdir()
+    (change / "BENCHMARK.json").write_text((ROOT / "BENCHMARK.json").read_text())
+    metrics = json.loads((ROOT / "BENCHMARK.json").read_text())["end_to_end"]
+
+    def run_once(checkout, workload, seed, seconds):
+        value = 2.0 if checkout == change else 3.0
+        return {"correct": True, "attempted": 1, "failed": 0,
+                "metrics": {m["name"]: value for m in metrics}}
+
+    monkeypatch.setattr(bench_pairs, "run_once", run_once)
+    monkeypatch.setattr(bench_pairs.subprocess, "run", lambda *args, **kwargs: None)
+    out = tmp_path / "bench.json"
+    assert bench_pairs.main(["--parent", str(parent), "--change", str(change), "--seeds", "7:7",
+                             "--workloads", "x,y", "--out", str(out)]) == 0
+    record = json.loads(out.read_text())
+    assert record["pairs_per_workload"] == 1
+    assert [r["first"] for r in record["runs"]] == ["parent", "parent"]
+    p50 = record["workloads"]["y"]["op_p50_ms"]
+    assert p50["parent"] == {"median": 3.0, "q1": 3.0, "q3": 3.0}
+    assert p50["change"] == {"median": 2.0, "q1": 2.0, "q3": 2.0}
+    assert p50["change_wins"] == 1 and p50["gain_claimable"]

@@ -7,10 +7,14 @@ import stat
 import subprocess
 import sys
 import threading
+from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from ctcsim.cli import main
+from ctcsim.cli import _fmt_money, _fmt_share, main
+from ctcsim.money import ceil_to_cent, dollars_str
 
 from conftest import DATA
 
@@ -408,6 +412,25 @@ class TestBadInput:
         line = self.assert_one_line_error(capsys, "classify", flag, str(path))
         assert line == f"error: {path}:{len(lines) + 1}: duplicate row, first seen on line {first}"
 
+    @pytest.mark.parametrize("flag, name, row, message", [
+        ("--population", "population.csv", "2003,married,0,2500,5,99", "expected 5 fields, got 6"),
+        ("--population", "population.csv", "2003,married,0,2500", "expected 5 fields, got 4"),
+        ("--children", "children.csv", "2003,married,0,5,1", "expected 4 fields, got 5"),
+    ])
+    def test_row_of_the_wrong_width(self, capsys, tmp_path, flag, name, row, message):
+        lines = (DATA / name).read_text().splitlines()
+        path = tmp_path / name
+        path.write_text("\n".join([lines[0], row, *lines[2:]]) + "\n")
+        line = self.assert_one_line_error(capsys, "classify", flag, str(path))
+        assert line == f"error: {path}:2: {message}"
+
+    def test_csv_field_over_the_reader_limit(self, capsys, tmp_path):
+        lines = (DATA / "population.csv").read_text().splitlines()
+        path = tmp_path / "population.csv"
+        path.write_text("\n".join([lines[0], "2003,married,0,2500," + "1" * 200_000]) + "\n")
+        line = self.assert_one_line_error(capsys, "classify", "--population", str(path))
+        assert line == "error: field larger than field limit (131072)"
+
     def test_input_file_not_utf8(self, capsys, tmp_path):
         path = tmp_path / "population.csv"
         path.write_bytes(b"year,group\n\xc0\xff\n")
@@ -460,3 +483,19 @@ class TestBadInput:
     def test_missing_walk_year(self, capsys, argv):
         line = self.assert_one_line_error(capsys, *argv)
         assert line == "error: year 2002 not present in parameter data"
+
+
+@settings(max_examples=500, deadline=None)
+@given(st.integers(0, 10**18), st.integers(0, 10**18), st.integers(1, 10**18))
+def test_integer_share_prints_as_its_fraction(x, y, total):
+    a, both = sorted((x % (total + 1), y % (total + 1)))  # 0 <= a <= a + b <= total
+    b = both - a
+    assert _fmt_share(a / total) == _fmt_share(Fraction(a, total))
+    assert _fmt_share((a + b) / total) == _fmt_share(Fraction(a, total) + Fraction(b, total))
+
+
+@settings(max_examples=500, deadline=None)
+@given(st.integers(-10**12, 10**12), st.integers(1, 10**9))
+def test_money_prints_as_ceiling_to_the_cent(numerator, denominator):
+    value = Fraction(numerator, denominator)
+    assert _fmt_money(value) == dollars_str(ceil_to_cent(value))

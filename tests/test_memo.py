@@ -1,12 +1,13 @@
 """The per-command memo: what it shares, and that nothing outlives a command."""
 
 import json
+import sys
 from fractions import Fraction
 
 import pytest
 
 from ctcsim import ParentalGroup, apply_overrides
-from ctcsim import memo, taxmath
+from ctcsim import cli, counterfactual, memo, taxmath
 from ctcsim.cli import main
 from ctcsim.errors import OrderingViolation
 from ctcsim.taxmath import HouseholdProfile, thresholds
@@ -49,6 +50,20 @@ def kernels(monkeypatch):
     return built
 
 
+@pytest.fixture
+def overrides(monkeypatch):
+    """The name of the function behind each `apply_overrides` call."""
+    callers = []
+
+    def counted(*args, **kwargs):
+        callers.append(sys._getframe(1).f_code.co_name)
+        return apply_overrides(*args, **kwargs)
+
+    for module in (cli, counterfactual):
+        monkeypatch.setattr(module, "apply_overrides", counted)
+    return callers
+
+
 def test_report_inverts_each_distinct_threshold_set_once(inversions, tmp_path):
     assert main(["report", "--out", str(tmp_path / "r.json")]) == 0
     assert len(inversions) == 150
@@ -60,6 +75,13 @@ def test_report_scales_each_household_once_per_inversion_set(kernels, tmp_path, 
     # 150 threshold sets, one kernel each, and 174 full-benefit inversions.
     assert main(["report", "--liability", liability, "--out", str(tmp_path / "r.json")]) == 0
     assert len(kernels) == 324
+
+
+def test_report_raises_the_credit_once_per_priced_out_year(overrides, tmp_path):
+    # 15 parity years; the sweep (24), the two walks (24) and parity (6) make the rest.
+    assert main(["report", "--out", str(tmp_path / "r.json")]) == 0
+    assert len(overrides) == 69
+    assert overrides.count("_raised_credit") == 15
 
 
 def test_one_kernel_per_threshold_set(kernels, params_by_year, pop):

@@ -6,11 +6,12 @@
 
 Each DIR is a plain checkout of one commit (``git archive``, not a worktree).
 Both get their bytecode caches built the same way first. Then, per seed and
-workload, each side runs ``ctcbench/run.py --trace 0`` once; the side that runs
-first alternates from pair to pair. The record keeps every run's end-to-end
-metrics and, per workload and metric, each side's median and quartiles, the
-pairs the change won, and whether a gain may be claimed: wins in at least nine
-tenths of the pairs, and medians further apart than the parent's quartiles.
+workload, each side runs ``ctcbench/run.py --trace 0`` once; within each
+workload, the side that runs first alternates from seed to seed. The record
+keeps every run's end-to-end metrics and, per workload and metric, each side's
+median and quartiles, the pairs the change won, and whether a gain may be
+claimed: wins in at least nine tenths of the pairs, and medians further apart
+than the parent's quartiles.
 """
 
 from __future__ import annotations
@@ -36,7 +37,17 @@ def run_once(checkout: Path, workload: str, seed: int, seconds: float) -> dict:
             "metrics": {name: m["value"] for name, m in result["metrics"].items()}}
 
 
+def schedule(seeds: list[int], workloads: list[str]):
+    """(seed, workload, sides in run order): each workload's first side alternates by seed."""
+    for k, seed in enumerate(seeds):
+        order = ["parent", "change"] if k % 2 == 0 else ["change", "parent"]
+        for workload in workloads:
+            yield seed, workload, order
+
+
 def spread(values: list[float]) -> dict:
+    if len(values) == 1:  # quantiles needs two values
+        return {"median": values[0], "q1": values[0], "q3": values[0]}
     q1, median, q3 = statistics.quantiles(values, n=4, method="inclusive")
     return {"median": median, "q1": q1, "q3": q3}
 
@@ -79,8 +90,7 @@ def main(argv: list[str] | None = None) -> int:
                        cwd=checkout, check=True)
     metrics = json.loads((sides["change"] / "BENCHMARK.json").read_text())["end_to_end"]
     runs = []
-    for i, (seed, workload) in enumerate((s, w) for s in seeds for w in workloads):
-        order = ["parent", "change"] if i % 2 == 0 else ["change", "parent"]
+    for seed, workload, order in schedule(seeds, workloads):
         pair = {"seed": seed, "workload": workload, "first": order[0]}
         for side in order:
             pair[side] = run_once(sides[side], workload, seed, args.seconds)
