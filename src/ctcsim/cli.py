@@ -79,7 +79,7 @@ def _load_config(path: str) -> dict:
     with open(path, "r", encoding="utf-8") as fh:
         try:
             config = json.load(fh)
-        except json.JSONDecodeError as exc:
+        except (json.JSONDecodeError, UnicodeDecodeError) as exc:
             raise ParseError(f"{path}: invalid JSON: {exc}") from exc
     if not isinstance(config, dict):
         raise ParseError(f"{path}: expected a JSON object")
@@ -97,6 +97,22 @@ def _load_config(path: str) -> dict:
 def _fmt_share(value: Fraction | float) -> str:
     """Six decimals; ``count / total`` prints as its Fraction: int / int is correctly rounded."""
     return f"{float(value):.6f}"
+
+
+def _json_rows(rows: list[dict], depth: int = 0) -> str:
+    """``json.dumps(rows, indent=2)`` for a list of non-empty flat dicts, as nested `depth`
+    levels deep, from one pass of the C encoder (it serves no ``indent``).
+
+    The encoder escapes every newline inside a string, so ``},`` then the field indent then
+    ``{`` can fall only between two rows, where one replace breaks the lines around the braces.
+    """
+    if not rows:
+        return "[]"
+    outer = "\n" + "  " * depth
+    row, field = outer + "  ", outer + "    "
+    text = json.dumps(rows, separators=("," + field, ": "))
+    body = text[2:-2].replace("}," + field + "{", row + "}," + row + "{" + field)
+    return "[" + row + "{" + field + body + row + "}" + outer + "]"
 
 
 def _fmt_money(value: Fraction) -> str:
@@ -154,7 +170,7 @@ class Run:
 
     def emit(self, fieldnames: list[str], rows: list[dict]) -> None:
         if self.format == "json":
-            text = json.dumps(rows, indent=2) + "\n"
+            text = _json_rows(rows) + "\n"
         else:
             buf = io.StringIO()
             writer = csv.DictWriter(buf, fieldnames=fieldnames, lineterminator="\n")
@@ -501,12 +517,8 @@ def cmd_did(run: Run, args) -> None:
 def cmd_report(run: Run, args) -> None:
     years = run.year_range()
     new_law_year = max(years)
-    bundle = {
-        "settings": {
-            "scenario": "both",
-            "liability": run.mode.value,
-            "years": [years[0], years[-1]],
-        },
+    settings = {"scenario": "both", "liability": run.mode.value, "years": [years[0], years[-1]]}
+    sections = {
         "thresholds": rows_thresholds(run, years, GROUPS, list(Scenario)),
         "eligibility": rows_classify(run, years, GROUPS, list(Scenario)),
         "piecemeal_full_credit": rows_piecemeal(run, "1a", list(Scenario), new_law_year, new_law_year - 1),
@@ -521,7 +533,10 @@ def cmd_report(run: Run, args) -> None:
         "did": rows_did(run, ["c", "d", "e"], years, new_law_year, list(Scenario))
         if years[0] < new_law_year else [],
     }
-    run.write(json.dumps(bundle, indent=2) + "\n")
+    # The bundle as `json.dumps(indent=2)` writes it: the settings block, then each table.
+    head = json.dumps({"settings": settings}, indent=2)[:-2]
+    tables = [f"  {json.dumps(name)}: {_json_rows(rows, 1)}" for name, rows in sections.items()]
+    run.write(",\n".join([head, *tables]) + "\n}\n")
 
 
 class _Parser(argparse.ArgumentParser):
@@ -604,7 +619,7 @@ def main(argv: list[str] | None = None) -> int:
         run = Run(args)
         with command_scope():
             args.func(run, args)
-    except (CtcsimError, UnicodeDecodeError, csv.Error) as exc:  # or a file not UTF-8 or CSV
+    except CtcsimError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except OSError as exc:

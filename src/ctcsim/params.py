@@ -207,7 +207,7 @@ def load_params(path: str | Path) -> dict[int, ProgramParameters]:
     try:
         with path.open("r", encoding="utf-8") as fh:
             raw = json.load(fh, parse_float=Fraction)
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
         raise ParseError(f"{path}: invalid JSON: {exc}") from exc
     if not isinstance(raw, list):
         raise ParseError(f"{path}: expected a top-level array of year records")

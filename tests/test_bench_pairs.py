@@ -22,7 +22,9 @@ def test_first_side_alternates_within_each_workload(workloads):
     assert all(sorted(order) == ["change", "parent"] for _, _, order in runs)
 
 
-def test_one_pair_still_writes_the_record(tmp_path, monkeypatch):
+def mocked_record(tmp_path, monkeypatch, seeds, outcome=lambda side, workload, seed: (True, 0)):
+    """The record of a mocked run in which the change always reads 2.0 and the parent 3.0;
+    `outcome` gives each run's (correct, failed)."""
     parent, change = tmp_path / "parent", tmp_path / "change"
     for side in (parent, change):
         side.mkdir()
@@ -30,19 +32,40 @@ def test_one_pair_still_writes_the_record(tmp_path, monkeypatch):
     metrics = json.loads((ROOT / "BENCHMARK.json").read_text())["end_to_end"]
 
     def run_once(checkout, workload, seed, seconds):
-        value = 2.0 if checkout == change else 3.0
-        return {"correct": True, "attempted": 1, "failed": 0,
-                "metrics": {m["name"]: value for m in metrics}}
+        side = "change" if checkout == change else "parent"
+        correct, failed = outcome(side, workload, seed)
+        return {"correct": correct, "attempted": 1, "failed": failed,
+                "metrics": {m["name"]: 2.0 if side == "change" else 3.0 for m in metrics}}
 
     monkeypatch.setattr(bench_pairs, "run_once", run_once)
     monkeypatch.setattr(bench_pairs.subprocess, "run", lambda *args, **kwargs: None)
     out = tmp_path / "bench.json"
-    assert bench_pairs.main(["--parent", str(parent), "--change", str(change), "--seeds", "7:7",
+    assert bench_pairs.main(["--parent", str(parent), "--change", str(change), "--seeds", seeds,
                              "--workloads", "x,y", "--out", str(out)]) == 0
-    record = json.loads(out.read_text())
+    return json.loads(out.read_text())
+
+
+def test_one_pair_still_writes_the_record(tmp_path, monkeypatch):
+    record = mocked_record(tmp_path, monkeypatch, "7:7")
     assert record["pairs_per_workload"] == 1
     assert [r["first"] for r in record["runs"]] == ["parent", "parent"]
     p50 = record["workloads"]["y"]["op_p50_ms"]
     assert p50["parent"] == {"median": 3.0, "q1": 3.0, "q3": 3.0}
     assert p50["change"] == {"median": 2.0, "q1": 2.0, "q3": 2.0}
     assert p50["change_wins"] == 1 and p50["gain_claimable"]
+
+
+@pytest.mark.parametrize("side", ["parent", "change"])
+@pytest.mark.parametrize("outcome", [(False, 0), (True, 1)], ids=["incorrect", "failed-op"])
+def test_no_gain_is_claimable_from_an_incorrect_run(tmp_path, monkeypatch, side, outcome):
+    def bad_once(run_side, workload, seed):
+        return outcome if (run_side, workload, seed) == (side, "y", 3) else (True, 0)
+
+    workloads = mocked_record(tmp_path, monkeypatch, "1:10", bad_once)["workloads"]
+    assert workloads["x"]["incorrect_runs"] == {"parent": 0, "change": 0}
+    assert workloads["x"]["op_p50_ms"]["gain_claimable"]
+    assert workloads["y"]["incorrect_runs"] == {"parent": int(side == "parent"),
+                                                "change": int(side == "change")}
+    assert workloads["y"]["op_p50_ms"]["change_wins"] == 10
+    assert not any(m["gain_claimable"] for name, m in workloads["y"].items()
+                   if name != "incorrect_runs")

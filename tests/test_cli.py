@@ -10,10 +10,10 @@ import threading
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from ctcsim.cli import _fmt_money, _fmt_share, main
+from ctcsim.cli import _fmt_money, _fmt_share, _json_rows, main
 from ctcsim.money import ceil_to_cent, dollars_str
 
 from conftest import DATA
@@ -213,6 +213,24 @@ class TestConfigAndDeterminism:
         (["sweep", "--no-parity"], "22d5df475ceca7c78005194334af6028355b9472bd762a9ad309f33358305596"),
     ], ids=["walk-1a-2010-to-2017", "walk-1b-s2-from-2005", "sweep", "sweep-no-parity"])
     def test_command_bytes_are_pinned(self, capsys, argv, digest):
+        code, out = run_cli(capsys, *argv)
+        assert code == 0
+        assert hashlib.sha256(out.encode("utf-8")).hexdigest() == digest
+
+    # JSON paths the report pins do not reach: a command's `--format json`
+    # table, a report whose `did` and `priced_out` sections are empty, and an
+    # empty table (2018 is the only year without refundable parity).
+    @pytest.mark.parametrize("argv, digest", [
+        (["classify", "--format", "json"],
+         "69554c9f4377cccaf73ba796f35ec0820178bce7cfd5c58f907612d9c27772fd"),
+        (["regress", "--format", "json"],
+         "540666f6e90a542f8848b1c82ae001319ee3c31234d8b33c86e6ecc190646d05"),
+        (["report", "--years", "2018"],
+         "69381374bb098bf4dd976e01a54ba26c78a26e5b068286fcc3483249d106ab55"),
+        (["priced-out", "--years", "2018", "--format", "json"],
+         "37517e5f3dc66819f61f5a7bb8ace1921282415f10551d2defa5c3eb0985b570"),
+    ], ids=["classify-json", "regress-json", "report-2018", "priced-out-2018-json"])
+    def test_json_bytes_are_pinned(self, capsys, argv, digest):
         code, out = run_cli(capsys, *argv)
         assert code == 0
         assert hashlib.sha256(out.encode("utf-8")).hexdigest() == digest
@@ -429,12 +447,20 @@ class TestBadInput:
         path = tmp_path / "population.csv"
         path.write_text("\n".join([lines[0], "2003,married,0,2500," + "1" * 200_000]) + "\n")
         line = self.assert_one_line_error(capsys, "classify", "--population", str(path))
-        assert line == "error: field larger than field limit (131072)"
+        assert line == f"error: {path}:2: field larger than field limit (131072)"
 
-    def test_input_file_not_utf8(self, capsys, tmp_path):
-        path = tmp_path / "population.csv"
-        path.write_bytes(b"year,group\n\xc0\xff\n")
-        self.assert_one_line_error(capsys, "classify", "--population", str(path))
+    @pytest.mark.parametrize("flag, name, prefix", [
+        ("--params", "params.json", "invalid JSON: "),
+        ("--config", "run.json", "invalid JSON: "),
+        ("--population", "population.csv", ""),
+        ("--children", "children.csv", ""),
+    ], ids=["params", "config", "population", "children"])
+    def test_input_file_not_utf8(self, capsys, tmp_path, flag, name, prefix):
+        path = tmp_path / name
+        path.write_bytes(b"\xc0\xff")
+        line = self.assert_one_line_error(capsys, "classify", flag, str(path))
+        assert line == (f"error: {path}: {prefix}'utf-8' codec can't decode byte 0xc0 "
+                        "in position 0: invalid start byte")
 
     @pytest.mark.parametrize("edit", [
         lambda r: r.update(standard_deduction="9500"),
@@ -499,3 +525,21 @@ def test_integer_share_prints_as_its_fraction(x, y, total):
 def test_money_prints_as_ceiling_to_the_cent(numerator, denominator):
     value = Fraction(numerator, denominator)
     assert _fmt_money(value) == dollars_str(ceil_to_cent(value))
+
+
+# Text with the characters a row boundary is made of, escapes, control characters and
+# non-ASCII, or any text at all.
+_json_text = st.text(st.sampled_from('{},:"\\\n\t\x00\x1f a\xe9\u2603\U0001d11e')) | st.text()
+_json_value = (st.integers() | st.booleans() | st.none() | st.floats() | st.just(-0.0)
+               | st.just(float("nan")) | _json_text)
+
+
+@settings(max_examples=500, deadline=None)
+@given(st.lists(st.dictionaries(_json_text, _json_value, min_size=1, max_size=4), max_size=4))
+@example([])
+@example([{"a": 1}])
+@example([{"}": "},\n    {"}, {"{": "x"}])
+def test_json_rows_are_the_indent_2_encoding(rows):
+    assert _json_rows(rows) == json.dumps(rows, indent=2)
+    # One level down, as a report section: the list inside `[ ... ]`.
+    assert _json_rows(rows, 1) == json.dumps([rows], indent=2)[4:-2]

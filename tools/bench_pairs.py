@@ -10,8 +10,10 @@ workload, each side runs ``ctcbench/run.py --trace 0`` once; within each
 workload, the side that runs first alternates from seed to seed. The record
 keeps every run's end-to-end metrics and, per workload and metric, each side's
 median and quartiles, the pairs the change won, and whether a gain may be
-claimed: wins in at least nine tenths of the pairs, and medians further apart
-than the parent's quartiles.
+claimed: wins in at least nine tenths of the pairs, medians further apart than
+the parent's quartiles, and every run of the workload correct on both sides.
+Each workload also records each side's count of incorrect runs: a run whose
+checks failed or which had a failed op.
 """
 
 from __future__ import annotations
@@ -56,7 +58,9 @@ def summarise(runs: list[dict], metrics: list[dict]) -> dict:
     out: dict = {}
     for workload in dict.fromkeys(r["workload"] for r in runs):
         pairs = [r for r in runs if r["workload"] == workload]
-        out[workload] = {}
+        incorrect = {side: sum(not p[side]["correct"] or p[side]["failed"] > 0 for p in pairs)
+                     for side in ("parent", "change")}
+        out[workload] = {"incorrect_runs": incorrect}
         for m in metrics:
             name, sign = m["name"], 1 if m["better"] == "higher" else -1
             parent = [p["parent"]["metrics"][name] for p in pairs]
@@ -64,7 +68,7 @@ def summarise(runs: list[dict], metrics: list[dict]) -> dict:
             wins = sum(sign * (c - p) > 0 for p, c in zip(parent, change))
             ties = sum(c == p for p, c in zip(parent, change))
             before, after = spread(parent), spread(change)
-            gain = (wins >= 0.9 * len(pairs)
+            gain = (wins >= 0.9 * len(pairs) and not any(incorrect.values())
                     and sign * (after["median"] - before["median"]) > before["q3"] - before["q1"])
             out[workload][name] = {"unit": m["unit"], "better": m["better"], "parent": before,
                                    "change": after, "change_wins": wins, "ties": ties,
