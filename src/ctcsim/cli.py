@@ -20,6 +20,7 @@ import sys
 from fractions import Fraction
 from functools import partial
 from pathlib import Path
+from typing import Callable, NamedTuple
 
 from . import counterfactual as cf
 from .classifier import CATEGORY_ORDER, ReliefCategory, Scenario
@@ -34,15 +35,19 @@ GROUPS = tuple(ParentalGroup)
 
 OUTCOME_CHOICES = [c.value for c in ReliefCategory] + ["cd", "bc"]
 
-# Shared options that take one of fixed values, for flags and config alike.
-CHOICES = {
-    "scenario": [s.value for s in Scenario],
-    "format": ["csv", "json"],
-    "liability": [m.value for m in LiabilityMode],
+# The flags every command takes, as name -> argparse kwargs. A run-config file may set
+# each of them but `config`, and is checked against the same choices.
+SHARED = {
+    "params": {"help": "parameter file (JSON)"},
+    "population": {"help": "population bins CSV"},
+    "children": {"help": "children histogram CSV"},
+    "scenario": {"choices": [s.value for s in Scenario]},
+    "years": {"help": "year range A:B or single year"},
+    "format": {"choices": ["csv", "json"]},
+    "liability": {"choices": [m.value for m in LiabilityMode]},
+    "out": {"help": "write output to this path instead of stdout"},
+    "config": {"help": "JSON run-config file; flags take precedence"},
 }
-# Shared options a run-config file may set.
-CONFIG_KEYS = ("params", "population", "children", "scenario", "years", "format",
-               "liability", "out")
 
 
 def _data_dir() -> Path:
@@ -84,13 +89,14 @@ def _load_config(path: str) -> dict:
     if not isinstance(config, dict):
         raise ParseError(f"{path}: expected a JSON object")
     for name, value in config.items():
-        if name not in CONFIG_KEYS:
+        if name not in SHARED or name == "config":
             raise ValidationError(f"{path}: unknown config key {name!r}")
         if not isinstance(value, str):
             raise ValidationError(f"{path}: config {name!r} must be a string, not {value!r}")
-        if name in CHOICES and value not in CHOICES[name]:
+        choices = SHARED[name].get("choices")
+        if choices and value not in choices:
             raise ValidationError(
-                f"{path}: config {name!r} must be one of {', '.join(CHOICES[name])}, not {value!r}")
+                f"{path}: config {name!r} must be one of {', '.join(choices)}, not {value!r}")
     return config
 
 
@@ -127,24 +133,18 @@ class Run:
 
     def __init__(self, args: argparse.Namespace):
         config = _load_config(args.config) if args.config else {}
-
-        def pick(name, default):
-            flag = getattr(args, name, None)
-            if flag is not None:
-                return flag
-            if name in config:
-                return config[name]
-            return default
-
+        # The shared flags given override the config file, which overrides the defaults.
+        opts = {**config, **{name: value for name in SHARED
+                             if (value := getattr(args, name)) is not None}}
         data = _data_dir()
-        self.params_path = Path(pick("params", data / "params.json"))
-        self.population_path = Path(pick("population", data / "population.csv"))
-        self.children_path = Path(pick("children", data / "children.csv"))
-        self.scenario = Scenario(pick("scenario", "s1"))
-        self.mode = LiabilityMode(pick("liability", "exact"))
-        self.format = pick("format", "csv")
-        self.out = pick("out", None)
-        self.years = pick("years", None)
+        self.params_path = Path(opts.get("params", data / "params.json"))
+        self.population_path = Path(opts.get("population", data / "population.csv"))
+        self.children_path = Path(opts.get("children", data / "children.csv"))
+        self.scenario = Scenario(opts.get("scenario", "s1"))
+        self.mode = LiabilityMode(opts.get("liability", "exact"))
+        self.format = opts.get("format", "csv")
+        self.out = opts.get("out")
+        self.years = opts.get("years")
         self._params = None
         self._pop = None
 
@@ -161,23 +161,12 @@ class Run:
         return self._pop
 
     def year_range(self) -> list[int]:
-        if self.years:
+        if self.years is not None:
             lo, hi = _parse_years(self.years)
             for y in (lo, hi):
                 params_for_year(self.params, y)
             return list(range(lo, hi + 1))
         return sorted(self.params)
-
-    def emit(self, fieldnames: list[str], rows: list[dict]) -> None:
-        if self.format == "json":
-            text = _json_rows(rows) + "\n"
-        else:
-            buf = io.StringIO()
-            writer = csv.DictWriter(buf, fieldnames=fieldnames, lineterminator="\n")
-            writer.writeheader()
-            writer.writerows(rows)
-            text = buf.getvalue()
-        self.write(text)
 
     def write(self, text: str) -> None:
         """Write `text` to stdout, or to the `--out` path whole or not at all.
@@ -205,10 +194,11 @@ class Run:
 
 
 # ---------------------------------------------------------------------------
-# Row builders (shared between single commands and `report`)
+# Row builders (shared between single commands and `report`); each row is a tuple in its
+# command's field order.
 
 
-def rows_thresholds(run: Run, years, groups, scenarios) -> list[dict]:
+def rows_thresholds(run: Run, years, groups, scenarios) -> list[tuple]:
     rows = []
     for year in years:
         params = params_for_year(run.params, year)
@@ -216,26 +206,14 @@ def rows_thresholds(run: Run, years, groups, scenarios) -> list[dict]:
             for scenario in scenarios:
                 profile = cf.profile_for(run.pop, group, scenario, year)
                 ts = thresholds(profile, params, run.mode)
-                rows.append({
-                    "year": year,
-                    "group": group.value,
-                    "scenario": scenario.value,
-                    "children": f"{float(profile.children):.2f}",
-                    "refund_floor": _fmt_money(ts.t_refund_floor),
-                    "full_actc": _fmt_money(ts.t_full_actc),
-                    "full_ctc": _fmt_money(ts.t_full_ctc),
-                    "full_combined": _fmt_money(ts.t_full_combined),
-                    "phaseout_start": _fmt_money(ts.t_phaseout_start),
-                    "total_phaseout": _fmt_money(ts.t_total_phaseout),
-                })
+                rows.append((year, group.value, scenario.value, f"{float(profile.children):.2f}",
+                             _fmt_money(ts.t_refund_floor), _fmt_money(ts.t_full_actc),
+                             _fmt_money(ts.t_full_ctc), _fmt_money(ts.t_full_combined),
+                             _fmt_money(ts.t_phaseout_start), _fmt_money(ts.t_total_phaseout)))
     return rows
 
 
-THRESHOLD_FIELDS = ["year", "group", "scenario", "children", "refund_floor", "full_actc",
-                    "full_ctc", "full_combined", "phaseout_start", "total_phaseout"]
-
-
-def rows_classify(run: Run, years, groups, scenarios) -> list[dict]:
+def rows_classify(run: Run, years, groups, scenarios) -> list[tuple]:
     rows = []
     for year in years:
         params = params_for_year(run.params, year)
@@ -244,41 +222,22 @@ def rows_classify(run: Run, years, groups, scenarios) -> list[dict]:
                 est = cf.eligibility(run.pop, year, group, params, scenario, mode=run.mode)
                 total = est.total
                 for cat in CATEGORY_ORDER:
-                    rows.append({
-                        "year": year,
-                        "group": group.value,
-                        "scenario": scenario.value,
-                        "category": cat.value,
-                        "count": est.counts[cat],
-                        "proportion": _fmt_share(est.counts[cat] / total),
-                        "flag": est.flags[cat].value,
-                    })
+                    rows.append((year, group.value, scenario.value, cat.value, est.counts[cat],
+                                 _fmt_share(est.counts[cat] / total), est.flags[cat].value))
     return rows
 
 
-CLASSIFY_FIELDS = ["year", "group", "scenario", "category", "count", "proportion", "flag"]
-
-
-def rows_piecemeal(run: Run, table: str, scenarios, pop_year: int, base_year: int) -> list[dict]:
+def rows_piecemeal(run: Run, table: str, scenarios, pop_year: int, base_year: int) -> list[tuple]:
     rows = []
     for scenario in scenarios:
         for r in cf.run_piecemeal_table(table, run.pop, run.params, scenario,
                                         pop_year=pop_year, base_year=base_year, mode=run.mode):
-            rows.append({
-                "table": table,
-                "scenario": scenario.value,
-                "step": r.step,
-                "label": r.label,
-                "group": r.group.value,
-                "proportion": _fmt_share(r.proportion),
-            })
+            rows.append((table, scenario.value, r.step, r.label, r.group.value,
+                         _fmt_share(r.proportion)))
     return rows
 
 
-PIECEMEAL_FIELDS = ["table", "scenario", "step", "label", "group", "proportion"]
-
-
-def rows_sweep(run: Run, years, credits, scenarios, parity: bool) -> list[dict]:
+def rows_sweep(run: Run, years, credits, scenarios, parity: bool) -> list[tuple]:
     rows = []
     for year in years:
         params = params_for_year(run.params, year)
@@ -286,21 +245,12 @@ def rows_sweep(run: Run, years, credits, scenarios, parity: bool) -> list[dict]:
             table = cf.credit_size_sweep(run.pop, year, credits, scenario, params,
                                          parity=parity, mode=run.mode)
             for credit, group, share in table:
-                rows.append({
-                    "year": year,
-                    "scenario": scenario.value,
-                    "credit": int(credit),
-                    "group": group.value,
-                    "proportion": _fmt_share(share),
-                })
-    rows.sort(key=lambda r: (r["year"], r["scenario"], r["credit"], r["group"]))
+                rows.append((year, scenario.value, int(credit), group.value, _fmt_share(share)))
+    rows.sort()  # by (year, scenario, credit, group), which fix the proportion
     return rows
 
 
-SWEEP_FIELDS = ["year", "scenario", "credit", "group", "proportion"]
-
-
-def rows_priced_out(run: Run, years, scenarios, new_ctc: int, skip_non_parity: bool = True) -> list[dict]:
+def rows_priced_out(run: Run, years, scenarios, new_ctc: int, skip_non_parity: bool = True) -> list[tuple]:
     rows = []
     for year in years:
         params = params_for_year(run.params, year)
@@ -310,21 +260,12 @@ def rows_priced_out(run: Run, years, scenarios, new_ctc: int, skip_non_parity: b
             for group in GROUPS:
                 result = cf.priced_out(run.pop, year, group, params, new_ctc, scenario, run.mode)
                 share = result.proportion_priced_out
-                rows.append({
-                    "year": year,
-                    "scenario": scenario.value,
-                    "group": group.value,
-                    "full_relief_old": result.full_relief_old,
-                    "priced_out": result.priced_out,
-                    "proportion": "" if share is None else _fmt_share(share),
-                })
+                rows.append((year, scenario.value, group.value, result.full_relief_old,
+                             result.priced_out, "" if share is None else _fmt_share(share)))
     return rows
 
 
-PRICED_FIELDS = ["year", "scenario", "group", "full_relief_old", "priced_out", "proportion"]
-
-
-def rows_parity(run: Run, year: int, scenarios) -> list[dict]:
+def rows_parity(run: Run, year: int, scenarios) -> list[tuple]:
     rows = []
     for scenario in scenarios:
         params = params_for_year(run.params, year)
@@ -341,44 +282,20 @@ def rows_parity(run: Run, year: int, scenarios) -> list[dict]:
         ]
         for step, label, shares in steps:
             for group in GROUPS:
-                rows.append({
-                    "year": year,
-                    "scenario": scenario.value,
-                    "step": step,
-                    "label": label,
-                    "group": group.value,
-                    "proportion": _fmt_share(shares[group]),
-                })
+                rows.append((year, scenario.value, step, label, group.value,
+                             _fmt_share(shares[group])))
     return rows
 
 
-PARITY_FIELDS = ["year", "scenario", "step", "label", "group", "proportion"]
-
-
-def rows_eliminate(run: Run, year: int, scenarios) -> list[dict]:
+def rows_eliminate(run: Run, year: int, scenarios) -> list[tuple]:
     rows = []
     for scenario in scenarios:
         params = params_for_year(run.params, year)
         result = cf.eliminate_refundability(run.pop, year, params, scenario, run.mode)
         for group in GROUPS:
-            rows.append({
-                "year": year,
-                "scenario": scenario.value,
-                "group": group.value,
-                "access_delta": _fmt_share(result.deltas[group]),
-                "gaining_households": "",
-            })
-        rows.append({
-            "year": year,
-            "scenario": scenario.value,
-            "group": "all",
-            "access_delta": "",
-            "gaining_households": result.gaining_households,
-        })
+            rows.append((year, scenario.value, group.value, _fmt_share(result.deltas[group]), ""))
+        rows.append((year, scenario.value, "all", "", result.gaining_households))
     return rows
-
-
-ELIMINATE_FIELDS = ["year", "scenario", "group", "access_delta", "gaining_households"]
 
 
 def _fmt_estimate(value: float) -> str:
@@ -414,7 +331,7 @@ def _outcome_series(run: Run, outcome: str, years, scenario: Scenario):
     return build_panel(rows)
 
 
-def _fit_rows(run: Run, fit, outcomes, years, scenarios) -> list[dict]:
+def _fit_rows(run: Run, fit, outcomes, years, scenarios) -> list[tuple]:
     """One row per term of `fit(panel)` for each scenario and outcome series."""
     rows = []
     for scenario in scenarios:
@@ -423,70 +340,23 @@ def _fit_rows(run: Run, fit, outcomes, years, scenarios) -> list[dict]:
             defined = res.df_resid > 0  # a zero-df fit has no SE, hence no stars
             for name in res.names:
                 est, se = res.estimate(name), res.se(name)
-                rows.append({
-                    "scenario": scenario.value,
-                    "outcome": outcome,
-                    "term": name,
-                    "estimate": _fmt_estimate(est),
-                    "robust_se": f"{se:.6f}" if defined else "",
-                    "stars": _stars(est, se) if defined else "",
-                })
+                rows.append((scenario.value, outcome, name, _fmt_estimate(est),
+                             f"{se:.6f}" if defined else "",
+                             _stars(est, se) if defined else ""))
     return rows
 
 
-def rows_regress(run: Run, outcomes, years, scenarios) -> list[dict]:
+def rows_regress(run: Run, outcomes, years, scenarios) -> list[tuple]:
     fit = partial(fixed_effects, baseline_year=max(years))
     return _fit_rows(run, fit, outcomes, years, scenarios)
 
 
-REGRESS_FIELDS = ["scenario", "outcome", "term", "estimate", "robust_se", "stars"]
-
-
-def rows_did(run: Run, outcomes, years, post_year, scenarios) -> list[dict]:
+def rows_did(run: Run, outcomes, years, post_year, scenarios) -> list[tuple]:
     return _fit_rows(run, partial(did, post_year=post_year), outcomes, years, scenarios)
 
 
 # ---------------------------------------------------------------------------
 # Commands
-
-
-def cmd_thresholds(run: Run, args) -> None:
-    years = [args.year] if args.year else run.year_range()
-    groups = [ParentalGroup(args.group)] if args.group else list(GROUPS)
-    run.emit(THRESHOLD_FIELDS, rows_thresholds(run, years, groups, [run.scenario]))
-
-
-def cmd_classify(run: Run, args) -> None:
-    years = [args.year] if args.year else run.year_range()
-    groups = [ParentalGroup(args.group)] if args.group else list(GROUPS)
-    run.emit(CLASSIFY_FIELDS, rows_classify(run, years, groups, [run.scenario]))
-
-
-def cmd_piecemeal(run: Run, args) -> None:
-    run.emit(PIECEMEAL_FIELDS,
-             rows_piecemeal(run, args.table, [run.scenario], args.pop_year, args.base_year))
-
-
-def cmd_sweep(run: Run, args) -> None:
-    credits = _parse_credits(args.credits)
-    years = [args.year] if args.year else [max(run.year_range())]
-    run.emit(SWEEP_FIELDS, rows_sweep(run, years, credits, [run.scenario], not args.no_parity))
-
-
-def cmd_priced_out(run: Run, args) -> None:
-    years = [args.year] if args.year else run.year_range()
-    # An explicitly named year must qualify; scans skip non-parity years.
-    rows = rows_priced_out(run, years, [run.scenario], args.new_ctc,
-                           skip_non_parity=args.year is None)
-    run.emit(PRICED_FIELDS, rows)
-
-
-def cmd_parity(run: Run, args) -> None:
-    run.emit(PARITY_FIELDS, rows_parity(run, args.year, [run.scenario]))
-
-
-def cmd_eliminate(run: Run, args) -> None:
-    run.emit(ELIMINATE_FIELDS, rows_eliminate(run, args.year, [run.scenario]))
 
 
 def _outcomes(text: str | None, default: list[str]) -> list[str]:
@@ -502,40 +372,132 @@ def _fe_years(years: list[int]) -> list[int]:
     return [y for y in years if y < 2018] or years
 
 
-def cmd_regress(run: Run, args) -> None:
-    outcomes = _outcomes(args.outcome, ["a", "b", "c", "d", "e", "f", "cd", "bc"])
-    years = _fe_years(run.year_range())
-    run.emit(REGRESS_FIELDS, rows_regress(run, outcomes, years, [run.scenario]))
+def _years(run: Run, args) -> list[int]:
+    return [args.year] if args.year is not None else run.year_range()
 
 
-def cmd_did(run: Run, args) -> None:
-    outcomes = _outcomes(args.outcome, ["c", "d", "e"])
-    rows = rows_did(run, outcomes, run.year_range(), args.post_year, [run.scenario])
-    run.emit(REGRESS_FIELDS, rows)
+def _groups(args) -> list[ParentalGroup]:
+    return [ParentalGroup(args.group)] if args.group else list(GROUPS)
+
+
+def _sweep(run: Run, args) -> list[tuple]:
+    credits = _parse_credits(args.credits)
+    years = [args.year] if args.year is not None else [max(run.year_range())]
+    return rows_sweep(run, years, credits, [run.scenario], not args.no_parity)
+
+
+class Command(NamedTuple):
+    """A table command: its help, its own flags as (flag, argparse kwargs), its field
+    names, and its rows from ``(run, args)`` as tuples in field order."""
+
+    help: str
+    flags: tuple
+    fields: tuple
+    rows: Callable
+
+    def records(self, rows: list[tuple]) -> list[dict]:
+        """The rows as dicts keyed by field name, as JSON writes them."""
+        return [dict(zip(self.fields, row)) for row in rows]
+
+
+_YEAR = ("--year", {"type": int})
+_GROUP = ("--group", {"choices": [g.value for g in GROUPS]})
+_REFORM_YEAR = ("--year", {"type": int, "default": 2018})
+
+COMMANDS = {
+    "thresholds": Command(
+        "category-boundary incomes", (_YEAR, _GROUP),
+        ("year", "group", "scenario", "children", "refund_floor", "full_actc", "full_ctc",
+         "full_combined", "phaseout_start", "total_phaseout"),
+        lambda run, args: rows_thresholds(run, _years(run, args), _groups(args), [run.scenario])),
+    "classify": Command(
+        "eligibility category shares", (_YEAR, _GROUP),
+        ("year", "group", "scenario", "category", "count", "proportion", "flag"),
+        lambda run, args: rows_classify(run, _years(run, args), _groups(args), [run.scenario])),
+    "piecemeal": Command(
+        "one-parameter-at-a-time walk",
+        (("--table", {"choices": ["1a", "1b"], "default": "1a"}),
+         ("--pop-year", {"type": int, "default": 2018}),
+         ("--base-year", {"type": int, "default": 2017})),
+        ("table", "scenario", "step", "label", "group", "proportion"),
+        lambda run, args: rows_piecemeal(run, args.table, [run.scenario], args.pop_year,
+                                         args.base_year)),
+    "sweep": Command(
+        "full relief by credit size",
+        (("--credits", {"default": "500:3600:100", "help": "range A:B:STEP or comma list"}),
+         _YEAR,
+         ("--no-parity", {"action": "store_true",
+                          "help": "keep the refundable maximum at its baseline value"})),
+        ("year", "scenario", "credit", "group", "proportion"), _sweep),
+    "priced-out": Command(
+        "households priced out of full relief",
+        (("--new-ctc", {"type": int, "default": 2000}), _YEAR),
+        ("year", "scenario", "group", "full_relief_old", "priced_out", "proportion"),
+        # An explicitly named year must qualify; scans skip non-parity years.
+        lambda run, args: rows_priced_out(run, _years(run, args), [run.scenario], args.new_ctc,
+                                          skip_non_parity=args.year is None)),
+    "parity": Command(
+        "full relief before/after refundable parity", (_REFORM_YEAR,),
+        ("year", "scenario", "step", "label", "group", "proportion"),
+        lambda run, args: rows_parity(run, args.year, [run.scenario])),
+    "eliminate-refund": Command(
+        "access gained without the floor", (_REFORM_YEAR,),
+        ("year", "scenario", "group", "access_delta", "gaining_households"),
+        lambda run, args: rows_eliminate(run, args.year, [run.scenario])),
+    "regress": Command(
+        "fixed-effects panel regressions",
+        (("--outcome", {"help": "comma list of a..f, cd, bc (default: all)"}),),
+        ("scenario", "outcome", "term", "estimate", "robust_se", "stars"),
+        lambda run, args: rows_regress(run, _outcomes(args.outcome, OUTCOME_CHOICES),
+                                       _fe_years(run.year_range()), [run.scenario])),
+    "did": Command(
+        "difference-in-differences estimates",
+        (("--outcome", {"help": "comma list of a..f, cd, bc (default: c,d,e)"}),
+         ("--post-year", {"type": int, "default": 2018})),
+        ("scenario", "outcome", "term", "estimate", "robust_se", "stars"),
+        lambda run, args: rows_did(run, _outcomes(args.outcome, ["c", "d", "e"]),
+                                   run.year_range(), args.post_year, [run.scenario])),
+}
+
+
+def cmd_table(run: Run, args) -> None:
+    command = COMMANDS[args.command]
+    rows = command.rows(run, args)
+    if run.format == "json":
+        text = _json_rows(command.records(rows)) + "\n"
+    else:
+        buf = io.StringIO()
+        writer = csv.writer(buf, lineterminator="\n")
+        writer.writerow(command.fields)
+        writer.writerows(rows)
+        text = buf.getvalue()
+    run.write(text)
 
 
 def cmd_report(run: Run, args) -> None:
     years = run.year_range()
     new_law_year = max(years)
+    both = list(Scenario)
     settings = {"scenario": "both", "liability": run.mode.value, "years": [years[0], years[-1]]}
-    sections = {
-        "thresholds": rows_thresholds(run, years, GROUPS, list(Scenario)),
-        "eligibility": rows_classify(run, years, GROUPS, list(Scenario)),
-        "piecemeal_full_credit": rows_piecemeal(run, "1a", list(Scenario), new_law_year, new_law_year - 1),
-        "piecemeal_full_refundable": rows_piecemeal(run, "1b", list(Scenario), new_law_year, new_law_year - 1),
-        "parity": rows_parity(run, new_law_year, list(Scenario)),
-        "eliminate_refundability": rows_eliminate(run, new_law_year, list(Scenario)),
-        "priced_out": rows_priced_out(run, years, list(Scenario), 2000),
-        "credit_sweep": rows_sweep(run, [y for y in (2017, 2018) if y in years] or [new_law_year],
-                                   [500, 1000, 1400, 2000, 3000, 3600], list(Scenario), True),
-        "fixed_effects": rows_regress(run, ["a", "b", "c", "d", "e", "f", "cd", "bc"], _fe_years(years), list(Scenario)),
+    sections = {  # name -> (the command whose fields its rows have, rows)
+        "thresholds": ("thresholds", rows_thresholds(run, years, GROUPS, both)),
+        "eligibility": ("classify", rows_classify(run, years, GROUPS, both)),
+        "piecemeal_full_credit": ("piecemeal", rows_piecemeal(run, "1a", both, new_law_year, new_law_year - 1)),
+        "piecemeal_full_refundable": ("piecemeal", rows_piecemeal(run, "1b", both, new_law_year, new_law_year - 1)),
+        "parity": ("parity", rows_parity(run, new_law_year, both)),
+        "eliminate_refundability": ("eliminate-refund", rows_eliminate(run, new_law_year, both)),
+        "priced_out": ("priced-out", rows_priced_out(run, years, both, 2000)),
+        "credit_sweep": ("sweep", rows_sweep(run, [y for y in (2017, 2018) if y in years] or [new_law_year],
+                                             [500, 1000, 1400, 2000, 3000, 3600], both, True)),
+        "fixed_effects": ("regress", rows_regress(run, OUTCOME_CHOICES, _fe_years(years), both)),
         # A range with no year before the new law has no pre-period to difference.
-        "did": rows_did(run, ["c", "d", "e"], years, new_law_year, list(Scenario))
-        if years[0] < new_law_year else [],
+        "did": ("did", rows_did(run, ["c", "d", "e"], years, new_law_year, both)
+                if years[0] < new_law_year else []),
     }
     # The bundle as `json.dumps(indent=2)` writes it: the settings block, then each table.
     head = json.dumps({"settings": settings}, indent=2)[:-2]
-    tables = [f"  {json.dumps(name)}: {_json_rows(rows, 1)}" for name, rows in sections.items()]
+    tables = [f"  {json.dumps(name)}: {_json_rows(COMMANDS[command].records(rows), 1)}"
+              for name, (command, rows) in sections.items()]
     run.write(",\n".join([head, *tables]) + "\n}\n")
 
 
@@ -548,67 +510,18 @@ class _Parser(argparse.ArgumentParser):
 
 def build_parser() -> argparse.ArgumentParser:
     shared = argparse.ArgumentParser(add_help=False)
-    shared.add_argument("--params", help="parameter file (JSON)")
-    shared.add_argument("--population", help="population bins CSV")
-    shared.add_argument("--children", help="children histogram CSV")
-    shared.add_argument("--scenario", choices=CHOICES["scenario"], default=None)
-    shared.add_argument("--years", help="year range A:B or single year")
-    shared.add_argument("--format", choices=CHOICES["format"], default=None)
-    shared.add_argument("--liability", choices=CHOICES["liability"], default=None)
-    shared.add_argument("--out", help="write output to this path instead of stdout")
-    shared.add_argument("--config", help="JSON run-config file; flags take precedence")
+    for name, kwargs in SHARED.items():
+        shared.add_argument(f"--{name}", **kwargs)
 
     parser = _Parser(prog="ctcsim", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("thresholds", parents=[shared], help="category-boundary incomes")
-    p.add_argument("--year", type=int)
-    p.add_argument("--group", choices=[g.value for g in GROUPS])
-    p.set_defaults(func=cmd_thresholds)
-
-    p = sub.add_parser("classify", parents=[shared], help="eligibility category shares")
-    p.add_argument("--year", type=int)
-    p.add_argument("--group", choices=[g.value for g in GROUPS])
-    p.set_defaults(func=cmd_classify)
-
-    p = sub.add_parser("piecemeal", parents=[shared], help="one-parameter-at-a-time walk")
-    p.add_argument("--table", choices=["1a", "1b"], default="1a")
-    p.add_argument("--pop-year", type=int, default=2018)
-    p.add_argument("--base-year", type=int, default=2017)
-    p.set_defaults(func=cmd_piecemeal)
-
-    p = sub.add_parser("sweep", parents=[shared], help="full relief by credit size")
-    p.add_argument("--credits", default="500:3600:100", help="range A:B:STEP or comma list")
-    p.add_argument("--year", type=int)
-    p.add_argument("--no-parity", action="store_true",
-                   help="keep the refundable maximum at its baseline value")
-    p.set_defaults(func=cmd_sweep)
-
-    p = sub.add_parser("priced-out", parents=[shared], help="households priced out of full relief")
-    p.add_argument("--new-ctc", type=int, default=2000)
-    p.add_argument("--year", type=int)
-    p.set_defaults(func=cmd_priced_out)
-
-    p = sub.add_parser("parity", parents=[shared], help="full relief before/after refundable parity")
-    p.add_argument("--year", type=int, default=2018)
-    p.set_defaults(func=cmd_parity)
-
-    p = sub.add_parser("eliminate-refund", parents=[shared], help="access gained without the floor")
-    p.add_argument("--year", type=int, default=2018)
-    p.set_defaults(func=cmd_eliminate)
-
-    p = sub.add_parser("regress", parents=[shared], help="fixed-effects panel regressions")
-    p.add_argument("--outcome", help="comma list of a..f, cd, bc (default: all)")
-    p.set_defaults(func=cmd_regress)
-
-    p = sub.add_parser("did", parents=[shared], help="difference-in-differences estimates")
-    p.add_argument("--outcome", help="comma list of a..f, cd, bc (default: c,d,e)")
-    p.add_argument("--post-year", type=int, default=2018)
-    p.set_defaults(func=cmd_did)
-
+    for name, command in COMMANDS.items():
+        p = sub.add_parser(name, parents=[shared], help=command.help)
+        for flag, kwargs in command.flags:
+            p.add_argument(flag, **kwargs)
+        p.set_defaults(func=cmd_table)
     p = sub.add_parser("report", parents=[shared], help="everything, one JSON bundle")
     p.set_defaults(func=cmd_report)
-
     return parser
 
 

@@ -9,6 +9,7 @@ and rejected by the loader.
 from __future__ import annotations
 
 import csv
+import io
 from dataclasses import dataclass
 from fractions import Fraction
 from pathlib import Path
@@ -101,35 +102,39 @@ def _int_field(raw: str, field: str) -> int:
 
 def _read_cells(path: Path, header: list[str], parse: Callable) -> dict:
     """A CSV file with `header` as {(year, group): {key: value}}, the fields after year and
-    group checked and keyed by ``parse(*fields)``. An error names the file and line (a file
-    that is not UTF-8 only the file); a key repeated in a (year, group) names both lines."""
+    group checked and keyed by ``parse(*fields)``. An error names the file and line; a key
+    repeated in a (year, group) names both lines."""
+    data = path.read_bytes()
+    try:
+        data.decode("utf-8")  # whole, so an error's position is the file offset
+    except UnicodeDecodeError as exc:
+        line = data.count(b"\n", 0, exc.start) + 1
+        raise ParseError(f"{path}:{line}: {exc}") from None
     cells: dict = {}  # (year, group) -> key -> (value, line)
-    with path.open(newline="", encoding="utf-8") as fh:
-        reader = csv.reader(fh)
-        try:
-            if next(reader, None) != header:
-                raise ParseError(f"{path}: header must be {','.join(header)}")
-            for row in reader:
-                if not row:
-                    continue  # a blank line
-                try:
-                    if len(row) != len(header):
-                        raise ParseError(f"expected {len(header)} fields, got {len(row)}")
-                    year, group, *fields = row
-                    year, group = _int_field(year, "year"), group.strip()
-                    if group not in _GROUPS:
-                        raise ParseError(f"unknown group {group!r}")
-                    cell = cells.setdefault((year, _GROUPS[group]), {})
-                    key, value = parse(*fields)
-                    if key in cell:
-                        raise ParseError(f"duplicate row, first seen on line {cell[key][1]}")
-                except (ParseError, NegativeCount) as exc:
-                    raise type(exc)(f"{path}:{reader.line_num}: {exc}") from None
-                cell[key] = value, reader.line_num
-        except UnicodeDecodeError as exc:  # decoded a chunk at a time, so no line to name
-            raise ParseError(f"{path}: {exc}") from None
-        except csv.Error as exc:
-            raise ParseError(f"{path}:{reader.line_num}: {exc}") from None
+    # Parsed from a chunked decoder: a StringIO of the whole text would hold 4 bytes a character.
+    reader = csv.reader(io.TextIOWrapper(io.BytesIO(data), encoding="utf-8", newline=""))
+    try:
+        if next(reader, None) != header:
+            raise ParseError(f"{path}: header must be {','.join(header)}")
+        for row in reader:
+            if not row:
+                continue  # a blank line
+            try:
+                if len(row) != len(header):
+                    raise ParseError(f"expected {len(header)} fields, got {len(row)}")
+                year, group, *fields = row
+                year, group = _int_field(year, "year"), group.strip()
+                if group not in _GROUPS:
+                    raise ParseError(f"unknown group {group!r}")
+                cell = cells.setdefault((year, _GROUPS[group]), {})
+                key, value = parse(*fields)
+                if key in cell:
+                    raise ParseError(f"duplicate row, first seen on line {cell[key][1]}")
+            except (ParseError, NegativeCount) as exc:
+                raise type(exc)(f"{path}:{reader.line_num}: {exc}") from None
+            cell[key] = value, reader.line_num
+    except csv.Error as exc:
+        raise ParseError(f"{path}:{reader.line_num}: {exc}") from None
     return {k: {key: value for key, (value, _) in cell.items()} for k, cell in cells.items()}
 
 

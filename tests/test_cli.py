@@ -203,15 +203,23 @@ class TestConfigAndDeterminism:
         assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
 
     # Commands whose inputs the report pins do not reach: non-default walk
-    # years, the S2 walk alone, and the full sweep with and without parity.
+    # years, the S2 walk alone, and the full sweep with and without parity;
+    # and each other command's default CSV table, which the report writes as JSON.
     @pytest.mark.parametrize("argv, digest", [
+        (["thresholds"], "371ac8b1157b9b1cd05ea9a7f775364dca8978628a46dbe9dd563a58e746b44b"),
+        (["priced-out"], "97f98b7d0d6ec1a9506cae943c6984334f45bca67575775e40f3a030af7e6964"),
+        (["parity"], "a46fb2adf2548e1283799d12882a9d1d5fc9750677577f5ae304bc7a5d92abce"),
+        (["eliminate-refund"], "235cd0f9c1f7c50628bd37abe5851cd0702b0631c6cdc082eab019ceff38119f"),
+        (["regress"], "8e7b3ed3a3ad785f5dbf419e35e9abd5901ea25b3b88677c33867ce8ac6aac6a"),
+        (["did"], "584dfbf7a801d279bf05cbf61fa61c9188e96952fb98c7c240e58a4aa82a8bd9"),
         (["piecemeal", "--table", "1a", "--pop-year", "2017", "--base-year", "2010"],
          "955aea302af0a3b469501f628b319a328c64e85eaad8b5719a84b5ca12b09aec"),
         (["piecemeal", "--table", "1b", "--scenario", "s2", "--base-year", "2005"],
          "2a328051e78d7a3cd0107931d442d32509aa20c146b330816ffb859cc6691a83"),
         (["sweep"], "ed2d5785a7450fb3b0cad5d0144f77b9a1ec751a9d775cc12c637d33262d8755"),
         (["sweep", "--no-parity"], "22d5df475ceca7c78005194334af6028355b9472bd762a9ad309f33358305596"),
-    ], ids=["walk-1a-2010-to-2017", "walk-1b-s2-from-2005", "sweep", "sweep-no-parity"])
+    ], ids=["thresholds", "priced-out", "parity", "eliminate-refund", "regress", "did",
+            "walk-1a-2010-to-2017", "walk-1b-s2-from-2005", "sweep", "sweep-no-parity"])
     def test_command_bytes_are_pinned(self, capsys, argv, digest):
         code, out = run_cli(capsys, *argv)
         assert code == 0
@@ -404,6 +412,13 @@ class TestBadInput:
             capsys, "classify", "--config", self.config(tmp_path, '{"years": "abc"}'))
         assert line == "error: bad year range 'abc'"
 
+    @pytest.mark.parametrize("source", ["flag", "config"])
+    def test_empty_year_range(self, capsys, tmp_path, source):
+        years = ["--years", ""] if source == "flag" else [
+            "--config", self.config(tmp_path, '{"years": ""}')]
+        line = self.assert_one_line_error(capsys, "classify", *years)
+        assert line == "error: bad year range ''"
+
     @pytest.mark.parametrize("text", ["{bad", "[1]", '{"scenaro": "s1"}'])
     def test_config_malformed(self, capsys, tmp_path, text):
         self.assert_one_line_error(capsys, "classify", "--config", self.config(tmp_path, text))
@@ -449,18 +464,22 @@ class TestBadInput:
         line = self.assert_one_line_error(capsys, "classify", "--population", str(path))
         assert line == f"error: {path}:2: field larger than field limit (131072)"
 
-    @pytest.mark.parametrize("flag, name, prefix", [
-        ("--params", "params.json", "invalid JSON: "),
-        ("--config", "run.json", "invalid JSON: "),
-        ("--population", "population.csv", ""),
-        ("--children", "children.csv", ""),
-    ], ids=["params", "config", "population", "children"])
-    def test_input_file_not_utf8(self, capsys, tmp_path, flag, name, prefix):
+    # Byte 0xc0 at `offset`: of `\xff` alone, or of the shipped file. A CSV is decoded whole,
+    # so the position is the file offset, past the reader's 8 KB chunk too, and names a line.
+    @pytest.mark.parametrize("flag, name, offset, where", [
+        ("--params", "params.json", 0, " invalid JSON: "),
+        ("--config", "run.json", 0, " invalid JSON: "),
+        ("--population", "population.csv", 0, "1: "),
+        ("--children", "children.csv", 0, "1: "),
+        ("--population", "population.csv", 20_000, "560: "),
+    ], ids=["params", "config", "population", "children", "population-past-8-kb"])
+    def test_input_file_not_utf8(self, capsys, tmp_path, flag, name, offset, where):
+        text = (DATA / name).read_bytes() if offset else b"\xff"
         path = tmp_path / name
-        path.write_bytes(b"\xc0\xff")
+        path.write_bytes(text[:offset] + b"\xc0" + text[offset:])
         line = self.assert_one_line_error(capsys, "classify", flag, str(path))
-        assert line == (f"error: {path}: {prefix}'utf-8' codec can't decode byte 0xc0 "
-                        "in position 0: invalid start byte")
+        assert line == (f"error: {path}:{where}'utf-8' codec can't decode byte 0xc0 "
+                        f"in position {offset}: invalid start byte")
 
     @pytest.mark.parametrize("edit", [
         lambda r: r.update(standard_deduction="9500"),
@@ -503,6 +522,11 @@ class TestBadInput:
         assert captured.out == ""
         lines = captured.err.splitlines()
         assert len(lines) == 1 and lines[0].startswith("error: ")
+
+    @pytest.mark.parametrize("command", ["thresholds", "classify", "sweep", "priced-out"])
+    def test_year_zero_is_a_missing_year(self, capsys, command):
+        line = self.assert_one_line_error(capsys, command, "--year", "0")
+        assert line == "error: year 0 not present in parameter data"
 
     @pytest.mark.parametrize("argv", [["piecemeal", "--base-year", "2002"],
                                       ["report", "--years", "2003"]])

@@ -10,6 +10,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from ctcsim import cli
 from ctcsim.cli import main
 
 from conftest import DATA
@@ -24,7 +25,7 @@ OWN = {"thresholds": ["--year", "--group"], "classify": ["--year", "--group"],
 
 # Values per flag, good and bad. A flag a command does not take is a usage error.
 VALUES = {
-    "--years": ["2017", "2016:2018", "2017:2018", "2018:2017", "abc", "1999:2001", "2017:"],
+    "--years": ["2017", "2016:2018", "2017:2018", "2018:2017", "abc", "1999:2001", "2017:", ""],
     "--year": ["2017", "2018", "2009", "1999", "abc"],
     "--credits": ["500:3600:500", "1000,2000", "-100", "1:x", "0:0:0", "3600:500:100", ""],
     "--outcome": ["d", "cd,bc", "c,d,e", "z", "a,,b"],
@@ -45,6 +46,13 @@ VALUES = {
     "--config": ["missing", "params", "config"],
     "--out": ["file", "directory", "missing/out.csv"],
 }
+
+
+def test_the_fuzz_draws_every_command_and_flag():
+    assert OWN == {**{name: [flag for flag, _ in c.flags] for name, c in cli.COMMANDS.items()},
+                   "report": []}
+    assert sorted(SHARED) == sorted(f"--{name}" for name in cli.SHARED)
+    assert sorted(VALUES) == sorted({*SHARED, *(flag for flags in OWN.values() for flag in flags)})
 
 
 def flag_values(names):
