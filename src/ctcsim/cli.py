@@ -26,14 +26,18 @@ from . import counterfactual as cf
 from .classifier import CATEGORY_ORDER, ReliefCategory, Scenario
 from .errors import CtcsimError, ParseError, ValidationError
 from .memo import command_scope
-from .params import ParentalGroup, apply_overrides, load_params, params_for_year
+from .params import ParentalGroup, load_params, params_for_year
 from .population import load_population
 from .stats import build_panel, did, fixed_effects
 from .taxmath import LiabilityMode, thresholds
 
 GROUPS = tuple(ParentalGroup)
 
-OUTCOME_CHOICES = [c.value for c in ReliefCategory] + ["cd", "bc"]
+# Each panel outcome: the relief categories whose household counts it sums.
+OUTCOMES = {c.value: (c,) for c in ReliefCategory} | {
+    "cd": (ReliefCategory.FULL_ACTC, ReliefCategory.FULL_CTC),
+    "bc": (ReliefCategory.SOME_ACTC, ReliefCategory.FULL_ACTC),
+}
 
 # The flags every command takes, as name -> argparse kwargs. A run-config file may set
 # each of them but `config`, and is checked against the same choices.
@@ -105,20 +109,22 @@ def _fmt_share(value: Fraction | float) -> str:
     return f"{float(value):.6f}"
 
 
-def _json_rows(rows: list[dict], depth: int = 0) -> str:
-    """``json.dumps(rows, indent=2)`` for a list of non-empty flat dicts, as nested `depth`
-    levels deep, from one pass of the C encoder (it serves no ``indent``).
+def _json_rows(fields: tuple, rows: list[tuple], depth: int = 0) -> str:
+    """``json.dumps([dict(zip(fields, row)) for row in rows], indent=2)`` for distinct field
+    names and rows of flat values, as nested `depth` levels deep, from one pass of the C
+    encoder over the values (it serves no ``indent``).
 
-    The encoder escapes every newline inside a string, so ``},`` then the field indent then
-    ``{`` can fall only between two rows, where one replace breaks the lines around the braces.
+    The encoder escapes a NUL inside any string, so the NUL separators split the values
+    apart; each fills its slot in a row template that holds the encoded keys.
     """
     if not rows:
         return "[]"
     outer = "\n" + "  " * depth
     row, field = outer + "  ", outer + "    "
-    text = json.dumps(rows, separators=("," + field, ": "))
-    body = text[2:-2].replace("}," + field + "{", row + "}," + row + "{" + field)
-    return "[" + row + "{" + field + body + row + "}" + outer + "]"
+    values = json.dumps([v for r in rows for v in r], separators=("\0", ":"))[1:-1].split("\0")
+    slots = ",".join(field + json.dumps(name).replace("%", "%%") + ": %s" for name in fields)
+    body = ("," + row).join(["{" + slots + row + "}"] * len(rows)) % tuple(values)
+    return "[" + row + body + outer + "]"
 
 
 def _fmt_money(value: Fraction) -> str:
@@ -266,20 +272,13 @@ def rows_priced_out(run: Run, years, scenarios, new_ctc: int, skip_non_parity: b
 
 
 def rows_parity(run: Run, year: int, scenarios) -> list[tuple]:
+    params = params_for_year(run.params, year)
     rows = []
     for scenario in scenarios:
-        params = params_for_year(run.params, year)
         result = cf.restore_parity(run.pop, year, params, scenario, run.mode)
-        at_parity = apply_overrides(params, {"actc_per_child": params.ctc_per_child})
-        no_floor = apply_overrides(at_parity, {"refund_threshold": 0})
-        steps = [
-            ("1", "full credit, baseline rules", result.before),
-            ("2", "full relief after refundable parity", result.after),
-            ("3", "full relief after parity, floor removed", {
-                g: cf.full_relief_proportion(run.pop, year, g, no_floor, scenario, run.mode)
-                for g in GROUPS
-            }),
-        ]
+        steps = (("1", "full credit, baseline rules", result.before),
+                 ("2", "full relief after refundable parity", result.after),
+                 ("3", "full relief after parity, floor removed", result.no_floor))
         for step, label, shares in steps:
             for group in GROUPS:
                 rows.append((year, scenario.value, step, label, group.value,
@@ -315,28 +314,18 @@ def _stars(estimate: float, se: float) -> str:
     return "*" if p < 0.1 else ""
 
 
-def _outcome_series(run: Run, outcome: str, years, scenario: Scenario):
-    if outcome == "cd":
-        cats = (ReliefCategory.FULL_ACTC, ReliefCategory.FULL_CTC)
-    elif outcome == "bc":
-        cats = (ReliefCategory.SOME_ACTC, ReliefCategory.FULL_ACTC)
-    else:
-        cats = (ReliefCategory(outcome),)
-    rows = []
-    for year in years:
-        params = params_for_year(run.params, year)
-        for group in GROUPS:
-            est = cf.eligibility(run.pop, year, group, params, scenario, mode=run.mode)
-            rows.append((year, group, sum(est.counts[c] for c in cats) / est.total))
-    return build_panel(rows)
-
-
 def _fit_rows(run: Run, fit, outcomes, years, scenarios) -> list[tuple]:
-    """One row per term of `fit(panel)` for each scenario and outcome series."""
+    """One row per term of `fit(panel)` for each scenario and outcome series; each
+    outcome's panel sums its categories' counts over one read of the (year, group) cells."""
     rows = []
     for scenario in scenarios:
+        cells = [(year, group, cf.eligibility(run.pop, year, group, params, scenario, run.mode))
+                 for year in years for params in [params_for_year(run.params, year)]
+                 for group in GROUPS]
         for outcome in outcomes:
-            res = fit(_outcome_series(run, outcome, years, scenario))
+            cats = OUTCOMES[outcome]
+            res = fit(build_panel([(year, group, sum(est.counts[c] for c in cats) / est.total)
+                                   for year, group, est in cells]))
             defined = res.df_resid > 0  # a zero-df fit has no SE, hence no stars
             for name in res.names:
                 est, se = res.estimate(name), res.se(name)
@@ -362,7 +351,7 @@ def rows_did(run: Run, outcomes, years, post_year, scenarios) -> list[tuple]:
 def _outcomes(text: str | None, default: list[str]) -> list[str]:
     outcomes = text.split(",") if text else default
     for outcome in outcomes:
-        if outcome not in OUTCOME_CHOICES:
+        if outcome not in OUTCOMES:
             raise ValidationError(f"unknown outcome {outcome!r}")
     return outcomes
 
@@ -376,14 +365,24 @@ def _years(run: Run, args) -> list[int]:
     return [args.year] if args.year is not None else run.year_range()
 
 
+def _last_year(run: Run, year: int | None) -> int:
+    """`year` if named, else the last year of the run."""
+    return year if year is not None else run.year_range()[-1]
+
+
 def _groups(args) -> list[ParentalGroup]:
     return [ParentalGroup(args.group)] if args.group else list(GROUPS)
 
 
 def _sweep(run: Run, args) -> list[tuple]:
     credits = _parse_credits(args.credits)
-    years = [args.year] if args.year is not None else [max(run.year_range())]
-    return rows_sweep(run, years, credits, [run.scenario], not args.no_parity)
+    return rows_sweep(run, [_last_year(run, args.year)], credits, [run.scenario], not args.no_parity)
+
+
+def _piecemeal(run: Run, args) -> list[tuple]:
+    base_year = args.base_year if args.base_year is not None else run.year_range()[-1] - 1
+    return rows_piecemeal(run, args.table, [run.scenario], _last_year(run, args.pop_year),
+                          base_year)
 
 
 class Command(NamedTuple):
@@ -395,14 +394,9 @@ class Command(NamedTuple):
     fields: tuple
     rows: Callable
 
-    def records(self, rows: list[tuple]) -> list[dict]:
-        """The rows as dicts keyed by field name, as JSON writes them."""
-        return [dict(zip(self.fields, row)) for row in rows]
-
 
 _YEAR = ("--year", {"type": int})
 _GROUP = ("--group", {"choices": [g.value for g in GROUPS]})
-_REFORM_YEAR = ("--year", {"type": int, "default": 2018})
 
 COMMANDS = {
     "thresholds": Command(
@@ -417,11 +411,9 @@ COMMANDS = {
     "piecemeal": Command(
         "one-parameter-at-a-time walk",
         (("--table", {"choices": ["1a", "1b"], "default": "1a"}),
-         ("--pop-year", {"type": int, "default": 2018}),
-         ("--base-year", {"type": int, "default": 2017})),
-        ("table", "scenario", "step", "label", "group", "proportion"),
-        lambda run, args: rows_piecemeal(run, args.table, [run.scenario], args.pop_year,
-                                         args.base_year)),
+         ("--pop-year", {"type": int}),
+         ("--base-year", {"type": int})),
+        ("table", "scenario", "step", "label", "group", "proportion"), _piecemeal),
     "sweep": Command(
         "full relief by credit size",
         (("--credits", {"default": "500:3600:100", "help": "range A:B:STEP or comma list"}),
@@ -437,18 +429,18 @@ COMMANDS = {
         lambda run, args: rows_priced_out(run, _years(run, args), [run.scenario], args.new_ctc,
                                           skip_non_parity=args.year is None)),
     "parity": Command(
-        "full relief before/after refundable parity", (_REFORM_YEAR,),
+        "full relief before/after refundable parity", (_YEAR,),
         ("year", "scenario", "step", "label", "group", "proportion"),
-        lambda run, args: rows_parity(run, args.year, [run.scenario])),
+        lambda run, args: rows_parity(run, _last_year(run, args.year), [run.scenario])),
     "eliminate-refund": Command(
-        "access gained without the floor", (_REFORM_YEAR,),
+        "access gained without the floor", (_YEAR,),
         ("year", "scenario", "group", "access_delta", "gaining_households"),
-        lambda run, args: rows_eliminate(run, args.year, [run.scenario])),
+        lambda run, args: rows_eliminate(run, _last_year(run, args.year), [run.scenario])),
     "regress": Command(
         "fixed-effects panel regressions",
         (("--outcome", {"help": "comma list of a..f, cd, bc (default: all)"}),),
         ("scenario", "outcome", "term", "estimate", "robust_se", "stars"),
-        lambda run, args: rows_regress(run, _outcomes(args.outcome, OUTCOME_CHOICES),
+        lambda run, args: rows_regress(run, _outcomes(args.outcome, list(OUTCOMES)),
                                        _fe_years(run.year_range()), [run.scenario])),
     "did": Command(
         "difference-in-differences estimates",
@@ -464,7 +456,7 @@ def cmd_table(run: Run, args) -> None:
     command = COMMANDS[args.command]
     rows = command.rows(run, args)
     if run.format == "json":
-        text = _json_rows(command.records(rows)) + "\n"
+        text = _json_rows(command.fields, rows) + "\n"
     else:
         buf = io.StringIO()
         writer = csv.writer(buf, lineterminator="\n")
@@ -489,14 +481,14 @@ def cmd_report(run: Run, args) -> None:
         "priced_out": ("priced-out", rows_priced_out(run, years, both, 2000)),
         "credit_sweep": ("sweep", rows_sweep(run, [y for y in (2017, 2018) if y in years] or [new_law_year],
                                              [500, 1000, 1400, 2000, 3000, 3600], both, True)),
-        "fixed_effects": ("regress", rows_regress(run, OUTCOME_CHOICES, _fe_years(years), both)),
+        "fixed_effects": ("regress", rows_regress(run, list(OUTCOMES), _fe_years(years), both)),
         # A range with no year before the new law has no pre-period to difference.
         "did": ("did", rows_did(run, ["c", "d", "e"], years, new_law_year, both)
                 if years[0] < new_law_year else []),
     }
     # The bundle as `json.dumps(indent=2)` writes it: the settings block, then each table.
     head = json.dumps({"settings": settings}, indent=2)[:-2]
-    tables = [f"  {json.dumps(name)}: {_json_rows(COMMANDS[command].records(rows), 1)}"
+    tables = [f"  {json.dumps(name)}: {_json_rows(COMMANDS[command].fields, rows, 1)}"
               for name, (command, rows) in sections.items()]
     run.write(",\n".join([head, *tables]) + "\n}\n")
 

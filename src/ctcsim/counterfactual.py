@@ -284,10 +284,11 @@ def credit_size_sweep(
 
 @dataclass(frozen=True)
 class ParityResult:
-    """Full-relief eligibility before and after refundable-credit parity."""
+    """Full-relief eligibility before and after refundable-credit parity, then without the floor."""
 
     before: Mapping[ParentalGroup, Fraction]
     after: Mapping[ParentalGroup, Fraction]
+    no_floor: Mapping[ParentalGroup, Fraction]
 
     def gap_before(self) -> Fraction:
         return self.before[ParentalGroup.SINGLE_FATHER] - self.before[ParentalGroup.SINGLE_MOTHER]
@@ -309,10 +310,14 @@ def restore_parity(
     pathways able to deliver it: when the refundable maximum falls short of
     the credit maximum that is the credit pathway alone (category d); at
     parity either pathway qualifies, making the operation a no-op. "After"
-    is full relief via either pathway under parity.
+    is full relief via either pathway under parity; "no floor" also removes
+    the refundability floor.
     """
+    def shares(rules: ProgramParameters) -> dict[ParentalGroup, Fraction]:
+        return {g: full_relief_proportion(pop, year, g, rules, scenario, mode) for g in GROUPS}
+
     if params.actc_per_child == params.ctc_per_child:
-        before = {g: full_relief_proportion(pop, year, g, params, scenario, mode) for g in GROUPS}
+        before = shares(params)
     else:
         before = {
             g: eligibility(pop, year, g, params, scenario, mode=mode).proportion(
@@ -320,8 +325,8 @@ def restore_parity(
             for g in GROUPS
         }
     at_parity = apply_overrides(params, {"actc_per_child": params.ctc_per_child})
-    after = {g: full_relief_proportion(pop, year, g, at_parity, scenario, mode) for g in GROUPS}
-    return ParityResult(before=before, after=after)
+    no_floor = apply_overrides(at_parity, {"refund_threshold": 0})
+    return ParityResult(before=before, after=shares(at_parity), no_floor=shares(no_floor))
 
 
 @dataclass(frozen=True)

@@ -209,8 +209,8 @@ def load_params(path: str | Path) -> dict[int, ProgramParameters]:
             raw = json.load(fh, parse_float=Fraction)
     except (json.JSONDecodeError, UnicodeDecodeError) as exc:
         raise ParseError(f"{path}: invalid JSON: {exc}") from exc
-    if not isinstance(raw, list):
-        raise ParseError(f"{path}: expected a top-level array of year records")
+    if not isinstance(raw, list) or not raw:
+        raise ParseError(f"{path}: expected a non-empty top-level array of year records")
 
     by_year: dict[int, dict[FilingStatus, Mapping]] = {}
     for rec in raw:

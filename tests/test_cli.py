@@ -130,6 +130,23 @@ class TestAnalyses:
         assert len(agg) == 1
         assert abs(int(agg[0]["gaining_households"]) - 176_000) <= 1000
 
+    def test_single_year_commands_default_to_the_last_year_of_the_range(self, capsys):
+        assert run_cli(capsys, "parity", "--years", "2003:2017") == run_cli(
+            capsys, "parity", "--year", "2017")
+
+    @pytest.mark.parametrize("argv, section", [
+        (["parity"], "parity"),
+        (["eliminate-refund"], "eliminate_refundability"),
+        (["piecemeal", "--table", "1a"], "piecemeal_full_credit"),
+    ])
+    def test_single_year_commands_match_the_report_over_a_range(self, capsys, argv, section):
+        code, out = run_cli(capsys, *argv, "--years", "2003:2017", "--format", "json")
+        assert code == 0
+        rows = json.loads(out)
+        code, out = run_cli(capsys, "report", "--years", "2003:2017")
+        assert code == 0
+        assert rows and rows == [r for r in json.loads(out)[section] if r["scenario"] == "s1"]
+
     def test_regress_emits_terms(self, capsys):
         code, out = run_cli(capsys, "regress", "--outcome", "d", "--scenario", "s1")
         assert code == 0
@@ -237,7 +254,11 @@ class TestConfigAndDeterminism:
          "69381374bb098bf4dd976e01a54ba26c78a26e5b068286fcc3483249d106ab55"),
         (["priced-out", "--years", "2018", "--format", "json"],
          "37517e5f3dc66819f61f5a7bb8ace1921282415f10551d2defa5c3eb0985b570"),
-    ], ids=["classify-json", "regress-json", "report-2018", "priced-out-2018-json"])
+        (["did", "--outcome", "a,b,c,d,e,f,cd,bc", "--scenario", "s2", "--liability", "table",
+          "--format", "json"],
+         "9e2f085bf844b18ce858dbe040c395dc4cc171a10a7761dd15d69e270bbf9fce"),
+    ], ids=["classify-json", "regress-json", "report-2018", "priced-out-2018-json",
+            "did-every-outcome-s2-table-json"])
     def test_json_bytes_are_pinned(self, capsys, argv, digest):
         code, out = run_cli(capsys, *argv)
         assert code == 0
@@ -388,6 +409,17 @@ class TestBadInput:
 
     def test_years_flag_not_a_number(self, capsys):
         self.assert_one_line_error(capsys, "thresholds", "--years", "abc")
+
+    def test_years_flag_read_by_a_single_year_command(self, capsys):
+        line = self.assert_one_line_error(capsys, "parity", "--years", "abc")
+        assert line == "error: bad year range 'abc'"
+
+    @pytest.mark.parametrize("command", ["classify", "sweep", "regress", "report"])
+    def test_parameter_file_without_records(self, capsys, tmp_path, command):
+        params = tmp_path / "params.json"
+        params.write_text("[]")
+        line = self.assert_one_line_error(capsys, command, "--params", str(params))
+        assert line == f"error: {params}: expected a non-empty top-level array of year records"
 
     def test_credits_flag_not_a_number(self, capsys):
         self.assert_one_line_error(capsys, "sweep", "--credits", "1:x")
@@ -551,19 +583,30 @@ def test_money_prints_as_ceiling_to_the_cent(numerator, denominator):
     assert _fmt_money(value) == dollars_str(ceil_to_cent(value))
 
 
-# Text with the characters a row boundary is made of, escapes, control characters and
-# non-ASCII, or any text at all.
-_json_text = st.text(st.sampled_from('{},:"\\\n\t\x00\x1f a\xe9\u2603\U0001d11e')) | st.text()
+# Text with the characters a row boundary is made of, the value separator (NUL), the
+# template's format character, escapes, control characters and non-ASCII, or any text.
+_json_text = st.text(st.sampled_from('{},:"%s\\\n\t\x00\x1f a\xe9\u2603\U0001d11e')) | st.text()
 _json_value = (st.integers() | st.booleans() | st.none() | st.floats() | st.just(-0.0)
                | st.just(float("nan")) | _json_text)
 
 
+@st.composite
+def _json_table(draw):
+    fields = tuple(draw(st.lists(_json_text, min_size=1, max_size=4, unique=True)))
+    row = st.tuples(*[_json_value] * len(fields))
+    return fields, draw(st.lists(row, max_size=4))
+
+
 @settings(max_examples=500, deadline=None)
-@given(st.lists(st.dictionaries(_json_text, _json_value, min_size=1, max_size=4), max_size=4))
-@example([])
-@example([{"a": 1}])
-@example([{"}": "},\n    {"}, {"{": "x"}])
-def test_json_rows_are_the_indent_2_encoding(rows):
-    assert _json_rows(rows) == json.dumps(rows, indent=2)
+@given(_json_table())
+@example((("a",), []))
+@example((("a",), [(1,)]))
+@example((("}", "{"), [("},\n    {", "x"), ("", None)]))
+@example((("%s", "100%"), [("%s", "%d"), (1, 2)]))
+@example((("a", "b"), [("x\x00y", "\x00"), ("\x00", 0)]))
+def test_json_rows_are_the_indent_2_encoding(table):
+    fields, rows = table
+    records = [dict(zip(fields, row)) for row in rows]
+    assert _json_rows(fields, rows) == json.dumps(records, indent=2)
     # One level down, as a report section: the list inside `[ ... ]`.
-    assert _json_rows(rows, 1) == json.dumps([rows], indent=2)[4:-2]
+    assert _json_rows(fields, rows, 1) == json.dumps([records], indent=2)[4:-2]

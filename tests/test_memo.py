@@ -7,7 +7,7 @@ from fractions import Fraction
 import pytest
 
 from ctcsim import ParentalGroup, apply_overrides
-from ctcsim import cli, counterfactual, memo, taxmath
+from ctcsim import counterfactual, memo, taxmath
 from ctcsim.cli import main
 from ctcsim.errors import OrderingViolation
 from ctcsim.taxmath import HouseholdProfile, thresholds
@@ -59,9 +59,22 @@ def overrides(monkeypatch):
         callers.append(sys._getframe(1).f_code.co_name)
         return apply_overrides(*args, **kwargs)
 
-    for module in (cli, counterfactual):
-        monkeypatch.setattr(module, "apply_overrides", counted)
+    monkeypatch.setattr(counterfactual, "apply_overrides", counted)
     return callers
+
+
+@pytest.fixture
+def cells(monkeypatch):
+    """The arguments of each `eligibility` call."""
+    calls = []
+    inner = counterfactual.eligibility
+
+    def counted(*args, **kwargs):
+        calls.append(args + tuple(kwargs.values()))  # `mode` is the last argument either way
+        return inner(*args, **kwargs)
+
+    monkeypatch.setattr(counterfactual, "eligibility", counted)
+    return calls
 
 
 def test_report_inverts_each_distinct_threshold_set_once(inversions, tmp_path):
@@ -78,10 +91,18 @@ def test_report_scales_each_household_once_per_inversion_set(kernels, tmp_path, 
 
 
 def test_report_raises_the_credit_once_per_priced_out_year(overrides, tmp_path):
-    # 15 parity years; the sweep (24), the two walks (24) and parity (6) make the rest.
+    # 15 parity years; the sweep (24), the two walks (24) and parity (4) make the rest.
     assert main(["report", "--out", str(tmp_path / "r.json")]) == 0
-    assert len(overrides) == 69
+    assert len(overrides) == 67
     assert overrides.count("_raised_credit") == 15
+
+
+def test_report_reads_each_panel_cell_once_per_fit_section(cells, tmp_path):
+    # classify (96), the regress (90) and did (96) panels, eliminate-refund (6), parity's
+    # non-parity 2018 baseline (6), priced-out (90) and the sweep (96).
+    assert main(["report", "--out", str(tmp_path / "r.json")]) == 0
+    assert len(cells) == 480
+    assert len(set(cells)) == 156
 
 
 def test_one_kernel_per_threshold_set(kernels, params_by_year, pop):
