@@ -18,7 +18,7 @@ import os
 import secrets
 import sys
 from fractions import Fraction
-from functools import partial
+from functools import cached_property, partial
 from pathlib import Path
 from typing import Callable, NamedTuple
 
@@ -146,33 +146,30 @@ class Run:
         self.params_path = Path(opts.get("params", data / "params.json"))
         self.population_path = Path(opts.get("population", data / "population.csv"))
         self.children_path = Path(opts.get("children", data / "children.csv"))
-        self.scenario = Scenario(opts.get("scenario", "s1"))
+        # The report covers both scenarios whatever `--scenario` says.
+        self.scenarios = (list(Scenario) if args.command == "report"
+                          else [Scenario(opts.get("scenario", "s1"))])
         self.mode = LiabilityMode(opts.get("liability", "exact"))
         self.format = opts.get("format", "csv")
         self.out = opts.get("out")
-        self.years = opts.get("years")
-        self._params = None
-        self._pop = None
+        self.span = _parse_years(opts["years"]) if "years" in opts else None
 
-    @property
+    @cached_property
     def params(self):
-        if self._params is None:
-            self._params = load_params(self.params_path)
-        return self._params
+        return load_params(self.params_path)
 
-    @property
+    @cached_property
     def pop(self):
-        if self._pop is None:
-            self._pop = load_population(self.population_path, self.children_path)
-        return self._pop
+        return load_population(self.population_path, self.children_path)
 
-    def year_range(self) -> list[int]:
-        if self.years is not None:
-            lo, hi = _parse_years(self.years)
-            for y in (lo, hi):
-                params_for_year(self.params, y)
-            return list(range(lo, hi + 1))
-        return sorted(self.params)
+    @cached_property
+    def years(self) -> list[int]:
+        """The `--years` range, each end present in the parameter data; else every year."""
+        if self.span is None:
+            return sorted(self.params)
+        for year in self.span:
+            params_for_year(self.params, year)
+        return list(range(self.span[0], self.span[1] + 1))
 
     def write(self, text: str) -> None:
         """Write `text` to stdout, or to the `--out` path whole or not at all.
@@ -200,16 +197,37 @@ class Run:
 
 
 # ---------------------------------------------------------------------------
-# Row builders (shared between single commands and `report`); each row is a tuple in its
-# command's field order.
+# Row builders: each is the one path to its command's table, from the run and the
+# command's own flags, and gives each row as a tuple in the command's field order.
 
 
-def rows_thresholds(run: Run, years, groups, scenarios) -> list[tuple]:
+def _years(run: Run, args) -> list[int]:
+    return [args.year] if args.year is not None else run.years
+
+
+def _last_year(run: Run, year: int | None) -> int:
+    """`year` if named, else the last year of the run."""
+    return year if year is not None else run.years[-1]
+
+
+def _groups(args) -> list[ParentalGroup]:
+    return [ParentalGroup(args.group)] if args.group else list(GROUPS)
+
+
+def _outcomes(text: str | None, default: list[str]) -> list[str]:
+    outcomes = text.split(",") if text else default
+    for outcome in outcomes:
+        if outcome not in OUTCOMES:
+            raise ValidationError(f"unknown outcome {outcome!r}")
+    return outcomes
+
+
+def rows_thresholds(run: Run, args) -> list[tuple]:
     rows = []
-    for year in years:
+    for year in _years(run, args):
         params = params_for_year(run.params, year)
-        for group in groups:
-            for scenario in scenarios:
+        for group in _groups(args):
+            for scenario in run.scenarios:
                 profile = cf.profile_for(run.pop, group, scenario, year)
                 ts = thresholds(profile, params, run.mode)
                 rows.append((year, group.value, scenario.value, f"{float(profile.children):.2f}",
@@ -219,12 +237,12 @@ def rows_thresholds(run: Run, years, groups, scenarios) -> list[tuple]:
     return rows
 
 
-def rows_classify(run: Run, years, groups, scenarios) -> list[tuple]:
+def rows_classify(run: Run, args) -> list[tuple]:
     rows = []
-    for year in years:
+    for year in _years(run, args):
         params = params_for_year(run.params, year)
-        for group in groups:
-            for scenario in scenarios:
+        for group in _groups(args):
+            for scenario in run.scenarios:
                 est = cf.eligibility(run.pop, year, group, params, scenario, mode=run.mode)
                 total = est.total
                 for cat in CATEGORY_ORDER:
@@ -233,48 +251,54 @@ def rows_classify(run: Run, years, groups, scenarios) -> list[tuple]:
     return rows
 
 
-def rows_piecemeal(run: Run, table: str, scenarios, pop_year: int, base_year: int) -> list[tuple]:
+def rows_piecemeal(run: Run, args) -> list[tuple]:
+    base_year = args.base_year if args.base_year is not None else run.years[-1] - 1
+    pop_year = _last_year(run, args.pop_year)
     rows = []
-    for scenario in scenarios:
-        for r in cf.run_piecemeal_table(table, run.pop, run.params, scenario,
+    for scenario in run.scenarios:
+        for r in cf.run_piecemeal_table(args.table, run.pop, run.params, scenario,
                                         pop_year=pop_year, base_year=base_year, mode=run.mode):
-            rows.append((table, scenario.value, r.step, r.label, r.group.value,
+            rows.append((args.table, scenario.value, r.step, r.label, r.group.value,
                          _fmt_share(r.proportion)))
     return rows
 
 
-def rows_sweep(run: Run, years, credits, scenarios, parity: bool) -> list[tuple]:
+def rows_sweep(run: Run, args) -> list[tuple]:
+    credits = _parse_credits(args.credits)
+    year = _last_year(run, args.year)
+    params = params_for_year(run.params, year)
     rows = []
-    for year in years:
-        params = params_for_year(run.params, year)
-        for scenario in scenarios:
-            table = cf.credit_size_sweep(run.pop, year, credits, scenario, params,
-                                         parity=parity, mode=run.mode)
-            for credit, group, share in table:
-                rows.append((year, scenario.value, int(credit), group.value, _fmt_share(share)))
-    rows.sort()  # by (year, scenario, credit, group), which fix the proportion
+    for scenario in run.scenarios:
+        table = cf.credit_size_sweep(run.pop, year, credits, scenario, params,
+                                     parity=not args.no_parity, mode=run.mode)
+        for credit, group, share in table:
+            rows.append((year, scenario.value, int(credit), group.value, _fmt_share(share)))
+    rows.sort()  # by (scenario, credit, group), which fix the proportion
     return rows
 
 
-def rows_priced_out(run: Run, years, scenarios, new_ctc: int, skip_non_parity: bool = True) -> list[tuple]:
+def rows_priced_out(run: Run, args) -> list[tuple]:
     rows = []
-    for year in years:
+    for year in _years(run, args):
         params = params_for_year(run.params, year)
-        if skip_non_parity and params.actc_per_child != params.ctc_per_child:
+        # A named year must qualify; a scan skips the years without refundable parity.
+        if args.year is None and params.actc_per_child != params.ctc_per_child:
             continue
-        for scenario in scenarios:
+        for scenario in run.scenarios:
             for group in GROUPS:
-                result = cf.priced_out(run.pop, year, group, params, new_ctc, scenario, run.mode)
+                result = cf.priced_out(run.pop, year, group, params, args.new_ctc, scenario,
+                                       run.mode)
                 share = result.proportion_priced_out
                 rows.append((year, scenario.value, group.value, result.full_relief_old,
                              result.priced_out, "" if share is None else _fmt_share(share)))
     return rows
 
 
-def rows_parity(run: Run, year: int, scenarios) -> list[tuple]:
+def rows_parity(run: Run, args) -> list[tuple]:
+    year = _last_year(run, args.year)
     params = params_for_year(run.params, year)
     rows = []
-    for scenario in scenarios:
+    for scenario in run.scenarios:
         result = cf.restore_parity(run.pop, year, params, scenario, run.mode)
         steps = (("1", "full credit, baseline rules", result.before),
                  ("2", "full relief after refundable parity", result.after),
@@ -286,10 +310,11 @@ def rows_parity(run: Run, year: int, scenarios) -> list[tuple]:
     return rows
 
 
-def rows_eliminate(run: Run, year: int, scenarios) -> list[tuple]:
+def rows_eliminate(run: Run, args) -> list[tuple]:
+    year = _last_year(run, args.year)
+    params = params_for_year(run.params, year)
     rows = []
-    for scenario in scenarios:
-        params = params_for_year(run.params, year)
+    for scenario in run.scenarios:
         result = cf.eliminate_refundability(run.pop, year, params, scenario, run.mode)
         for group in GROUPS:
             rows.append((year, scenario.value, group.value, _fmt_share(result.deltas[group]), ""))
@@ -314,11 +339,11 @@ def _stars(estimate: float, se: float) -> str:
     return "*" if p < 0.1 else ""
 
 
-def _fit_rows(run: Run, fit, outcomes, years, scenarios) -> list[tuple]:
+def _fit_rows(run: Run, fit, outcomes, years) -> list[tuple]:
     """One row per term of `fit(panel)` for each scenario and outcome series; each
     outcome's panel sums its categories' counts over one read of the (year, group) cells."""
     rows = []
-    for scenario in scenarios:
+    for scenario in run.scenarios:
         cells = [(year, group, cf.eligibility(run.pop, year, group, params, scenario, run.mode))
                  for year in years for params in [params_for_year(run.params, year)]
                  for group in GROUPS]
@@ -335,54 +360,21 @@ def _fit_rows(run: Run, fit, outcomes, years, scenarios) -> list[tuple]:
     return rows
 
 
-def rows_regress(run: Run, outcomes, years, scenarios) -> list[tuple]:
-    fit = partial(fixed_effects, baseline_year=max(years))
-    return _fit_rows(run, fit, outcomes, years, scenarios)
+def rows_regress(run: Run, args) -> list[tuple]:
+    outcomes = _outcomes(args.outcome, list(OUTCOMES))
+    # The fits cover the years before the 2018 reform, or all if none precede it.
+    years = [y for y in run.years if y < 2018] or run.years
+    return _fit_rows(run, partial(fixed_effects, baseline_year=max(years)), outcomes, years)
 
 
-def rows_did(run: Run, outcomes, years, post_year, scenarios) -> list[tuple]:
-    return _fit_rows(run, partial(did, post_year=post_year), outcomes, years, scenarios)
+def rows_did(run: Run, args) -> list[tuple]:
+    outcomes = _outcomes(args.outcome, ["c", "d", "e"])
+    fit = partial(did, post_year=_last_year(run, args.post_year))
+    return _fit_rows(run, fit, outcomes, run.years)
 
 
 # ---------------------------------------------------------------------------
 # Commands
-
-
-def _outcomes(text: str | None, default: list[str]) -> list[str]:
-    outcomes = text.split(",") if text else default
-    for outcome in outcomes:
-        if outcome not in OUTCOMES:
-            raise ValidationError(f"unknown outcome {outcome!r}")
-    return outcomes
-
-
-def _fe_years(years: list[int]) -> list[int]:
-    """Fixed-effects fits cover the years before the 2018 reform, or all if none precede it."""
-    return [y for y in years if y < 2018] or years
-
-
-def _years(run: Run, args) -> list[int]:
-    return [args.year] if args.year is not None else run.year_range()
-
-
-def _last_year(run: Run, year: int | None) -> int:
-    """`year` if named, else the last year of the run."""
-    return year if year is not None else run.year_range()[-1]
-
-
-def _groups(args) -> list[ParentalGroup]:
-    return [ParentalGroup(args.group)] if args.group else list(GROUPS)
-
-
-def _sweep(run: Run, args) -> list[tuple]:
-    credits = _parse_credits(args.credits)
-    return rows_sweep(run, [_last_year(run, args.year)], credits, [run.scenario], not args.no_parity)
-
-
-def _piecemeal(run: Run, args) -> list[tuple]:
-    base_year = args.base_year if args.base_year is not None else run.year_range()[-1] - 1
-    return rows_piecemeal(run, args.table, [run.scenario], _last_year(run, args.pop_year),
-                          base_year)
 
 
 class Command(NamedTuple):
@@ -402,54 +394,65 @@ COMMANDS = {
     "thresholds": Command(
         "category-boundary incomes", (_YEAR, _GROUP),
         ("year", "group", "scenario", "children", "refund_floor", "full_actc", "full_ctc",
-         "full_combined", "phaseout_start", "total_phaseout"),
-        lambda run, args: rows_thresholds(run, _years(run, args), _groups(args), [run.scenario])),
+         "full_combined", "phaseout_start", "total_phaseout"), rows_thresholds),
     "classify": Command(
         "eligibility category shares", (_YEAR, _GROUP),
-        ("year", "group", "scenario", "category", "count", "proportion", "flag"),
-        lambda run, args: rows_classify(run, _years(run, args), _groups(args), [run.scenario])),
+        ("year", "group", "scenario", "category", "count", "proportion", "flag"), rows_classify),
     "piecemeal": Command(
         "one-parameter-at-a-time walk",
         (("--table", {"choices": ["1a", "1b"], "default": "1a"}),
          ("--pop-year", {"type": int}),
          ("--base-year", {"type": int})),
-        ("table", "scenario", "step", "label", "group", "proportion"), _piecemeal),
+        ("table", "scenario", "step", "label", "group", "proportion"), rows_piecemeal),
     "sweep": Command(
         "full relief by credit size",
         (("--credits", {"default": "500:3600:100", "help": "range A:B:STEP or comma list"}),
          _YEAR,
-         ("--no-parity", {"action": "store_true",
+         ("--no-parity", {"action": "store_true", "default": False,
                           "help": "keep the refundable maximum at its baseline value"})),
-        ("year", "scenario", "credit", "group", "proportion"), _sweep),
+        ("year", "scenario", "credit", "group", "proportion"), rows_sweep),
     "priced-out": Command(
         "households priced out of full relief",
         (("--new-ctc", {"type": int, "default": 2000}), _YEAR),
         ("year", "scenario", "group", "full_relief_old", "priced_out", "proportion"),
-        # An explicitly named year must qualify; scans skip non-parity years.
-        lambda run, args: rows_priced_out(run, _years(run, args), [run.scenario], args.new_ctc,
-                                          skip_non_parity=args.year is None)),
+        rows_priced_out),
     "parity": Command(
         "full relief before/after refundable parity", (_YEAR,),
-        ("year", "scenario", "step", "label", "group", "proportion"),
-        lambda run, args: rows_parity(run, _last_year(run, args.year), [run.scenario])),
+        ("year", "scenario", "step", "label", "group", "proportion"), rows_parity),
     "eliminate-refund": Command(
         "access gained without the floor", (_YEAR,),
-        ("year", "scenario", "group", "access_delta", "gaining_households"),
-        lambda run, args: rows_eliminate(run, _last_year(run, args.year), [run.scenario])),
+        ("year", "scenario", "group", "access_delta", "gaining_households"), rows_eliminate),
     "regress": Command(
         "fixed-effects panel regressions",
         (("--outcome", {"help": "comma list of a..f, cd, bc (default: all)"}),),
-        ("scenario", "outcome", "term", "estimate", "robust_se", "stars"),
-        lambda run, args: rows_regress(run, _outcomes(args.outcome, list(OUTCOMES)),
-                                       _fe_years(run.year_range()), [run.scenario])),
+        ("scenario", "outcome", "term", "estimate", "robust_se", "stars"), rows_regress),
     "did": Command(
         "difference-in-differences estimates",
         (("--outcome", {"help": "comma list of a..f, cd, bc (default: c,d,e)"}),
-         ("--post-year", {"type": int, "default": 2018})),
-        ("scenario", "outcome", "term", "estimate", "robust_se", "stars"),
-        lambda run, args: rows_did(run, _outcomes(args.outcome, ["c", "d", "e"]),
-                                   run.year_range(), args.post_year, [run.scenario])),
+         ("--post-year", {"type": int})),
+        ("scenario", "outcome", "term", "estimate", "robust_se", "stars"), rows_did),
 }
+
+# The report's sections: name -> (command, flags). Each is that command's rows over both
+# scenarios, given these flags and the others at their defaults.
+SECTIONS = {
+    "thresholds": ("thresholds", {}),
+    "eligibility": ("classify", {}),
+    "piecemeal_full_credit": ("piecemeal", {"table": "1a"}),
+    "piecemeal_full_refundable": ("piecemeal", {"table": "1b"}),
+    "parity": ("parity", {}),
+    "eliminate_refundability": ("eliminate-refund", {}),
+    "priced_out": ("priced-out", {}),
+    "credit_sweep": ("sweep", {"credits": "500,1000,1400,2000,3000,3600"}),
+    "fixed_effects": ("regress", {}),
+    "did": ("did", {}),
+}
+
+
+def _own_args(command: str, **flags) -> argparse.Namespace:
+    """`command`'s own flags as parsing sets them: the values in `flags`, else the defaults."""
+    return argparse.Namespace(**{flag[2:].replace("-", "_"): kwargs.get("default")
+                                 for flag, kwargs in COMMANDS[command].flags} | flags)
 
 
 def cmd_table(run: Run, args) -> None:
@@ -467,30 +470,19 @@ def cmd_table(run: Run, args) -> None:
 
 
 def cmd_report(run: Run, args) -> None:
-    years = run.year_range()
-    new_law_year = max(years)
-    both = list(Scenario)
+    years = run.years
+    # The sweep runs for each year of the 2017/2018 comparison in the range, else for the
+    # last year; a range with no year before the last has no pre-period to difference.
+    runs = {"sweep": [{"year": y} for y in (2017, 2018) if y in years] or [{}],
+            "did": [{}] if years[0] < years[-1] else []}
     settings = {"scenario": "both", "liability": run.mode.value, "years": [years[0], years[-1]]}
-    sections = {  # name -> (the command whose fields its rows have, rows)
-        "thresholds": ("thresholds", rows_thresholds(run, years, GROUPS, both)),
-        "eligibility": ("classify", rows_classify(run, years, GROUPS, both)),
-        "piecemeal_full_credit": ("piecemeal", rows_piecemeal(run, "1a", both, new_law_year, new_law_year - 1)),
-        "piecemeal_full_refundable": ("piecemeal", rows_piecemeal(run, "1b", both, new_law_year, new_law_year - 1)),
-        "parity": ("parity", rows_parity(run, new_law_year, both)),
-        "eliminate_refundability": ("eliminate-refund", rows_eliminate(run, new_law_year, both)),
-        "priced_out": ("priced-out", rows_priced_out(run, years, both, 2000)),
-        "credit_sweep": ("sweep", rows_sweep(run, [y for y in (2017, 2018) if y in years] or [new_law_year],
-                                             [500, 1000, 1400, 2000, 3000, 3600], both, True)),
-        "fixed_effects": ("regress", rows_regress(run, list(OUTCOMES), _fe_years(years), both)),
-        # A range with no year before the new law has no pre-period to difference.
-        "did": ("did", rows_did(run, ["c", "d", "e"], years, new_law_year, both)
-                if years[0] < new_law_year else []),
-    }
     # The bundle as `json.dumps(indent=2)` writes it: the settings block, then each table.
-    head = json.dumps({"settings": settings}, indent=2)[:-2]
-    tables = [f"  {json.dumps(name)}: {_json_rows(COMMANDS[command].fields, rows, 1)}"
-              for name, (command, rows) in sections.items()]
-    run.write(",\n".join([head, *tables]) + "\n}\n")
+    tables = [json.dumps({"settings": settings}, indent=2)[:-2]]
+    for name, (command, flags) in SECTIONS.items():
+        rows = [row for more in runs.get(command, [{}])
+                for row in COMMANDS[command].rows(run, _own_args(command, **flags, **more))]
+        tables.append(f"  {json.dumps(name)}: {_json_rows(COMMANDS[command].fields, rows, 1)}")
+    run.write(",\n".join(tables) + "\n}\n")
 
 
 class _Parser(argparse.ArgumentParser):

@@ -87,7 +87,11 @@ class PopulationTable:
 
     def average_children(self, year: int, group: ParentalGroup) -> Fraction:
         average = self._averages.get((year, group))
-        return self.children_histogram(year, group).average() if average is None else average
+        if average is None:  # every histogram with respondents has its average kept
+            self.children_histogram(year, group)  # names a missing one
+            raise EmptyHistogram(f"children histogram for year {year}, group {group.value} "
+                                 "has no respondents")
+        return average
 
 
 _GROUPS = {g.value: g for g in ParentalGroup}

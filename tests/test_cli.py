@@ -13,7 +13,8 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from ctcsim.cli import _fmt_money, _fmt_share, _json_rows, main
+from ctcsim.cli import (COMMANDS, SHARED, _fmt_money, _fmt_share, _json_rows, _own_args,
+                        build_parser, main)
 from ctcsim.money import ceil_to_cent, dollars_str
 
 from conftest import DATA
@@ -135,17 +136,31 @@ class TestAnalyses:
             capsys, "parity", "--year", "2017")
 
     @pytest.mark.parametrize("argv, section", [
+        (["thresholds"], "thresholds"),
+        (["classify"], "eligibility"),
+        (["piecemeal", "--table", "1a"], "piecemeal_full_credit"),
+        (["piecemeal", "--table", "1b"], "piecemeal_full_refundable"),
         (["parity"], "parity"),
         (["eliminate-refund"], "eliminate_refundability"),
-        (["piecemeal", "--table", "1a"], "piecemeal_full_credit"),
-    ])
-    def test_single_year_commands_match_the_report_over_a_range(self, capsys, argv, section):
+        (["priced-out"], "priced_out"),
+        (["sweep", "--credits", "500,1000,1400,2000,3000,3600"], "credit_sweep"),
+        (["regress"], "fixed_effects"),
+        (["did"], "did"),
+    ], ids=lambda v: v if isinstance(v, str) else " ".join(v))
+    def test_each_command_matches_its_report_section_over_a_range(self, capsys, argv, section):
         code, out = run_cli(capsys, *argv, "--years", "2003:2017", "--format", "json")
         assert code == 0
         rows = json.loads(out)
         code, out = run_cli(capsys, "report", "--years", "2003:2017")
         assert code == 0
         assert rows and rows == [r for r in json.loads(out)[section] if r["scenario"] == "s1"]
+
+    @pytest.mark.parametrize("name", list(COMMANDS))
+    def test_report_gives_each_command_the_flags_parsing_gives_it(self, name):
+        parsed = vars(build_parser().parse_args([name]))
+        own = vars(_own_args(name))
+        assert set(parsed) - set(SHARED) - {"command", "func"} == set(own)
+        assert own == {dest: parsed[dest] for dest in own}
 
     def test_regress_emits_terms(self, capsys):
         code, out = run_cli(capsys, "regress", "--outcome", "d", "--scenario", "s1")
@@ -413,6 +428,28 @@ class TestBadInput:
     def test_years_flag_read_by_a_single_year_command(self, capsys):
         line = self.assert_one_line_error(capsys, "parity", "--years", "abc")
         assert line == "error: bad year range 'abc'"
+
+    @pytest.mark.parametrize("argv", [["sweep", "--year", "2017"], ["parity", "--year", "2017"],
+                                      ["piecemeal", "--pop-year", "2018", "--base-year", "2017"],
+                                      ["classify", "--year", "2017"]])
+    @pytest.mark.parametrize("source", ["flag", "config"])
+    def test_years_checked_when_a_year_is_named(self, capsys, tmp_path, argv, source):
+        years = ["--years", "abc"] if source == "flag" else [
+            "--config", self.config(tmp_path, '{"years": "abc"}')]
+        line = self.assert_one_line_error(capsys, *argv, *years)
+        assert line == "error: bad year range 'abc'"
+
+    @pytest.mark.parametrize("argv", [["classify", "--scenario", "s2", "--year", "2017"],
+                                      ["report"]], ids=["classify", "report"])
+    def test_empty_children_histogram_names_its_cell(self, capsys, tmp_path, argv):
+        lines = (DATA / "children.csv").read_text().splitlines()
+        zeroed = [line.rsplit(",", 1)[0] + ",0" if line.startswith("2017,single_father,") else line
+                  for line in lines]
+        children = tmp_path / "children.csv"
+        children.write_text("\n".join(zeroed) + "\n")
+        line = self.assert_one_line_error(capsys, *argv, "--children", str(children))
+        assert line == ("error: children histogram for year 2017, group single_father "
+                        "has no respondents")
 
     @pytest.mark.parametrize("command", ["classify", "sweep", "regress", "report"])
     def test_parameter_file_without_records(self, capsys, tmp_path, command):
