@@ -17,7 +17,6 @@ qualifies, and a bin whose lower edge equals the boundary lies wholly above.
 from __future__ import annotations
 
 from bisect import bisect_right
-from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 from itertools import accumulate
@@ -26,6 +25,7 @@ from typing import Iterable, Mapping, Sequence
 from .errors import ThresholdOutOfRange, UnavailableCategory
 from .params import ParentalGroup
 from .population import BIN_WIDTH, IncomeBin, PopulationTable
+from .record import Record
 from .taxmath import ThresholdSet
 
 
@@ -78,8 +78,7 @@ class GeneralizabilityFlag(Enum):
     UNAVAILABLE = "unavailable"
 
 
-@dataclass(frozen=True)
-class EligibilityEstimate:
+class EligibilityEstimate(Record):
     year: int
     group: ParentalGroup
     scenario: Scenario

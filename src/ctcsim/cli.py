@@ -15,7 +15,6 @@ import io
 import json
 import math
 import os
-import secrets
 import sys
 from fractions import Fraction
 from functools import cached_property, partial
@@ -153,6 +152,9 @@ class Run:
         self.format = opts.get("format", "csv")
         self.out = opts.get("out")
         self.span = _parse_years(opts["years"]) if "years" in opts else None
+        # Checked here, not where the range is read: a command that names its year reads none.
+        for year in self.span or ():
+            params_for_year(self.params, year)
 
     @cached_property
     def params(self):
@@ -167,8 +169,6 @@ class Run:
         """The `--years` range, each end present in the parameter data; else every year."""
         if self.span is None:
             return sorted(self.params)
-        for year in self.span:
-            params_for_year(self.params, year)
         return list(range(self.span[0], self.span[1] + 1))
 
     def write(self, text: str) -> None:
@@ -185,7 +185,7 @@ class Run:
         if target.exists() and not target.is_file():
             target.write_text(text, encoding="utf-8")
             return
-        tmp = target.parent / f".{target.name}.{os.getpid()}.{secrets.token_hex(4)}.tmp"
+        tmp = target.parent / f".{target.name}.{os.getpid()}.{os.urandom(4).hex()}.tmp"
         fh = open(tmp, "x", encoding="utf-8")
         try:
             with fh:

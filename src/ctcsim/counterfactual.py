@@ -11,7 +11,6 @@ output layer.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
 from fractions import Fraction
 from typing import Mapping, Sequence
 
@@ -35,6 +34,7 @@ from .params import (
     params_for_year,
 )
 from .population import IncomeBin, PopulationTable
+from .record import Record, replace
 from .taxmath import (
     HouseholdProfile,
     LiabilityMode,
@@ -127,8 +127,7 @@ def full_relief_proportion(
 # Piecemeal parameter walks
 
 
-@dataclass(frozen=True)
-class StepRow:
+class StepRow(Record):
     step: int
     label: str
     group: ParentalGroup
@@ -201,8 +200,7 @@ def run_piecemeal_table(
 # Parity, pricing-out, sweeps
 
 
-@dataclass(frozen=True)
-class PricedOutResult:
+class PricedOutResult(Record):
     full_relief_old: int
     priced_out: int
 
@@ -282,8 +280,7 @@ def credit_size_sweep(
     return rows
 
 
-@dataclass(frozen=True)
-class ParityResult:
+class ParityResult(Record):
     """Full-relief eligibility before and after refundable-credit parity, then without the floor."""
 
     before: Mapping[ParentalGroup, Fraction]
@@ -329,8 +326,7 @@ def restore_parity(
     return ParityResult(before=before, after=shares(at_parity), no_floor=shares(no_floor))
 
 
-@dataclass(frozen=True)
-class EliminationResult:
+class EliminationResult(Record):
     """Access gained by removing the refundability floor."""
 
     deltas: Mapping[ParentalGroup, Fraction]

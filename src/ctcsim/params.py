@@ -3,14 +3,14 @@
 A parameter file is a JSON array with one record per (year, filing status).
 Money fields (whole dollars in the shipped file) and rates may be decimal
 literals, parsed exactly; `year` must be a JSON integer.
-Loaded parameter sets are frozen dataclasses and safe to share across
-threads; counterfactuals derive new sets through :func:`apply_overrides`.
+Loaded parameter sets are immutable value records (:mod:`ctcsim.record`) and
+safe to share across threads; counterfactuals derive new sets through
+:func:`apply_overrides`.
 """
 
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, replace
 from enum import Enum
 from fractions import Fraction
 from pathlib import Path
@@ -18,6 +18,7 @@ from typing import Iterable, Mapping, Sequence, Union
 
 from .errors import MissingYear, ParseError, ValidationError
 from .money import as_money, as_rate
+from .record import Record, replace
 
 
 class FilingStatus(Enum):
@@ -41,16 +42,14 @@ class ParentalGroup(Enum):
         return 2 if self is ParentalGroup.MARRIED else 1
 
 
-@dataclass(frozen=True)
-class Bracket:
+class Bracket(Record):
     """One marginal-rate band: applies up to `upper` taxable dollars (None = no cap)."""
 
     upper: Fraction | None
     rate: Fraction
 
 
-@dataclass(frozen=True)
-class BracketSchedule:
+class BracketSchedule(Record):
     brackets: tuple[Bracket, ...]
 
     def validate(self) -> None:
@@ -88,16 +87,14 @@ class BracketSchedule:
         return total
 
 
-@dataclass(frozen=True)
-class FilingParams:
+class FilingParams(Record):
     standard_deduction: Fraction
     exemption_per_person: Fraction
     brackets: BracketSchedule
     phaseout_start: Fraction
 
 
-@dataclass(frozen=True)
-class ProgramParameters:
+class ProgramParameters(Record):
     """All program rules for one year, both filing statuses.
 
     Hashable by value: `filing` holds (status, rules) pairs in FilingStatus
@@ -111,16 +108,18 @@ class ProgramParameters:
     refund_threshold: Fraction
     refund_rate: Fraction
     phaseout_rate: Fraction
+    _hash: int
 
     def __hash__(self) -> int:
         # Hashing the nested Fractions is costly and the fields never change,
         # so the hash is computed once per object.
-        cached = self.__dict__.get("_hash")
-        if cached is None:
+        try:
+            return self._hash
+        except AttributeError:
             cached = hash((self.year, self.filing, self.ctc_per_child, self.actc_per_child,
                            self.refund_threshold, self.refund_rate, self.phaseout_rate))
             object.__setattr__(self, "_hash", cached)
-        return cached
+            return cached
 
     def for_status(self, status: FilingStatus) -> FilingParams:
         for s, fp in self.filing:

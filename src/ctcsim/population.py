@@ -10,13 +10,13 @@ from __future__ import annotations
 
 import csv
 import io
-from dataclasses import dataclass
 from fractions import Fraction
 from pathlib import Path
 from typing import Callable, Mapping, Sequence
 
 from .errors import EmptyGroup, EmptyHistogram, GapError, NegativeCount, ParseError
 from .params import ParentalGroup
+from .record import Record
 
 BIN_WIDTH = 2500
 INCOME_CEILING = 100_000
@@ -24,15 +24,13 @@ INCOME_CEILING = 100_000
 CHILDREN_KEYS = tuple(str(k) for k in range(8)) + ("8plus",)
 
 
-@dataclass(frozen=True)
-class IncomeBin:
+class IncomeBin(Record):
     lower: int
     upper: int
     count: int
 
 
-@dataclass(frozen=True)
-class ChildrenHistogram:
+class ChildrenHistogram(Record):
     """Respondent counts by reported number of children; '8plus' sums at 8."""
 
     counts: Mapping[str, int]
@@ -114,7 +112,7 @@ def _read_cells(path: Path, header: list[str], parse: Callable) -> dict:
     except UnicodeDecodeError as exc:
         line = data.count(b"\n", 0, exc.start) + 1
         raise ParseError(f"{path}:{line}: {exc}") from None
-    cells: dict = {}  # (year, group) -> key -> (value, line)
+    cells: dict = {}  # (year, group name) -> key -> (value, line)
     # Parsed from a chunked decoder: a StringIO of the whole text would hold 4 bytes a character.
     reader = csv.reader(io.TextIOWrapper(io.BytesIO(data), encoding="utf-8", newline=""))
     try:
@@ -130,7 +128,7 @@ def _read_cells(path: Path, header: list[str], parse: Callable) -> dict:
                 year, group = _int_field(year, "year"), group.strip()
                 if group not in _GROUPS:
                     raise ParseError(f"unknown group {group!r}")
-                cell = cells.setdefault((year, _GROUPS[group]), {})
+                cell = cells.setdefault((year, group), {})  # a str hashes in C, a member does not
                 key, value = parse(*fields)
                 if key in cell:
                     raise ParseError(f"duplicate row, first seen on line {cell[key][1]}")
@@ -139,13 +137,16 @@ def _read_cells(path: Path, header: list[str], parse: Callable) -> dict:
             cell[key] = value, reader.line_num
     except csv.Error as exc:
         raise ParseError(f"{path}:{reader.line_num}: {exc}") from None
-    return {k: {key: value for key, (value, _) in cell.items()} for k, cell in cells.items()}
+    return {(year, _GROUPS[group]): {key: value for key, (value, _) in cell.items()}
+            for (year, group), cell in cells.items()}
 
 
 def _income_bin(lower: str, upper: str, count: str) -> tuple[int, IncomeBin]:
-    lower = _int_field(lower, "bin_lower")
-    upper = _int_field(upper, "bin_upper")
-    count = _int_field(count, "count")
+    try:
+        lower, upper, count = int(lower), int(upper), int(count)
+    except ValueError:  # name the first field that is not an integer
+        for raw, field in ((lower, "bin_lower"), (upper, "bin_upper"), (count, "count")):
+            _int_field(raw, field)
     if count < 0:
         raise NegativeCount(f"negative count {count}")
     if upper - lower != BIN_WIDTH:

@@ -16,23 +16,21 @@ of freedom (n == k) reproduces its outcomes exactly and has no covariance.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Mapping, Sequence
 
 from .errors import RankDeficient, ValidationError
 from .params import ParentalGroup
+from .record import Record
 
 
-@dataclass(frozen=True)
-class PanelObservation:
+class PanelObservation(Record):
     year: int
     group: ParentalGroup
     outcome: float
 
 
-@dataclass(frozen=True)
-class RegressionResult:
+class RegressionResult(Record):
     names: tuple[str, ...]
     estimates: tuple[float, ...]
     cov: tuple[tuple[float, ...], ...]  # every entry math.nan when df_resid is 0

@@ -29,7 +29,6 @@ phase-in term bisects on the row index: row liability never falls, so
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 from math import lcm
@@ -38,6 +37,7 @@ from .errors import OrderingViolation, Unreachable, ValidationError
 from .memo import once
 from .money import as_money
 from .params import FilingParams, ParentalGroup, ProgramParameters
+from .record import Record
 
 TABLE_ROW_WIDTH = Fraction(50)
 
@@ -47,8 +47,7 @@ class LiabilityMode(Enum):
     TABLE = "table"
 
 
-@dataclass(frozen=True)
-class HouseholdProfile:
+class HouseholdProfile(Record):
     """A filing household: parental group plus (possibly fractional) children.
 
     Fractional children arise when group-year averages stand in for actual
@@ -62,7 +61,7 @@ class HouseholdProfile:
     def __post_init__(self):
         object.__setattr__(self, "children", as_money(self.children))
         if self.children < 0:
-            raise ValueError("children must be nonnegative")
+            raise ValidationError("children must be nonnegative")
 
     @classmethod
     def one_child(cls, group: ParentalGroup) -> "HouseholdProfile":
@@ -73,8 +72,7 @@ class HouseholdProfile:
         return self.group.adults
 
 
-@dataclass(frozen=True)
-class BenefitSplit:
+class BenefitSplit(Record):
     credit: Fraction
     refund: Fraction
 
@@ -83,8 +81,7 @@ class BenefitSplit:
         return self.credit + self.refund
 
 
-@dataclass(frozen=True)
-class ThresholdSet:
+class ThresholdSet(Record):
     """Category-boundary incomes for one (params, household) pair.
 
     Categories a-f partition income by: below `t_refund_floor` (a), then
@@ -143,7 +140,7 @@ def tax_liability(
     """Bracket tax on income net of the tax-free amount; nondecreasing in income."""
     income = as_money(income)
     if income < 0:
-        raise ValueError("income must be nonnegative")
+        raise ValidationError("income must be nonnegative")
     taxable = income - tax_free_amount(profile, params)
     if mode is LiabilityMode.TABLE and taxable > 0:
         taxable = (taxable // TABLE_ROW_WIDTH) * TABLE_ROW_WIDTH + TABLE_ROW_WIDTH / 2

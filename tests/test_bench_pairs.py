@@ -2,6 +2,7 @@
 
 import importlib.util
 import json
+import subprocess
 
 import pytest
 
@@ -20,6 +21,21 @@ def test_first_side_alternates_within_each_workload(workloads):
         firsts = [order[0] for _, w, order in runs if w == workload]
         assert firsts == ["parent", "change"] * 3
     assert all(sorted(order) == ["change", "parent"] for _, _, order in runs)
+
+
+def test_a_run_keeps_its_unscaled_times(monkeypatch, tmp_path):
+    """`run_once` reads the result line and, from the record line before it, the raw setup
+    and op times."""
+    record = {"workload": "x", "samples": {"raw_setup_s_each": [0.11, 0.12], "raw_op_p50_ms": 4.5,
+                                           "setup_s_each": [0.1, 0.1]}}
+    result = {"correct": True, "attempted": 9, "failed": 0,
+              "metrics": {"setup_s": {"value": 0.1, "unit": "s"}}}
+    stdout = "\n".join(["warming up", json.dumps(record), json.dumps(result)]) + "\n"
+    monkeypatch.setattr(bench_pairs.subprocess, "run",
+                        lambda *args, **kwargs: subprocess.CompletedProcess(args, 0, stdout, ""))
+    assert bench_pairs.run_once(tmp_path, "x", 1, 1.0) == {
+        "correct": True, "attempted": 9, "failed": 0, "metrics": {"setup_s": 0.1},
+        "samples": {"raw_setup_s_each": [0.11, 0.12], "raw_op_p50_ms": 4.5}}
 
 
 def mocked_record(tmp_path, monkeypatch, seeds, outcome=lambda side, workload, seed: (True, 0)):

@@ -393,16 +393,27 @@ class TestConfigAndDeterminism:
         assert proc.returncode == 0
         assert "9666.67" in proc.stdout
 
-    @pytest.mark.parametrize("run", ["0", "ctcsim.cli.main(['report'])"], ids=["import", "report"])
-    def test_leaves_scipy_and_numpy_out(self, run):
+    @pytest.mark.parametrize("run", ["0", "ctcsim.cli.main(['report']) + ctcsim.cli.main("
+                                     "['report', '--out', sys.argv[1]])"], ids=["import", "report"])
+    def test_loads_no_module_it_does_not_use(self, run, tmp_path):
+        """Neither importing the CLI nor a report, to stdout or to a file, loads numpy or
+        scipy, or `dataclasses`, `secrets` and what they import, which cost cold starts."""
+        unused = ("dataclasses", "inspect", "ast", "secrets", "hmac", "numpy", "scipy")
         proc = subprocess.run(
             [sys.executable, "-c", f"import sys, ctcsim.cli; print({run}, sorted(m for m in "
-             "sys.modules if m.split('.')[0] in ('scipy', 'numpy')), file=sys.stderr)"],
+             f"sys.modules if m.split('.')[0] in {unused}), file=sys.stderr)",
+             str(tmp_path / "report.json")],
             capture_output=True, text=True,
             env={"PATH": "", "CTCSIM_DATA_DIR": str(DATA), "PYTHONPATH": str(DATA.parent / "src")},
         )
         assert proc.returncode == 0, proc.stderr
         assert proc.stderr == "0 []\n"
+
+
+# A command run with the year it covers named, so that it reads no `--years` range.
+NAMES_ITS_YEAR = [["sweep", "--year", "2017"], ["parity", "--year", "2017"],
+                  ["piecemeal", "--pop-year", "2018", "--base-year", "2017"],
+                  ["classify", "--year", "2017"], ["eliminate-refund", "--year", "2017"]]
 
 
 class TestBadInput:
@@ -429,15 +440,18 @@ class TestBadInput:
         line = self.assert_one_line_error(capsys, "parity", "--years", "abc")
         assert line == "error: bad year range 'abc'"
 
-    @pytest.mark.parametrize("argv", [["sweep", "--year", "2017"], ["parity", "--year", "2017"],
-                                      ["piecemeal", "--pop-year", "2018", "--base-year", "2017"],
-                                      ["classify", "--year", "2017"]])
+    @pytest.mark.parametrize("argv", NAMES_ITS_YEAR)
     @pytest.mark.parametrize("source", ["flag", "config"])
     def test_years_checked_when_a_year_is_named(self, capsys, tmp_path, argv, source):
         years = ["--years", "abc"] if source == "flag" else [
             "--config", self.config(tmp_path, '{"years": "abc"}')]
         line = self.assert_one_line_error(capsys, *argv, *years)
         assert line == "error: bad year range 'abc'"
+
+    @pytest.mark.parametrize("argv", NAMES_ITS_YEAR, ids=lambda argv: argv[0])
+    def test_years_outside_the_data_when_a_year_is_named(self, capsys, argv):
+        line = self.assert_one_line_error(capsys, *argv, "--years", "1999:2001")
+        assert line == "error: year 1999 not present in parameter data"
 
     @pytest.mark.parametrize("argv", [["classify", "--scenario", "s2", "--year", "2017"],
                                       ["report"]], ids=["classify", "report"])

@@ -1,0 +1,86 @@
+"""Value records (`ctcsim.record`): equality, hashing, immutability, replace and repr."""
+
+from fractions import Fraction
+
+import pytest
+
+from ctcsim import (
+    HouseholdProfile,
+    ParentalGroup,
+    ProgramParameters,
+    apply_overrides,
+    benefit_at_income,
+)
+from ctcsim.errors import ValidationError
+from ctcsim.params import Bracket, FilingParams
+from ctcsim.population import IncomeBin
+from ctcsim.record import replace
+
+MOTHER = ParentalGroup.SINGLE_MOTHER
+
+
+def test_equal_overrides_give_equal_keys_with_equal_hashes(params_by_year):
+    overrides = {"ctc_per_child": 2500, "standard_deduction": 13000, "refund_rate": "0.2"}
+    a = apply_overrides(params_by_year[2017], overrides)
+    b = apply_overrides(params_by_year[2017], dict(overrides))
+    assert a is not b and a == b and hash(a) == hash(b)
+    assert {a: "cached"}[b] == "cached"
+    assert a != apply_overrides(params_by_year[2017], overrides | {"ctc_per_child": 2400})
+
+
+def test_program_parameters_hash_once(params_by_year, monkeypatch):
+    calls = []
+    field_hash = FilingParams.__hash__
+    monkeypatch.setattr(FilingParams, "__hash__", lambda self: calls.append(1) or field_hash(self))
+    rules = apply_overrides(params_by_year[2018], {"ctc_per_child": 2100})
+    first = hash(rules)
+    assert len(calls) == 2  # one per filing status
+    assert hash(rules) == first and len(calls) == 2
+    assert isinstance(rules, ProgramParameters)
+
+
+@pytest.mark.parametrize("record, values", [
+    (IncomeBin(0, 2500, 7), (0, 2500, 7)),
+    (Bracket(None, Fraction(1, 10)), (None, Fraction(1, 10))),
+    (HouseholdProfile(MOTHER, 2), (MOTHER, Fraction(2))),
+], ids=["IncomeBin", "Bracket", "HouseholdProfile"])
+def test_a_record_never_equals_a_tuple_of_its_fields(record, values):
+    assert record != values and values != record
+    assert record == type(record)(*values)
+
+
+@pytest.mark.parametrize("record, field", [(IncomeBin(0, 2500, 7), "count"),
+                                           (HouseholdProfile(MOTHER, 2), "children")],
+                         ids=["IncomeBin", "HouseholdProfile"])
+def test_fields_cannot_be_assigned_or_deleted(record, field):
+    before = getattr(record, field)
+    with pytest.raises(AttributeError, match="cannot assign"):
+        setattr(record, field, before)
+    with pytest.raises(AttributeError, match="cannot delete"):
+        delattr(record, field)
+    with pytest.raises(AttributeError):
+        record.other = 1
+    assert getattr(record, field) == before
+
+
+def test_replace_coerces_and_checks_again():
+    profile = HouseholdProfile(MOTHER, Fraction(5, 2))
+    raised = replace(profile, children=3)
+    assert type(raised.children) is Fraction and raised == HouseholdProfile(MOTHER, 3)
+    assert profile.children == Fraction(5, 2)
+    with pytest.raises(ValidationError, match="children must be nonnegative"):
+        replace(profile, children=-1)
+    with pytest.raises(TypeError):
+        replace(profile, adults=2)
+
+
+def test_repr_names_the_fields():
+    assert repr(Bracket(None, Fraction(1, 10))) == "Bracket(upper=None, rate=Fraction(1, 10))"
+    assert repr(IncomeBin(0, 2500, 7)) == "IncomeBin(lower=0, upper=2500, count=7)"
+
+
+def test_negative_inputs_are_validation_errors(params_by_year):
+    with pytest.raises(ValidationError, match="children must be nonnegative"):
+        HouseholdProfile(MOTHER, -1)
+    with pytest.raises(ValidationError, match="income must be nonnegative"):
+        benefit_at_income(-1, HouseholdProfile(MOTHER, 1), params_by_year[2018])

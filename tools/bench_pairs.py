@@ -13,7 +13,8 @@ median and quartiles, the pairs the change won, and whether a gain may be
 claimed: wins in at least nine tenths of the pairs, medians further apart than
 the parent's quartiles, and every run of the workload correct on both sides.
 Each workload also records each side's count of incorrect runs: a run whose
-checks failed or which had a failed op.
+checks failed or which had a failed op. Each run also keeps its unscaled cold
+setup times and median op time (``samples``), which the scaled metrics hide.
 """
 
 from __future__ import annotations
@@ -33,10 +34,12 @@ def run_once(checkout: Path, workload: str, seed: int, seconds: float) -> dict:
         [sys.executable, "ctcbench/run.py", "--workload", workload, "--seed", str(seed),
          "--seconds", str(seconds), "--trace", "0"],
         cwd=checkout, capture_output=True, text=True, check=True)
-    result = json.loads(proc.stdout.strip().splitlines()[-1])
+    record, result = (json.loads(line) for line in proc.stdout.strip().splitlines()[-2:])
     return {"correct": result["correct"], "attempted": result["attempted"],
             "failed": result["failed"],
-            "metrics": {name: m["value"] for name, m in result["metrics"].items()}}
+            "metrics": {name: m["value"] for name, m in result["metrics"].items()},
+            "samples": {name: record["samples"][name]
+                        for name in ("raw_setup_s_each", "raw_op_p50_ms")}}
 
 
 def schedule(seeds: list[int], workloads: list[str]):
