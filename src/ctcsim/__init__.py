@@ -7,7 +7,6 @@ from .classifier import (
     ReliefCategory,
     Scenario,
     classify,
-    combine_categories,
     flag_categories,
 )
 from .counterfactual import (

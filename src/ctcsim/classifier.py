@@ -20,9 +20,9 @@ from bisect import bisect_right
 from enum import Enum
 from fractions import Fraction
 from itertools import accumulate
-from typing import Iterable, Mapping, Sequence
+from typing import Mapping, Sequence
 
-from .errors import ThresholdOutOfRange, UnavailableCategory
+from .errors import ThresholdOutOfRange
 from .params import ParentalGroup
 from .population import BIN_WIDTH, IncomeBin, PopulationTable
 from .record import Record
@@ -79,9 +79,6 @@ class GeneralizabilityFlag(Enum):
 
 
 class EligibilityEstimate(Record):
-    year: int
-    group: ParentalGroup
-    scenario: Scenario
     counts: Mapping[ReliefCategory, int]
     flags: Mapping[ReliefCategory, GeneralizabilityFlag]
 
@@ -175,24 +172,4 @@ def classify(
 ) -> EligibilityEstimate:
     """Classify one (year, group) population under `thresholds` and the scenario's bound rule."""
     counts = assign_bins(pop.bins(year, group), thresholds, scenario.rule)
-    return EligibilityEstimate(
-        year=year,
-        group=group,
-        scenario=scenario,
-        counts=counts,
-        flags=flag_categories(group, year, scenario),
-    )
-
-
-def combine_categories(
-    estimate: EligibilityEstimate, categories: Iterable[ReliefCategory]
-) -> Fraction:
-    """Sum of proportions over `categories`; rejects unavailable ones."""
-    total = Fraction(0)
-    for c in categories:
-        if estimate.flags[c] is GeneralizabilityFlag.UNAVAILABLE:
-            raise UnavailableCategory(
-                f"category {c.value} is not estimable for {estimate.group.value} {estimate.year}"
-            )
-        total += estimate.proportion(c)
-    return total
+    return EligibilityEstimate(counts, flag_categories(group, year, scenario))

@@ -252,8 +252,8 @@ def rows_classify(run: Run, args) -> list[tuple]:
 
 
 def rows_piecemeal(run: Run, args) -> list[tuple]:
-    base_year = args.base_year if args.base_year is not None else run.years[-1] - 1
     pop_year = _last_year(run, args.pop_year)
+    base_year = args.base_year if args.base_year is not None else pop_year - 1
     rows = []
     for scenario in run.scenarios:
         for r in cf.run_piecemeal_table(args.table, run.pop, run.params, scenario,
@@ -472,9 +472,11 @@ def cmd_table(run: Run, args) -> None:
 def cmd_report(run: Run, args) -> None:
     years = run.years
     # The sweep runs for each year of the 2017/2018 comparison in the range, else for the
-    # last year; a range with no year before the last has no pre-period to difference.
+    # last year; a range with no year before the last has no pre-period to difference,
+    # and parameter data without the year before the last has no baseline to walk from.
     runs = {"sweep": [{"year": y} for y in (2017, 2018) if y in years] or [{}],
-            "did": [{}] if years[0] < years[-1] else []}
+            "did": [{}] if years[0] < years[-1] else [],
+            "piecemeal": [{}] if years[-1] - 1 in run.params else []}
     settings = {"scenario": "both", "liability": run.mode.value, "years": [years[0], years[-1]]}
     # The bundle as `json.dumps(indent=2)` writes it: the settings block, then each table.
     tables = [json.dumps({"settings": settings}, indent=2)[:-2]]

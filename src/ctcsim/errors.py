@@ -45,9 +45,5 @@ class ThresholdOutOfRange(ValidationError):
     """A classification boundary lies outside the representable range."""
 
 
-class UnavailableCategory(CtcsimError):
-    """A combined estimate was requested over a category flagged unavailable."""
-
-
 class RankDeficient(CtcsimError):
     """Design matrix columns are collinear; message names the columns."""

@@ -14,8 +14,6 @@ from typing import Union
 
 MoneyLike = Union[int, Fraction]
 
-CENT = Fraction(1, 100)
-
 
 def as_money(value: MoneyLike) -> Fraction:
     """Coerce an integer or Fraction dollar amount to Fraction."""

@@ -171,9 +171,6 @@ def _parse_brackets(raw) -> BracketSchedule:
         return raw
     brackets = []
     for entry in raw:
-        if isinstance(entry, Bracket):
-            brackets.append(entry)
-            continue
         if not isinstance(entry, Mapping):
             raise TypeError(f"bracket must be an object, got {type(entry).__name__}")
         upper = entry.get("upper")

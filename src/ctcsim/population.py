@@ -60,20 +60,11 @@ class PopulationTable:
         self._children = dict(children or {})
         self._averages = {key: h.average() for key, h in self._children.items() if h.total() > 0}
 
-    def years(self) -> list[int]:
-        return sorted({year for year, _ in self._bins})
-
-    def groups(self, year: int) -> list[ParentalGroup]:
-        return [g for g in ParentalGroup if (year, g) in self._bins]
-
     def bins(self, year: int, group: ParentalGroup) -> tuple[IncomeBin, ...]:
         try:
             return self._bins[(year, group)]
         except KeyError:
             raise EmptyGroup(f"no population for year {year}, group {group.value}") from None
-
-    def total(self, year: int, group: ParentalGroup) -> int:
-        return sum(b.count for b in self.bins(year, group))
 
     def children_histogram(self, year: int, group: ParentalGroup) -> ChildrenHistogram:
         try:

@@ -205,23 +205,21 @@ def build_panel(
 
 
 def fixed_effects(
-    panel: Sequence[PanelObservation],
-    baseline_year: int = 2017,
-    baseline_group: ParentalGroup = ParentalGroup.MARRIED,
+    panel: Sequence[PanelObservation], baseline_year: int = 2017
 ) -> RegressionResult:
     """Saturated group/year dummy regression with all interactions.
 
-    The baseline year and group are omitted to keep the design full rank,
-    so each group dummy reads as that group's difference from the baseline
-    group in the baseline year.
+    The baseline year and the married group are omitted to keep the design
+    full rank, so each group dummy reads as that group's difference from
+    married parents in the baseline year.
     """
     groups = {o.group for o in panel}
     years = {o.year for o in panel}
     if baseline_year not in years:
         raise ValidationError(f"baseline year {baseline_year} absent from panel")
-    if baseline_group not in groups:
-        raise ValidationError(f"baseline group {baseline_group.value} absent from panel")
-    rows = [baseline_group] + [g for g in ParentalGroup if g in groups and g is not baseline_group]
+    if ParentalGroup.MARRIED not in groups:
+        raise ValidationError("baseline group married absent from panel")
+    rows = [g for g in ParentalGroup if g in groups]  # married first
     cols = [baseline_year] + sorted(years - {baseline_year})
     row = {g: i for i, g in enumerate(rows)}
     col = {y: j for j, y in enumerate(cols)}
@@ -229,13 +227,9 @@ def fixed_effects(
                     [g.value for g in rows], [f"year_{y}" for y in cols], ":")
 
 
-def did(
-    panel: Sequence[PanelObservation],
-    treated: ParentalGroup = ParentalGroup.SINGLE_MOTHER,
-    control: ParentalGroup = ParentalGroup.SINGLE_FATHER,
-    post_year: int = 2018,
-) -> RegressionResult:
-    """Two-group difference-in-differences; `treated_post` is the estimate."""
-    obs = [(o.group is treated, o.year >= post_year, o.outcome)
-           for o in panel if o.group in (treated, control)]
+def did(panel: Sequence[PanelObservation], post_year: int = 2018) -> RegressionResult:
+    """Difference-in-differences of single mothers (treated) against single
+    fathers (control), post from `post_year` on; `treated_post` is the estimate."""
+    pair = (ParentalGroup.SINGLE_FATHER, ParentalGroup.SINGLE_MOTHER)
+    obs = [(o.group is pair[1], o.year >= post_year, o.outcome) for o in panel if o.group in pair]
     return _two_way(obs, ("control", "treated"), ("pre", "post"), "_")

@@ -67,10 +67,6 @@ class HouseholdProfile(Record):
     def one_child(cls, group: ParentalGroup) -> "HouseholdProfile":
         return cls(group, Fraction(1))
 
-    @property
-    def adults(self) -> int:
-        return self.group.adults
-
 
 class BenefitSplit(Record):
     credit: Fraction
@@ -125,7 +121,7 @@ def tax_free_amount(profile: HouseholdProfile, params: ProgramParameters) -> Fra
     fp = _filing(profile, params)
     ded, ex, kids = fp.standard_deduction, fp.exemption_per_person, profile.children
     # ded + ex * (adults + kids), one Fraction over the product of the denominators
-    persons = profile.adults * kids.denominator + kids.numerator  # over kids.denominator
+    persons = profile.group.adults * kids.denominator + kids.numerator  # over kids.denominator
     return Fraction(ded.numerator * ex.denominator * kids.denominator
                     + ex.numerator * persons * ded.denominator,
                     ded.denominator * ex.denominator * kids.denominator)

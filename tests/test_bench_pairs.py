@@ -85,3 +85,42 @@ def test_no_gain_is_claimable_from_an_incorrect_run(tmp_path, monkeypatch, side,
     assert workloads["y"]["op_p50_ms"]["change_wins"] == 10
     assert not any(m["gain_claimable"] for name, m in workloads["y"].items()
                    if name != "incorrect_runs")
+
+
+FAKE_RUN = """import json, sys
+args = dict(zip(sys.argv[1::2], sys.argv[2::2]))
+if {fails}:
+    sys.exit("Traceback (most recent call last):\\nRuntimeError: boom " + args["--seed"])
+metrics = {{m["name"]: {{"value": 1.0}}
+           for m in json.load(open("BENCHMARK.json"))["end_to_end"]}}
+print(json.dumps({{"samples": {{"raw_setup_s_each": [0.1], "raw_op_p50_ms": 1.0}}}}))
+print(json.dumps({{"correct": True, "attempted": 1, "failed": 0, "metrics": metrics}}))
+"""
+
+
+def test_a_run_that_exits_with_an_error_is_kept_as_incorrect(tmp_path):
+    """Checkouts whose `ctcbench/run.py` only prints its two lines; the change's exits 1 on
+    workload y and on seed 2. The set still runs to the end and writes its record."""
+    sides = {"parent": "False", "change": 'args["--workload"] == "y" or args["--seed"] == "2"'}
+    for side, fails in sides.items():
+        for sub in ("src", "ctcbench", "tests"):
+            (tmp_path / side / sub).mkdir(parents=True)
+        (tmp_path / side / "BENCHMARK.json").write_text((ROOT / "BENCHMARK.json").read_text())
+        (tmp_path / side / "ctcbench" / "run.py").write_text(FAKE_RUN.format(fails=fails))
+    out = tmp_path / "bench.json"
+    assert bench_pairs.main(["--parent", str(tmp_path / "parent"),
+                             "--change", str(tmp_path / "change"), "--seeds", "1:2",
+                             "--workloads", "x,y", "--seconds", "0.1", "--out", str(out)]) == 0
+    record = json.loads(out.read_text())
+    failed = [(r["workload"], r["seed"], r["change"]) for r in record["runs"]
+              if "exit_code" in r["change"]]
+    assert [(w, s) for w, s, _ in failed] == [("y", 1), ("x", 2), ("y", 2)]
+    for _, seed, run in failed:
+        assert run == {"correct": False, "attempted": 0, "failed": 0, "exit_code": 1,
+                       "error": f"RuntimeError: boom {seed}", "metrics": {}, "samples": {}}
+    x, y = record["workloads"]["x"], record["workloads"]["y"]
+    assert x["incorrect_runs"] == {"parent": 0, "change": 1}
+    assert y["incorrect_runs"] == {"parent": 0, "change": 2}
+    assert x["op_p50_ms"]["pairs"] == 1 and not x["op_p50_ms"]["gain_claimable"]
+    assert y["op_p50_ms"] == {"unit": "ms", "better": "lower", "pairs": 0,
+                              "gain_claimable": False}

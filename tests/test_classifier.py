@@ -11,12 +11,11 @@ from ctcsim import (
     ParentalGroup,
     Scenario,
     classify,
-    combine_categories,
     flag_categories,
     thresholds,
 )
 from ctcsim.classifier import BoundRule, CATEGORY_ORDER, assign_bins, category_cuts, cut_income
-from ctcsim.errors import ThresholdOutOfRange, UnavailableCategory
+from ctcsim.errors import ThresholdOutOfRange
 from ctcsim.population import BIN_WIDTH, IncomeBin
 from ctcsim.taxmath import ThresholdSet
 
@@ -246,18 +245,8 @@ class TestCombine:
 
     def test_full_relief_2017_married(self, pop, params_by_year):
         est = self._estimate(pop, params_by_year)
-        share = combine_categories(est, [C, D])
+        share = est.proportion(C) + est.proportion(D)
         assert abs(share - Fraction("0.99")) < Fraction("0.001")
-
-    def test_unavailable_category_rejected(self, pop, params_by_year):
-        est = self._estimate(pop, params_by_year)
-        with pytest.raises(UnavailableCategory):
-            combine_categories(est, [E, F])
-
-    def test_empty_category_contributes_zero(self, pop, params_by_year):
-        est = self._estimate(pop, params_by_year, year=2018,
-                             group=ParentalGroup.SINGLE_FATHER)
-        assert combine_categories(est, [B, C]) == est.proportion(B) + est.proportion(C)
 
     def test_categories_sum_to_one(self, pop, params_by_year):
         est = self._estimate(pop, params_by_year, year=2009,

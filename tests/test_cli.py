@@ -13,8 +13,8 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from ctcsim.cli import (COMMANDS, SHARED, _fmt_money, _fmt_share, _json_rows, _own_args,
-                        build_parser, main)
+from ctcsim.cli import (COMMANDS, SECTIONS, SHARED, _fmt_money, _fmt_share, _json_rows,
+                        _own_args, build_parser, main)
 from ctcsim.money import ceil_to_cent, dollars_str
 
 from conftest import DATA
@@ -77,7 +77,7 @@ class TestClassify:
             by_group.setdefault(r["group"], []).append(r)
         for group, rs in by_group.items():
             total = sum(int(r["count"]) for r in rs)
-            assert total == pop.total(2010, ParentalGroup(group))
+            assert total == sum(b.count for b in pop.bins(2010, ParentalGroup(group)))
             for r in rs:
                 assert abs(float(r["proportion"]) - int(r["count"]) / total) < 1e-6
 
@@ -154,6 +154,29 @@ class TestAnalyses:
         code, out = run_cli(capsys, "report", "--years", "2003:2017")
         assert code == 0
         assert rows and rows == [r for r in json.loads(out)[section] if r["scenario"] == "s1"]
+
+    def test_report_from_the_first_year_leaves_the_walks_empty(self, capsys):
+        # The parameter data has no 2002, so the walks have no baseline rules
+        # (`piecemeal --years 2003` on its own is an error: test_missing_walk_year).
+        code, out = run_cli(capsys, "report", "--years", "2003")
+        assert code == 0
+        bundle = json.loads(out)
+        for section in ("piecemeal_full_credit", "piecemeal_full_refundable", "did"):
+            assert bundle[section] == []
+        for section, (command, flags) in SECTIONS.items():
+            if command in ("piecemeal", "did"):
+                continue
+            argv = [f"--{k}={v}" for k, v in flags.items()]
+            code, rows = run_cli(capsys, command, *argv, "--years", "2003", "--format", "json")
+            assert code == 0
+            assert json.loads(rows) == [r for r in bundle[section] if r["scenario"] == "s1"]
+
+    def test_piecemeal_walks_from_the_year_before_the_population_year(self, capsys):
+        code, out = run_cli(capsys, "piecemeal", "--pop-year", "2010")
+        assert code == 0
+        assert out == run_cli(capsys, "piecemeal", "--pop-year", "2010", "--base-year", "2009")[1]
+        labels = {r["step"]: r["label"] for r in parse_csv(out)}
+        assert labels["1"] == "2010 rules outright" and labels["2"] == "2009 rules baseline"
 
     @pytest.mark.parametrize("name", list(COMMANDS))
     def test_report_gives_each_command_the_flags_parsing_gives_it(self, name):
@@ -612,7 +635,7 @@ class TestBadInput:
         assert line == "error: year 0 not present in parameter data"
 
     @pytest.mark.parametrize("argv", [["piecemeal", "--base-year", "2002"],
-                                      ["report", "--years", "2003"]])
+                                      ["piecemeal", "--years", "2003"]])
     def test_missing_walk_year(self, capsys, argv):
         line = self.assert_one_line_error(capsys, *argv)
         assert line == "error: year 2002 not present in parameter data"

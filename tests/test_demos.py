@@ -1,5 +1,6 @@
-"""Every demo script runs to completion against the shipped data."""
+"""Every demo script runs to completion against the shipped data and prints pinned bytes."""
 
+import hashlib
 import os
 import subprocess
 import sys
@@ -10,15 +11,25 @@ from conftest import ROOT
 
 DEMOS = sorted((ROOT / "demos").glob("*.py"))
 
+# SHA-256 of each demo's stdout; the same under any PYTHONHASHSEED.
+STDOUT_SHA256 = {
+    "01_benefit_schedule.py": "7363b116fe8aada9403ce525e9276cda4fbf98ca85e40788ab5cad5675067166",
+    "02_eligibility_classification.py":
+        "4a56e8c310240ea23a40b854df3817761bc28546764551785668fb23e1dc4130",
+    "03_parameter_walk.py": "ec2190ce4b1db3a24223758017cfa402b755d1b9d0b176da4df6841dc8e1828c",
+    "04_parity_and_sweeps.py": "dfbbb64f75e12c9096b94c01b845eca242227a1205013653b0196a5429a9a909",
+    "05_panel_regressions.py": "e79a1f13c69897db3bf542ad3c719029c05dc3dd7e6b64908439e51b9347c9eb",
+}
+
 
 def test_demos_found():
-    assert DEMOS
+    assert [d.name for d in DEMOS] == sorted(STDOUT_SHA256)
 
 
 @pytest.mark.parametrize("demo", DEMOS, ids=[d.name for d in DEMOS])
 def test_demo_runs(demo):
     env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
-    proc = subprocess.run([sys.executable, str(demo)], capture_output=True, text=True,
-                          env=env, cwd=ROOT, timeout=120)
-    assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.strip()
+    proc = subprocess.run([sys.executable, str(demo)], capture_output=True, env=env, cwd=ROOT,
+                          timeout=120)
+    assert proc.returncode == 0, proc.stderr.decode()
+    assert hashlib.sha256(proc.stdout).hexdigest() == STDOUT_SHA256[demo.name]

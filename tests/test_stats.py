@@ -34,9 +34,10 @@ def naive_sandwich(X, y):
     return beta, cov
 
 
-def fe_design(panel, baseline_year, baseline_group=ParentalGroup.MARRIED):
+def fe_design(panel, baseline_year):
     """The explicit dummy design that `fixed_effects` fits: const, groups, years, interactions."""
-    groups = [g for g in ParentalGroup if g is not baseline_group and any(o.group is g for o in panel)]
+    groups = [g for g in ParentalGroup
+              if g is not ParentalGroup.MARRIED and any(o.group is g for o in panel)]
     years = sorted({o.year for o in panel} - {baseline_year})
     columns = {"const": [1.0] * len(panel)}
     for g in groups:
@@ -49,12 +50,11 @@ def fe_design(panel, baseline_year, baseline_group=ParentalGroup.MARRIED):
     return columns, [o.outcome for o in panel]
 
 
-def did_design(panel, treated=ParentalGroup.SINGLE_MOTHER, control=ParentalGroup.SINGLE_FATHER,
-               post_year=2018):
-    """The explicit 2x2 dummy design that `did` fits."""
-    rows = [o for o in panel if o.group in (treated, control)]
-    treated_col = [float(o.group is treated) for o in rows]
-    post = [float(o.year >= post_year) for o in rows]
+def did_design(panel):
+    """The explicit 2x2 dummy design that `did` fits: single mothers against single fathers."""
+    rows = [o for o in panel if o.group is not ParentalGroup.MARRIED]
+    treated_col = [float(o.group is ParentalGroup.SINGLE_MOTHER) for o in rows]
+    post = [float(o.year >= 2018) for o in rows]
     columns = {"const": [1.0] * len(rows), "treated": treated_col, "post": post,
                "treated_post": [t * p for t, p in zip(treated_col, post)]}
     return columns, [o.outcome for o in rows]
@@ -189,6 +189,12 @@ class TestFixedEffects:
         res = fixed_effects(build_panel(rows), baseline_year=2017)
         assert res.estimate("single_father") == pytest.approx(0.0, abs=1e-12)
         assert res.estimate("single_mother") == pytest.approx(0.0, abs=1e-12)
+
+    def test_panel_without_married_parents_rejected(self):
+        rows = [(year, group, 0.5) for year in (2016, 2017)
+                for group in (ParentalGroup.SINGLE_FATHER, ParentalGroup.SINGLE_MOTHER)]
+        with pytest.raises(ValidationError, match="baseline group married absent from panel"):
+            fixed_effects(build_panel(rows), baseline_year=2017)
 
     def test_incomplete_panel_rejected(self):
         rows = [(2016, ParentalGroup.MARRIED, 0.5), (2017, ParentalGroup.MARRIED, 0.6),

@@ -241,7 +241,7 @@ class TestGoldenTables:
             params = params_by_year[year]
             fp = params.for_status(group.filing_status)
             profile = HouseholdProfile(group, pop.average_children(year, group))
-            total = fp.exemption_per_person * (profile.adults + profile.children)
+            total = fp.exemption_per_person * (profile.group.adults + profile.children)
             assert abs(total - table["exemption_total"][i]) <= Fraction(1, 2), year
 
     def test_group_average_breakdowns(self, params_by_year, pop):

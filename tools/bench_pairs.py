@@ -13,8 +13,11 @@ median and quartiles, the pairs the change won, and whether a gain may be
 claimed: wins in at least nine tenths of the pairs, medians further apart than
 the parent's quartiles, and every run of the workload correct on both sides.
 Each workload also records each side's count of incorrect runs: a run whose
-checks failed or which had a failed op. Each run also keeps its unscaled cold
-setup times and median op time (``samples``), which the scaled metrics hide.
+checks failed, which had a failed op, or which exited with an error. A run
+that exited with an error keeps its exit code and last stderr line but no
+metrics, so each metric's figures come from the pairs with both runs whole.
+Each run also keeps its unscaled cold setup times and median op time
+(``samples``), which the scaled metrics hide.
 """
 
 from __future__ import annotations
@@ -33,7 +36,11 @@ def run_once(checkout: Path, workload: str, seed: int, seconds: float) -> dict:
     proc = subprocess.run(
         [sys.executable, "ctcbench/run.py", "--workload", workload, "--seed", str(seed),
          "--seconds", str(seconds), "--trace", "0"],
-        cwd=checkout, capture_output=True, text=True, check=True)
+        cwd=checkout, capture_output=True, text=True)
+    if proc.returncode:  # an incorrect run with no metrics; the set goes on
+        stderr = proc.stderr.strip().splitlines()
+        return {"correct": False, "attempted": 0, "failed": 0, "exit_code": proc.returncode,
+                "error": stderr[-1] if stderr else "", "metrics": {}, "samples": {}}
     record, result = (json.loads(line) for line in proc.stdout.strip().splitlines()[-2:])
     return {"correct": result["correct"], "attempted": result["attempted"],
             "failed": result["failed"],
@@ -66,8 +73,15 @@ def summarise(runs: list[dict], metrics: list[dict]) -> dict:
         out[workload] = {"incorrect_runs": incorrect}
         for m in metrics:
             name, sign = m["name"], 1 if m["better"] == "higher" else -1
-            parent = [p["parent"]["metrics"][name] for p in pairs]
-            change = [p["change"]["metrics"][name] for p in pairs]
+            # A pair compares only if neither run exited with an error.
+            both = [p for p in pairs
+                    if name in p["parent"]["metrics"] and name in p["change"]["metrics"]]
+            if not both:
+                out[workload][name] = {"unit": m["unit"], "better": m["better"], "pairs": 0,
+                                       "gain_claimable": False}
+                continue
+            parent = [p["parent"]["metrics"][name] for p in both]
+            change = [p["change"]["metrics"][name] for p in both]
             wins = sum(sign * (c - p) > 0 for p, c in zip(parent, change))
             ties = sum(c == p for p, c in zip(parent, change))
             before, after = spread(parent), spread(change)
@@ -75,7 +89,7 @@ def summarise(runs: list[dict], metrics: list[dict]) -> dict:
                     and sign * (after["median"] - before["median"]) > before["q3"] - before["q1"])
             out[workload][name] = {"unit": m["unit"], "better": m["better"], "parent": before,
                                    "change": after, "change_wins": wins, "ties": ties,
-                                   "pairs": len(pairs), "gain_claimable": gain}
+                                   "pairs": len(both), "gain_claimable": gain}
     return out
 
 
