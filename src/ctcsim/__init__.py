@@ -32,7 +32,6 @@ from .params import (
 )
 from .population import (
     ChildrenHistogram,
-    IncomeBin,
     PopulationTable,
     load_population,
 )

@@ -12,11 +12,14 @@ category (no refund accrues at the floor; the full benefit survives at the
 start), so a boundary sitting on a bin's lower edge still makes that bin
 ambiguous. At the remaining boundaries the boundary income itself already
 qualifies, and a bin whose lower edge equals the boundary lies wholly above.
+
+The boundaries become five nondecreasing bin-edge cuts, and each category's count is
+the difference of the cell's cumulative counts (see :mod:`ctcsim.population`) at its
+two cuts; a cut past the data ceiling reads the last entry, the cell's total.
 """
 
 from __future__ import annotations
 
-from bisect import bisect_right
 from enum import Enum
 from fractions import Fraction
 from itertools import accumulate
@@ -24,7 +27,7 @@ from typing import Mapping, Sequence
 
 from .errors import ThresholdOutOfRange
 from .params import ParentalGroup
-from .population import BIN_WIDTH, IncomeBin, PopulationTable
+from .population import BIN_WIDTH, BINS, INCOME_CEILING, PopulationTable
 from .record import Record
 from .taxmath import ThresholdSet
 
@@ -99,7 +102,7 @@ def cut_income(boundary: Fraction, strictly_above: bool, rule: BoundRule) -> int
     Boundaries are incomes; the returned cut is always a multiple of the
     bin width. Bins at or above the cut belong to the higher category.
     """
-    if boundary < 0:
+    if boundary.numerator < 0:
         raise ThresholdOutOfRange(f"negative classification boundary {boundary}")
     num, den = boundary.numerator, boundary.denominator
     floor_edge = num // (den * BIN_WIDTH) * BIN_WIDTH
@@ -118,15 +121,19 @@ def category_cuts(thresholds: ThresholdSet, rule: BoundRule) -> list[int]:
     return list(accumulate(cuts, max))
 
 
-def assign_bins(
-    bins: Sequence[IncomeBin], thresholds: ThresholdSet, rule: BoundRule
-) -> dict[ReliefCategory, int]:
-    """Total count per category; conserves the population exactly."""
-    cuts = category_cuts(thresholds, rule)
-    counts = [0] * len(CATEGORY_ORDER)
-    for b in bins:
-        counts[bisect_right(cuts, b.lower)] += b.count
-    return dict(zip(CATEGORY_ORDER, counts))
+def count_between(cum: Sequence[int], lo: int, hi: int) -> int:
+    """Households of cell `cum` in the bins from edge `lo` up to edge `hi`; 0 if hi <= lo."""
+    if hi <= lo:
+        return 0
+    return cum[min(hi // BIN_WIDTH, BINS)] - cum[min(lo // BIN_WIDTH, BINS)]
+
+
+def assign_bins(cum: Sequence[int], thresholds: ThresholdSet,
+                rule: BoundRule) -> dict[ReliefCategory, int]:
+    """Total count per category of cell `cum`; conserves the population exactly."""
+    edges = [0, *category_cuts(thresholds, rule), INCOME_CEILING]
+    return {cat: count_between(cum, lo, hi)
+            for cat, lo, hi in zip(CATEGORY_ORDER, edges, edges[1:])}
 
 
 def flag_categories(
@@ -163,13 +170,8 @@ def flag_categories(
     return flags
 
 
-def classify(
-    pop: PopulationTable,
-    year: int,
-    group: ParentalGroup,
-    thresholds: ThresholdSet,
-    scenario: Scenario,
-) -> EligibilityEstimate:
+def classify(pop: PopulationTable, year: int, group: ParentalGroup, thresholds: ThresholdSet,
+             scenario: Scenario) -> EligibilityEstimate:
     """Classify one (year, group) population under `thresholds` and the scenario's bound rule."""
-    counts = assign_bins(pop.bins(year, group), thresholds, scenario.rule)
+    counts = assign_bins(pop.cumulative(year, group), thresholds, scenario.rule)
     return EligibilityEstimate(counts, flag_categories(group, year, scenario))

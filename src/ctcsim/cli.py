@@ -23,7 +23,7 @@ from typing import Callable, NamedTuple
 
 from . import counterfactual as cf
 from .classifier import CATEGORY_ORDER, ReliefCategory, Scenario
-from .errors import CtcsimError, ParseError, ValidationError
+from .errors import CtcsimError, MissingYear, ParseError, ValidationError
 from .memo import command_scope
 from .params import ParentalGroup, load_params, params_for_year
 from .population import load_population
@@ -186,7 +186,10 @@ class Run:
             target.write_text(text, encoding="utf-8")
             return
         tmp = target.parent / f".{target.name}.{os.getpid()}.{os.urandom(4).hex()}.tmp"
-        fh = open(tmp, "x", encoding="utf-8")
+        try:
+            fh = open(tmp, "x", encoding="utf-8")
+        except OSError as exc:  # name the path given, not the temp file
+            raise OSError(exc.errno, exc.strerror, self.out) from None
         try:
             with fh:
                 fh.write(text)
@@ -254,6 +257,9 @@ def rows_classify(run: Run, args) -> list[tuple]:
 def rows_piecemeal(run: Run, args) -> list[tuple]:
     pop_year = _last_year(run, args.pop_year)
     base_year = args.base_year if args.base_year is not None else pop_year - 1
+    if args.base_year is None and base_year not in run.params and pop_year in run.params:
+        raise MissingYear(f"--base-year defaults to --pop-year - 1, and year {base_year} "
+                          "is not present in parameter data")
     rows = []
     for scenario in run.scenarios:
         for r in cf.run_piecemeal_table(args.table, run.pop, run.params, scenario,

@@ -21,6 +21,7 @@ from .classifier import (
     Scenario,
     category_cuts,
     classify,
+    count_between,
     cut_income,
 )
 from .errors import Unreachable, ValidationError
@@ -33,7 +34,7 @@ from .params import (
     overrides_to,
     params_for_year,
 )
-from .population import IncomeBin, PopulationTable
+from .population import PopulationTable
 from .record import Record, replace
 from .taxmath import (
     HouseholdProfile,
@@ -80,10 +81,6 @@ def _eligibility(pop, pop_year, group, params, scenario, mode) -> EligibilityEst
     return classify(pop, pop_year, group, ts, scenario)
 
 
-def _mass_between(bins: Sequence[IncomeBin], lo: int, hi: int) -> int:
-    return sum(b.count for b in bins if lo <= b.lower < hi)
-
-
 def full_relief_cuts(
     profile: HouseholdProfile,
     params: ProgramParameters,
@@ -104,23 +101,17 @@ def full_relief_cuts(
     return lo, hi
 
 
-def full_relief_proportion(
-    pop: PopulationTable,
-    pop_year: int,
-    group: ParentalGroup,
-    params: ProgramParameters,
-    scenario: Scenario,
-    mode: LiabilityMode = LiabilityMode.EXACT,
-) -> Fraction:
+def full_relief_proportion(pop: PopulationTable, pop_year: int, group: ParentalGroup,
+                           params: ProgramParameters, scenario: Scenario,
+                           mode: LiabilityMode = LiabilityMode.EXACT) -> Fraction:
     """Share of the group able to realize the full benefit as credit and/or refund."""
     profile = profile_for(pop, group, scenario, params.year)
-    bins = pop.bins(pop_year, group)
-    total = sum(b.count for b in bins)
+    cum = pop.cumulative(pop_year, group)
     try:
         lo, hi = full_relief_cuts(profile, params, scenario.rule, mode)
     except Unreachable:
         return Fraction(0)
-    return Fraction(_mass_between(bins, lo, hi), total)
+    return Fraction(count_between(cum, lo, hi), cum[-1])
 
 
 # ---------------------------------------------------------------------------
@@ -243,7 +234,7 @@ def priced_out(
     except Unreachable:
         new_cut = d_hi  # the raised maximum never accrues: all of c and d lose full relief
     old_full = est.counts[ReliefCategory.FULL_ACTC] + est.counts[ReliefCategory.FULL_CTC]
-    lost = _mass_between(pop.bins(year, group), c_lo, new_cut)
+    lost = count_between(pop.cumulative(year, group), c_lo, new_cut)
     return PricedOutResult(full_relief_old=old_full, priced_out=lost)
 
 

@@ -4,6 +4,10 @@ Population files mirror table-creator exports: parent counts per (year,
 group, $2,500 income bin) covering $0 to $99,999, and a children-count
 histogram per (year, group). Everything above $99,999 is outside the data
 and rejected by the loader.
+
+A (year, group) cell is kept as its cumulative counts, the 41 ints ``(0, n0, n0 + n1,
+..., total)``: the bins from edge ``a * BIN_WIDTH`` up to ``b * BIN_WIDTH`` hold
+``cum[b] - cum[a]`` households.
 """
 
 from __future__ import annotations
@@ -11,6 +15,7 @@ from __future__ import annotations
 import csv
 import io
 from fractions import Fraction
+from itertools import accumulate
 from pathlib import Path
 from typing import Callable, Mapping, Sequence
 
@@ -20,14 +25,9 @@ from .record import Record
 
 BIN_WIDTH = 2500
 INCOME_CEILING = 100_000
+BINS = INCOME_CEILING // BIN_WIDTH
 
 CHILDREN_KEYS = tuple(str(k) for k in range(8)) + ("8plus",)
-
-
-class IncomeBin(Record):
-    lower: int
-    upper: int
-    count: int
 
 
 class ChildrenHistogram(Record):
@@ -49,20 +49,22 @@ class ChildrenHistogram(Record):
 
 
 class PopulationTable:
-    """Immutable container of income bins and children histograms."""
+    """Immutable container of cumulative bin counts and children histograms."""
 
     def __init__(
         self,
-        bins: Mapping[tuple[int, ParentalGroup], Sequence[IncomeBin]],
+        counts: Mapping[tuple[int, ParentalGroup], Sequence[int]],
         children: Mapping[tuple[int, ParentalGroup], ChildrenHistogram] | None = None,
     ):
-        self._bins = {key: tuple(value) for key, value in bins.items()}
+        """`counts` holds the BINS per-bin counts of each cell, lowest bin first."""
+        self._cum = {key: tuple(accumulate(value, initial=0)) for key, value in counts.items()}
         self._children = dict(children or {})
         self._averages = {key: h.average() for key, h in self._children.items() if h.total() > 0}
 
-    def bins(self, year: int, group: ParentalGroup) -> tuple[IncomeBin, ...]:
+    def cumulative(self, year: int, group: ParentalGroup) -> tuple[int, ...]:
+        """The cell's BINS + 1 cumulative counts, from 0 to its total."""
         try:
-            return self._bins[(year, group)]
+            return self._cum[(year, group)]
         except KeyError:
             raise EmptyGroup(f"no population for year {year}, group {group.value}") from None
 
@@ -132,7 +134,7 @@ def _read_cells(path: Path, header: list[str], parse: Callable) -> dict:
             for (year, group), cell in cells.items()}
 
 
-def _income_bin(lower: str, upper: str, count: str) -> tuple[int, IncomeBin]:
+def _income_bin(lower: str, upper: str, count: str) -> tuple[int, int]:
     try:
         lower, upper, count = int(lower), int(upper), int(count)
     except ValueError:  # name the first field that is not an integer
@@ -144,7 +146,7 @@ def _income_bin(lower: str, upper: str, count: str) -> tuple[int, IncomeBin]:
         raise ParseError(f"bin width must be {BIN_WIDTH}")
     if lower < 0 or upper > INCOME_CEILING:
         raise ParseError(f"bins must lie within [0, {INCOME_CEILING})")
-    return lower, IncomeBin(lower, upper, count)
+    return lower, count
 
 
 def _children_count(key: str, count: str) -> tuple[str, int]:
@@ -161,28 +163,26 @@ def load_population(path: str | Path, children_path: str | Path | None = None) -
     """Load bin counts (and optionally children histograms) from CSV files."""
     rows = _read_cells(Path(path), ["year", "group", "bin_lower", "bin_upper", "count"],
                        _income_bin)
-    bins: dict[tuple[int, ParentalGroup], tuple[IncomeBin, ...]] = {}
+    counts: dict[tuple[int, ParentalGroup], list[int]] = {}
     for key, by_lower in rows.items():
-        seq = sorted(by_lower.values(), key=lambda b: b.lower)
+        lowers = sorted(by_lower)
         expected_lower = 0
-        for b in seq:
-            if b.lower != expected_lower:
-                raise GapError(
-                    f"year {key[0]} {key[1].value}: expected bin starting at {expected_lower}, got {b.lower}"
-                )
-            expected_lower = b.upper
+        for lower in lowers:
+            if lower != expected_lower:
+                raise GapError(f"year {key[0]} {key[1].value}: expected bin starting at "
+                               f"{expected_lower}, got {lower}")
+            expected_lower = lower + BIN_WIDTH
         if expected_lower != INCOME_CEILING:
-            raise GapError(
-                f"year {key[0]} {key[1].value}: bins stop at {expected_lower}, expected {INCOME_CEILING}"
-            )
-        if not any(b.count for b in seq):
+            raise GapError(f"year {key[0]} {key[1].value}: bins stop at {expected_lower}, "
+                           f"expected {INCOME_CEILING}")
+        counts[key] = [by_lower[lower] for lower in lowers]
+        if not any(counts[key]):
             raise EmptyGroup(f"year {key[0]} {key[1].value}: population has zero total")
-        bins[key] = tuple(seq)
 
-    years = sorted({year for year, _ in bins})
+    years = sorted({year for year, _ in counts})
     if years and years[-1] - years[0] + 1 != len(years):
         raise GapError(f"years are not contiguous: {years}")
 
     children = (_read_cells(Path(children_path), ["year", "group", "children", "count"],
                             _children_count) if children_path else {})
-    return PopulationTable(bins, {cell: ChildrenHistogram(c) for cell, c in children.items()})
+    return PopulationTable(counts, {cell: ChildrenHistogram(c) for cell, c in children.items()})

@@ -15,8 +15,10 @@ at every breakpoint of the piecewise-linear benefit and interpolates,
 :func:`liability_reference` solves the brackets one by one;
 :func:`thresholds_reference` and :func:`full_relief_cuts_reference` assemble
 a threshold set and the full-benefit cuts from them. The bin cut has one
-too: :func:`cut_income_reference` computes it in Fraction arithmetic. And the
-population loader: :func:`load_population_reference` reads the CSV files
+too: :func:`cut_income_reference` computes it in Fraction arithmetic. So does
+the count per category: :func:`assign_bins_reference` walks the bins one by
+one, and :func:`count_between_reference` sums the bins between two cuts. And
+the population loader: :func:`load_population_reference` reads the CSV files
 through ``csv.DictReader``, a field at a time by name.
 """
 
@@ -292,6 +294,31 @@ def cut_income_reference(boundary: Fraction, strictly_above: bool, rule) -> int:
     return floor_edge + BIN_WIDTH
 
 
+def assign_bins_reference(counts, thresholds, rule) -> dict:
+    """Total count per category of a cell's per-bin `counts`, a bin at a time.
+
+    The classifier's assignment before it moved to cumulative counts: each
+    bin goes to the category of the number of cuts at or below its lower edge.
+    """
+    from bisect import bisect_right
+
+    from ctcsim.classifier import CATEGORY_ORDER, category_cuts
+    from ctcsim.population import BIN_WIDTH
+
+    cuts = category_cuts(thresholds, rule)
+    out = [0] * len(CATEGORY_ORDER)
+    for i, count in enumerate(counts):
+        out[bisect_right(cuts, i * BIN_WIDTH)] += count
+    return dict(zip(CATEGORY_ORDER, out))
+
+
+def count_between_reference(counts, lo: int, hi: int) -> int:
+    """Households in the bins whose lower edge lies in [lo, hi), a bin at a time."""
+    from ctcsim.population import BIN_WIDTH
+
+    return sum(count for i, count in enumerate(counts) if lo <= i * BIN_WIDTH < hi)
+
+
 def load_population_reference(path, children_path=None):
     """The population loader before it moved to ``csv.reader``, kept as its reference.
 
@@ -309,7 +336,6 @@ def load_population_reference(path, children_path=None):
         CHILDREN_KEYS,
         INCOME_CEILING,
         ChildrenHistogram,
-        IncomeBin,
         PopulationTable,
     )
 
@@ -342,7 +368,7 @@ def load_population_reference(path, children_path=None):
                 cell[key] = value, lineno
         return {k: {key: value for key, (value, _) in cell.items()} for k, cell in cells.items()}
 
-    def _income_bin(row: Mapping[str, str], where: str) -> tuple[int, IncomeBin]:
+    def _income_bin(row: Mapping[str, str], where: str) -> tuple[int, tuple[int, int, int]]:
         lower = _int_field(row, "bin_lower", where)
         upper = _int_field(row, "bin_upper", where)
         count = _int_field(row, "count", where)
@@ -352,7 +378,7 @@ def load_population_reference(path, children_path=None):
             raise ParseError(f"{where}: bin width must be {BIN_WIDTH}")
         if lower < 0 or upper > INCOME_CEILING:
             raise ParseError(f"{where}: bins must lie within [0, {INCOME_CEILING})")
-        return lower, IncomeBin(lower, upper, count)
+        return lower, (lower, upper, count)
 
     def _children_count(row: Mapping[str, str], where: str) -> tuple[str, int]:
         key = (row.get("children") or "").strip()
@@ -365,23 +391,23 @@ def load_population_reference(path, children_path=None):
 
     rows = _read_cells(Path(path), ["year", "group", "bin_lower", "bin_upper", "count"],
                        _income_bin)
-    bins: dict[tuple[int, ParentalGroup], tuple[IncomeBin, ...]] = {}
+    bins: dict[tuple[int, ParentalGroup], list[int]] = {}
     for key, by_lower in rows.items():
-        seq = sorted(by_lower.values(), key=lambda b: b.lower)
+        seq = sorted(by_lower.values())
         expected_lower = 0
-        for b in seq:
-            if b.lower != expected_lower:
+        for lower, upper, _ in seq:
+            if lower != expected_lower:
                 raise GapError(
-                    f"year {key[0]} {key[1].value}: expected bin starting at {expected_lower}, got {b.lower}"
+                    f"year {key[0]} {key[1].value}: expected bin starting at {expected_lower}, got {lower}"
                 )
-            expected_lower = b.upper
+            expected_lower = upper
         if expected_lower != INCOME_CEILING:
             raise GapError(
                 f"year {key[0]} {key[1].value}: bins stop at {expected_lower}, expected {INCOME_CEILING}"
             )
-        if not any(b.count for b in seq):
+        if not any(count for _, _, count in seq):
             raise EmptyGroup(f"year {key[0]} {key[1].value}: population has zero total")
-        bins[key] = tuple(seq)
+        bins[key] = [count for _, _, count in seq]
 
     years = sorted({year for year, _ in bins})
     if years and years[-1] - years[0] + 1 != len(years):

@@ -10,6 +10,7 @@ classification and set-containment identities.
 
 from contextlib import contextmanager
 from fractions import Fraction
+from itertools import accumulate
 
 import numpy as np
 import pytest
@@ -34,7 +35,6 @@ from ctcsim import (
 from ctcsim.classifier import CATEGORY_ORDER, BoundRule, assign_bins
 from ctcsim.cli import main
 from ctcsim.counterfactual import full_relief_cuts, profile_for, run_piecemeal_table
-from ctcsim.population import IncomeBin
 
 import goldens
 from oracle import grid_categories
@@ -124,24 +124,24 @@ def test_04_classifier_oracle_equivalence(params_by_year):
             boundaries = ts.boundaries()
             for _ in range(trials_per_case):
                 counts = rng.integers(0, 5_000, size=40)
-                bins = [IncomeBin(lo, lo + 2500, int(counts[i]))
-                        for i, lo in enumerate(range(0, 100_000, 2500))]
+                bins = [(lo, int(counts[i])) for i, lo in enumerate(range(0, 100_000, 2500))]
                 for rule in BoundRule:
-                    engine = assign_bins(bins, ts, rule)
+                    engine = assign_bins(tuple(accumulate((n for _, n in bins), initial=0)),
+                                         ts, rule)
                     expected = {c: 0 for c in CATEGORY_ORDER}
-                    for b in bins:
-                        cats = sorted(set(dollar_cats[b.lower:b.upper]))
+                    for lower, count in bins:
+                        cats = sorted(set(dollar_cats[lower:lower + 2500]))
                         if len(cats) == 1:
                             cat = CATEGORY_ORDER[cats[0]]
                         else:
                             boundary = boundaries[cats[1] - 1][0]
                             if rule is BoundRule.UPPER:
                                 cat = CATEGORY_ORDER[cats[0]]
-                            elif boundary >= b.lower + 1250:
+                            elif boundary >= lower + 1250:
                                 cat = CATEGORY_ORDER[cats[0]]
                             else:
                                 cat = CATEGORY_ORDER[cats[1]]
-                        expected[cat] += b.count
+                        expected[cat] += count
                     assert engine == expected  # zero tolerance
 
 
@@ -188,10 +188,11 @@ def test_07_sweep_monotonicity_and_containment(params_by_year, pop):
                             params, {"ctc_per_child": credit, "actc_per_child": credit},
                             strict=False)
                         lo, hi = full_relief_cuts(profile, swapped, scenario.rule)
-                        bins = pop.bins(year, group)
+                        cum = pop.cumulative(year, group)
+                        bins = [(i * 2500, cum[i + 1] - cum[i]) for i in range(40)]
                         share = Fraction(
-                            sum(b.count for b in bins if lo <= b.lower < hi),
-                            sum(b.count for b in bins),
+                            sum(count for lower, count in bins if lo <= lower < hi),
+                            sum(count for _, count in bins),
                         )
                         if prev_cuts is not None:
                             assert lo >= prev_cuts[0] and hi == prev_cuts[1]  # containment

@@ -1,4 +1,6 @@
 from fractions import Fraction
+from itertools import accumulate
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -10,16 +12,33 @@ from ctcsim import (
     HouseholdProfile,
     ParentalGroup,
     Scenario,
+    apply_overrides,
     classify,
+    counterfactual,
     flag_categories,
+    full_relief_proportion,
+    priced_out,
     thresholds,
 )
-from ctcsim.classifier import BoundRule, CATEGORY_ORDER, assign_bins, category_cuts, cut_income
-from ctcsim.errors import ThresholdOutOfRange
-from ctcsim.population import BIN_WIDTH, IncomeBin
+from ctcsim.classifier import (
+    BoundRule,
+    CATEGORY_ORDER,
+    assign_bins,
+    category_cuts,
+    count_between,
+    cut_income,
+)
+from ctcsim.counterfactual import full_relief_cuts, profile_for
+from ctcsim.errors import ThresholdOutOfRange, Unreachable
+from ctcsim.population import BIN_WIDTH, INCOME_CEILING, ChildrenHistogram, PopulationTable
 from ctcsim.taxmath import ThresholdSet
 
-from oracle import cut_income_reference, grid_categories
+from oracle import (
+    assign_bins_reference,
+    count_between_reference,
+    cut_income_reference,
+    grid_categories,
+)
 
 A, B, C, D, E, F = CATEGORY_ORDER
 
@@ -35,13 +54,16 @@ def make_thresholds(floor=3000, actc=9667, ctc=25650, start=75000, end=95000, co
     )
 
 
+def cumulative(counts):
+    return tuple(accumulate(counts, initial=0))
+
+
 def uniform_bins(count=10):
-    return [IncomeBin(lo, lo + 2500, count) for lo in range(0, 100_000, 2500)]
+    return [count] * 40
 
 
 def one_bin(lower, count=100):
-    return [IncomeBin(lo, lo + 2500, count if lo == lower else 0)
-            for lo in range(0, 100_000, 2500)]
+    return [count if lo == lower else 0 for lo in range(0, 100_000, 2500)]
 
 
 class TestCutRules:
@@ -106,22 +128,22 @@ class TestAssignment:
     def test_straddled_bin_upper_rule(self):
         # 25650 sits in [25000, 27500): the whole bin counts as full-refundable.
         ts = make_thresholds()
-        counts = assign_bins(one_bin(25_000), ts, BoundRule.UPPER)
+        counts = assign_bins(cumulative(one_bin(25_000)), ts, BoundRule.UPPER)
         assert counts[C] == 100 and counts[D] == 0
 
     def test_straddled_bin_middle_rule_under_midpoint(self):
         ts = make_thresholds()
-        counts = assign_bins(one_bin(25_000), ts, BoundRule.MIDDLE)
+        counts = assign_bins(cumulative(one_bin(25_000)), ts, BoundRule.MIDDLE)
         assert counts[D] == 100 and counts[C] == 0
 
     def test_straddled_bin_middle_rule_past_midpoint(self):
         ts = make_thresholds(ctc=27_000)
-        counts = assign_bins(one_bin(25_000), ts, BoundRule.MIDDLE)
+        counts = assign_bins(cumulative(one_bin(25_000)), ts, BoundRule.MIDDLE)
         assert counts[C] == 100 and counts[D] == 0
 
     def test_all_mass_below_floor(self):
         ts = make_thresholds()
-        counts = assign_bins(one_bin(0), ts, BoundRule.UPPER)
+        counts = assign_bins(cumulative(one_bin(0)), ts, BoundRule.UPPER)
         assert counts[A] == 100
         assert sum(counts.values()) == 100
 
@@ -129,24 +151,24 @@ class TestAssignment:
         for rule in BoundRule:
             for year in (2003, 2009, 2018):
                 for group in ParentalGroup:
-                    bins = pop.bins(year, group)
+                    cum = pop.cumulative(year, group)
                     ts = thresholds(HouseholdProfile.one_child(group), params_by_year[year])
-                    counts = assign_bins(bins, ts, rule)
-                    assert sum(counts.values()) == sum(b.count for b in bins)
+                    counts = assign_bins(cum, ts, rule)
+                    assert sum(counts.values()) == cum[-1]
 
     def test_rule_dominance_mid_bin_thresholds(self):
         # Upper is the conservative rule when boundaries fall mid-bin.
         ts = make_thresholds(floor=3_000, actc=9_600, ctc=25_650)
         bins = uniform_bins()
-        upper = assign_bins(bins, ts, BoundRule.UPPER)
-        middle = assign_bins(bins, ts, BoundRule.MIDDLE)
-        total = sum(b.count for b in bins)
+        upper = assign_bins(cumulative(bins), ts, BoundRule.UPPER)
+        middle = assign_bins(cumulative(bins), ts, BoundRule.MIDDLE)
+        total = sum(bins)
         upper_d_up = sum(upper[c] for c in (D, E, F)) / total
         middle_d_up = sum(middle[c] for c in (D, E, F)) / total
         assert upper_d_up <= middle_d_up
 
     def test_monotone_response_to_higher_credit_threshold(self):
-        bins = uniform_bins()
+        bins = cumulative(uniform_bins())
         base = assign_bins(bins, make_thresholds(ctc=25_650), BoundRule.UPPER)
         raised = assign_bins(bins, make_thresholds(ctc=35_650), BoundRule.UPPER)
         assert raised[D] <= base[D]
@@ -181,30 +203,121 @@ class TestOracleEquivalence:
         rng = np.random.default_rng(20_18)
         for trial in range(50):
             counts_vec = rng.integers(0, 1_000, size=40)
-            bins = [IncomeBin(lo, lo + 2500, int(counts_vec[i]))
-                    for i, lo in enumerate(range(0, 100_000, 2500))]
+            bins = [(lo, int(counts_vec[i])) for i, lo in enumerate(range(0, 100_000, 2500))]
             for rule in BoundRule:
-                engine = assign_bins(bins, ts, rule)
+                engine = assign_bins(cumulative(n for _, n in bins), ts, rule)
                 expected = {c: 0 for c in CATEGORY_ORDER}
-                for i, b in enumerate(bins):
-                    cats_in_bin = sorted(set(dollar_cats[b.lower:b.upper]))
+                for lower, count in bins:
+                    cats_in_bin = sorted(set(dollar_cats[lower:lower + 2500]))
                     if len(cats_in_bin) == 1:
                         cat = CATEGORY_ORDER[cats_in_bin[0]]
                     else:
                         # Straddled bin: apply the bound rule directly.
-                        assert len(cats_in_bin) == 2, (trial, b.lower)
+                        assert len(cats_in_bin) == 2, (trial, lower)
                         lower_cat, upper_cat = (CATEGORY_ORDER[j] for j in cats_in_bin)
                         boundary = self._boundary_between(ts, cats_in_bin[1])
                         if rule is BoundRule.UPPER:
                             cat = lower_cat
                         else:
-                            cat = lower_cat if boundary >= b.lower + 1250 else upper_cat
-                    expected[cat] += b.count
+                            cat = lower_cat if boundary >= lower + 1250 else upper_cat
+                    expected[cat] += count
                 assert engine == expected, (trial, rule)
 
     @staticmethod
     def _boundary_between(ts, upper_code):
         return ts.boundaries()[upper_code - 1][0]
+
+
+def count_vectors():
+    """40 bin counts, many of them zero."""
+    return st.lists(st.one_of(st.just(0), st.integers(0, 10**6)), min_size=40, max_size=40)
+
+
+def boundary_incomes():
+    """Incomes on a bin edge, on a bin midpoint, anywhere in a bin, or past $100,000."""
+    on_edge = st.integers(0, 40).map(lambda k: Fraction(k * BIN_WIDTH))
+    midpoint = st.integers(0, 39).map(lambda k: Fraction(k * BIN_WIDTH + BIN_WIDTH // 2))
+    mid_bin = st.fractions(0, INCOME_CEILING, max_denominator=300)
+    past = st.fractions(INCOME_CEILING, 2 * INCOME_CEILING, max_denominator=300)
+    return st.one_of(on_edge, midpoint, mid_bin, past)
+
+
+@st.composite
+def ordered_thresholds(draw):
+    floor, actc, ctc, start, end = sorted(draw(st.lists(boundary_incomes(), min_size=5,
+                                                        max_size=5)))
+    return ThresholdSet(floor, actc, ctc, start, end, draw(st.sampled_from([actc, ctc])))
+
+
+def cut_edges():
+    """Bin-edge cuts from $0 past the ceiling, as `cut_income` returns them."""
+    return st.integers(0, 60).map(lambda k: k * BIN_WIDTH)
+
+
+class TestPrefixSums:
+    """Counts from a cell's cumulative counts against the per-bin references."""
+
+    @given(counts=count_vectors(), ts=ordered_thresholds(), rule=st.sampled_from(list(BoundRule)))
+    @settings(max_examples=250, deadline=None)
+    def test_category_counts_match_per_bin_assignment(self, counts, ts, rule):
+        assert assign_bins(cumulative(counts), ts, rule) == assign_bins_reference(counts, ts, rule)
+
+    @given(counts=count_vectors(), lo=cut_edges(), hi=cut_edges())
+    @settings(max_examples=250, deadline=None)
+    def test_count_between_matches_per_bin_sum(self, counts, lo, hi):
+        # hi <= lo is the empty range: no bin's lower edge lies in [lo, hi).
+        assert count_between(cumulative(counts), lo, hi) == count_between_reference(counts, lo, hi)
+
+    @staticmethod
+    def _table(year, counts):
+        return PopulationTable({(year, g): counts for g in ParentalGroup},
+                               {(year, g): ChildrenHistogram({"1": 2, "2": 1, "4": 1})
+                                for g in ParentalGroup})
+
+    @given(counts=count_vectors().filter(any), year=st.sampled_from([2009, 2017, 2018]),
+           group=st.sampled_from(list(ParentalGroup)), scenario=st.sampled_from(list(Scenario)),
+           credit=st.integers(1, 80).map(lambda k: 100 * k))
+    @settings(max_examples=100, deadline=None)
+    def test_full_relief_share_matches_per_bin_sum(self, params_by_year, counts, year, group,
+                                                   scenario, credit):
+        pop = self._table(year, counts)
+        rules = apply_overrides(params_by_year[year],
+                                {"ctc_per_child": credit, "actc_per_child": credit}, strict=False)
+        profile = profile_for(pop, group, scenario, year)
+        try:
+            lo, hi = full_relief_cuts(profile, rules, scenario.rule)
+            want = Fraction(count_between_reference(counts, lo, hi), sum(counts))
+        except Unreachable:
+            want = Fraction(0)
+        assert full_relief_proportion(pop, year, group, rules, scenario) == want
+
+    @given(counts=count_vectors().filter(any), year=st.sampled_from([2009, 2017]),
+           group=st.sampled_from(list(ParentalGroup)), scenario=st.sampled_from(list(Scenario)),
+           raised_cut=st.one_of(st.none(), cut_edges()))
+    @settings(max_examples=100, deadline=None)
+    def test_priced_out_mass_matches_per_bin_sum(self, params_by_year, counts, year, group,
+                                                 scenario, raised_cut):
+        """`raised_cut`, when drawn, stands in for the raised rules' full-relief cut: one
+        below the full-refundable cut leaves the priced-out range empty."""
+        pop = self._table(year, counts)
+        params = params_by_year[year]
+        profile = profile_for(pop, group, scenario, year)
+        cuts = category_cuts(thresholds(profile, params), scenario.rule)
+        new_ctc = 2 * params.ctc_per_child
+        if raised_cut is None:
+            result = priced_out(pop, year, group, params, new_ctc, scenario)
+            raised = apply_overrides(params, {"ctc_per_child": new_ctc}, strict=False)
+            try:
+                raised_cut = full_relief_cuts(profile, raised, scenario.rule)[0]
+            except Unreachable:
+                raised_cut = cuts[3]
+        else:
+            with mock.patch.object(counterfactual, "full_relief_cuts",
+                                   lambda *args: (raised_cut, None)):
+                result = priced_out(pop, year, group, params, new_ctc, scenario)
+        assert result.priced_out == count_between_reference(counts, cuts[1],
+                                                            min(raised_cut, cuts[3]))
+        assert result.full_relief_old == count_between_reference(counts, cuts[1], cuts[3])
 
 
 class TestFlags:

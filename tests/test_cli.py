@@ -77,7 +77,7 @@ class TestClassify:
             by_group.setdefault(r["group"], []).append(r)
         for group, rs in by_group.items():
             total = sum(int(r["count"]) for r in rs)
-            assert total == sum(b.count for b in pop.bins(2010, ParentalGroup(group)))
+            assert total == pop.cumulative(2010, ParentalGroup(group))[-1]
             for r in rs:
                 assert abs(float(r["proportion"]) - int(r["count"]) / total) < 1e-6
 
@@ -157,7 +157,8 @@ class TestAnalyses:
 
     def test_report_from_the_first_year_leaves_the_walks_empty(self, capsys):
         # The parameter data has no 2002, so the walks have no baseline rules
-        # (`piecemeal --years 2003` on its own is an error: test_missing_walk_year).
+        # (`piecemeal --years 2003` on its own is an error:
+        # test_missing_default_base_year_names_the_flag).
         code, out = run_cli(capsys, "report", "--years", "2003")
         assert code == 0
         bundle = json.loads(out)
@@ -361,6 +362,15 @@ class TestConfigAndDeterminism:
         assert len(lines) == 1 and lines[0].startswith("i/o error: ")
         assert [p.name for p in tmp_path.iterdir()] == ["taken"]
         assert list(target.iterdir()) == []
+
+    @pytest.mark.parametrize("argv", [["thresholds", "--year", "2009"], ["report"]])
+    def test_out_in_a_missing_directory_names_the_path_given(self, tmp_path, capsys, argv):
+        out = tmp_path / "no" / "such" / "x.json"
+        code = main([*argv, "--out", str(out)])
+        captured = capsys.readouterr()
+        assert code == 2 and captured.out == ""
+        assert captured.err == f"i/o error: [Errno 2] No such file or directory: '{out}'\n"
+        assert list(tmp_path.iterdir()) == []
 
     def test_out_replaces_target_and_leaves_only_it(self, tmp_path, capsys):
         target = tmp_path / "t.csv"
@@ -634,11 +644,17 @@ class TestBadInput:
         line = self.assert_one_line_error(capsys, command, "--year", "0")
         assert line == "error: year 0 not present in parameter data"
 
-    @pytest.mark.parametrize("argv", [["piecemeal", "--base-year", "2002"],
-                                      ["piecemeal", "--years", "2003"]])
-    def test_missing_walk_year(self, capsys, argv):
-        line = self.assert_one_line_error(capsys, *argv)
+    def test_missing_walk_year(self, capsys):
+        line = self.assert_one_line_error(capsys, "piecemeal", "--base-year", "2002")
         assert line == "error: year 2002 not present in parameter data"
+
+    @pytest.mark.parametrize("argv", [["--pop-year", "2003"], ["--years", "2003"]],
+                             ids=["pop-year", "years"])
+    def test_missing_default_base_year_names_the_flag(self, capsys, argv):
+        # 2002 is a year the command line does not name: the error says where it came from.
+        line = self.assert_one_line_error(capsys, "piecemeal", *argv)
+        assert line == ("error: --base-year defaults to --pop-year - 1, and year 2002 "
+                        "is not present in parameter data")
 
 
 @settings(max_examples=500, deadline=None)

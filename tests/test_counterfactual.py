@@ -16,22 +16,19 @@ from ctcsim import (
 )
 from ctcsim.counterfactual import full_relief_cuts, piecemeal_walk, profile_for, run_piecemeal_table
 from ctcsim.errors import ValidationError
-from ctcsim.population import ChildrenHistogram, IncomeBin, PopulationTable
+from ctcsim.population import ChildrenHistogram, PopulationTable
 
 GROUPS = list(ParentalGroup)
 PP = Fraction(1, 100)  # one percentage point
 
 
 def single_mass_table(year, lower, count=1000):
-    bins = {}
+    counts = {}
     hists = {}
     for group in GROUPS:
-        bins[(year, group)] = [
-            IncomeBin(lo, lo + 2500, count if lo == lower else 0)
-            for lo in range(0, 100_000, 2500)
-        ]
+        counts[(year, group)] = [count if lo == lower else 0 for lo in range(0, 100_000, 2500)]
         hists[(year, group)] = ChildrenHistogram({"1": count})
-    return PopulationTable(bins, hists)
+    return PopulationTable(counts, hists)
 
 
 class TestPiecemeal:

@@ -28,10 +28,11 @@ class TestLoad:
     def test_fixture_shape(self, pop):
         for year in range(2003, 2019):
             for group in ParentalGroup:
-                assert len(pop.bins(year, group)) == 40
+                cum = pop.cumulative(year, group)
+                assert len(cum) == 41 and cum[0] == 0 and list(cum) == sorted(cum)
         for year in (2002, 2019):
             with pytest.raises(EmptyGroup):
-                pop.bins(year, ParentalGroup.MARRIED)
+                pop.cumulative(year, ParentalGroup.MARRIED)
 
     def test_totals_match_column_sums(self, pop, data_dir):
         # Loading is lossless: per-group totals equal the raw CSV sums.
@@ -42,7 +43,7 @@ class TestLoad:
                 year, group, _, _, count = line.strip().split(",")
                 raw[(int(year), group)] = raw.get((int(year), group), 0) + int(count)
         for (year, group), total in raw.items():
-            assert sum(b.count for b in pop.bins(year, ParentalGroup(group))) == total
+            assert pop.cumulative(year, ParentalGroup(group))[-1] == total
 
     def test_group_with_zero_total_rejected(self, tmp_path):
         rows = full_rows() + full_rows(group="single_father", count=0)
@@ -85,7 +86,7 @@ class TestLoad:
     def test_missing_group_raises_on_access(self, tmp_path):
         table = load_population(write_population(tmp_path, full_rows()))
         with pytest.raises(EmptyGroup):
-            table.bins(2010, ParentalGroup.SINGLE_FATHER)
+            table.cumulative(2010, ParentalGroup.SINGLE_FATHER)
 
     def test_noncontiguous_years_rejected(self, tmp_path):
         rows = full_rows("2010") + full_rows("2012")
@@ -94,7 +95,7 @@ class TestLoad:
 
     def test_single_year_is_contiguous(self, tmp_path):
         table = load_population(write_population(tmp_path, full_rows("2018")))
-        assert [b.count for b in table.bins(2018, ParentalGroup.MARRIED)] == [10] * 40
+        assert table.cumulative(2018, ParentalGroup.MARRIED) == tuple(range(0, 401, 10))
 
     def test_duplicate_bin_names_both_lines(self, tmp_path):
         rows = full_rows() + ["2010,married,2500,5000,7"]
@@ -289,7 +290,7 @@ def _outcome(load, population, children):
         table = load(population, children)
     except Exception as exc:  # any type: both loaders must raise the same one
         return type(exc), str(exc)
-    return table._bins, table._children
+    return table._cum, table._children
 
 
 @settings(max_examples=150, deadline=None)

@@ -13,7 +13,7 @@ from ctcsim import (
 )
 from ctcsim.errors import ValidationError
 from ctcsim.params import Bracket, FilingParams
-from ctcsim.population import IncomeBin
+from ctcsim.counterfactual import PricedOutResult
 from ctcsim.record import replace
 
 MOTHER = ParentalGroup.SINGLE_MOTHER
@@ -40,18 +40,18 @@ def test_program_parameters_hash_once(params_by_year, monkeypatch):
 
 
 @pytest.mark.parametrize("record, values", [
-    (IncomeBin(0, 2500, 7), (0, 2500, 7)),
+    (PricedOutResult(7, 2), (7, 2)),
     (Bracket(None, Fraction(1, 10)), (None, Fraction(1, 10))),
     (HouseholdProfile(MOTHER, 2), (MOTHER, Fraction(2))),
-], ids=["IncomeBin", "Bracket", "HouseholdProfile"])
+], ids=["PricedOutResult", "Bracket", "HouseholdProfile"])
 def test_a_record_never_equals_a_tuple_of_its_fields(record, values):
     assert record != values and values != record
     assert record == type(record)(*values)
 
 
-@pytest.mark.parametrize("record, field", [(IncomeBin(0, 2500, 7), "count"),
+@pytest.mark.parametrize("record, field", [(PricedOutResult(7, 2), "priced_out"),
                                            (HouseholdProfile(MOTHER, 2), "children")],
-                         ids=["IncomeBin", "HouseholdProfile"])
+                         ids=["PricedOutResult", "HouseholdProfile"])
 def test_fields_cannot_be_assigned_or_deleted(record, field):
     before = getattr(record, field)
     with pytest.raises(AttributeError, match="cannot assign"):
@@ -76,7 +76,7 @@ def test_replace_coerces_and_checks_again():
 
 def test_repr_names_the_fields():
     assert repr(Bracket(None, Fraction(1, 10))) == "Bracket(upper=None, rate=Fraction(1, 10))"
-    assert repr(IncomeBin(0, 2500, 7)) == "IncomeBin(lower=0, upper=2500, count=7)"
+    assert repr(PricedOutResult(7, 2)) == "PricedOutResult(full_relief_old=7, priced_out=2)"
 
 
 def test_negative_inputs_are_validation_errors(params_by_year):
