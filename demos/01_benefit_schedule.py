@@ -14,7 +14,7 @@ from ctcsim import (
     load_params,
     thresholds,
 )
-from ctcsim.money import dollars_str, ceil_to_cent
+from ctcsim.money import format_money
 
 DATA = Path(__file__).resolve().parent.parent / "data"
 
@@ -25,17 +25,17 @@ for year in (2009, 2018):
     params = params_by_year[year]
     ts = thresholds(household, params)
     print(f"== {year}: single parent, one child ==")
-    print(f"  refund floor        {dollars_str(ts.t_refund_floor):>12}")
-    print(f"  full refundable at  {dollars_str(ceil_to_cent(ts.t_full_actc)):>12}")
-    print(f"  full benefit, any pathway at {dollars_str(ceil_to_cent(ts.t_full_combined)):>12}")
-    print(f"  full credit at      {dollars_str(ceil_to_cent(ts.t_full_ctc)):>12}")
-    print(f"  phaseout starts     {dollars_str(ts.t_phaseout_start):>12}")
-    print(f"  nothing left at     {dollars_str(ts.t_total_phaseout):>12}")
+    print(f"  refund floor        {format_money(ts.t_refund_floor):>12}")
+    print(f"  full refundable at  {format_money(ts.t_full_actc):>12}")
+    print(f"  full benefit, any pathway at {format_money(ts.t_full_combined):>12}")
+    print(f"  full credit at      {format_money(ts.t_full_ctc):>12}")
+    print(f"  phaseout starts     {format_money(ts.t_phaseout_start):>12}")
+    print(f"  nothing left at     {format_money(ts.t_total_phaseout):>12}")
     print("  income      credit      refund       total")
     for income in (0, 5_000, 10_000, 15_000, 25_000, 40_000, 80_000, 90_000):
         split = benefit_at_income(income, household, params)
         print(
-            f"  {income:>7,}  {dollars_str(split.credit):>9}"
-            f"  {dollars_str(split.refund):>9}  {dollars_str(split.total):>9}"
+            f"  {income:>7,}  {format_money(split.credit):>9}"
+            f"  {format_money(split.refund):>9}  {format_money(split.total):>9}"
         )
     print()

@@ -10,11 +10,13 @@ data root.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
 import io
 import json
 import math
 import os
+import stat
 import sys
 from fractions import Fraction
 from functools import cached_property, partial
@@ -25,6 +27,7 @@ from . import counterfactual as cf
 from .classifier import CATEGORY_ORDER, ReliefCategory, Scenario
 from .errors import CtcsimError, MissingYear, ParseError, ValidationError
 from .memo import command_scope
+from .money import format_money
 from .params import ParentalGroup, load_params, params_for_year
 from .population import load_population
 from .stats import build_panel, did, fixed_effects
@@ -126,13 +129,6 @@ def _json_rows(fields: tuple, rows: list[tuple], depth: int = 0) -> str:
     return "[" + row + body + outer + "]"
 
 
-def _fmt_money(value: Fraction) -> str:
-    """Dollars rounded up to the cent."""
-    cents = -(-value.numerator * 100 // value.denominator)
-    sign, cents = ("-", -cents) if cents < 0 else ("", cents)
-    return f"{sign}{cents // 100}.{cents % 100:02d}"
-
-
 class Run:
     """Resolved configuration plus lazily loaded inputs."""
 
@@ -176,7 +172,8 @@ class Run:
 
         The text goes to a new file beside the target, or the file a symlink
         names, that then replaces it, so a failed write leaves neither a partial
-        target nor the temp file. A FIFO or device is written in place.
+        target nor the temp file. The new file takes an existing target's
+        permission bits. A FIFO or device is written in place.
         """
         if not self.out:
             sys.stdout.write(text)
@@ -193,6 +190,8 @@ class Run:
         try:
             with fh:
                 fh.write(text)
+            with contextlib.suppress(FileNotFoundError):  # a new target gets the default mode
+                os.chmod(tmp, stat.S_IMODE(os.stat(target).st_mode))
             os.replace(tmp, target)
         except BaseException:
             tmp.unlink()
@@ -234,9 +233,9 @@ def rows_thresholds(run: Run, args) -> list[tuple]:
                 profile = cf.profile_for(run.pop, group, scenario, year)
                 ts = thresholds(profile, params, run.mode)
                 rows.append((year, group.value, scenario.value, f"{float(profile.children):.2f}",
-                             _fmt_money(ts.t_refund_floor), _fmt_money(ts.t_full_actc),
-                             _fmt_money(ts.t_full_ctc), _fmt_money(ts.t_full_combined),
-                             _fmt_money(ts.t_phaseout_start), _fmt_money(ts.t_total_phaseout)))
+                             format_money(ts.t_refund_floor), format_money(ts.t_full_actc),
+                             format_money(ts.t_full_ctc), format_money(ts.t_full_combined),
+                             format_money(ts.t_phaseout_start), format_money(ts.t_total_phaseout)))
     return rows
 
 

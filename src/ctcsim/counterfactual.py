@@ -224,8 +224,8 @@ def priced_out(
         raise ValidationError("priced-out baseline requires parity parameters")
     if new_ctc <= params_parity.ctc_per_child:
         raise ValidationError("new credit maximum must exceed the baseline")
-    est = eligibility(pop, year, group, params_parity, scenario, mode=mode)
     profile = profile_for(pop, group, scenario, params_parity.year)
+    cum = pop.cumulative(year, group)
     cuts = category_cuts(thresholds(profile, params_parity, mode), scenario.rule)
     c_lo, d_hi = cuts[1], cuts[3]
     raised = once(_raised_credit, params_parity, new_ctc)
@@ -233,9 +233,8 @@ def priced_out(
         new_cut = min(full_relief_cuts(profile, raised, scenario.rule, mode)[0], d_hi)
     except Unreachable:
         new_cut = d_hi  # the raised maximum never accrues: all of c and d lose full relief
-    old_full = est.counts[ReliefCategory.FULL_ACTC] + est.counts[ReliefCategory.FULL_CTC]
-    lost = count_between(pop.cumulative(year, group), c_lo, new_cut)
-    return PricedOutResult(full_relief_old=old_full, priced_out=lost)
+    return PricedOutResult(full_relief_old=count_between(cum, c_lo, d_hi),
+                           priced_out=count_between(cum, c_lo, new_cut))
 
 
 def _raised_credit(params: ProgramParameters, new_ctc: Fraction) -> ProgramParameters:

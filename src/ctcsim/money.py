@@ -4,7 +4,8 @@ All money paths use rational numbers (`fractions.Fraction`), never binary
 floats, so threshold computations are exact and golden-value tests are
 bit-stable. Amounts are denominated in dollars; input files carry integer
 dollars, rates are parsed from their decimal literals (``0.15`` becomes
-``3/20``, not the nearest float).
+``3/20``, not the nearest float). An amount prints through one function,
+:func:`format_money`, which rounds up to the cent.
 """
 
 from __future__ import annotations
@@ -37,23 +38,15 @@ def as_rate(value) -> Fraction:
     if isinstance(value, int):
         return Fraction(value)
     if isinstance(value, str):
-        return Fraction(value)
+        try:
+            return Fraction(value)
+        except ZeroDivisionError:
+            raise ValueError(f"rate {value!r} has a zero denominator") from None
     raise TypeError(f"rate must be Fraction, int, or decimal string, got {type(value).__name__}")
 
 
-def ceil_to_cent(amount: Fraction) -> Fraction:
-    """Smallest cent-granular amount >= `amount`."""
-    cents = -((-amount.numerator * 100) // amount.denominator)
-    return Fraction(cents, 100)
-
-
-def dollars_str(amount: MoneyLike) -> str:
-    """Render an amount as a decimal dollar string, cent precision.
-
-    Non-cent-exact amounts are rounded half-up to the cent for display only.
-    """
-    amount = as_money(amount)
-    neg = amount < 0
-    cents = (abs(amount.numerator) * 200 + amount.denominator) // (2 * amount.denominator)
-    sign = "-" if neg else ""
+def format_money(amount: MoneyLike) -> str:
+    """Dollars rounded up to the cent, as text such as ``"9666.67"``."""
+    cents = -(-amount.numerator * 100 // amount.denominator)
+    sign, cents = ("-", -cents) if cents < 0 else ("", cents)
     return f"{sign}{cents // 100}.{cents % 100:02d}"

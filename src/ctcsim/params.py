@@ -3,6 +3,9 @@
 A parameter file is a JSON array with one record per (year, filing status).
 Money fields (whole dollars in the shipped file) and rates may be decimal
 literals, parsed exactly; `year` must be a JSON integer.
+A year's two records load as one `ProgramParameters`: its `married_joint` and
+`head_of_household` fields hold each status's own rules, and the credit rules
+both records must agree on are shared fields.
 Loaded parameter sets are immutable value records (:mod:`ctcsim.record`) and
 safe to share across threads; counterfactuals derive new sets through
 :func:`apply_overrides`.
@@ -24,6 +27,10 @@ from .record import Record, replace
 class FilingStatus(Enum):
     MARRIED_JOINT = "married_joint"
     HEAD_OF_HOUSEHOLD = "head_of_household"
+
+
+# A module name reads faster than an Enum class attribute, and `for_status` is on hot paths.
+_MARRIED_JOINT = FilingStatus.MARRIED_JOINT
 
 
 class ParentalGroup(Enum):
@@ -95,14 +102,15 @@ class FilingParams(Record):
 
 
 class ProgramParameters(Record):
-    """All program rules for one year, both filing statuses.
+    """All program rules for one year: each filing status's rules, in the field
+    named by its `FilingStatus` value, and the credit rules both statuses share.
 
-    Hashable by value: `filing` holds (status, rules) pairs in FilingStatus
-    order, so equal rule sets built separately are equal keys.
+    Hashable by value, so equal rule sets built separately are equal keys.
     """
 
     year: int
-    filing: tuple[tuple[FilingStatus, FilingParams], ...]
+    married_joint: FilingParams
+    head_of_household: FilingParams
     ctc_per_child: Fraction
     actc_per_child: Fraction
     refund_threshold: Fraction
@@ -116,21 +124,17 @@ class ProgramParameters(Record):
         try:
             return self._hash
         except AttributeError:
-            cached = hash((self.year, self.filing, self.ctc_per_child, self.actc_per_child,
-                           self.refund_threshold, self.refund_rate, self.phaseout_rate))
+            cached = hash((self.year, self.married_joint, self.head_of_household,
+                           self.ctc_per_child, self.actc_per_child, self.refund_threshold,
+                           self.refund_rate, self.phaseout_rate))
             object.__setattr__(self, "_hash", cached)
             return cached
 
     def for_status(self, status: FilingStatus) -> FilingParams:
-        for s, fp in self.filing:
-            if s is status:
-                return fp
-        raise KeyError(status)
+        return self.married_joint if status is _MARRIED_JOINT else self.head_of_household
 
     def validate(self, strict: bool = True) -> None:
         """Check invariants; `strict=False` permits actc > ctc for counterfactuals."""
-        if [s for s, _ in self.filing] != list(FilingStatus):
-            raise ValidationError(f"year {self.year}: both filing statuses required")
         if self.ctc_per_child <= 0:
             raise ValidationError(f"year {self.year}: ctc_per_child must be positive")
         if self.actc_per_child <= 0:
@@ -145,7 +149,7 @@ class ProgramParameters(Record):
             raise ValidationError(f"year {self.year}: phaseout_rate outside (0, 1)")
         if self.refund_threshold < 0:
             raise ValidationError(f"year {self.year}: refund_threshold negative")
-        for status, fp in self.filing:
+        for status, fp in zip(FilingStatus, (self.married_joint, self.head_of_household)):
             label = f"year {self.year} {status.value}"
             if fp.standard_deduction < 0:
                 raise ValidationError(f"{label}: standard_deduction negative")
@@ -158,10 +162,6 @@ class ProgramParameters(Record):
             except ValidationError as exc:
                 raise ValidationError(f"{label}: {exc}") from exc
 
-
-_SCALAR_MONEY = ("ctc_per_child", "actc_per_child", "refund_threshold")
-_SCALAR_RATES = ("refund_rate", "phaseout_rate")
-_STATUS_MONEY = ("standard_deduction", "exemption_per_person", "phaseout_start")
 
 OverrideValue = Union[int, Fraction, str, Mapping, Sequence, BracketSchedule]
 
@@ -178,6 +178,13 @@ def _parse_brackets(raw) -> BracketSchedule:
     return BracketSchedule(tuple(brackets))
 
 
+# Each rule field's parser: the fields both filing statuses share, then each status's own.
+_SHARED_FIELDS = {"ctc_per_child": as_money, "actc_per_child": as_money,
+                  "refund_threshold": as_money, "refund_rate": as_rate, "phaseout_rate": as_rate}
+_STATUS_FIELDS = {"standard_deduction": as_money, "exemption_per_person": as_money,
+                  "brackets": _parse_brackets, "phaseout_start": as_money}
+
+
 def _field(rec: Mapping, name: str, coerce):
     """``coerce(rec[name])``; a missing or malformed value is a ParseError naming the field."""
     if name not in rec:
@@ -189,12 +196,7 @@ def _field(rec: Mapping, name: str, coerce):
 
 
 def _record_to_filing(rec: Mapping) -> FilingParams:
-    return FilingParams(
-        standard_deduction=_field(rec, "standard_deduction", as_money),
-        exemption_per_person=_field(rec, "exemption_per_person", as_money),
-        brackets=_field(rec, "brackets", _parse_brackets),
-        phaseout_start=_field(rec, "phaseout_start", as_money),
-    )
+    return FilingParams(**{name: _field(rec, name, coerce) for name, coerce in _STATUS_FIELDS.items()})
 
 
 def load_params(path: str | Path) -> dict[int, ProgramParameters]:
@@ -229,25 +231,16 @@ def load_params(path: str | Path) -> dict[int, ProgramParameters]:
             raise ValidationError(f"year {year}: both filing statuses required")
         shared = {}
         try:
-            for field in _SCALAR_MONEY + _SCALAR_RATES:
-                coerce = as_money if field in _SCALAR_MONEY else as_rate
+            for field, coerce in _SHARED_FIELDS.items():
                 values = {_field(rec, field, coerce) for rec in recs.values()}
                 if len(values) != 1:
                     raise ValidationError(
                         f"year {year}: field {field!r} differs across filing statuses")
                 shared[field] = values.pop()
-            filing = tuple((s, _record_to_filing(recs[s])) for s in FilingStatus)
+            filing = {s.value: _record_to_filing(recs[s]) for s in FilingStatus}
         except ParseError as exc:
             raise ParseError(f"{path}: year {year}: {exc}") from None
-        params = ProgramParameters(
-            year=year,
-            filing=filing,
-            ctc_per_child=shared["ctc_per_child"],
-            actc_per_child=shared["actc_per_child"],
-            refund_threshold=shared["refund_threshold"],
-            refund_rate=shared["refund_rate"],
-            phaseout_rate=shared["phaseout_rate"],
-        )
+        params = ProgramParameters(year=year, **filing, **shared)
         params.validate()
         out[year] = params
     return out
@@ -273,35 +266,20 @@ def apply_overrides(
     `strict=False` allows actc_per_child > ctc_per_child, which some
     counterfactual walks pass through.
     """
-    fields = dict(
-        ctc_per_child=base.ctc_per_child,
-        actc_per_child=base.actc_per_child,
-        refund_threshold=base.refund_threshold,
-        refund_rate=base.refund_rate,
-        phaseout_rate=base.phaseout_rate,
-    )
-    filing = dict(base.filing)
-
-    def per_status(value, coerce):
-        if isinstance(value, Mapping) and any(isinstance(k, FilingStatus) for k in value):
-            return {s: coerce(value[s]) for s in FilingStatus}
-        return {s: coerce(value) for s in FilingStatus}
-
+    changes: dict = {}
     for name, value in overrides.items():
-        if name in _SCALAR_MONEY:
-            fields[name] = as_money(value)
-        elif name in _SCALAR_RATES:
-            fields[name] = as_rate(value)
-        elif name in _STATUS_MONEY:
-            for s, v in per_status(value, as_money).items():
-                filing[s] = replace(filing[s], **{name: v})
-        elif name == "brackets":
-            for s, v in per_status(value, _parse_brackets).items():
-                filing[s] = replace(filing[s], brackets=v)
+        if name in _SHARED_FIELDS:
+            changes[name] = _SHARED_FIELDS[name](value)
+        elif name in _STATUS_FIELDS:
+            coerce = _STATUS_FIELDS[name]
+            keyed = isinstance(value, Mapping) and any(isinstance(k, FilingStatus) for k in value)
+            for s in FilingStatus:
+                rules = changes.get(s.value) or base.for_status(s)
+                changes[s.value] = replace(rules, **{name: coerce(value[s] if keyed else value)})
         else:
             raise ValidationError(f"unknown override field {name!r}")
 
-    params = ProgramParameters(year=base.year, filing=tuple(filing.items()), **fields)
+    params = replace(base, **changes)
     params.validate(strict=strict)
     return params
 
@@ -310,12 +288,10 @@ def overrides_to(target: ProgramParameters, names: Iterable[str]) -> dict:
     """Build an override mapping that copies the named fields from `target`."""
     out: dict = {}
     for name in names:
-        if name in _SCALAR_MONEY + _SCALAR_RATES:
+        if name in _SHARED_FIELDS:
             out[name] = getattr(target, name)
-        elif name in _STATUS_MONEY:
+        elif name in _STATUS_FIELDS:
             out[name] = {s: getattr(target.for_status(s), name) for s in FilingStatus}
-        elif name == "brackets":
-            out[name] = {s: target.for_status(s).brackets for s in FilingStatus}
         else:
             raise ValidationError(f"unknown override field {name!r}")
     return out

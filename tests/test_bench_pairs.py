@@ -1,5 +1,6 @@
 """tools/bench_pairs.py: run order and the record, without running the benchmark."""
 
+import hashlib
 import importlib.util
 import json
 import subprocess
@@ -107,11 +108,15 @@ def test_a_run_that_exits_with_an_error_is_kept_as_incorrect(tmp_path):
             (tmp_path / side / sub).mkdir(parents=True)
         (tmp_path / side / "BENCHMARK.json").write_text((ROOT / "BENCHMARK.json").read_text())
         (tmp_path / side / "ctcbench" / "run.py").write_text(FAKE_RUN.format(fails=fails))
+        (tmp_path / side / "src" / "m.py").write_text(f"side = {side[0]!r}\n")  # differ by a byte
     out = tmp_path / "bench.json"
     assert bench_pairs.main(["--parent", str(tmp_path / "parent"),
                              "--change", str(tmp_path / "change"), "--seeds", "1:2",
                              "--workloads", "x,y", "--seconds", "0.1", "--out", str(out)]) == 0
     record = json.loads(out.read_text())
+    assert record["code_sha256"] == {side: bench_pairs.code_sha256(tmp_path / side)
+                                     for side in sides}
+    assert record["code_sha256"]["parent"] != record["code_sha256"]["change"]
     failed = [(r["workload"], r["seed"], r["change"]) for r in record["runs"]
               if "exit_code" in r["change"]]
     assert [(w, s) for w, s, _ in failed] == [("y", 1), ("x", 2), ("y", 2)]
@@ -124,3 +129,22 @@ def test_a_run_that_exits_with_an_error_is_kept_as_incorrect(tmp_path):
     assert x["op_p50_ms"]["pairs"] == 1 and not x["op_p50_ms"]["gain_claimable"]
     assert y["op_p50_ms"] == {"unit": "ms", "better": "lower", "pairs": 0,
                               "gain_claimable": False}
+
+
+def test_code_sha256_covers_each_source_path_and_its_bytes(tmp_path):
+    """Checkouts with the same `src/` files hash alike whatever else they hold; one byte
+    changed, or one file renamed, changes the hash."""
+    def checkout(name, files):
+        for rel, data in files.items():
+            (tmp_path / name / rel).parent.mkdir(parents=True, exist_ok=True)
+            (tmp_path / name / rel).write_bytes(data)
+        return bench_pairs.code_sha256(tmp_path / name)
+
+    files = {"src/pkg/b.py": b"y = 2\n", "src/pkg/a.py": b"x = 1\n"}
+    digest = checkout("base", files)
+    assert digest == hashlib.sha256(b"src/pkg/a.py\x006\x00x = 1\n"
+                                    b"src/pkg/b.py\x006\x00y = 2\n").hexdigest()
+    assert checkout("other", {**files, "src/pkg/__pycache__/a.cpython-311.pyc": b"\0",
+                              "tests/t.py": b"z"}) == digest
+    assert checkout("byte", {**files, "src/pkg/b.py": b"y = 3\n"}) != digest
+    assert checkout("renamed", {"src/pkg/a.py": b"x = 1\n", "src/pkg/c.py": b"y = 2\n"}) != digest

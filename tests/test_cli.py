@@ -2,20 +2,22 @@ import csv
 import hashlib
 import io
 import json
+import math
 import os
 import stat
 import subprocess
 import sys
 import threading
+from decimal import Decimal
 from fractions import Fraction
 
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from ctcsim.cli import (COMMANDS, SECTIONS, SHARED, _fmt_money, _fmt_share, _json_rows,
+from ctcsim.cli import (COMMANDS, SECTIONS, SHARED, _fmt_share, _json_rows,
                         _own_args, build_parser, main)
-from ctcsim.money import ceil_to_cent, dollars_str
+from ctcsim.money import format_money
 
 from conftest import DATA
 
@@ -380,6 +382,20 @@ class TestConfigAndDeterminism:
         assert [p.name for p in tmp_path.iterdir()] == ["t.csv"]
         assert target.read_text().startswith("year,")
 
+    def test_out_keeps_an_existing_targets_permissions(self, tmp_path, capsys):
+        _, expected = run_cli(capsys, "thresholds", "--year", "2009")
+        kept, new, plain = tmp_path / "kept.csv", tmp_path / "new.csv", tmp_path / "plain"
+        kept.write_text("stale\n")
+        kept.chmod(0o600)
+        plain.write_text("")
+        for target in (kept, new):
+            code, out = run_cli(capsys, "thresholds", "--year", "2009", "--out", str(target))
+            assert code == 0 and out == ""
+            assert target.read_bytes() == expected.encode("utf-8")
+        assert stat.S_IMODE(kept.stat().st_mode) == 0o600
+        assert new.stat().st_mode == plain.stat().st_mode  # a new target gets the default mode
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["kept.csv", "new.csv", "plain"]
+
     def test_out_through_symlink_writes_the_file_it_names(self, tmp_path, capsys):
         real = tmp_path / "real.csv"
         real.write_text("stale\n")
@@ -617,6 +633,19 @@ class TestBadInput:
                                           "--year", "2003")
         assert line.startswith(f"error: {params}: year 2003: ")
 
+    @pytest.mark.parametrize("edit, field", [
+        (lambda r: r.update(refund_rate="1/0"), "refund_rate"),
+        (lambda r: r["brackets"][0].update(rate="1/0"), "brackets"),
+    ], ids=["refund-rate", "bracket-rate"])
+    def test_rate_with_a_zero_denominator(self, capsys, tmp_path, edit, field):
+        records = json.loads((DATA / "params.json").read_text())
+        edit(records[0])
+        params = tmp_path / "params.json"
+        params.write_text(json.dumps(records))
+        line = self.assert_one_line_error(capsys, "classify", "--params", str(params))
+        assert line == (f"error: {params}: year 2003: bad field {field!r}: "
+                        "rate '1/0' has a zero denominator")
+
     def test_non_integer_year_rejected(self, capsys, tmp_path):
         records = json.loads((DATA / "params.json").read_text())
         records[0]["year"] = 2003.5
@@ -670,7 +699,7 @@ def test_integer_share_prints_as_its_fraction(x, y, total):
 @given(st.integers(-10**12, 10**12), st.integers(1, 10**9))
 def test_money_prints_as_ceiling_to_the_cent(numerator, denominator):
     value = Fraction(numerator, denominator)
-    assert _fmt_money(value) == dollars_str(ceil_to_cent(value))
+    assert format_money(value) == str(Decimal(math.ceil(value * 100)).scaleb(-2))
 
 
 # Text with the characters a row boundary is made of, the value separator (NUL), the

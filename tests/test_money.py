@@ -2,7 +2,7 @@ from fractions import Fraction
 
 import pytest
 
-from ctcsim.money import as_money, as_rate, ceil_to_cent, dollars_str
+from ctcsim.money import as_money, as_rate, format_money
 
 
 def test_as_money_accepts_int_and_fraction():
@@ -33,14 +33,7 @@ def test_as_rate_rejects_float():
         as_rate(0.15)
 
 
-def test_ceil_to_cent():
-    assert ceil_to_cent(Fraction(29000, 3)) == Fraction(966667, 100)
-    assert ceil_to_cent(Fraction(1, 100)) == Fraction(1, 100)
-    assert ceil_to_cent(Fraction(0)) == 0
-
-
-def test_dollars_str_rounds_half_up_for_display():
-    assert dollars_str(Fraction(966667, 100)) == "9666.67"
-    assert dollars_str(1000) == "1000.00"
-    assert dollars_str(Fraction(1, 3)) == "0.33"
-    assert dollars_str(Fraction(-5, 2)) == "-2.50"
+def test_format_money_rounds_up_to_the_cent():
+    assert format_money(Fraction(29000, 3)) == "9666.67"
+    assert format_money(Fraction(1, 100)) == "0.01"
+    assert format_money(Fraction(0)) == "0.00"

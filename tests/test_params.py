@@ -11,6 +11,7 @@ from ctcsim import (
     load_params,
     params_for_year,
 )
+from ctcsim.params import Bracket, BracketSchedule
 from ctcsim.errors import MissingYear, ParseError, ValidationError
 
 import goldens
@@ -147,3 +148,58 @@ class TestOverrides:
         left = apply_overrides(apply_overrides(base, a), b)
         right = apply_overrides(apply_overrides(base, b), a)
         assert left == right
+
+
+# Override values as (what apply_overrides is given, the field value it must produce).
+_money = st.integers(1, 300_000).map(lambda n: (n, n))
+_rates = st.fractions(Fraction(1, 100), Fraction(99, 100), max_denominator=100).flatmap(
+    lambda r: st.sampled_from([(r, r), (str(r), r)]))
+
+
+@st.composite
+def _schedules(draw):
+    uppers = sorted(draw(st.sets(st.integers(1, 200_000), max_size=3)))
+    rates = sorted(draw(st.lists(st.fractions(0, 1, max_denominator=100),
+                                 min_size=len(uppers) + 1, max_size=len(uppers) + 1)))
+    schedule = BracketSchedule(tuple(map(Bracket, [*uppers, None], rates)))
+    raw = [{"upper": u, "rate": str(r)} for u, r in zip(uppers, rates)] + [{"rate": str(rates[-1])}]
+    return draw(st.sampled_from([schedule, raw])), schedule
+
+
+def _per_status(values):
+    """One value for both statuses, or a FilingStatus-keyed mapping."""
+    both = values.map(lambda v: (v[0], {s: v[1] for s in FilingStatus}))
+    keyed = st.tuples(values, values).map(lambda vs: (
+        dict(zip(FilingStatus, (v[0] for v in vs))), dict(zip(FilingStatus, (v[1] for v in vs)))))
+    return both | keyed
+
+
+_OVERRIDES = {"ctc_per_child": _money, "actc_per_child": _money, "refund_threshold": _money,
+              "refund_rate": _rates, "phaseout_rate": _rates,
+              "standard_deduction": _per_status(_money),
+              "exemption_per_person": _per_status(_money),
+              "phaseout_start": _per_status(_money), "brackets": _per_status(_schedules())}
+
+
+def _read(params, name):
+    """A shared field's value, or each status's value of a per-status field."""
+    if hasattr(params, name):
+        return getattr(params, name)
+    return {s: getattr(params.for_status(s), name) for s in FilingStatus}
+
+
+@given(year=st.integers(2003, 2018), drawn=st.fixed_dictionaries({}, optional=_OVERRIDES),
+       data=st.data())
+@settings(max_examples=200, deadline=None)
+def test_overrides_apply_alike_at_once_and_one_at_a_time(request, year, drawn, data):
+    base = request.getfixturevalue("params_by_year")[year]
+    overrides = {name: given_value for name, (given_value, _) in drawn.items()}
+    at_once = apply_overrides(base, overrides, strict=False)
+    stepwise = base
+    for name, value in data.draw(st.permutations(list(overrides.items()))):
+        stepwise = apply_overrides(stepwise, {name: value}, strict=False)
+    assert stepwise == at_once and hash(stepwise) == hash(at_once)
+    for status in FilingStatus:
+        assert at_once.for_status(status) is getattr(at_once, status.value)
+    for name in _OVERRIDES:  # an overridden field reads its new value, any other the base's
+        assert _read(at_once, name) == (drawn[name][1] if name in drawn else _read(base, name))

@@ -17,12 +17,14 @@ checks failed, which had a failed op, or which exited with an error. A run
 that exited with an error keeps its exit code and last stderr line but no
 metrics, so each metric's figures come from the pairs with both runs whole.
 Each run also keeps its unscaled cold setup times and median op time
-(``samples``), which the scaled metrics hide.
+(``samples``), which the scaled metrics hide. The record names the code each
+side ran by ``code_sha256``: a SHA-256 over the side's ``src/`` files.
 """
 
 from __future__ import annotations
 
 import argparse
+import hashlib
 import json
 import os
 import platform
@@ -30,6 +32,20 @@ import statistics
 import subprocess
 import sys
 from pathlib import Path
+
+
+def code_sha256(checkout: Path) -> str:
+    """SHA-256 over the files under `checkout`/src in sorted relative-path order, each as its
+    path, its length and its bytes. Bytecode caches, which runs write, are left out."""
+    digest = hashlib.sha256()
+    files = {path.relative_to(checkout).as_posix(): path
+             for path in (checkout / "src").rglob("*")
+             if path.is_file() and "__pycache__" not in path.parts}
+    for name in sorted(files):
+        data = files[name].read_bytes()
+        digest.update(f"{name}\0{len(data)}\0".encode())
+        digest.update(data)
+    return digest.hexdigest()
 
 
 def run_once(checkout: Path, workload: str, seed: int, seconds: float) -> dict:
@@ -106,6 +122,7 @@ def main(argv: list[str] | None = None) -> int:
     seeds = list(range(first, last + 1))
     workloads = args.workloads.split(",")
     sides = {"parent": args.parent.resolve(), "change": args.change.resolve()}
+    code = {side: code_sha256(checkout) for side, checkout in sides.items()}
     for checkout in sides.values():
         subprocess.run([sys.executable, "-m", "compileall", "-q", "src", "ctcbench", "tests"],
                        cwd=checkout, check=True)
@@ -119,7 +136,7 @@ def main(argv: list[str] | None = None) -> int:
         print(json.dumps(pair), file=sys.stderr, flush=True)
     record = {"seeds": seeds, "pairs_per_workload": len(seeds), "seconds": args.seconds,
               "nproc": len(os.sched_getaffinity(0)), "cpu_count": os.cpu_count(),
-              "python": platform.python_version(),
+              "python": platform.python_version(), "code_sha256": code,
               "workloads": summarise(runs, metrics), "runs": runs}
     args.out.write_text(json.dumps(record, indent=1) + "\n")
     return 0
