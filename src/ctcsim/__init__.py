@@ -30,11 +30,7 @@ from .params import (
     load_params,
     params_for_year,
 )
-from .population import (
-    ChildrenHistogram,
-    PopulationTable,
-    load_population,
-)
+from .population import PopulationTable, load_population
 from .stats import build_panel, did, fixed_effects, ols
 from .taxmath import (
     HouseholdProfile,

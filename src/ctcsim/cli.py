@@ -33,8 +33,6 @@ from .population import load_population
 from .stats import build_panel, did, fixed_effects
 from .taxmath import LiabilityMode, thresholds
 
-GROUPS = tuple(ParentalGroup)
-
 # Each panel outcome: the relief categories whose household counts it sums.
 OUTCOMES = {c.value: (c,) for c in ReliefCategory} | {
     "cd": (ReliefCategory.FULL_ACTC, ReliefCategory.FULL_CTC),
@@ -90,7 +88,7 @@ def _load_config(path: str) -> dict:
     with open(path, "r", encoding="utf-8") as fh:
         try:
             config = json.load(fh)
-        except (json.JSONDecodeError, UnicodeDecodeError) as exc:
+        except ValueError as exc:  # also an integer past the interpreter's digit limit
             raise ParseError(f"{path}: invalid JSON: {exc}") from exc
     if not isinstance(config, dict):
         raise ParseError(f"{path}: expected a JSON object")
@@ -106,9 +104,11 @@ def _load_config(path: str) -> dict:
     return config
 
 
-def _fmt_share(value: Fraction | float) -> str:
-    """Six decimals; ``count / total`` prints as its Fraction: int / int is correctly rounded."""
-    return f"{float(value):.6f}"
+def _fmt(value: Fraction | float) -> str:
+    """Six decimals; a value that rounds to zero prints without a sign. ``count / total``
+    prints as its Fraction: int / int is correctly rounded."""
+    text = f"{float(value):.6f}"
+    return "0.000000" if text == "-0.000000" else text
 
 
 def _json_rows(fields: tuple, rows: list[tuple], depth: int = 0) -> str:
@@ -213,7 +213,7 @@ def _last_year(run: Run, year: int | None) -> int:
 
 
 def _groups(args) -> list[ParentalGroup]:
-    return [ParentalGroup(args.group)] if args.group else list(GROUPS)
+    return [ParentalGroup(args.group)] if args.group else list(cf.GROUPS)
 
 
 def _outcomes(text: str | None, default: list[str]) -> list[str]:
@@ -249,7 +249,7 @@ def rows_classify(run: Run, args) -> list[tuple]:
                 total = est.total
                 for cat in CATEGORY_ORDER:
                     rows.append((year, group.value, scenario.value, cat.value, est.counts[cat],
-                                 _fmt_share(est.counts[cat] / total), est.flags[cat].value))
+                                 _fmt(est.counts[cat] / total), est.flags[cat].value))
     return rows
 
 
@@ -264,7 +264,7 @@ def rows_piecemeal(run: Run, args) -> list[tuple]:
         for r in cf.run_piecemeal_table(args.table, run.pop, run.params, scenario,
                                         pop_year=pop_year, base_year=base_year, mode=run.mode):
             rows.append((args.table, scenario.value, r.step, r.label, r.group.value,
-                         _fmt_share(r.proportion)))
+                         _fmt(r.proportion)))
     return rows
 
 
@@ -277,7 +277,7 @@ def rows_sweep(run: Run, args) -> list[tuple]:
         table = cf.credit_size_sweep(run.pop, year, credits, scenario, params,
                                      parity=not args.no_parity, mode=run.mode)
         for credit, group, share in table:
-            rows.append((year, scenario.value, int(credit), group.value, _fmt_share(share)))
+            rows.append((year, scenario.value, int(credit), group.value, _fmt(share)))
     rows.sort()  # by (scenario, credit, group), which fix the proportion
     return rows
 
@@ -290,12 +290,12 @@ def rows_priced_out(run: Run, args) -> list[tuple]:
         if args.year is None and params.actc_per_child != params.ctc_per_child:
             continue
         for scenario in run.scenarios:
-            for group in GROUPS:
+            for group in cf.GROUPS:
                 result = cf.priced_out(run.pop, year, group, params, args.new_ctc, scenario,
                                        run.mode)
                 share = result.proportion_priced_out
                 rows.append((year, scenario.value, group.value, result.full_relief_old,
-                             result.priced_out, "" if share is None else _fmt_share(share)))
+                             result.priced_out, "" if share is None else _fmt(share)))
     return rows
 
 
@@ -309,9 +309,9 @@ def rows_parity(run: Run, args) -> list[tuple]:
                  ("2", "full relief after refundable parity", result.after),
                  ("3", "full relief after parity, floor removed", result.no_floor))
         for step, label, shares in steps:
-            for group in GROUPS:
+            for group in cf.GROUPS:
                 rows.append((year, scenario.value, step, label, group.value,
-                             _fmt_share(shares[group])))
+                             _fmt(shares[group])))
     return rows
 
 
@@ -321,16 +321,10 @@ def rows_eliminate(run: Run, args) -> list[tuple]:
     rows = []
     for scenario in run.scenarios:
         result = cf.eliminate_refundability(run.pop, year, params, scenario, run.mode)
-        for group in GROUPS:
-            rows.append((year, scenario.value, group.value, _fmt_share(result.deltas[group]), ""))
+        for group in cf.GROUPS:
+            rows.append((year, scenario.value, group.value, _fmt(result.deltas[group]), ""))
         rows.append((year, scenario.value, "all", "", result.gaining_households))
     return rows
-
-
-def _fmt_estimate(value: float) -> str:
-    """Six decimals; a value that rounds to zero prints without a sign."""
-    text = f"{value:.6f}"
-    return "0.000000" if text == "-0.000000" else text
 
 
 def _stars(estimate: float, se: float) -> str:
@@ -351,7 +345,7 @@ def _fit_rows(run: Run, fit, outcomes, years) -> list[tuple]:
     for scenario in run.scenarios:
         cells = [(year, group, cf.eligibility(run.pop, year, group, params, scenario, run.mode))
                  for year in years for params in [params_for_year(run.params, year)]
-                 for group in GROUPS]
+                 for group in cf.GROUPS]
         for outcome in outcomes:
             cats = OUTCOMES[outcome]
             res = fit(build_panel([(year, group, sum(est.counts[c] for c in cats) / est.total)
@@ -359,8 +353,7 @@ def _fit_rows(run: Run, fit, outcomes, years) -> list[tuple]:
             defined = res.df_resid > 0  # a zero-df fit has no SE, hence no stars
             for name in res.names:
                 est, se = res.estimate(name), res.se(name)
-                rows.append((scenario.value, outcome, name, _fmt_estimate(est),
-                             f"{se:.6f}" if defined else "",
+                rows.append((scenario.value, outcome, name, _fmt(est), _fmt(se) if defined else "",
                              _stars(est, se) if defined else ""))
     return rows
 
@@ -393,7 +386,7 @@ class Command(NamedTuple):
 
 
 _YEAR = ("--year", {"type": int})
-_GROUP = ("--group", {"choices": [g.value for g in GROUPS]})
+_GROUP = ("--group", {"choices": [g.value for g in cf.GROUPS]})
 
 COMMANDS = {
     "thresholds": Command(

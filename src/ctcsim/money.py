@@ -10,6 +10,7 @@ dollars, rates are parsed from their decimal literals (``0.15`` becomes
 
 from __future__ import annotations
 
+import re
 from fractions import Fraction
 from typing import Union
 
@@ -23,6 +24,15 @@ def as_money(value: MoneyLike) -> Fraction:
     if isinstance(value, (int, Fraction)):
         return value if type(value) is Fraction else Fraction(value)
     raise TypeError(f"money must be int or Fraction, got {type(value).__name__}")
+
+
+def parse_decimal(text: str) -> Fraction:
+    """A decimal literal such as ``"0.15"`` as an exact Fraction. An exponent beyond 4300, the
+    default integer digit limit, is refused first: Fraction would expand it, taking seconds."""
+    exponent = text.lower().partition("e")[2]  # read as Fraction reads it, then bounded
+    if re.fullmatch(r"[-+]?\d+(_\d+)*\s*", exponent) and abs(int(exponent)) > 4300:
+        raise ValueError("decimal exponent beyond 4300")
+    return Fraction(text)
 
 
 def as_rate(value) -> Fraction:
@@ -39,7 +49,7 @@ def as_rate(value) -> Fraction:
         return Fraction(value)
     if isinstance(value, str):
         try:
-            return Fraction(value)
+            return parse_decimal(value)
         except ZeroDivisionError:
             raise ValueError(f"rate {value!r} has a zero denominator") from None
     raise TypeError(f"rate must be Fraction, int, or decimal string, got {type(value).__name__}")

@@ -20,7 +20,7 @@ from pathlib import Path
 from typing import Iterable, Mapping, Sequence, Union
 
 from .errors import MissingYear, ParseError, ValidationError
-from .money import as_money, as_rate
+from .money import as_money, as_rate, parse_decimal
 from .record import Record, replace
 
 
@@ -124,9 +124,7 @@ class ProgramParameters(Record):
         try:
             return self._hash
         except AttributeError:
-            cached = hash((self.year, self.married_joint, self.head_of_household,
-                           self.ctc_per_child, self.actc_per_child, self.refund_threshold,
-                           self.refund_rate, self.phaseout_rate))
+            cached = Record.__hash__(self)
             object.__setattr__(self, "_hash", cached)
             return cached
 
@@ -204,8 +202,8 @@ def load_params(path: str | Path) -> dict[int, ProgramParameters]:
     path = Path(path)
     try:
         with path.open("r", encoding="utf-8") as fh:
-            raw = json.load(fh, parse_float=Fraction)
-    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
+            raw = json.load(fh, parse_float=parse_decimal)
+    except ValueError as exc:  # also an integer past the interpreter's digit limit
         raise ParseError(f"{path}: invalid JSON: {exc}") from exc
     if not isinstance(raw, list) or not raw:
         raise ParseError(f"{path}: expected a non-empty top-level array of year records")

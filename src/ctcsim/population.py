@@ -21,7 +21,6 @@ from typing import Callable, Mapping, Sequence
 
 from .errors import EmptyGroup, EmptyHistogram, GapError, NegativeCount, ParseError
 from .params import ParentalGroup
-from .record import Record
 
 BIN_WIDTH = 2500
 INCOME_CEILING = 100_000
@@ -30,36 +29,22 @@ BINS = INCOME_CEILING // BIN_WIDTH
 CHILDREN_KEYS = tuple(str(k) for k in range(8)) + ("8plus",)
 
 
-class ChildrenHistogram(Record):
-    """Respondent counts by reported number of children; '8plus' sums at 8."""
-
-    counts: Mapping[str, int]
-
-    def total(self) -> int:
-        return sum(self.counts.values())
-
-    def average(self) -> Fraction:
-        total = self.total()
-        if total <= 0:
-            raise EmptyHistogram("children histogram has no respondents")
-        weighted = sum(
-            (8 if key == "8plus" else int(key)) * n for key, n in self.counts.items()
-        )
-        return Fraction(weighted, total)
-
-
 class PopulationTable:
-    """Immutable container of cumulative bin counts and children histograms."""
+    """Immutable container of cumulative bin counts and children counts."""
 
     def __init__(
         self,
         counts: Mapping[tuple[int, ParentalGroup], Sequence[int]],
-        children: Mapping[tuple[int, ParentalGroup], ChildrenHistogram] | None = None,
+        children: Mapping[tuple[int, ParentalGroup], Mapping[str, int]] | None = None,
     ):
-        """`counts` holds the BINS per-bin counts of each cell, lowest bin first."""
+        """`counts` holds the BINS per-bin counts of each cell, lowest bin first, and
+        `children` each cell's respondent counts by CHILDREN_KEYS key."""
         self._cum = {key: tuple(accumulate(value, initial=0)) for key, value in counts.items()}
         self._children = dict(children or {})
-        self._averages = {key: h.average() for key, h in self._children.items() if h.total() > 0}
+        # A key counts its position in CHILDREN_KEYS as children, so '8plus' counts 8.
+        self._averages = {
+            cell: Fraction(sum(CHILDREN_KEYS.index(key) * n for key, n in c.items()), total)
+            for cell, c in self._children.items() if (total := sum(c.values())) > 0}
 
     def cumulative(self, year: int, group: ParentalGroup) -> tuple[int, ...]:
         """The cell's BINS + 1 cumulative counts, from 0 to its total."""
@@ -68,20 +53,13 @@ class PopulationTable:
         except KeyError:
             raise EmptyGroup(f"no population for year {year}, group {group.value}") from None
 
-    def children_histogram(self, year: int, group: ParentalGroup) -> ChildrenHistogram:
-        try:
-            return self._children[(year, group)]
-        except KeyError:
-            raise EmptyHistogram(
-                f"no children histogram for year {year}, group {group.value}"
-            ) from None
-
     def average_children(self, year: int, group: ParentalGroup) -> Fraction:
         average = self._averages.get((year, group))
-        if average is None:  # every histogram with respondents has its average kept
-            self.children_histogram(year, group)  # names a missing one
-            raise EmptyHistogram(f"children histogram for year {year}, group {group.value} "
-                                 "has no respondents")
+        if average is None:  # every cell with respondents has its average kept
+            where = f"year {year}, group {group.value}"
+            if (year, group) not in self._children:
+                raise EmptyHistogram(f"no children histogram for {where}")
+            raise EmptyHistogram(f"children histogram for {where} has no respondents")
         return average
 
 
@@ -185,4 +163,4 @@ def load_population(path: str | Path, children_path: str | Path | None = None) -
 
     children = (_read_cells(Path(children_path), ["year", "group", "children", "count"],
                             _children_count) if children_path else {})
-    return PopulationTable(counts, {cell: ChildrenHistogram(c) for cell, c in children.items()})
+    return PopulationTable(counts, children)

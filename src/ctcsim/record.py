@@ -4,13 +4,14 @@ A record class names its fields once, as annotations; each gets a slot, and
 an annotated name starting with ``_`` is a private slot, such as a cached
 hash, rather than a field. At class creation the record gets an ``__init__``
 taking the fields in order, positionally or by name, that ends by calling
-``__post_init__`` when the class defines one, and an ``__eq__`` and a
-``__hash__`` over the fields, unless its body defines them. Records compare
-equal only to records of the same class with equal fields, and reject
+``__post_init__`` when the class defines one. Records compare equal only to
+records of the same class with equal fields, hash by their fields, and reject
 assignment and deletion.
 """
 
 from __future__ import annotations
+
+from operator import attrgetter
 
 
 class _RecordType(type):
@@ -20,31 +21,32 @@ class _RecordType(type):
         cls._fields = fields = cls._fields + tuple(s for s in slots if not s.startswith("_"))
         if not fields:
             return cls
-        # Written out per class, as dataclasses does: slot reads in a tuple display are
-        # faster than any generic loop over the field names.
-        own = "".join(f"self.{field}, " for field in fields)
-        other = own.replace("self.", "other.")
+        cls._values = attrgetter(*fields)  # a tuple of the values, or a lone field's value
+        # Written out per class, as dataclasses does: slot stores by name are faster than
+        # any generic loop over the field names.
         sets = "".join(f"\n    _set(self, {field!r}, {field})" for field in fields)
         post = "\n    self.__post_init__()" if hasattr(cls, "__post_init__") else ""
         code: dict = {}
-        exec(f"def __init__(self, {', '.join(fields)}):{sets}{post}\n"
-             "def __eq__(self, other):\n"
-             "    if other.__class__ is self.__class__:\n"
-             f"        return ({own}) == ({other})\n"
-             "    return NotImplemented\n"
-             "def __hash__(self):\n"
-             f"    return hash(({own}))\n", {"_set": object.__setattr__}, code)
-        for method, fn in code.items():
-            if method not in namespace:
-                fn.__module__, fn.__qualname__ = cls.__module__, f"{name}.{method}"
-                setattr(cls, method, fn)
+        exec(f"def __init__(self, {', '.join(fields)}):{sets}{post}", {"_set": object.__setattr__}, code)
+        if "__init__" not in namespace:
+            cls.__init__ = code["__init__"]
+            cls.__init__.__module__, cls.__init__.__qualname__ = cls.__module__, f"{name}.__init__"
         return cls
 
 
 class Record(metaclass=_RecordType):
-    """Base of the value records; a subclass declares its fields as annotations."""
+    """Base of the value records; a subclass declares its fields as annotations, and may
+    define its own ``__eq__`` or ``__hash__``."""
 
     _fields = ()
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:  # so a one-field record never equals its field
+            return self._values(self) == self._values(other)
+        return NotImplemented
+
+    def __hash__(self):
+        return hash(self._values(self))
 
     def __repr__(self) -> str:
         values = ", ".join(f"{field}={getattr(self, field)!r}" for field in self._fields)

@@ -23,11 +23,7 @@ from .errors import RankDeficient, ValidationError
 from .params import ParentalGroup
 from .record import Record
 
-
-class PanelObservation(Record):
-    year: int
-    group: ParentalGroup
-    outcome: float
+PanelRow = tuple[int, ParentalGroup, float]  # (year, group, outcome)
 
 
 class RegressionResult(Record):
@@ -187,10 +183,8 @@ def _two_way(
     return RegressionResult(tuple(terms), estimates, cov, residuals, fitted, r_squared, n, df_resid)
 
 
-def build_panel(
-    rows: Iterable[tuple[int, ParentalGroup, float | Fraction]]
-) -> list[PanelObservation]:
-    """Panel observations from (year, group, outcome) rows: one per cell, each finite."""
+def build_panel(rows: Iterable[tuple[int, ParentalGroup, float | Fraction]]) -> list[PanelRow]:
+    """Panel rows from (year, group, outcome) rows: one per cell, each outcome finite."""
     panel = []
     seen = set()
     for year, group, outcome in rows:
@@ -200,21 +194,19 @@ def build_panel(
         seen.add(key)
         if not math.isfinite(outcome):
             raise ValidationError(f"panel cell {year}, {group.value} has outcome {outcome}")
-        panel.append(PanelObservation(year, group, float(outcome)))
+        panel.append((year, group, float(outcome)))
     return panel
 
 
-def fixed_effects(
-    panel: Sequence[PanelObservation], baseline_year: int = 2017
-) -> RegressionResult:
+def fixed_effects(panel: Sequence[PanelRow], baseline_year: int = 2017) -> RegressionResult:
     """Saturated group/year dummy regression with all interactions.
 
     The baseline year and the married group are omitted to keep the design
     full rank, so each group dummy reads as that group's difference from
     married parents in the baseline year.
     """
-    groups = {o.group for o in panel}
-    years = {o.year for o in panel}
+    groups = {group for _, group, _ in panel}
+    years = {year for year, _, _ in panel}
     if baseline_year not in years:
         raise ValidationError(f"baseline year {baseline_year} absent from panel")
     if ParentalGroup.MARRIED not in groups:
@@ -223,13 +215,14 @@ def fixed_effects(
     cols = [baseline_year] + sorted(years - {baseline_year})
     row = {g: i for i, g in enumerate(rows)}
     col = {y: j for j, y in enumerate(cols)}
-    return _two_way([(row[o.group], col[o.year], o.outcome) for o in panel],
+    return _two_way([(row[group], col[year], outcome) for year, group, outcome in panel],
                     [g.value for g in rows], [f"year_{y}" for y in cols], ":")
 
 
-def did(panel: Sequence[PanelObservation], post_year: int = 2018) -> RegressionResult:
+def did(panel: Sequence[PanelRow], post_year: int = 2018) -> RegressionResult:
     """Difference-in-differences of single mothers (treated) against single
     fathers (control), post from `post_year` on; `treated_post` is the estimate."""
     pair = (ParentalGroup.SINGLE_FATHER, ParentalGroup.SINGLE_MOTHER)
-    obs = [(o.group is pair[1], o.year >= post_year, o.outcome) for o in panel if o.group in pair]
+    obs = [(group is pair[1], year >= post_year, outcome)
+           for year, group, outcome in panel if group in pair]
     return _two_way(obs, ("control", "treated"), ("pre", "post"), "_")

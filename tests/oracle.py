@@ -335,7 +335,6 @@ def load_population_reference(path, children_path=None):
         BIN_WIDTH,
         CHILDREN_KEYS,
         INCOME_CEILING,
-        ChildrenHistogram,
         PopulationTable,
     )
 
@@ -415,4 +414,4 @@ def load_population_reference(path, children_path=None):
 
     children = (_read_cells(Path(children_path), ["year", "group", "children", "count"],
                             _children_count) if children_path else {})
-    return PopulationTable(bins, {cell: ChildrenHistogram(c) for cell, c in children.items()})
+    return PopulationTable(bins, children)

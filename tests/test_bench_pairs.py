@@ -117,6 +117,7 @@ def test_a_run_that_exits_with_an_error_is_kept_as_incorrect(tmp_path):
     assert record["code_sha256"] == {side: bench_pairs.code_sha256(tmp_path / side)
                                      for side in sides}
     assert record["code_sha256"]["parent"] != record["code_sha256"]["change"]
+    assert record["src_lines"] == {"parent": 1, "change": 1}
     failed = [(r["workload"], r["seed"], r["change"]) for r in record["runs"]
               if "exit_code" in r["change"]]
     assert [(w, s) for w, s, _ in failed] == [("y", 1), ("x", 2), ("y", 2)]
@@ -131,14 +132,19 @@ def test_a_run_that_exits_with_an_error_is_kept_as_incorrect(tmp_path):
                               "gain_claimable": False}
 
 
+def fake_checkout(root, files):
+    """A directory `root` holding each of `files`, relative path -> bytes."""
+    for rel, data in files.items():
+        (root / rel).parent.mkdir(parents=True, exist_ok=True)
+        (root / rel).write_bytes(data)
+    return root
+
+
 def test_code_sha256_covers_each_source_path_and_its_bytes(tmp_path):
     """Checkouts with the same `src/` files hash alike whatever else they hold; one byte
     changed, or one file renamed, changes the hash."""
     def checkout(name, files):
-        for rel, data in files.items():
-            (tmp_path / name / rel).parent.mkdir(parents=True, exist_ok=True)
-            (tmp_path / name / rel).write_bytes(data)
-        return bench_pairs.code_sha256(tmp_path / name)
+        return bench_pairs.code_sha256(fake_checkout(tmp_path / name, files))
 
     files = {"src/pkg/b.py": b"y = 2\n", "src/pkg/a.py": b"x = 1\n"}
     digest = checkout("base", files)
@@ -148,3 +154,17 @@ def test_code_sha256_covers_each_source_path_and_its_bytes(tmp_path):
                               "tests/t.py": b"z"}) == digest
     assert checkout("byte", {**files, "src/pkg/b.py": b"y = 3\n"}) != digest
     assert checkout("renamed", {"src/pkg/a.py": b"x = 1\n", "src/pkg/c.py": b"y = 2\n"}) != digest
+
+
+def test_src_lines_counts_the_newlines_of_the_hashed_files(tmp_path):
+    """Fake checkouts whose source files differ in line count; files outside `src/` and
+    bytecode caches count for nothing, as they hash for nothing."""
+    def checkout(name, files):
+        return bench_pairs.src_lines(fake_checkout(tmp_path / name, files))
+
+    base = {"src/pkg/a.py": b"x = 1\ny = 2\n", "src/pkg/b.py": b"z = 3\n", "src/README": b"r"}
+    assert checkout("base", base) == 3
+    assert checkout("other", {
+        **base, "src/pkg/__pycache__/a.cpython-311.pyc": b"\n\n", "tests/t.py": b"\n"}) == 3
+    assert checkout("longer", {**base, "src/pkg/b.py": b"z = 3\n\n"}) == 4
+    assert checkout("shorter", {"src/pkg/a.py": b"x = 1\n"}) == 1

@@ -30,7 +30,7 @@ from ctcsim.classifier import (
 )
 from ctcsim.counterfactual import full_relief_cuts, profile_for
 from ctcsim.errors import ThresholdOutOfRange, Unreachable
-from ctcsim.population import BIN_WIDTH, INCOME_CEILING, ChildrenHistogram, PopulationTable
+from ctcsim.population import BIN_WIDTH, INCOME_CEILING, PopulationTable
 from ctcsim.taxmath import ThresholdSet
 
 from oracle import (
@@ -271,8 +271,7 @@ class TestPrefixSums:
     @staticmethod
     def _table(year, counts):
         return PopulationTable({(year, g): counts for g in ParentalGroup},
-                               {(year, g): ChildrenHistogram({"1": 2, "2": 1, "4": 1})
-                                for g in ParentalGroup})
+                               {(year, g): {"1": 2, "2": 1, "4": 1} for g in ParentalGroup})
 
     @given(counts=count_vectors().filter(any), year=st.sampled_from([2009, 2017, 2018]),
            group=st.sampled_from(list(ParentalGroup)), scenario=st.sampled_from(list(Scenario)),

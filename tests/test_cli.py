@@ -15,7 +15,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from ctcsim.cli import (COMMANDS, SECTIONS, SHARED, _fmt_share, _json_rows,
+from ctcsim.cli import (COMMANDS, SECTIONS, SHARED, _fmt, _json_rows,
                         _own_args, build_parser, main)
 from ctcsim.money import format_money
 
@@ -551,6 +551,27 @@ class TestBadInput:
         line = self.assert_one_line_error(capsys, "classify", *years)
         assert line == "error: bad year range ''"
 
+    @pytest.mark.parametrize("field, literal, message", [
+        ("standard_deduction", "9" * 4301, "invalid JSON: Exceeds the limit (4300 digits)"),
+        ("refund_rate", "1e-10000000", "invalid JSON: decimal exponent beyond 4300"),
+        ("refund_rate", '"1e-10000000"',
+         "year 2003: bad field 'refund_rate': decimal exponent beyond 4300"),
+    ], ids=["integer", "exponent", "exponent-string"])
+    def test_oversized_number_in_parameter_file(self, capsys, tmp_path, field, literal, message):
+        # Raw text: json.dumps writes neither literal. The exponent is refused before
+        # Fraction expands it, which took seconds.
+        records = json.loads((DATA / "params.json").read_text())
+        records[0][field] = "<literal>"
+        params = tmp_path / "params.json"
+        params.write_text(json.dumps(records).replace('"<literal>"', literal))
+        line = self.assert_one_line_error(capsys, "classify", "--params", str(params))
+        assert line.startswith(f"error: {params}: {message}")
+
+    def test_oversized_integer_in_config(self, capsys, tmp_path):
+        config = self.config(tmp_path, '{"years": ' + "9" * 4301 + "}")
+        line = self.assert_one_line_error(capsys, "classify", "--config", config)
+        assert line.startswith(f"error: {config}: invalid JSON: Exceeds the limit (4300 digits)")
+
     @pytest.mark.parametrize("text", ["{bad", "[1]", '{"scenaro": "s1"}'])
     def test_config_malformed(self, capsys, tmp_path, text):
         self.assert_one_line_error(capsys, "classify", "--config", self.config(tmp_path, text))
@@ -691,8 +712,8 @@ class TestBadInput:
 def test_integer_share_prints_as_its_fraction(x, y, total):
     a, both = sorted((x % (total + 1), y % (total + 1)))  # 0 <= a <= a + b <= total
     b = both - a
-    assert _fmt_share(a / total) == _fmt_share(Fraction(a, total))
-    assert _fmt_share((a + b) / total) == _fmt_share(Fraction(a, total) + Fraction(b, total))
+    assert _fmt(a / total) == _fmt(Fraction(a, total))
+    assert _fmt((a + b) / total) == _fmt(Fraction(a, total) + Fraction(b, total))
 
 
 @settings(max_examples=500, deadline=None)

@@ -23,6 +23,12 @@ OWN = {"thresholds": ["--year", "--group"], "classify": ["--year", "--group"],
        "parity": ["--year"], "eliminate-refund": ["--year"], "regress": ["--outcome"],
        "did": ["--outcome", "--post-year"], "report": []}
 
+# Literals json.dumps cannot write, each drawn as its name and put into the file as raw text:
+# an integer past the interpreter's digit limit and decimals whose exponent is far too big.
+RAW = {"<big integer>": "9" * 4301, "<tiny decimal>": "1e-10000000",
+       "<huge decimal>": "1e10000000"}
+RAW |= {f"<{name[1:-1]} text>": f'"{text}"' for name, text in RAW.items()}
+
 # Values per flag, good and bad. A flag a command does not take is a usage error.
 VALUES = {
     "--years": ["2017", "2016:2018", "2017:2018", "2018:2017", "abc", "1999:2001", "2017:", ""],
@@ -43,7 +49,7 @@ VALUES = {
     "--population": ["population", "missing", "directory", "params", "binary", "zero_group",
                      "no_baseline"],
     "--children": ["children", "missing", "population", "binary"],
-    "--config": ["missing", "params", "config"],
+    "--config": ["missing", "params", "config", "raw_config"],
     "--out": ["file", "directory", "missing/out.csv"],
 }
 
@@ -72,12 +78,14 @@ def paths(tmp_path_factory, bad_populations):
     tmp = tmp_path_factory.mktemp("fuzz")
     (tmp / "binary").write_bytes(b"\xc0\xff" * 64)
     (tmp / "config.json").write_text('{"years": "2017:2018", "scenario": "s2"}')
+    (tmp / "raw_config.json").write_text('{"years": ' + RAW["<big integer>"] + "}")
     with pytest.MonkeyPatch.context() as mp:
         mp.setenv("CTCSIM_DATA_DIR", str(DATA))
         yield {"missing": str(tmp / "missing.csv"), "directory": str(tmp),
                "params": str(DATA / "params.json"), "population": str(DATA / "population.csv"),
                "children": str(DATA / "children.csv"),
                "binary": str(tmp / "binary"), "config": str(tmp / "config.json"),
+               "raw_config": str(tmp / "raw_config.json"),
                "file": str(tmp / "out.csv"), "missing/out.csv": str(tmp / "missing" / "out.csv"),
                **{name: str(path) for name, path in bad_populations.items()}}
 
@@ -89,6 +97,7 @@ def paths(tmp_path_factory, bad_populations):
 @example(("report", [("--years", "2016:2018"), ("--population", "no_baseline")], []))
 @example(("did", [("--outcome", "a,,b")], []))
 @example(("did", [("--years", "2017:2018")], []))
+@example(("classify", [("--config", "raw_config")], []))
 @settings(max_examples=80, deadline=None)
 def test_every_argv_ends_with_a_documented_exit(paths, drawn):
     command, own, other = drawn
@@ -118,10 +127,25 @@ def assert_documented_exit(argv):
 RECORDS = json.loads((DATA / "params.json").read_text())
 JSON_VALUES = st.recursive(
     st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=8)
-    | st.sampled_from(["9500", "0.1", "abc", 2003.5, [5], [{"rate": 0.1}], {}]),
+    | st.sampled_from(["9500", "0.1", "abc", 2003.5, [5], [{"rate": 0.1}], {}, *RAW]),
     lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=6), inner,
                                                                 max_size=3),
     max_leaves=6)
+
+
+def params_text(records) -> str:
+    """`records` as JSON text, each RAW name in it replaced by its literal."""
+    text = json.dumps(records)
+    for name, literal in RAW.items():
+        text = text.replace(json.dumps(name), literal)
+    return text
+
+
+def with_value(field, value):
+    """The shipped parameter records with `field` of the first record set to `value`."""
+    records = json.loads(json.dumps(RECORDS))
+    records[0][field] = value
+    return records
 
 
 @st.composite
@@ -137,8 +161,14 @@ def edited_records(draw):
 
 @given(records=edited_records(), argv=st.sampled_from([
     ["thresholds"], ["thresholds", "--liability", "table"], ["classify", "--year", "2018"]]))
+@example(records=with_value("refund_rate", "<big integer>"), argv=["classify"])
+@example(records=with_value("refund_rate", "<tiny decimal>"), argv=["classify"])
+@example(records=with_value("refund_rate", "<huge decimal>"), argv=["classify"])
+@example(records=with_value("refund_rate", "<big integer text>"), argv=["classify"])
+@example(records=with_value("refund_rate", "<tiny decimal text>"), argv=["classify"])
+@example(records=with_value("refund_rate", "<huge decimal text>"), argv=["classify"])
 @settings(max_examples=80, deadline=None)
 def test_every_parameter_value_ends_with_a_documented_exit(paths, records, argv):
     params = Path(paths["directory"]) / "fuzzed-params.json"
-    params.write_text(json.dumps(records))
+    params.write_text(params_text(records))
     assert_documented_exit([*argv, "--params", str(params)])

@@ -16,7 +16,7 @@ from ctcsim import (
 )
 from ctcsim.counterfactual import full_relief_cuts, piecemeal_walk, profile_for, run_piecemeal_table
 from ctcsim.errors import ValidationError
-from ctcsim.population import ChildrenHistogram, PopulationTable
+from ctcsim.population import PopulationTable
 
 GROUPS = list(ParentalGroup)
 PP = Fraction(1, 100)  # one percentage point
@@ -27,7 +27,7 @@ def single_mass_table(year, lower, count=1000):
     hists = {}
     for group in GROUPS:
         counts[(year, group)] = [count if lo == lower else 0 for lo in range(0, 100_000, 2500)]
-        hists[(year, group)] = ChildrenHistogram({"1": count})
+        hists[(year, group)] = {"1": count}
     return PopulationTable(counts, hists)
 
 

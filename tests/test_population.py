@@ -6,9 +6,8 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from ctcsim import ParentalGroup, load_population
+from ctcsim import ParentalGroup, PopulationTable, load_population
 from ctcsim.errors import EmptyGroup, EmptyHistogram, GapError, NegativeCount, ParseError
-from ctcsim.population import ChildrenHistogram
 
 from conftest import DATA
 from oracle import load_population_reference
@@ -105,27 +104,29 @@ class TestLoad:
         assert str(raised.value) == f"{path}:42: duplicate row, first seen on line 3"
 
 
+def average(counts):
+    """The average children of one cell with respondent counts `counts`."""
+    return PopulationTable({}, {(2010, ParentalGroup.MARRIED): counts}).average_children(
+        2010, ParentalGroup.MARRIED)
+
+
 class TestChildren:
     def test_all_one(self):
-        h = ChildrenHistogram({"1": 25})
-        assert h.average() == 1
+        assert average({"1": 25}) == 1
 
     def test_eight_plus_counts_as_eight(self):
-        h = ChildrenHistogram({"8plus": 10})
-        assert h.average() == 8
+        assert average({"8plus": 10}) == 8
 
     def test_weighted_mean(self):
-        h = ChildrenHistogram({"0": 1, "1": 2, "2": 3, "8plus": 4})
-        assert h.average() == Fraction(0 + 2 + 6 + 32, 10)
+        assert average({"0": 1, "1": 2, "2": 3, "8plus": 4}) == Fraction(0 + 2 + 6 + 32, 10)
 
     def test_empty(self):
         with pytest.raises(EmptyHistogram):
-            ChildrenHistogram({}).average()
+            average({})
 
     def test_scale_invariance(self):
-        h = ChildrenHistogram({"0": 3, "2": 5, "5": 1})
-        scaled = ChildrenHistogram({k: 7 * v for k, v in h.counts.items()})
-        assert h.average() == scaled.average()
+        counts = {"0": 3, "2": 5, "5": 1}
+        assert average(counts) == average({k: 7 * v for k, v in counts.items()})
 
     def test_duplicate_children_row_names_both_lines(self, tmp_path):
         children = tmp_path / "children.csv"
@@ -138,8 +139,10 @@ class TestChildren:
     def test_average_children_is_the_histogram_average(self, pop):
         for year in range(2003, 2019):
             for group in ParentalGroup:
-                average = pop.children_histogram(year, group).average()
-                assert pop.average_children(year, group) == average
+                counts = pop._children[(year, group)]
+                weighted = sum((8 if key == "8plus" else int(key)) * n
+                               for key, n in counts.items())
+                assert pop.average_children(year, group) == Fraction(weighted, sum(counts.values()))
 
     def test_empty_histogram_raises_at_lookup_not_load(self, tmp_path):
         children = tmp_path / "children.csv"

@@ -5,6 +5,7 @@ from fractions import Fraction
 import pytest
 
 from ctcsim import (
+    BracketSchedule,
     HouseholdProfile,
     ParentalGroup,
     ProgramParameters,
@@ -14,7 +15,7 @@ from ctcsim import (
 from ctcsim.errors import ValidationError
 from ctcsim.params import Bracket, FilingParams
 from ctcsim.counterfactual import PricedOutResult
-from ctcsim.record import replace
+from ctcsim.record import Record, replace
 
 MOTHER = ParentalGroup.SINGLE_MOTHER
 
@@ -84,3 +85,27 @@ def test_negative_inputs_are_validation_errors(params_by_year):
         HouseholdProfile(MOTHER, -1)
     with pytest.raises(ValidationError, match="income must be nonnegative"):
         benefit_at_income(-1, HouseholdProfile(MOTHER, 1), params_by_year[2018])
+
+
+def test_a_one_field_record_is_not_its_field():
+    schedule = BracketSchedule((Bracket(None, Fraction(1, 10)),))
+    field = schedule.brackets
+    assert schedule != field and field != schedule
+    assert schedule != (field,) and (field,) != schedule
+    assert schedule not in {field: "field"} and schedule in {schedule: "record"}
+    assert schedule == BracketSchedule(field) and hash(schedule) == hash(BracketSchedule(field))
+
+
+def _records(cls=Record):
+    for sub in cls.__subclasses__():
+        yield sub
+        yield from _records(sub)
+
+
+def test_records_compare_and_hash_through_the_base():
+    own = {cls.__name__: [m for m in ("__eq__", "__hash__") if m in vars(cls)]
+           for cls in _records()}
+    assert len(own) >= 10
+    assert {name: methods for name, methods in own.items() if methods} == {
+        "ProgramParameters": ["__hash__"]}
+    assert ProgramParameters.__eq__ is Record.__eq__

@@ -37,27 +37,28 @@ def naive_sandwich(X, y):
 def fe_design(panel, baseline_year):
     """The explicit dummy design that `fixed_effects` fits: const, groups, years, interactions."""
     groups = [g for g in ParentalGroup
-              if g is not ParentalGroup.MARRIED and any(o.group is g for o in panel)]
-    years = sorted({o.year for o in panel} - {baseline_year})
+              if g is not ParentalGroup.MARRIED and any(group is g for _, group, _ in panel)]
+    years = sorted({year for year, _, _ in panel} - {baseline_year})
     columns = {"const": [1.0] * len(panel)}
     for g in groups:
-        columns[g.value] = [float(o.group is g) for o in panel]
+        columns[g.value] = [float(group is g) for _, group, _ in panel]
     for y in years:
-        columns[f"year_{y}"] = [float(o.year == y) for o in panel]
+        columns[f"year_{y}"] = [float(year == y) for year, _, _ in panel]
     for g in groups:
         for y in years:
-            columns[f"{g.value}:year_{y}"] = [float(o.group is g and o.year == y) for o in panel]
-    return columns, [o.outcome for o in panel]
+            columns[f"{g.value}:year_{y}"] = [float(group is g and year == y)
+                                               for year, group, _ in panel]
+    return columns, [outcome for _, _, outcome in panel]
 
 
 def did_design(panel):
     """The explicit 2x2 dummy design that `did` fits: single mothers against single fathers."""
-    rows = [o for o in panel if o.group is not ParentalGroup.MARRIED]
-    treated_col = [float(o.group is ParentalGroup.SINGLE_MOTHER) for o in rows]
-    post = [float(o.year >= 2018) for o in rows]
+    rows = [row for row in panel if row[1] is not ParentalGroup.MARRIED]
+    treated_col = [float(group is ParentalGroup.SINGLE_MOTHER) for _, group, _ in rows]
+    post = [float(year >= 2018) for year, _, _ in rows]
     columns = {"const": [1.0] * len(rows), "treated": treated_col, "post": post,
                "treated_post": [t * p for t, p in zip(treated_col, post)]}
-    return columns, [o.outcome for o in rows]
+    return columns, [outcome for _, _, outcome in rows]
 
 
 def assert_same_fit(res, oracle):
@@ -149,7 +150,7 @@ class TestFixedEffects:
         res = fixed_effects(panel, baseline_year=2017)
         assert res.r_squared == pytest.approx(1.0, abs=1e-12)
         assert np.max(np.abs(res.residuals)) < 1e-10
-        outcomes = np.array([o.outcome for o in panel])
+        outcomes = np.array([outcome for _, _, outcome in panel])
         assert np.allclose(res.fitted, outcomes, atol=1e-10)
 
     def test_saturated_design_has_no_standard_errors(self, pop, params_by_year):
@@ -162,7 +163,7 @@ class TestFixedEffects:
     def test_group_coefficient_is_baseline_year_difference(self, pop, params_by_year):
         panel = fixture_panel(pop, params_by_year, [ReliefCategory.FULL_CTC])
         res = fixed_effects(panel, baseline_year=2017)
-        cells = {(o.year, o.group): o.outcome for o in panel}
+        cells = {(year, group): outcome for year, group, outcome in panel}
         for group in (ParentalGroup.SINGLE_FATHER, ParentalGroup.SINGLE_MOTHER):
             expected = cells[(2017, group)] - cells[(2017, ParentalGroup.MARRIED)]
             assert res.estimate(group.value) == pytest.approx(expected, abs=1e-10)
@@ -241,7 +242,7 @@ class TestDid:
         panel = fixture_panel(pop, params_by_year, [ReliefCategory.FULL_CTC],
                               years=range(2003, 2019))
         res = did(panel, post_year=2018)
-        cells = {(o.year, o.group): o.outcome for o in panel}
+        cells = {(year, group): outcome for year, group, outcome in panel}
         sm = [cells[(y, ParentalGroup.SINGLE_MOTHER)] for y in range(2003, 2018)]
         sf = [cells[(y, ParentalGroup.SINGLE_FATHER)] for y in range(2003, 2018)]
         expected = (cells[(2018, ParentalGroup.SINGLE_MOTHER)] - np.mean(sm)) - (

@@ -18,7 +18,8 @@ that exited with an error keeps its exit code and last stderr line but no
 metrics, so each metric's figures come from the pairs with both runs whole.
 Each run also keeps its unscaled cold setup times and median op time
 (``samples``), which the scaled metrics hide. The record names the code each
-side ran by ``code_sha256``: a SHA-256 over the side's ``src/`` files.
+side ran by ``code_sha256``: a SHA-256 over the side's ``src/`` files, and gives
+their size as ``src_lines``: the count of newlines in those same files.
 """
 
 from __future__ import annotations
@@ -34,18 +35,28 @@ import sys
 from pathlib import Path
 
 
-def code_sha256(checkout: Path) -> str:
-    """SHA-256 over the files under `checkout`/src in sorted relative-path order, each as its
-    path, its length and its bytes. Bytecode caches, which runs write, are left out."""
-    digest = hashlib.sha256()
+def source_files(checkout: Path) -> dict[str, Path]:
+    """The files under `checkout`/src by relative path, in sorted order. Bytecode caches,
+    which runs write, are left out."""
     files = {path.relative_to(checkout).as_posix(): path
              for path in (checkout / "src").rglob("*")
              if path.is_file() and "__pycache__" not in path.parts}
-    for name in sorted(files):
-        data = files[name].read_bytes()
+    return dict(sorted(files.items()))
+
+
+def code_sha256(checkout: Path) -> str:
+    """SHA-256 over the source files, each as its path, its length and its bytes."""
+    digest = hashlib.sha256()
+    for name, path in source_files(checkout).items():
+        data = path.read_bytes()
         digest.update(f"{name}\0{len(data)}\0".encode())
         digest.update(data)
     return digest.hexdigest()
+
+
+def src_lines(checkout: Path) -> int:
+    """The count of newlines in the source files."""
+    return sum(path.read_bytes().count(b"\n") for path in source_files(checkout).values())
 
 
 def run_once(checkout: Path, workload: str, seed: int, seconds: float) -> dict:
@@ -123,6 +134,7 @@ def main(argv: list[str] | None = None) -> int:
     workloads = args.workloads.split(",")
     sides = {"parent": args.parent.resolve(), "change": args.change.resolve()}
     code = {side: code_sha256(checkout) for side, checkout in sides.items()}
+    lines = {side: src_lines(checkout) for side, checkout in sides.items()}
     for checkout in sides.values():
         subprocess.run([sys.executable, "-m", "compileall", "-q", "src", "ctcbench", "tests"],
                        cwd=checkout, check=True)
@@ -137,6 +149,7 @@ def main(argv: list[str] | None = None) -> int:
     record = {"seeds": seeds, "pairs_per_workload": len(seeds), "seconds": args.seconds,
               "nproc": len(os.sched_getaffinity(0)), "cpu_count": os.cpu_count(),
               "python": platform.python_version(), "code_sha256": code,
+              "src_lines": lines,
               "workloads": summarise(runs, metrics), "runs": runs}
     args.out.write_text(json.dumps(record, indent=1) + "\n")
     return 0
