@@ -49,6 +49,11 @@ class ParentalGroup(Enum):
         return 2 if self is ParentalGroup.MARRIED else 1
 
 
+# The largest money amount a rule set may hold, in dollars. Thresholds and messages
+# built from far larger ones could pass the 4,300 digits Python prints of an integer.
+MAX_MONEY = 10**12
+
+
 class Bracket(Record):
     """One marginal-rate band: applies up to `upper` taxable dollars (None = no cap)."""
 
@@ -70,6 +75,8 @@ class BracketSchedule(Record):
                 raise ValidationError("only the last bracket may omit its upper bound")
             if b.upper is not None and b.upper <= prev_upper:
                 raise ValidationError("bracket upper bounds must be strictly increasing")
+            if b.upper is not None and b.upper.numerator > MAX_MONEY * b.upper.denominator:
+                raise ValidationError(f"bracket upper bound above {MAX_MONEY:,}")
             if not (0 <= b.rate <= 1):
                 raise ValidationError(f"bracket rate {b.rate} outside [0, 1]")
             if prev_rate is not None and b.rate < prev_rate:
@@ -147,8 +154,12 @@ class ProgramParameters(Record):
             raise ValidationError(f"year {self.year}: phaseout_rate outside (0, 1)")
         if self.refund_threshold < 0:
             raise ValidationError(f"year {self.year}: refund_threshold negative")
+        _check_max_money(f"year {self.year}", _SHARED_MONEY,
+                         (self.ctc_per_child, self.actc_per_child, self.refund_threshold))
         for status, fp in zip(FilingStatus, (self.married_joint, self.head_of_household)):
             label = f"year {self.year} {status.value}"
+            _check_max_money(label, _STATUS_MONEY,
+                             (fp.standard_deduction, fp.exemption_per_person, fp.phaseout_start))
             if fp.standard_deduction < 0:
                 raise ValidationError(f"{label}: standard_deduction negative")
             if fp.exemption_per_person < 0:
@@ -159,6 +170,17 @@ class ProgramParameters(Record):
                 fp.brackets.validate()
             except ValidationError as exc:
                 raise ValidationError(f"{label}: {exc}") from exc
+
+
+_SHARED_MONEY = ("ctc_per_child", "actc_per_child", "refund_threshold")
+_STATUS_MONEY = ("standard_deduction", "exemption_per_person", "phaseout_start")
+
+
+def _check_max_money(label: str, names: tuple[str, ...], amounts: tuple[Fraction, ...]) -> None:
+    """Raise naming the first amount above MAX_MONEY; the message omits its value."""
+    for name, amount in zip(names, amounts):
+        if amount.numerator > MAX_MONEY * amount.denominator:
+            raise ValidationError(f"{label}: {name} above {MAX_MONEY:,}")
 
 
 OverrideValue = Union[int, Fraction, str, Mapping, Sequence, BracketSchedule]

@@ -22,9 +22,12 @@ then built as one Fraction.
 Two liability modes are supported: ``EXACT`` applies the bracket schedule
 analytically; ``TABLE`` evaluates liability at the midpoint of the
 enclosing $50-wide taxable-income row, mimicking lookup-table filing. There
-the liability term rounds the exact walk up to its first row, and the
-phase-in term bisects on the row index: row liability never falls, so
-"this row holds a solution" is false, then true.
+the liability term rounds the exact walk up to its first row with one integer
+ceiling division. The phase-in term splits the rows into pieces: rows whose
+midpoints share a bracket band and which end on one side of the refund floor.
+Within a piece, "this row holds a solution" is a linear inequality in the row
+index, so one ceiling division per piece finds the first row, in
+O(number of brackets) integer steps.
 """
 
 from __future__ import annotations
@@ -206,7 +209,7 @@ class _Kernel:
         if t <= 0:
             raise Unreachable("threshold target must be positive")
         income = (self._table_phase_in(t) if self.mode is LiabilityMode.TABLE
-                  else self._first_income(t, self.rate))
+                  else Fraction(*self._first_income(t, self.rate)))
         gap = t - _over(self.refundable, self.d)
         try:
             return max(income, self.liability(gap)) if gap > 0 else income
@@ -217,17 +220,19 @@ class _Kernel:
         """See :func:`liability_threshold`; the target is t/D."""
         if t <= 0:
             return self.free_amount
-        income = self._first_income(t, 0)
-        if income is None:
+        found = self._first_income(t, 0)
+        if found is None:
             raise ValidationError(f"tax target {Fraction(t, self.d)} unreachable under schedule")
-        if self.mode is LiabilityMode.TABLE:  # the first $50 row whose midpoint clears t/D
-            row = -((self.free_amount + TABLE_ROW_WIDTH / 2 - income) // TABLE_ROW_WIDTH)
-            return self.free_amount + row * TABLE_ROW_WIDTH
-        return income
+        if self.mode is LiabilityMode.TABLE:  # the first $50 row whose midpoint clears it
+            (income, den), d, width = found, self.d, int(TABLE_ROW_WIDTH) * self.d
+            row = -(((self.free + width // 2) * den - income * d) // (width * den))
+            return Fraction(self.free + row * width, d)
+        return Fraction(*found)
 
-    def _first_income(self, t: int, ramp: int) -> Fraction | None:
+    def _first_income(self, t: int, ramp: int) -> tuple[int, int] | None:
         """Minimal income where exact liability plus `ramp` (over Q) per dollar above
-        the refund floor reaches t/D > 0, or None if the total tops out below it.
+        the refund floor reaches t/D > 0, as its integer numerator and denominator
+        (D·slope), or None if the total tops out below it.
         Segments are the bands split at the refund floor; the running total is over D·Q."""
         floor, target = self.floor, t * self.q
         lo = total = 0
@@ -235,7 +240,7 @@ class _Kernel:
             for end in (floor, hi) if lo < floor and (hi is None or floor < hi) else (hi,):
                 slope = rate + ramp if lo >= floor else rate
                 if slope and (end is None or total + slope * (end - lo) >= target):
-                    return Fraction(lo * slope + target - total, self.d * slope)
+                    return lo * slope + target - total, self.d * slope
                 if end is not None:
                     total, lo = total + slope * (end - lo), end
         return None
@@ -243,31 +248,45 @@ class _Kernel:
     def _table_phase_in(self, t: int) -> Fraction:
         """Minimal income where table liability plus the uncapped phase-in reaches
         t/D: the first $50 row holding a solution, then the solve within it.
-        Incomes in the search are integers over D·rate (the refund rate over Q)."""
-        d, target, floor, rate, bands = self.d, t * self.q, self.floor, self.rate, self.bands
-        free, width = self.free, int(TABLE_ROW_WIDTH) * d
 
-        def liability(income: int) -> int:
-            """Exact liability at `income` over D, as an integer over D·Q."""
-            total = lo = 0
-            for hi, band_rate in bands:
-                if hi is None or income <= hi:
-                    return total + band_rate * (income - lo)
-                total, lo = total + band_rate * (hi - lo), hi
+        Row k >= 0 spans [free + kW, free + (k + 1)W), W the row width, and owes the
+        liability at its midpoint; row -1 is every income below `free` and owes none.
+        A row ending at or below the floor holds a solution iff its liability reaches
+        the target; one ending above it, iff its liability plus the phase-in at its end
+        exceeds the target. Over the rows whose midpoints share a band and which end on
+        one side of the floor, that test is linear in k, so one ceiling division finds
+        the first such row holding a solution. The pieces are walked in income order.
+        Incomes in the solve are integers over D·rate (the refund rate over Q)."""
+        d, target, floor, rate, free = self.d, t * self.q, self.floor, self.rate, self.free
+        width = int(TABLE_ROW_WIDTH) * d
+        half = width // 2
 
-        def min_income_in(k: int):
-            """Minimal income in row k reaching the target, or None; row -1 is all below `free`."""
-            lo = (free + k * width if k >= 0 else 0) * rate
-            need = target - liability(free + (2 * k + 1) * width // 2)
-            y = lo if need <= 0 else max(lo, floor * rate + need)
-            return y if y < (free + (k + 1) * width) * rate else None
+        def solve(start: int, end: int, liability: int) -> Fraction | None:
+            """Minimal income in [start, end) over D reaching the target, or None."""
+            need = target - liability
+            y = start * rate if need <= 0 else max(start * rate, floor * rate + need)
+            return Fraction(y, d * rate) if y < end * rate else None
 
-        # The row where the phase-in alone reaches the target holds a solution.
-        lo, hi = -1, max(-1, ((floor - free) * rate + target) // (width * rate))
-        while lo < hi:
-            mid = (lo + hi) // 2
-            lo, hi = (lo, mid) if min_income_in(mid) is not None else (mid + 1, hi)
-        return Fraction(min_income_in(lo), d * rate)
+        income = solve(0, free, 0)
+        if income is not None:
+            return income
+        split = (floor - free) // width  # the first row ending above the floor
+        total, lo, first = 0, free, 0  # liability at lo over D·Q; the first row past lo
+        for hi, band_rate in self.bands[1:]:
+            last = None if hi is None else (hi - free - half) // width  # midpoint <= hi
+            base = total + band_rate * (free + half - lo)  # row k owes base + band_rate·W·k
+            # Each piece: its rows k0..k1 (None: unbounded) hold a solution iff a·k >= b.
+            for k0, k1, a, b in (
+                    (first, split - 1 if last is None else min(last, split - 1),
+                     band_rate * width, target - base),
+                    (max(first, split), last, (band_rate + rate) * width,
+                     target + 1 - base - rate * (free + width - floor))):
+                k = k0 if a * k0 >= b else -(-b // a) if a else None
+                if k is not None and (k1 is None or k <= k1):
+                    return solve(free + k * width, free + (k + 1) * width,
+                                 base + band_rate * width * k)
+            total, lo, first = total + band_rate * (hi - lo), hi, last + 1
+        raise AssertionError("unreachable: the last band's second piece is unbounded")
 
 
 def refund_credit_threshold(

@@ -72,6 +72,34 @@ def test_one_pair_still_writes_the_record(tmp_path, monkeypatch):
     assert p50["change_wins"] == 1 and p50["gain_claimable"]
 
 
+def test_the_record_flags_each_metric_worse_than_its_bound(tmp_path, monkeypatch):
+    """The mocked change reads 2.0 to the parent's 3.0: a third lower, which is a gain where
+    lower is better and, past every bound in BENCHMARK.json, a regression where higher is."""
+    workloads = mocked_record(tmp_path, monkeypatch, "1:3")["workloads"]
+    for m in json.loads((ROOT / "BENCHMARK.json").read_text())["end_to_end"]:
+        for workload in ("x", "y"):
+            assert workloads[workload][m["name"]]["regressed"] == (m["better"] == "higher")
+
+
+@pytest.mark.parametrize("better, parent, change, regressed", [
+    ("lower", 10.0, 12.4, False), ("lower", 10.0, 12.6, True), ("lower", 10.0, 7.0, False),
+    ("higher", 10.0, 7.6, False), ("higher", 10.0, 7.4, True), ("higher", 10.0, 13.0, False),
+    ("lower", -10.0, -7.4, True), ("higher", 0.0, -0.1, True), ("higher", 0.0, 0.0, False),
+])
+def test_regressed_compares_the_medians_against_the_bound(better, parent, change, regressed):
+    """`regressed` holds when the change's median is worse than the parent's by more than
+    the bound, 0.25 here, times the parent's median; single runs worse than the parent's
+    do not decide it."""
+    metric = {"name": "m", "unit": "u", "better": better, "bound": 0.25}
+    off = {"lower": 100.0, "higher": -100.0}[better]  # one pair far worse, the median unmoved
+    runs = [{"workload": "w", "parent": {"correct": True, "failed": 0, "metrics": {"m": p}},
+             "change": {"correct": True, "failed": 0, "metrics": {"m": c}}}
+            for p, c in [(parent, change), (parent, change), (parent, change + off)]]
+    summary = bench_pairs.summarise(runs, [metric])["w"]["m"]
+    assert summary["change"]["median"] == change
+    assert summary["regressed"] is regressed
+
+
 @pytest.mark.parametrize("side", ["parent", "change"])
 @pytest.mark.parametrize("outcome", [(False, 0), (True, 1)], ids=["incorrect", "failed-op"])
 def test_no_gain_is_claimable_from_an_incorrect_run(tmp_path, monkeypatch, side, outcome):

@@ -567,6 +567,21 @@ class TestBadInput:
         line = self.assert_one_line_error(capsys, "classify", "--params", str(params))
         assert line.startswith(f"error: {params}: {message}")
 
+    @pytest.mark.parametrize("command", ["classify", "thresholds"])
+    @pytest.mark.parametrize("field, label", [("standard_deduction", "year 2003 married_joint"),
+                                              ("ctc_per_child", "year 2003")])
+    def test_money_past_the_cap_in_parameter_file(self, capsys, tmp_path, command, field, label):
+        # 1e4300 parses, its exponent inside the bound, but an integer of 4,301 digits does
+        # not print, so neither a threshold built from it nor a message naming it could.
+        records = json.loads((DATA / "params.json").read_text())
+        for record in records:
+            if record["year"] == 2003:
+                record[field] = "<literal>"
+        params = tmp_path / "params.json"
+        params.write_text(json.dumps(records).replace('"<literal>"', "1e4300"))
+        line = self.assert_one_line_error(capsys, command, "--params", str(params))
+        assert line == f"error: {label}: {field} above 1,000,000,000,000"
+
     def test_oversized_integer_in_config(self, capsys, tmp_path):
         config = self.config(tmp_path, '{"years": ' + "9" * 4301 + "}")
         line = self.assert_one_line_error(capsys, "classify", "--config", config)

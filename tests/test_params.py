@@ -11,7 +11,7 @@ from ctcsim import (
     load_params,
     params_for_year,
 )
-from ctcsim.params import Bracket, BracketSchedule
+from ctcsim.params import MAX_MONEY, Bracket, BracketSchedule
 from ctcsim.errors import MissingYear, ParseError, ValidationError
 
 import goldens
@@ -125,6 +125,25 @@ class TestOverrides:
     def test_lenient_mode_allows_it(self, params_by_year):
         p = apply_overrides(params_by_year[2017], {"actc_per_child": 1_400}, strict=False)
         assert p.actc_per_child == 1_400
+
+    @pytest.mark.parametrize("name, value, message", [
+        ("refund_threshold", MAX_MONEY, None),
+        ("refund_threshold", MAX_MONEY + Fraction(1, 100),
+         "year 2017: refund_threshold above 1,000,000,000,000"),
+        ("exemption_per_person", Fraction(10**4300 + 1, 10**10),
+         "year 2017 married_joint: exemption_per_person above 1,000,000,000,000"),
+        ("brackets", [{"upper": MAX_MONEY, "rate": "0.1"}, {"rate": "0.2"}], None),
+        ("brackets", [{"upper": MAX_MONEY + 1, "rate": "0.1"}, {"rate": "0.2"}],
+         "year 2017 married_joint: bracket upper bound above 1,000,000,000,000"),
+    ], ids=["floor-at-cap", "floor-past-cap", "unprintable", "upper-at-cap", "upper-past-cap"])
+    def test_money_is_capped(self, params_by_year, name, value, message):
+        """A money field may reach MAX_MONEY but not pass it; the message omits the value."""
+        if message is None:
+            apply_overrides(params_by_year[2017], {name: value})
+        else:
+            with pytest.raises(ValidationError) as raised:
+                apply_overrides(params_by_year[2017], {name: value})
+            assert str(raised.value) == message
 
     def test_unknown_field(self, params_by_year):
         with pytest.raises(ValidationError):

@@ -465,6 +465,32 @@ class TestInversionMatchesOracle:
                         "brackets": [{"upper": Fraction(27_201, 2), "rate": "0.1"},
                                      {"rate": "0.12"}]},
              target="max_credit")
+    # Table rows are $50 of taxable income from the tax-free amount, here 19,350. The refund
+    # floor lies inside row 200, [29,350, 29,400), which holds the phase-in answer.
+    @example(year=2010, group=ParentalGroup.SINGLE_MOTHER, children=Fraction(2),
+             overrides={"refund_threshold": 29_375}, target=Fraction(1_004))
+    # The phase-in reaches the target exactly at row 200's end, so row 201 holds the answer.
+    @example(year=2010, group=ParentalGroup.SINGLE_MOTHER, children=Fraction(2),
+             overrides={"refund_threshold": 29_375}, target=Fraction(4_025, 4))
+    # A bracket upper off the row edges: row 200's midpoint, taxable 10,025, lies past the
+    # upper 10,010 in the next band, whose rate makes row 200 the first to reach the target.
+    @example(year=2010, group=ParentalGroup.SINGLE_MOTHER, children=Fraction(2),
+             overrides={"refund_threshold": 40_000,
+                        "brackets": [{"upper": 10_010, "rate": "0.1"}, {"rate": "0.25"}]},
+             target=Fraction(1_004))
+    # A zero-rate first bracket with the floor above the tax-free amount: the phase-in
+    # reaches the target inside the zero-rate band.
+    @example(year=2010, group=ParentalGroup.SINGLE_MOTHER, children=Fraction(2),
+             overrides={"refund_threshold": 21_360,
+                        "brackets": [{"upper": 5_000, "rate": "0"}, {"rate": "0.1"}]},
+             target=Fraction(400))
+    # The target equals row 200's midpoint liability, tax(10,025) = 1,002.50, below the floor.
+    @example(year=2010, group=ParentalGroup.SINGLE_MOTHER, children=Fraction(2),
+             overrides={"refund_threshold": 60_000}, target=Fraction(2_005, 2))
+    # A zero tax-free amount: no income lies below it, so row -1 is empty.
+    @example(year=2010, group=ParentalGroup.SINGLE_MOTHER, children=Fraction(2),
+             overrides={"standard_deduction": 0, "exemption_per_person": 0},
+             target="max_credit")
     @settings(max_examples=300, deadline=None)
     def test_random_rule_sets(self, request, mode, year, group, children, overrides, target):
         params = apply_overrides(request.getfixturevalue("params_by_year")[year], overrides,

@@ -9,9 +9,12 @@ Both get their bytecode caches built the same way first. Then, per seed and
 workload, each side runs ``ctcbench/run.py --trace 0`` once; within each
 workload, the side that runs first alternates from seed to seed. The record
 keeps every run's end-to-end metrics and, per workload and metric, each side's
-median and quartiles, the pairs the change won, and whether a gain may be
+median and quartiles, the pairs the change won, whether a gain may be
 claimed: wins in at least nine tenths of the pairs, medians further apart than
-the parent's quartiles, and every run of the workload correct on both sides.
+the parent's quartiles, and every run of the workload correct on both sides,
+and whether the metric ``regressed``: the change's median is worse than the
+parent's by more than the metric's ``bound`` in ``BENCHMARK.json``, a fraction
+of the parent's median.
 Each workload also records each side's count of incorrect runs: a run whose
 checks failed, which had a failed op, or which exited with an error. A run
 that exited with an error keeps its exit code and last stderr line but no
@@ -112,11 +115,13 @@ def summarise(runs: list[dict], metrics: list[dict]) -> dict:
             wins = sum(sign * (c - p) > 0 for p, c in zip(parent, change))
             ties = sum(c == p for p, c in zip(parent, change))
             before, after = spread(parent), spread(change)
+            better_by = sign * (after["median"] - before["median"])
             gain = (wins >= 0.9 * len(pairs) and not any(incorrect.values())
-                    and sign * (after["median"] - before["median"]) > before["q3"] - before["q1"])
+                    and better_by > before["q3"] - before["q1"])
             out[workload][name] = {"unit": m["unit"], "better": m["better"], "parent": before,
                                    "change": after, "change_wins": wins, "ties": ties,
-                                   "pairs": len(both), "gain_claimable": gain}
+                                   "pairs": len(both), "gain_claimable": gain,
+                                   "regressed": -better_by > m["bound"] * abs(before["median"])}
     return out
 
 
