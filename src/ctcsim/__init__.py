@@ -1,8 +1,6 @@
 """Child Tax Credit eligibility microsimulation toolkit."""
 
 from .classifier import (
-    BoundRule,
-    EligibilityEstimate,
     GeneralizabilityFlag,
     ReliefCategory,
     Scenario,
@@ -10,16 +8,12 @@ from .classifier import (
     flag_categories,
 )
 from .counterfactual import (
-    EliminationResult,
-    ParityResult,
-    PricedOutResult,
     credit_size_sweep,
     eligibility,
     eliminate_refundability,
     full_relief_proportion,
     priced_out,
     restore_parity,
-    run_piecemeal_table,
 )
 from .params import (
     BracketSchedule,
@@ -35,7 +29,6 @@ from .stats import build_panel, did, fixed_effects, ols
 from .taxmath import (
     HouseholdProfile,
     LiabilityMode,
-    ThresholdSet,
     benefit_at_income,
     invert_benefit,
     tax_liability,

@@ -49,9 +49,17 @@ class ParentalGroup(Enum):
         return 2 if self is ParentalGroup.MARRIED else 1
 
 
-# The largest money amount a rule set may hold, in dollars. Thresholds and messages
-# built from far larger ones could pass the 4,300 digits Python prints of an integer.
+# The largest money amount a rule set may hold, in dollars, and its smallest nonzero rate.
+# Thresholds and messages built from far larger amounts, or over far smaller rates, could
+# pass the 4,300 digits Python prints of an integer.
 MAX_MONEY = 10**12
+MIN_RATE = Fraction(1, 10**12)
+
+
+def _below_min_rate(rate: Fraction) -> bool:
+    """Whether a positive `rate` is below MIN_RATE, compared on integers as money is
+    against MAX_MONEY: a `Fraction` comparison costs about a microsecond."""
+    return rate.numerator * MIN_RATE.denominator < rate.denominator * MIN_RATE.numerator
 
 
 class Bracket(Record):
@@ -78,7 +86,9 @@ class BracketSchedule(Record):
             if b.upper is not None and b.upper.numerator > MAX_MONEY * b.upper.denominator:
                 raise ValidationError(f"bracket upper bound above {MAX_MONEY:,}")
             if not (0 <= b.rate <= 1):
-                raise ValidationError(f"bracket rate {b.rate} outside [0, 1]")
+                raise ValidationError("bracket rate outside [0, 1]")
+            if b.rate and _below_min_rate(b.rate):
+                raise ValidationError(f"nonzero bracket rate below {MIN_RATE}")
             if prev_rate is not None and b.rate < prev_rate:
                 raise ValidationError("bracket rates must be nondecreasing")
             if b.upper is not None:
@@ -152,6 +162,8 @@ class ProgramParameters(Record):
             raise ValidationError(f"year {self.year}: refund_rate outside (0, 1]")
         if not (0 < self.phaseout_rate < 1):
             raise ValidationError(f"year {self.year}: phaseout_rate outside (0, 1)")
+        if _below_min_rate(self.phaseout_rate):
+            raise ValidationError(f"year {self.year}: phaseout_rate below {MIN_RATE}")
         if self.refund_threshold < 0:
             raise ValidationError(f"year {self.year}: refund_threshold negative")
         _check_max_money(f"year {self.year}", _SHARED_MONEY,

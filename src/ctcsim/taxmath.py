@@ -10,7 +10,10 @@ Inversion rests on one identity: L + min(phase-in, R) reaches a target t
 exactly where L + phase-in reaches t and L alone reaches t - R. Both sums
 never fall as income grows, so the threshold is the larger of their two
 minimal incomes, and one walk over the linear segments in income space
-finds each (with the refund rate as ramp, then with ramp 0).
+finds each (with the refund rate as ramp, then with ramp 0). That walk is
+`_Kernel`'s, and two functions reach it: :func:`thresholds` for every
+category boundary of a household, and :func:`invert_benefit` for one
+benefit target.
 
 The walk runs on integers, scaled once per household: money (the tax-free
 amount, refund floor, bracket uppers, targets) over D, the lcm of its
@@ -183,19 +186,18 @@ def _over(x: Fraction, den: int) -> int:
 class _Kernel:
     """One household's rules on integers, scaled once for all its inversions.
 
-    D also covers the refundable maximum and the targets named when it is built,
+    D also covers the refundable maximum and the target named when it is built,
     and only those; the bands are (upper income over D or None, rate over Q).
     """
 
     __slots__ = ("mode", "d", "q", "free_amount", "refundable", "free", "floor", "rate", "bands")
 
     def __init__(self, profile: HouseholdProfile, params: ProgramParameters,
-                 mode: LiabilityMode, *targets: Fraction):
+                 mode: LiabilityMode, target: Fraction):
         free = self.free_amount = tax_free_amount(profile, params)
         refundable = self.refundable = max_refund(profile, params)
         floor, brackets = params.refund_threshold, _filing(profile, params).brackets.brackets
-        d = lcm(free.denominator, floor.denominator, refundable.denominator,
-                *(t.denominator for t in targets),
+        d = lcm(free.denominator, floor.denominator, refundable.denominator, target.denominator,
                 *(b.upper.denominator for b in brackets if b.upper is not None))
         q = lcm(params.refund_rate.denominator, *(b.rate.denominator for b in brackets))
         self.mode, self.d, self.q, self.rate = mode, d, q, _over(params.refund_rate, q)
@@ -204,7 +206,14 @@ class _Kernel:
                                      _over(b.rate, q)) for b in brackets]
 
     def refund_credit(self, target: Fraction) -> Fraction:
-        """See :func:`refund_credit_threshold`."""
+        """Minimal income at which refund plus credit reaches `target`.
+
+        The refund is capped at the refundable maximum but the total is not
+        otherwise capped, so a refundable maximum above the credit maximum (a
+        configuration some counterfactuals visit) is allowed. In table mode a
+        result equal to the tax-free amount may be an infimum: liability is 0
+        there but ``tax($25)`` a cent above, where the target is met.
+        """
         t = _over(target, self.d)
         if t <= 0:
             raise Unreachable("threshold target must be positive")
@@ -217,7 +226,11 @@ class _Kernel:
             raise Unreachable(f"benefit target {target} is never reached") from None
 
     def liability(self, t: int) -> Fraction:
-        """See :func:`liability_threshold`; the target is t/D."""
+        """Minimal income whose tax liability reaches the target t/D.
+
+        Raises ValidationError if the schedule tops out below it (possible only
+        when the last rate is zero).
+        """
         if t <= 0:
             return self.free_amount
         found = self._first_income(t, 0)
@@ -289,42 +302,6 @@ class _Kernel:
         raise AssertionError("unreachable: the last band's second piece is unbounded")
 
 
-def refund_credit_threshold(
-    target,
-    profile: HouseholdProfile,
-    params: ProgramParameters,
-    mode: LiabilityMode = LiabilityMode.EXACT,
-) -> Fraction:
-    """Minimal income at which refund plus credit reaches `target`.
-
-    The refund component is capped at the household refundable maximum but
-    the total is not otherwise capped, so this also answers "what income
-    realizes the full refundable benefit" when the refundable maximum
-    exceeds the credit maximum (a configuration some counterfactuals visit).
-
-    In table mode a result equal to the tax-free amount may be an infimum:
-    liability is 0 there but ``tax($25)`` a cent above, where the target is met.
-    """
-    target = as_money(target)
-    return _Kernel(profile, params, mode, target).refund_credit(target)
-
-
-def liability_threshold(
-    target,
-    profile: HouseholdProfile,
-    params: ProgramParameters,
-    mode: LiabilityMode = LiabilityMode.EXACT,
-) -> Fraction:
-    """Minimal income whose tax liability reaches `target`.
-
-    Raises ValidationError if the schedule tops out below `target`
-    (possible only when the last rate is zero).
-    """
-    target = as_money(target)
-    kernel = _Kernel(profile, params, mode, target)
-    return kernel.liability(_over(target, kernel.d))
-
-
 def invert_benefit(
     target,
     profile: HouseholdProfile,
@@ -341,7 +318,7 @@ def invert_benefit(
     ceiling = max_credit(profile, params)
     if target <= 0 or target > ceiling:
         raise Unreachable(f"benefit target {target} exceeds the maximum {ceiling}")
-    y = refund_credit_threshold(target, profile, params, mode)
+    y = _Kernel(profile, params, mode, target).refund_credit(target)
     if y > _filing(profile, params).phaseout_start:
         # Past the phaseout start the attainable total only shrinks.
         raise Unreachable(f"benefit target {target} is eroded by the phaseout before it accrues")

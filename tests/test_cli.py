@@ -582,6 +582,38 @@ class TestBadInput:
         line = self.assert_one_line_error(capsys, command, "--params", str(params))
         assert line == f"error: {label}: {field} above 1,000,000,000,000"
 
+    @pytest.mark.parametrize("argv, field, literal, message", [
+        (["thresholds", "--year", "2018"], "phaseout_rate", "1e-4300",
+         "year 2018: phaseout_rate below 1/1000000000000"),
+        (["report", "--years", "2017:2018"], "phaseout_rate", "1e-4300",
+         "year 2018: phaseout_rate below 1/1000000000000"),
+        (["thresholds", "--year", "2018"], "brackets", "1e-4300",
+         "year 2018 married_joint: nonzero bracket rate below 1/1000000000000"),
+        (["classify", "--year", "2018"], "brackets", "1e-4300",
+         "year 2018 married_joint: nonzero bracket rate below 1/1000000000000"),
+        (["report", "--years", "2017:2018"], "brackets", "1e-4300",
+         "year 2018 married_joint: nonzero bracket rate below 1/1000000000000"),
+        (["thresholds", "--year", "2018"], "brackets", "1e4300",
+         "year 2018 married_joint: bracket rate outside [0, 1]"),
+    ], ids=["phaseout-thresholds", "phaseout-report", "brackets-thresholds",
+            "brackets-classify", "brackets-report", "brackets-huge"])
+    def test_rate_past_its_bounds_in_parameter_file(self, capsys, tmp_path, argv, field,
+                                                     literal, message):
+        # A credit or tax over a rate of 1e-4300 is an integer of 4,300 digits or more, and
+        # a 1e4300 rate is one itself: neither a threshold nor a message could print it.
+        records = json.loads((DATA / "params.json").read_text())
+        for record in records:
+            if record["year"] == 2018:
+                if field == "brackets":
+                    for bracket in record["brackets"]:
+                        bracket["rate"] = "<literal>"
+                else:
+                    record[field] = "<literal>"
+        params = tmp_path / "params.json"
+        params.write_text(json.dumps(records).replace('"<literal>"', literal))
+        line = self.assert_one_line_error(capsys, *argv, "--params", str(params))
+        assert line == f"error: {message}"
+
     def test_oversized_integer_in_config(self, capsys, tmp_path):
         config = self.config(tmp_path, '{"years": ' + "9" * 4301 + "}")
         line = self.assert_one_line_error(capsys, "classify", "--config", config)

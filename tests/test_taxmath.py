@@ -18,14 +18,7 @@ from ctcsim import (
 from ctcsim.classifier import BoundRule
 from ctcsim.counterfactual import full_relief_cuts
 from ctcsim.errors import OrderingViolation, Unreachable, ValidationError
-from ctcsim.taxmath import (
-    ThresholdSet,
-    liability_threshold,
-    max_credit,
-    max_refund,
-    refund_credit_threshold,
-    tax_free_amount,
-)
+from ctcsim.taxmath import ThresholdSet, _Kernel, _over, max_credit, max_refund, tax_free_amount
 
 import goldens
 from oracle import (
@@ -262,11 +255,8 @@ class TestGoldenTables:
         profile = profile_one(kind)
         table = goldens.ONE_CHILD[kind]
         for i, year in enumerate(goldens.YEARS):
-            income = liability_threshold(
-                params_by_year[year].ctc_per_child, profile, params_by_year[year],
-                LiabilityMode.TABLE,
-            )
-            assert income == table["credit_only"][i], year
+            ts = thresholds(profile, params_by_year[year], LiabilityMode.TABLE)
+            assert ts.t_full_ctc == table["credit_only"][i], year
 
     @pytest.mark.parametrize("group", list(ParentalGroup))
     def test_group_average_credit_only_is_analytic(self, params_by_year, pop, group):
@@ -319,12 +309,12 @@ class TestGoldenTables:
 
 class TestTableMode:
     def test_snap_to_row(self, params_by_year):
-        income = liability_threshold(2000, ONE_SINGLE, params_by_year[2018], LiabilityMode.TABLE)
-        assert income == 36_950
+        ts = thresholds(ONE_SINGLE, params_by_year[2018], LiabilityMode.TABLE)
+        assert ts.t_full_ctc == 36_950
 
     def test_married_2018_row(self, params_by_year):
-        income = liability_threshold(2000, ONE_MARRIED, params_by_year[2018], LiabilityMode.TABLE)
-        assert income == 43_850
+        ts = thresholds(ONE_MARRIED, params_by_year[2018], LiabilityMode.TABLE)
+        assert ts.t_full_ctc == 43_850
 
     def test_row_boundary_uses_row_starting_there(self, params_by_year):
         # Taxable income exactly on a row edge belongs to the row it opens.
@@ -344,8 +334,8 @@ class TestTableMode:
 
     def test_refund_path_threshold_table_mode(self, params_by_year):
         # Pure-refund thresholds do not snap: no liability is involved.
-        income = refund_credit_threshold(1400, ONE_SINGLE, params_by_year[2018], LiabilityMode.TABLE)
-        assert abs(income - Fraction("11833.33")) < 1
+        ts = thresholds(ONE_SINGLE, params_by_year[2018], LiabilityMode.TABLE)
+        assert abs(ts.t_full_actc - Fraction("11833.33")) < 1
 
 
 # Denominators that share no factor with one another or with the shipped money.
@@ -391,11 +381,14 @@ def rule_overrides(draw):
 class TestInversionMatchesOracle:
     """Threshold inversion equals the references of tests/oracle.py exactly.
 
-    Exact mode is checked against the breakpoint walk, table mode against
-    the row-by-row scan, and ``liability_threshold`` against the
-    bracket-by-bracket solve in both modes. ``thresholds`` and
-    ``full_relief_cuts``, which run their inversions without the public
-    functions, are checked against the same references.
+    The kernel's two walks are checked directly at each target: the
+    refund-plus-credit walk against the breakpoint walk in exact mode and
+    the row-by-row scan in table mode, the liability walk against the
+    bracket-by-bracket solve in both modes. At every target up to the credit
+    maximum, ``invert_benefit`` equals the walk's income, or raises
+    Unreachable where the walk lands past the phaseout start or never lands.
+    ``thresholds`` and ``full_relief_cuts`` are checked against the same
+    references.
     """
 
     @staticmethod
@@ -424,10 +417,23 @@ class TestInversionMatchesOracle:
 
     def assert_matches_oracle(self, target, profile, params, mode):
         walk = exact_threshold_walk if mode is LiabilityMode.EXACT else table_threshold_scan
+        kernel = _Kernel(profile, params, mode, target)
         self.assert_same(lambda: walk(target, profile, params),
-                         lambda: refund_credit_threshold(target, profile, params, mode))
+                         lambda: kernel.refund_credit(target))
         self.assert_same(lambda: liability_reference(target, profile, params, mode),
-                         lambda: liability_threshold(target, profile, params, mode))
+                         lambda: kernel.liability(_over(target, kernel.d)))
+        if target > max_credit(profile, params):
+            return
+        try:
+            expected = walk(target, profile, params)
+        except Unreachable:
+            expected = None
+        start = params.for_status(profile.group.filing_status).phaseout_start
+        if expected is None or expected > start:
+            with pytest.raises(Unreachable):
+                invert_benefit(target, profile, params, mode)
+        else:
+            assert invert_benefit(target, profile, params, mode) == expected
 
     def test_shipped_years(self, params_by_year, pop, mode):
         for year, params in params_by_year.items():
