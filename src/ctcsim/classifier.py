@@ -92,9 +92,6 @@ class EligibilityEstimate(Record):
     def proportion(self, category: ReliefCategory) -> Fraction:
         return Fraction(self.counts[category], self.total)
 
-    def proportions(self) -> dict[ReliefCategory, Fraction]:
-        return {c: self.proportion(c) for c in CATEGORY_ORDER}
-
 
 def cut_income(boundary: Fraction, strictly_above: bool, rule: BoundRule) -> int:
     """Bin edge at which the category above `boundary` starts, post-rule.

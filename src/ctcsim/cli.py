@@ -286,8 +286,10 @@ def rows_priced_out(run: Run, args) -> list[tuple]:
     rows = []
     for year in _years(run, args):
         params = params_for_year(run.params, year)
-        # A named year must qualify; a scan skips the years without refundable parity.
-        if args.year is None and params.actc_per_child != params.ctc_per_child:
+        # A named year must qualify; a scan skips the years without refundable parity
+        # and those whose credit already reaches --new-ctc.
+        if args.year is None and (params.actc_per_child != params.ctc_per_child
+                                  or params.ctc_per_child >= args.new_ctc):
             continue
         for scenario in run.scenarios:
             for group in cf.GROUPS:

@@ -1,4 +1,4 @@
-"""Program parameters: loading, validation, overrides.
+"""Program parameters: loading, range checks, overrides.
 
 A parameter file is a JSON array with one record per (year, filing status).
 Money fields (whole dollars in the shipped file) and rates may be decimal
@@ -9,6 +9,10 @@ both records must agree on are shared fields.
 Loaded parameter sets are immutable value records (:mod:`ctcsim.record`) and
 safe to share across threads; counterfactuals derive new sets through
 :func:`apply_overrides`.
+Each rule field's range is stated once, in its parser, and checked where the
+field is parsed: at load for every field, at override for each value set. The
+one rule across fields, actc_per_child <= ctc_per_child, is checked at load,
+and at override unless `strict=False`.
 """
 
 from __future__ import annotations
@@ -72,29 +76,6 @@ class Bracket(Record):
 class BracketSchedule(Record):
     brackets: tuple[Bracket, ...]
 
-    def validate(self) -> None:
-        if not self.brackets:
-            raise ValidationError("bracket schedule is empty")
-        prev_upper = Fraction(0)
-        prev_rate = None
-        for i, b in enumerate(self.brackets):
-            last = i == len(self.brackets) - 1
-            if (b.upper is None) != last:
-                raise ValidationError("only the last bracket may omit its upper bound")
-            if b.upper is not None and b.upper <= prev_upper:
-                raise ValidationError("bracket upper bounds must be strictly increasing")
-            if b.upper is not None and b.upper.numerator > MAX_MONEY * b.upper.denominator:
-                raise ValidationError(f"bracket upper bound above {MAX_MONEY:,}")
-            if not (0 <= b.rate <= 1):
-                raise ValidationError("bracket rate outside [0, 1]")
-            if b.rate and _below_min_rate(b.rate):
-                raise ValidationError(f"nonzero bracket rate below {MIN_RATE}")
-            if prev_rate is not None and b.rate < prev_rate:
-                raise ValidationError("bracket rates must be nondecreasing")
-            if b.upper is not None:
-                prev_upper = b.upper
-            prev_rate = b.rate
-
     def tax(self, taxable: Fraction) -> Fraction:
         """Tax due on `taxable` income (0 if not positive)."""
         if taxable <= 0:
@@ -148,91 +129,122 @@ class ProgramParameters(Record):
     def for_status(self, status: FilingStatus) -> FilingParams:
         return self.married_joint if status is _MARRIED_JOINT else self.head_of_household
 
-    def validate(self, strict: bool = True) -> None:
-        """Check invariants; `strict=False` permits actc > ctc for counterfactuals."""
-        if self.ctc_per_child <= 0:
-            raise ValidationError(f"year {self.year}: ctc_per_child must be positive")
-        if self.actc_per_child <= 0:
-            raise ValidationError(f"year {self.year}: actc_per_child must be positive")
-        if strict and self.actc_per_child > self.ctc_per_child:
-            raise ValidationError(
-                f"year {self.year}: actc_per_child exceeds ctc_per_child"
-            )
-        if not (0 < self.refund_rate <= 1):
-            raise ValidationError(f"year {self.year}: refund_rate outside (0, 1]")
-        if not (0 < self.phaseout_rate < 1):
-            raise ValidationError(f"year {self.year}: phaseout_rate outside (0, 1)")
-        if _below_min_rate(self.phaseout_rate):
-            raise ValidationError(f"year {self.year}: phaseout_rate below {MIN_RATE}")
-        if self.refund_threshold < 0:
-            raise ValidationError(f"year {self.year}: refund_threshold negative")
-        _check_max_money(f"year {self.year}", _SHARED_MONEY,
-                         (self.ctc_per_child, self.actc_per_child, self.refund_threshold))
-        for status, fp in zip(FilingStatus, (self.married_joint, self.head_of_household)):
-            label = f"year {self.year} {status.value}"
-            _check_max_money(label, _STATUS_MONEY,
-                             (fp.standard_deduction, fp.exemption_per_person, fp.phaseout_start))
-            if fp.standard_deduction < 0:
-                raise ValidationError(f"{label}: standard_deduction negative")
-            if fp.exemption_per_person < 0:
-                raise ValidationError(f"{label}: exemption_per_person negative")
-            if fp.phaseout_start <= 0:
-                raise ValidationError(f"{label}: phaseout_start must be positive")
-            try:
-                fp.brackets.validate()
-            except ValidationError as exc:
-                raise ValidationError(f"{label}: {exc}") from exc
-
-
-_SHARED_MONEY = ("ctc_per_child", "actc_per_child", "refund_threshold")
-_STATUS_MONEY = ("standard_deduction", "exemption_per_person", "phaseout_start")
-
-
-def _check_max_money(label: str, names: tuple[str, ...], amounts: tuple[Fraction, ...]) -> None:
-    """Raise naming the first amount above MAX_MONEY; the message omits its value."""
-    for name, amount in zip(names, amounts):
-        if amount.numerator > MAX_MONEY * amount.denominator:
-            raise ValidationError(f"{label}: {name} above {MAX_MONEY:,}")
-
 
 OverrideValue = Union[int, Fraction, str, Mapping, Sequence, BracketSchedule]
 
 
-def _parse_brackets(raw) -> BracketSchedule:
+# Each rule field's parser also checks the field's range, comparing on numerators as for
+# MIN_RATE. A value out of range is a ValidationError naming the field; the caller puts the
+# year, and the filing status, before it.
+
+
+def _money(value, name: str) -> Fraction:
+    """A dollar amount in [0, MAX_MONEY]; the message omits the value."""
+    amount = as_money(value)
+    if amount.numerator < 0:
+        raise ValidationError(f"{name} negative")
+    if amount.numerator > MAX_MONEY * amount.denominator:
+        raise ValidationError(f"{name} above {MAX_MONEY:,}")
+    return amount
+
+
+def _positive_money(value, name: str) -> Fraction:
+    amount = as_money(value)
+    if amount.numerator <= 0:
+        raise ValidationError(f"{name} must be positive")
+    return _money(amount, name)
+
+
+def _rate_up_to_1(value, name: str) -> Fraction:
+    """A rate in (0, 1]."""
+    rate = as_rate(value)
+    if not 0 < rate.numerator <= rate.denominator:
+        raise ValidationError(f"{name} outside (0, 1]")
+    return rate
+
+
+def _rate_below_1(value, name: str) -> Fraction:
+    """A rate in (0, 1) and at least MIN_RATE."""
+    rate = as_rate(value)
+    if not 0 < rate.numerator < rate.denominator:
+        raise ValidationError(f"{name} outside (0, 1)")
+    if _below_min_rate(rate):
+        raise ValidationError(f"{name} below {MIN_RATE}")
+    return rate
+
+
+def _brackets(raw, name: str) -> BracketSchedule:
+    """A schedule from `{"upper", "rate"}` objects, or one already built. It must be nonempty,
+    with upper bounds increasing up to MAX_MONEY and omitted on the last band only, and
+    nondecreasing rates in [0, 1], each zero or at least MIN_RATE."""
     if isinstance(raw, BracketSchedule):
-        return raw
-    brackets = []
-    for entry in raw:
-        if not isinstance(entry, Mapping):
-            raise TypeError(f"bracket must be an object, got {type(entry).__name__}")
-        upper = entry.get("upper")
-        brackets.append(Bracket(None if upper is None else as_money(upper), as_rate(entry.get("rate"))))
-    return BracketSchedule(tuple(brackets))
+        schedule = raw
+    else:
+        brackets = []
+        for entry in raw:
+            if not isinstance(entry, Mapping):
+                raise TypeError(f"bracket must be an object, got {type(entry).__name__}")
+            upper = entry.get("upper")
+            brackets.append(Bracket(None if upper is None else as_money(upper),
+                                    as_rate(entry.get("rate"))))
+        schedule = BracketSchedule(tuple(brackets))
+    if not schedule.brackets:
+        raise ValidationError("bracket schedule is empty")
+    prev_upper = prev_rate = 0
+    for i, b in enumerate(schedule.brackets):
+        if (b.upper is None) != (i == len(schedule.brackets) - 1):
+            raise ValidationError("only the last bracket may omit its upper bound")
+        if b.upper is not None:
+            if b.upper <= prev_upper:
+                raise ValidationError("bracket upper bounds must be strictly increasing")
+            if b.upper.numerator > MAX_MONEY * b.upper.denominator:
+                raise ValidationError(f"bracket upper bound above {MAX_MONEY:,}")
+            prev_upper = b.upper
+        if not (0 <= b.rate <= 1):
+            raise ValidationError("bracket rate outside [0, 1]")
+        if b.rate and _below_min_rate(b.rate):
+            raise ValidationError(f"nonzero bracket rate below {MIN_RATE}")
+        if b.rate < prev_rate:
+            raise ValidationError("bracket rates must be nondecreasing")
+        prev_rate = b.rate
+    return schedule
 
 
 # Each rule field's parser: the fields both filing statuses share, then each status's own.
-_SHARED_FIELDS = {"ctc_per_child": as_money, "actc_per_child": as_money,
-                  "refund_threshold": as_money, "refund_rate": as_rate, "phaseout_rate": as_rate}
-_STATUS_FIELDS = {"standard_deduction": as_money, "exemption_per_person": as_money,
-                  "brackets": _parse_brackets, "phaseout_start": as_money}
+_SHARED_FIELDS = {"ctc_per_child": _positive_money, "actc_per_child": _positive_money,
+                  "refund_threshold": _money, "refund_rate": _rate_up_to_1,
+                  "phaseout_rate": _rate_below_1}
+_STATUS_FIELDS = {"standard_deduction": _money, "exemption_per_person": _money,
+                  "brackets": _brackets, "phaseout_start": _positive_money}
 
 
-def _field(rec: Mapping, name: str, coerce):
-    """``coerce(rec[name])``; a missing or malformed value is a ParseError naming the field."""
+def _parse(parse, name: str, value, label: str):
+    """``parse(value, name)``, with `label` before the message of a value out of range."""
+    try:
+        return parse(value, name)
+    except ValidationError as exc:
+        raise ValidationError(f"{label}: {exc}") from None
+
+
+def _field(rec: Mapping, name: str, parse, label: str):
+    """`rec[name]` parsed; a missing or malformed value is a ParseError naming the field."""
     if name not in rec:
         raise ParseError(f"missing field {name!r}")
     try:
-        return coerce(rec[name])
+        return _parse(parse, name, rec[name], label)
     except (TypeError, ValueError) as exc:
         raise ParseError(f"bad field {name!r}: {exc}") from None
 
 
-def _record_to_filing(rec: Mapping) -> FilingParams:
-    return FilingParams(**{name: _field(rec, name, coerce) for name, coerce in _STATUS_FIELDS.items()})
+def _check_credit_order(params: ProgramParameters) -> None:
+    """The one rule across fields: the refundable maximum may not exceed the credit maximum."""
+    if params.actc_per_child > params.ctc_per_child:
+        raise ValidationError(f"year {params.year}: actc_per_child exceeds ctc_per_child")
 
 
 def load_params(path: str | Path) -> dict[int, ProgramParameters]:
-    """Load and validate a parameter file; returns {year: ProgramParameters}."""
+    """Load a parameter file, each field checked as it is parsed and each year's
+    actc_per_child against its ctc_per_child; returns {year: ProgramParameters}."""
     path = Path(path)
     try:
         with path.open("r", encoding="utf-8") as fh:
@@ -263,18 +275,19 @@ def load_params(path: str | Path) -> dict[int, ProgramParameters]:
             raise ValidationError(f"year {year}: both filing statuses required")
         shared = {}
         try:
-            for field, coerce in _SHARED_FIELDS.items():
-                values = {_field(rec, field, coerce) for rec in recs.values()}
+            for field, parse in _SHARED_FIELDS.items():
+                values = {_field(rec, field, parse, f"year {year}") for rec in recs.values()}
                 if len(values) != 1:
                     raise ValidationError(
                         f"year {year}: field {field!r} differs across filing statuses")
                 shared[field] = values.pop()
-            filing = {s.value: _record_to_filing(recs[s]) for s in FilingStatus}
+            filing = {s.value: FilingParams(**{
+                name: _field(recs[s], name, parse, f"year {year} {s.value}")
+                for name, parse in _STATUS_FIELDS.items()}) for s in FilingStatus}
         except ParseError as exc:
             raise ParseError(f"{path}: year {year}: {exc}") from None
-        params = ProgramParameters(year=year, **filing, **shared)
-        params.validate()
-        out[year] = params
+        out[year] = ProgramParameters(year=year, **filing, **shared)
+        _check_credit_order(out[year])
     return out
 
 
@@ -294,25 +307,30 @@ def apply_overrides(
 
     Per-filing-status fields (standard_deduction, exemption_per_person,
     phaseout_start, brackets) accept either one value applied to both
-    statuses or a mapping keyed by FilingStatus. The result is re-validated;
-    `strict=False` allows actc_per_child > ctc_per_child, which some
+    statuses or a mapping keyed by FilingStatus. Only the values given are
+    checked, each against its field's range as it is parsed: `base` was
+    checked when it was built. Then, if `strict`, actc_per_child must not
+    exceed ctc_per_child; `strict=False` allows it, which some
     counterfactual walks pass through.
     """
     changes: dict = {}
     for name, value in overrides.items():
         if name in _SHARED_FIELDS:
-            changes[name] = _SHARED_FIELDS[name](value)
+            changes[name] = _parse(_SHARED_FIELDS[name], name, value, f"year {base.year}")
         elif name in _STATUS_FIELDS:
-            coerce = _STATUS_FIELDS[name]
+            parse = _STATUS_FIELDS[name]
             keyed = isinstance(value, Mapping) and any(isinstance(k, FilingStatus) for k in value)
             for s in FilingStatus:
                 rules = changes.get(s.value) or base.for_status(s)
-                changes[s.value] = replace(rules, **{name: coerce(value[s] if keyed else value)})
+                parsed = _parse(parse, name, value[s] if keyed else value,
+                                f"year {base.year} {s.value}")
+                changes[s.value] = replace(rules, **{name: parsed})
         else:
             raise ValidationError(f"unknown override field {name!r}")
 
     params = replace(base, **changes)
-    params.validate(strict=strict)
+    if strict:
+        _check_credit_order(params)
     return params
 
 

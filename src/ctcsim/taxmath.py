@@ -310,13 +310,15 @@ def invert_benefit(
 ) -> Fraction:
     """Minimal income Y with ``benefit_at_income(Y).total >= target``.
 
-    Raises Unreachable when `target` exceeds the global maximum benefit
+    Raises Unreachable when `target` is not positive or exceeds the global maximum benefit
     (the phased-out ceiling makes targets above the per-household maximum,
     or reachable only past the phaseout start, unattainable).
     """
     target = as_money(target)
     ceiling = max_credit(profile, params)
-    if target <= 0 or target > ceiling:
+    if target <= 0:
+        raise Unreachable(f"benefit target {target} must be positive")
+    if target > ceiling:
         raise Unreachable(f"benefit target {target} exceeds the maximum {ceiling}")
     y = _Kernel(profile, params, mode, target).refund_credit(target)
     if y > _filing(profile, params).phaseout_start:

@@ -262,7 +262,7 @@ def full_relief_cuts_reference(profile, params, rule, mode) -> tuple[int, int]:
 
     target = max_credit(profile, params)
     if target <= 0:
-        raise Unreachable(f"benefit target {target} exceeds the maximum {target}")
+        raise Unreachable(f"benefit target {target} must be positive")
     walk = exact_threshold_walk if mode is LiabilityMode.EXACT else table_threshold_scan
     income = walk(target, profile, params)
     phaseout = params.for_status(profile.group.filing_status).phaseout_start

@@ -37,6 +37,19 @@ def parse_csv(text):
     return list(csv.DictReader(io.StringIO(text)))
 
 
+@pytest.fixture
+def refundable_2018(tmp_path):
+    """The shipped rules with 2018 made fully refundable: its credit, 2000, reaches the
+    default `--new-ctc`."""
+    records = json.loads((DATA / "params.json").read_text())
+    for record in records:
+        if record["year"] == 2018:
+            record["actc_per_child"] = 2000
+    path = tmp_path / "params.json"
+    path.write_text(json.dumps(records))
+    return str(path)
+
+
 class TestThresholds:
     def test_story_year_row(self, capsys):
         code, out = run_cli(capsys, "thresholds", "--scenario", "s1",
@@ -237,6 +250,22 @@ class TestAnalyses:
         priced = [r for r in json.loads(out)["priced_out"] if r["full_relief_old"] == 0]
         assert [(r["year"], r["group"], r["proportion"]) for r in priced] == [
             (2017, "single_father", ""), (2017, "single_father", "")]
+
+    def test_priced_out_scan_skips_a_year_whose_credit_reaches_the_new_maximum(
+            self, capsys, refundable_2018):
+        code, out = run_cli(capsys, "priced-out", "--params", refundable_2018, "--scenario", "s1",
+                            "--format", "json")
+        assert code == 0
+        rows = json.loads(out)
+        assert rows and 2018 not in {r["year"] for r in rows}
+        code, out = run_cli(capsys, "report", "--params", refundable_2018)
+        assert code == 0
+        assert [r for r in json.loads(out)["priced_out"] if r["scenario"] == "s1"] == rows
+
+    def test_priced_out_scan_below_every_credit_gives_no_rows(self, capsys):
+        # Every parity year's credit is 1000, so a raise to 800 is no raise.
+        code, out = run_cli(capsys, "priced-out", "--new-ctc", "800")
+        assert (code, out) == (0, "year,scenario,group,full_relief_old,priced_out,proportion\n")
 
 
 class TestConfigAndDeterminism:
@@ -520,6 +549,12 @@ class TestBadInput:
         params.write_text("[]")
         line = self.assert_one_line_error(capsys, command, "--params", str(params))
         assert line == f"error: {params}: expected a non-empty top-level array of year records"
+
+    def test_priced_out_named_year_whose_credit_reaches_the_new_maximum(
+            self, capsys, refundable_2018):
+        line = self.assert_one_line_error(capsys, "priced-out", "--params", refundable_2018,
+                                          "--year", "2018")
+        assert line == "error: new credit maximum must exceed the baseline"
 
     def test_credits_flag_not_a_number(self, capsys):
         self.assert_one_line_error(capsys, "sweep", "--credits", "1:x")

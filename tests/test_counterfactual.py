@@ -7,14 +7,19 @@ from ctcsim import (
     ReliefCategory,
     Scenario,
     apply_overrides,
-    credit_size_sweep,
     eligibility,
     eliminate_refundability,
     load_population,
     priced_out,
-    restore_parity,
 )
-from ctcsim.counterfactual import full_relief_cuts, piecemeal_walk, profile_for, run_piecemeal_table
+from ctcsim.counterfactual import (
+    credit_size_sweep,
+    full_relief_cuts,
+    piecemeal_walk,
+    profile_for,
+    restore_parity,
+    run_piecemeal_table,
+)
 from ctcsim.errors import ValidationError
 from ctcsim.population import PopulationTable
 

@@ -1,7 +1,9 @@
-"""Every demo script runs to completion against the shipped data and prints pinned bytes."""
+"""Every demo script, and the README's library quick start, runs to completion against the
+shipped data and prints pinned bytes."""
 
 import hashlib
 import os
+import re
 import subprocess
 import sys
 
@@ -33,3 +35,14 @@ def test_demo_runs(demo):
                           timeout=120)
     assert proc.returncode == 0, proc.stderr.decode()
     assert hashlib.sha256(proc.stdout).hexdigest() == STDOUT_SHA256[demo.name]
+
+
+def test_readme_quick_start_runs():
+    blocks = re.findall(r"^```python\n(.*?)^```", (ROOT / "README.md").read_text(),
+                        re.DOTALL | re.MULTILINE)
+    assert len(blocks) == 1
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    proc = subprocess.run([sys.executable, "-c", blocks[0]], capture_output=True, text=True,
+                          env=env, cwd=ROOT, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "11833.333333333334 36933.333333333336\n0.584350026234478 underestimate\n"

@@ -5,13 +5,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ctcsim import (
-    FilingStatus,
-    apply_overrides,
-    load_params,
-    params_for_year,
-)
-from ctcsim.params import MAX_MONEY, Bracket, BracketSchedule
+from ctcsim import FilingStatus, apply_overrides, load_params
+from ctcsim.params import MAX_MONEY, Bracket, BracketSchedule, params_for_year
 from ctcsim.errors import MissingYear, ParseError, ValidationError
 
 import goldens
@@ -135,9 +130,17 @@ class TestOverrides:
         ("brackets", [{"upper": MAX_MONEY, "rate": "0.1"}, {"rate": "0.2"}], None),
         ("brackets", [{"upper": MAX_MONEY + 1, "rate": "0.1"}, {"rate": "0.2"}],
          "year 2017 married_joint: bracket upper bound above 1,000,000,000,000"),
-    ], ids=["floor-at-cap", "floor-past-cap", "unprintable", "upper-at-cap", "upper-past-cap"])
-    def test_money_is_capped(self, params_by_year, name, value, message):
-        """A money field may reach MAX_MONEY but not pass it; the message omits the value."""
+        ("refund_rate", 0, "year 2017: refund_rate outside (0, 1]"),
+        ("phaseout_rate", Fraction(1, 10**13), "year 2017: phaseout_rate below 1/1000000000000"),
+        ("phaseout_start", {FilingStatus.MARRIED_JOINT: 0, FilingStatus.HEAD_OF_HOUSEHOLD: 75000},
+         "year 2017 married_joint: phaseout_start must be positive"),
+        ("brackets", BracketSchedule((Bracket(None, Fraction(2)),)),
+         "year 2017 married_joint: bracket rate outside [0, 1]"),
+    ], ids=["floor-at-cap", "floor-past-cap", "unprintable", "upper-at-cap", "upper-past-cap",
+            "zero-refund-rate", "tiny-phaseout-rate", "keyed-zero-phaseout", "prebuilt-brackets"])
+    def test_values_are_range_checked(self, params_by_year, name, value, message):
+        """Each value set is checked against its field's range. A money field may reach
+        MAX_MONEY but not pass it; the message omits the value."""
         if message is None:
             apply_overrides(params_by_year[2017], {name: value})
         else:

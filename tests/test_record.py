@@ -4,16 +4,9 @@ from fractions import Fraction
 
 import pytest
 
-from ctcsim import (
-    BracketSchedule,
-    HouseholdProfile,
-    ParentalGroup,
-    ProgramParameters,
-    apply_overrides,
-    benefit_at_income,
-)
+from ctcsim import HouseholdProfile, ParentalGroup, apply_overrides, benefit_at_income
 from ctcsim.errors import ValidationError
-from ctcsim.params import Bracket, FilingParams
+from ctcsim.params import Bracket, BracketSchedule, FilingParams, ProgramParameters
 from ctcsim.counterfactual import PricedOutResult
 from ctcsim.record import Record, replace
 

@@ -7,18 +7,25 @@ from hypothesis import strategies as st
 
 from ctcsim import (
     HouseholdProfile,
-    LiabilityMode,
     ParentalGroup,
     apply_overrides,
     benefit_at_income,
     invert_benefit,
-    tax_liability,
     thresholds,
 )
 from ctcsim.classifier import BoundRule
 from ctcsim.counterfactual import full_relief_cuts
 from ctcsim.errors import OrderingViolation, Unreachable, ValidationError
-from ctcsim.taxmath import ThresholdSet, _Kernel, _over, max_credit, max_refund, tax_free_amount
+from ctcsim.taxmath import (
+    LiabilityMode,
+    ThresholdSet,
+    _Kernel,
+    _over,
+    max_credit,
+    max_refund,
+    tax_free_amount,
+    tax_liability,
+)
 
 import goldens
 from oracle import (
@@ -115,8 +122,10 @@ class TestInversion:
         assert abs(income - 28_140) <= 50
 
     def test_unreachable_target(self, params_by_year):
-        with pytest.raises(Unreachable):
+        with pytest.raises(Unreachable, match="^benefit target 5000 exceeds the maximum 1000$"):
             invert_benefit(5000, ONE_SINGLE, params_by_year[2009])
+        with pytest.raises(Unreachable, match="^benefit target 0 must be positive$"):
+            invert_benefit(0, ONE_MARRIED, params_by_year[2018])
 
     @pytest.mark.parametrize("mode", list(LiabilityMode), ids=lambda m: m.value)
     @given(
