@@ -283,13 +283,11 @@ def rows_sweep(run: Run, args) -> list[tuple]:
 
 
 def rows_priced_out(run: Run, args) -> list[tuple]:
+    """A named year must be one `priced_out` takes; a scan skips each year it refuses."""
     rows = []
     for year in _years(run, args):
         params = params_for_year(run.params, year)
-        # A named year must qualify; a scan skips the years without refundable parity
-        # and those whose credit already reaches --new-ctc.
-        if args.year is None and (params.actc_per_child != params.ctc_per_child
-                                  or params.ctc_per_child >= args.new_ctc):
+        if args.year is None and cf.priced_out_refusal(params, args.new_ctc) is not None:
             continue
         for scenario in run.scenarios:
             for group in cf.GROUPS:

@@ -5,8 +5,9 @@ program parameters; population year and parameter year are independent so
 that rule changes can be isolated from demographic drift. A rule set's
 `year` picks the children averages its thresholds use (middle-bound
 scenarios only), so a walk is a list of labelled, fully resolved rule sets.
-Results carry exact fractions; rendering to percentages happens at the
-output layer.
+Every analysis is built from two primitives: the memoised classified cell
+(:func:`eligibility`) and the full-relief share of a derived rule set
+(:func:`full_relief_proportion`). Results are exact; the output layer rounds.
 """
 
 from __future__ import annotations
@@ -19,7 +20,6 @@ from .classifier import (
     EligibilityEstimate,
     ReliefCategory,
     Scenario,
-    category_cuts,
     classify,
     count_between,
     cut_income,
@@ -203,6 +203,15 @@ class PricedOutResult(Record):
         return Fraction(self.priced_out, self.full_relief_old)
 
 
+def priced_out_refusal(params: ProgramParameters, new_ctc) -> str | None:
+    """Why `priced_out` refuses baseline rules `params` and a raise to `new_ctc`, else None."""
+    if params.actc_per_child != params.ctc_per_child:
+        return "priced-out baseline requires parity parameters"
+    if new_ctc <= params.ctc_per_child:
+        return "new credit maximum must exceed the baseline"
+    return None
+
+
 def priced_out(
     pop: PopulationTable,
     year: int,
@@ -214,27 +223,21 @@ def priced_out(
 ) -> PricedOutResult:
     """Households losing full relief when the credit maximum rises alone.
 
-    Baseline: full relief via either pathway under parity parameters
-    (categories c and d). A household is priced out when its income falls
-    below the full-relief threshold recomputed with the larger credit
-    maximum and the refundable maximum left unchanged.
+    Baseline: the cell's full relief via either pathway under parity rules
+    (categories c and d). Survivors: its full-relief share once the credit
+    maximum rises and the refundable maximum stays. Raises ValidationError
+    with the reason :func:`priced_out_refusal` gives.
     """
     new_ctc = as_money(new_ctc)
-    if params_parity.actc_per_child != params_parity.ctc_per_child:
-        raise ValidationError("priced-out baseline requires parity parameters")
-    if new_ctc <= params_parity.ctc_per_child:
-        raise ValidationError("new credit maximum must exceed the baseline")
-    profile = profile_for(pop, group, scenario, params_parity.year)
-    cum = pop.cumulative(year, group)
-    cuts = category_cuts(thresholds(profile, params_parity, mode), scenario.rule)
-    c_lo, d_hi = cuts[1], cuts[3]
+    if (refusal := priced_out_refusal(params_parity, new_ctc)) is not None:
+        raise ValidationError(refusal)
+    est = eligibility(pop, year, group, params_parity, scenario, mode)
+    old = est.counts[ReliefCategory.FULL_ACTC] + est.counts[ReliefCategory.FULL_CTC]
     raised = once(_raised_credit, params_parity, new_ctc)
-    try:
-        new_cut = min(full_relief_cuts(profile, raised, scenario.rule, mode)[0], d_hi)
-    except Unreachable:
-        new_cut = d_hi  # the raised maximum never accrues: all of c and d lose full relief
-    return PricedOutResult(full_relief_old=count_between(cum, c_lo, d_hi),
-                           priced_out=count_between(cum, c_lo, new_cut))
+    survivors = full_relief_proportion(pop, year, group, raised, scenario, mode) * est.total
+    # Both ranges end at the phaseout cut, which the credit maximum leaves alone, so one holds
+    # the other: the loss is their difference, or 0 if the raised range starts below c's.
+    return PricedOutResult(full_relief_old=old, priced_out=max(0, old - int(survivors)))
 
 
 def _raised_credit(params: ProgramParameters, new_ctc: Fraction) -> ProgramParameters:

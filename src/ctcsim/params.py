@@ -307,7 +307,8 @@ def apply_overrides(
 
     Per-filing-status fields (standard_deduction, exemption_per_person,
     phaseout_start, brackets) accept either one value applied to both
-    statuses or a mapping keyed by FilingStatus. Only the values given are
+    statuses or a mapping keyed by FilingStatus, which changes only the
+    statuses it names. Only the values given are
     checked, each against its field's range as it is parsed: `base` was
     checked when it was built. Then, if `strict`, actc_per_child must not
     exceed ctc_per_child; `strict=False` allows it, which some
@@ -318,11 +319,15 @@ def apply_overrides(
         if name in _SHARED_FIELDS:
             changes[name] = _parse(_SHARED_FIELDS[name], name, value, f"year {base.year}")
         elif name in _STATUS_FIELDS:
-            parse = _STATUS_FIELDS[name]
-            keyed = isinstance(value, Mapping) and any(isinstance(k, FilingStatus) for k in value)
-            for s in FilingStatus:
+            # No field's own value is a mapping (brackets come as a list or a schedule), so a
+            # mapping holds values per status.
+            if not isinstance(value, Mapping):
+                value = dict.fromkeys(FilingStatus, value)
+            elif bad := [key for key in value if not isinstance(key, FilingStatus)]:
+                raise ValidationError(f"override {name!r}: key {bad[0]!r} is not a FilingStatus")
+            for s, status_value in value.items():
                 rules = changes.get(s.value) or base.for_status(s)
-                parsed = _parse(parse, name, value[s] if keyed else value,
+                parsed = _parse(_STATUS_FIELDS[name], name, status_value,
                                 f"year {base.year} {s.value}")
                 changes[s.value] = replace(rules, **{name: parsed})
         else:

@@ -54,12 +54,16 @@ class PopulationTable:
             raise EmptyGroup(f"no population for year {year}, group {group.value}") from None
 
     def average_children(self, year: int, group: ParentalGroup) -> Fraction:
+        """The cell's mean children per respondent. EmptyHistogram when the cell has no
+        histogram, no respondents or no children: no household size a credit can use."""
         average = self._averages.get((year, group))
-        if average is None:  # every cell with respondents has its average kept
+        if not average:  # every cell with respondents has its average kept, maybe 0
             where = f"year {year}, group {group.value}"
             if (year, group) not in self._children:
                 raise EmptyHistogram(f"no children histogram for {where}")
-            raise EmptyHistogram(f"children histogram for {where} has no respondents")
+            if average is None:
+                raise EmptyHistogram(f"children histogram for {where} has no respondents")
+            raise EmptyHistogram(f"children histogram for {where} has no children")
         return average
 
 

@@ -28,9 +28,8 @@ class _RecordType(type):
         post = "\n    self.__post_init__()" if hasattr(cls, "__post_init__") else ""
         code: dict = {}
         exec(f"def __init__(self, {', '.join(fields)}):{sets}{post}", {"_set": object.__setattr__}, code)
-        if "__init__" not in namespace:
-            cls.__init__ = code["__init__"]
-            cls.__init__.__module__, cls.__init__.__qualname__ = cls.__module__, f"{name}.__init__"
+        cls.__init__ = code["__init__"]
+        cls.__init__.__module__, cls.__init__.__qualname__ = cls.__module__, f"{name}.__init__"
         return cls
 
 

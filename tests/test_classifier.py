@@ -312,7 +312,7 @@ class TestPrefixSums:
                 raised_cut = cuts[3]
         else:
             with mock.patch.object(counterfactual, "full_relief_cuts",
-                                   lambda *args: (raised_cut, None)):
+                                   lambda *args: (raised_cut, cuts[3])):
                 result = priced_out(pop, year, group, params, new_ctc, scenario)
         assert result.priced_out == count_between_reference(counts, cuts[1],
                                                             min(raised_cut, cuts[3]))

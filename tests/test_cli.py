@@ -15,6 +15,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from ctcsim import counterfactual as cf
 from ctcsim.cli import (COMMANDS, SECTIONS, SHARED, _fmt, _json_rows,
                         _own_args, build_parser, main)
 from ctcsim.money import format_money
@@ -261,6 +262,24 @@ class TestAnalyses:
         code, out = run_cli(capsys, "report", "--params", refundable_2018)
         assert code == 0
         assert [r for r in json.loads(out)["priced_out"] if r["scenario"] == "s1"] == rows
+
+    def test_priced_out_scan_asks_priced_out_which_years_it_refuses(self, capsys, monkeypatch):
+        """A refusal `priced_out` gains reaches the scan, the report and a named year alike."""
+        code, out = run_cli(capsys, "priced-out", "--format", "json")
+        assert code == 0
+        unpatched = json.loads(out)
+        assert 2010 in {r["year"] for r in unpatched}
+        refusal = cf.priced_out_refusal
+        monkeypatch.setattr(cf, "priced_out_refusal", lambda params, new_ctc: (
+            "no baseline in 2010" if params.year == 2010 else refusal(params, new_ctc)))
+        code, out = run_cli(capsys, "priced-out", "--format", "json")
+        assert code == 0
+        assert json.loads(out) == [r for r in unpatched if r["year"] != 2010]
+        code, out = run_cli(capsys, "report")
+        assert code == 0
+        assert 2010 not in {r["year"] for r in json.loads(out)["priced_out"]}
+        assert main(["priced-out", "--year", "2010"]) == 1
+        assert capsys.readouterr().err == "error: no baseline in 2010\n"
 
     def test_priced_out_scan_below_every_credit_gives_no_rows(self, capsys):
         # Every parity year's credit is 1000, so a raise to 800 is no raise.
@@ -542,6 +561,21 @@ class TestBadInput:
         line = self.assert_one_line_error(capsys, *argv, "--children", str(children))
         assert line == ("error: children histogram for year 2017, group single_father "
                         "has no respondents")
+
+    @pytest.mark.parametrize("argv", [["classify", "--scenario", "s2", "--year", "2018"],
+                                      ["thresholds", "--scenario", "s2", "--year", "2018"],
+                                      ["sweep", "--scenario", "s2"], ["report"]],
+                             ids=lambda argv: argv[0])
+    def test_childless_children_cell_names_its_cell(self, capsys, tmp_path, argv):
+        """A cell whose respondents all report no children has no average a credit per
+        child can use; `sweep` once read it as a share of 0."""
+        lines = (DATA / "children.csv").read_text().splitlines()
+        childless = [line.rsplit(",", 1)[0] + ",0" if line.startswith("2018,married,")
+                     and not line.startswith("2018,married,0,") else line for line in lines]
+        children = tmp_path / "children.csv"
+        children.write_text("\n".join(childless) + "\n")
+        line = self.assert_one_line_error(capsys, *argv, "--children", str(children))
+        assert line == "error: children histogram for year 2018, group married has no children"
 
     @pytest.mark.parametrize("command", ["classify", "sweep", "regress", "report"])
     def test_parameter_file_without_records(self, capsys, tmp_path, command):

@@ -45,6 +45,6 @@ def test_traced_report_matches_untraced_and_counts_its_calls(liability):
     assert traced[0] == 0
     assert traced == untraced
     counts = tracer.summary()
-    assert counts["taxmath.thresholds.calls"] == 342
+    assert counts["taxmath.thresholds.calls"] == 252
     assert counts["taxmath.thresholds.unique"] == 150
-    assert counts["counterfactual.eligibility.calls"] == 390
+    assert counts["counterfactual.eligibility.calls"] == 480

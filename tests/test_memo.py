@@ -99,10 +99,10 @@ def test_report_raises_the_credit_once_per_priced_out_year(overrides, tmp_path):
 
 def test_report_reads_each_panel_cell_once_per_fit_section(cells, tmp_path):
     # classify (96), the regress (90) and did (96) panels, eliminate-refund (6), parity's
-    # non-parity 2018 baseline (6) and the two walks (96); priced-out counts from its own cuts
-    # and the sweep makes no `eligibility` call.
+    # non-parity 2018 baseline (6), the two walks (96) and priced-out's baselines (90), each
+    # a cell classify already read; the sweep makes no `eligibility` call.
     assert main(["report", "--out", str(tmp_path / "r.json")]) == 0
-    assert len(cells) == 390
+    assert len(cells) == 480
     assert len(set(cells)) == 156
 
 

@@ -113,6 +113,16 @@ class TestOverrides:
         assert p.for_status(FilingStatus.MARRIED_JOINT).standard_deduction == 24_000
         assert p.for_status(FilingStatus.HEAD_OF_HOUSEHOLD).standard_deduction == 18_000
 
+    def test_per_status_override_of_one_status(self, params_by_year):
+        base = params_by_year[2018]
+        p = apply_overrides(base, {"phaseout_start": {FilingStatus.MARRIED_JOINT: 5000}})
+        assert p.married_joint.phaseout_start == 5000
+        assert p.head_of_household == base.head_of_household
+
+    def test_per_status_override_keyed_by_name(self, params_by_year):
+        with pytest.raises(ValidationError, match="override 'phaseout_start': key 'married_joint'"):
+            apply_overrides(params_by_year[2018], {"phaseout_start": {"married_joint": 5000}})
+
     def test_invalid_combination_rejected(self, params_by_year):
         with pytest.raises(ValidationError):
             apply_overrides(params_by_year[2017], {"actc_per_child": 1_400})

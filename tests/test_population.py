@@ -6,8 +6,9 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from ctcsim import ParentalGroup, PopulationTable, load_population
+from ctcsim import ParentalGroup, load_population
 from ctcsim.errors import EmptyGroup, EmptyHistogram, GapError, NegativeCount, ParseError
+from ctcsim.population import PopulationTable
 
 from conftest import DATA
 from oracle import load_population_reference
@@ -123,6 +124,10 @@ class TestChildren:
     def test_empty(self):
         with pytest.raises(EmptyHistogram):
             average({})
+
+    def test_no_children(self):
+        with pytest.raises(EmptyHistogram, match="year 2010, group married has no children"):
+            average({"0": 4})
 
     def test_scale_invariance(self):
         counts = {"0": 3, "2": 5, "5": 1}
