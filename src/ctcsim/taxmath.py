@@ -16,11 +16,11 @@ category boundary of a household, and :func:`invert_benefit` for one
 benefit target.
 
 The walk runs on integers, scaled once per household: money (the tax-free
-amount, refund floor, bracket uppers, targets) over D, the lcm of its
-denominators, and rates over Q, the lcm of theirs, so each running total is
-an integer over D·Q. Integers over a fixed denominator add, multiply and
-compare exactly, as Fractions do but without a gcd per step; each answer is
-then built as one Fraction.
+amount, refund floor, benefit maxima, bracket uppers, targets) over D, the
+lcm of its denominators, and rates over Q, so each running total is an
+integer over D·Q. An income found is an integer pair (numerator, positive
+denominator), ordered against others by cross-multiplying: exact, as Fractions
+are, but with no gcd per step. Each answer is built as one Fraction.
 
 Two liability modes are supported: ``EXACT`` applies the bracket schedule
 analytically; ``TABLE`` evaluates liability at the midpoint of the
@@ -66,7 +66,7 @@ class HouseholdProfile(Record):
 
     def __post_init__(self):
         object.__setattr__(self, "children", as_money(self.children))
-        if self.children < 0:
+        if self.children.numerator < 0:
             raise ValidationError("children must be nonnegative")
 
     @classmethod
@@ -122,15 +122,19 @@ def _filing(profile: HouseholdProfile, params: ProgramParameters) -> FilingParam
     return params.for_status(profile.group.filing_status)
 
 
-def tax_free_amount(profile: HouseholdProfile, params: ProgramParameters) -> Fraction:
-    """Standard deduction plus per-person exemptions for the household."""
+def _tax_free(profile: HouseholdProfile, params: ProgramParameters) -> tuple[int, int]:
+    """The tax-free amount as (numerator, positive denominator), not reduced."""
     fp = _filing(profile, params)
     ded, ex, kids = fp.standard_deduction, fp.exemption_per_person, profile.children
-    # ded + ex * (adults + kids), one Fraction over the product of the denominators
+    # ded + ex * (adults + kids), over the product of the denominators
     persons = profile.group.adults * kids.denominator + kids.numerator  # over kids.denominator
-    return Fraction(ded.numerator * ex.denominator * kids.denominator
-                    + ex.numerator * persons * ded.denominator,
-                    ded.denominator * ex.denominator * kids.denominator)
+    den = ex.denominator * kids.denominator
+    return ded.numerator * den + ex.numerator * persons * ded.denominator, ded.denominator * den
+
+
+def tax_free_amount(profile: HouseholdProfile, params: ProgramParameters) -> Fraction:
+    """Standard deduction plus per-person exemptions for the household."""
+    return Fraction(*_tax_free(profile, params))
 
 
 def tax_liability(
@@ -149,12 +153,18 @@ def tax_liability(
     return _filing(profile, params).brackets.tax(taxable)
 
 
+def _per_child(amount: Fraction, profile: HouseholdProfile) -> tuple[int, int]:
+    """`amount` per child times the household's children, as (numerator, denominator)."""
+    kids = profile.children
+    return amount.numerator * kids.numerator, amount.denominator * kids.denominator
+
+
 def max_credit(profile: HouseholdProfile, params: ProgramParameters) -> Fraction:
-    return params.ctc_per_child * profile.children
+    return Fraction(*_per_child(params.ctc_per_child, profile))
 
 
 def max_refund(profile: HouseholdProfile, params: ProgramParameters) -> Fraction:
-    return params.actc_per_child * profile.children
+    return Fraction(*_per_child(params.actc_per_child, profile))
 
 
 def benefit_at_income(
@@ -186,27 +196,30 @@ def _over(x: Fraction, den: int) -> int:
 class _Kernel:
     """One household's rules on integers, scaled once for all its inversions.
 
-    D also covers the refundable maximum and the target named when it is built,
-    and only those; the bands are (upper income over D or None, rate over Q).
+    D covers the money here and the `targets` named when it is built, and only those; the
+    bands are (upper income over D or None, rate over Q). Both inversions take a target over
+    D and return an income as (numerator, positive denominator), for the caller to compare.
     """
 
-    __slots__ = ("mode", "d", "q", "free_amount", "refundable", "free", "floor", "rate", "bands")
+    __slots__ = ("mode", "d", "q", "free", "refundable", "credit", "floor", "rate", "bands")
 
     def __init__(self, profile: HouseholdProfile, params: ProgramParameters,
-                 mode: LiabilityMode, target: Fraction):
-        free = self.free_amount = tax_free_amount(profile, params)
-        refundable = self.refundable = max_refund(profile, params)
+                 mode: LiabilityMode, *targets: Fraction):
+        (free, free_d), (refundable, refundable_d), (credit, credit_d) = (
+            _tax_free(profile, params), _per_child(params.actc_per_child, profile),
+            _per_child(params.ctc_per_child, profile))
         floor, brackets = params.refund_threshold, _filing(profile, params).brackets.brackets
-        d = lcm(free.denominator, floor.denominator, refundable.denominator, target.denominator,
+        d = lcm(free_d, refundable_d, credit_d, *(x.denominator for x in (floor, *targets)),
                 *(b.upper.denominator for b in brackets if b.upper is not None))
         q = lcm(params.refund_rate.denominator, *(b.rate.denominator for b in brackets))
         self.mode, self.d, self.q, self.rate = mode, d, q, _over(params.refund_rate, q)
-        self.free, self.floor = free, floor = _over(free, d), _over(floor, d)
+        self.refundable, self.credit = refundable * (d // refundable_d), credit * (d // credit_d)
+        self.free, self.floor = free, floor = free * (d // free_d), _over(floor, d)
         self.bands = [(free, 0)] + [(None if b.upper is None else free + _over(b.upper, d),
                                      _over(b.rate, q)) for b in brackets]
 
-    def refund_credit(self, target: Fraction) -> Fraction:
-        """Minimal income at which refund plus credit reaches `target`.
+    def refund_credit(self, t: int) -> tuple[int, int]:
+        """Minimal income at which refund plus credit reaches the target t/D.
 
         The refund is capped at the refundable maximum but the total is not
         otherwise capped, so a refundable maximum above the credit maximum (a
@@ -214,33 +227,33 @@ class _Kernel:
         result equal to the tax-free amount may be an infimum: liability is 0
         there but ``tax($25)`` a cent above, where the target is met.
         """
-        t = _over(target, self.d)
         if t <= 0:
             raise Unreachable("threshold target must be positive")
         income = (self._table_phase_in(t) if self.mode is LiabilityMode.TABLE
-                  else Fraction(*self._first_income(t, self.rate)))
-        gap = t - _over(self.refundable, self.d)
+                  else self._first_income(t, self.rate))
+        gap = t - self.refundable
         try:
-            return max(income, self.liability(gap)) if gap > 0 else income
+            tax = self.liability(gap) if gap > 0 else income
         except ValidationError:
-            raise Unreachable(f"benefit target {target} is never reached") from None
+            raise Unreachable(f"benefit target {Fraction(t, self.d)} is never reached") from None
+        return income if income[0] * tax[1] >= tax[0] * income[1] else tax
 
-    def liability(self, t: int) -> Fraction:
+    def liability(self, t: int) -> tuple[int, int]:
         """Minimal income whose tax liability reaches the target t/D.
 
         Raises ValidationError if the schedule tops out below it (possible only
         when the last rate is zero).
         """
         if t <= 0:
-            return self.free_amount
+            return self.free, self.d
         found = self._first_income(t, 0)
         if found is None:
             raise ValidationError(f"tax target {Fraction(t, self.d)} unreachable under schedule")
         if self.mode is LiabilityMode.TABLE:  # the first $50 row whose midpoint clears it
             (income, den), d, width = found, self.d, int(TABLE_ROW_WIDTH) * self.d
             row = -(((self.free + width // 2) * den - income * d) // (width * den))
-            return Fraction(self.free + row * width, d)
-        return Fraction(*found)
+            return self.free + row * width, d
+        return found
 
     def _first_income(self, t: int, ramp: int) -> tuple[int, int] | None:
         """Minimal income where exact liability plus `ramp` (over Q) per dollar above
@@ -258,7 +271,7 @@ class _Kernel:
                     total, lo = total + slope * (end - lo), end
         return None
 
-    def _table_phase_in(self, t: int) -> Fraction:
+    def _table_phase_in(self, t: int) -> tuple[int, int]:
         """Minimal income where table liability plus the uncapped phase-in reaches
         t/D: the first $50 row holding a solution, then the solve within it.
 
@@ -274,11 +287,11 @@ class _Kernel:
         width = int(TABLE_ROW_WIDTH) * d
         half = width // 2
 
-        def solve(start: int, end: int, liability: int) -> Fraction | None:
+        def solve(start: int, end: int, liability: int) -> tuple[int, int] | None:
             """Minimal income in [start, end) over D reaching the target, or None."""
             need = target - liability
             y = start * rate if need <= 0 else max(start * rate, floor * rate + need)
-            return Fraction(y, d * rate) if y < end * rate else None
+            return (y, d * rate) if y < end * rate else None
 
         income = solve(0, free, 0)
         if income is not None:
@@ -315,16 +328,18 @@ def invert_benefit(
     or reachable only past the phaseout start, unattainable).
     """
     target = as_money(target)
-    ceiling = max_credit(profile, params)
-    if target <= 0:
+    if target.numerator <= 0:
         raise Unreachable(f"benefit target {target} must be positive")
-    if target > ceiling:
-        raise Unreachable(f"benefit target {target} exceeds the maximum {ceiling}")
-    y = _Kernel(profile, params, mode, target).refund_credit(target)
-    if y > _filing(profile, params).phaseout_start:
+    kernel = _Kernel(profile, params, mode, target)
+    if (t := _over(target, kernel.d)) > kernel.credit:
+        raise Unreachable(f"benefit target {target} exceeds the maximum "
+                          f"{max_credit(profile, params)}")
+    y, den = kernel.refund_credit(t)
+    start = _filing(profile, params).phaseout_start
+    if y * start.denominator > start.numerator * den:
         # Past the phaseout start the attainable total only shrinks.
         raise Unreachable(f"benefit target {target} is eroded by the phaseout before it accrues")
-    return y
+    return Fraction(y, den)
 
 
 def thresholds(
@@ -340,25 +355,20 @@ def thresholds(
     return once(_thresholds, profile, params, mode)
 
 
-def _thresholds(
-    profile: HouseholdProfile, params: ProgramParameters, mode: LiabilityMode
-) -> ThresholdSet:
-    fp = _filing(profile, params)
-    credit = max_credit(profile, params)
-    kernel = _Kernel(profile, params, mode, credit)
-    ts = ThresholdSet(
-        t_refund_floor=params.refund_threshold,
-        t_full_actc=kernel.refund_credit(kernel.refundable),
-        t_full_ctc=kernel.liability(_over(credit, kernel.d)),
-        t_phaseout_start=fp.phaseout_start,
-        t_total_phaseout=fp.phaseout_start + credit / params.phaseout_rate,
-        t_full_combined=kernel.refund_credit(credit),
-    )
-    ordered = (
-        ts.t_refund_floor <= ts.t_full_actc <= ts.t_full_ctc <= ts.t_phaseout_start
-        and ts.t_full_combined <= ts.t_full_ctc
-        and ts.t_phaseout_start < ts.t_total_phaseout
-    )
-    if not ordered:
+def _thresholds(profile: HouseholdProfile, params: ProgramParameters,
+                mode: LiabilityMode) -> ThresholdSet:
+    kernel = _Kernel(profile, params, mode)
+    d, credit, floor, rate = kernel.d, kernel.credit, params.refund_threshold, params.phaseout_rate
+    start = _filing(profile, params).phaseout_start
+    actc, actc_d = kernel.refund_credit(kernel.refundable)
+    (ctc, ctc_d), (comb, comb_d) = kernel.liability(credit), kernel.refund_credit(credit)
+    # start + credit / rate, over start's denominator · D · the rate's numerator
+    total_d = start.denominator * d * rate.numerator
+    total = start.numerator * d * rate.numerator + credit * rate.denominator * start.denominator
+    ts = ThresholdSet(floor, Fraction(actc, actc_d), Fraction(ctc, ctc_d), start,
+                      Fraction(total, total_d), Fraction(comb, comb_d))
+    if not (floor.numerator * actc_d <= actc * floor.denominator and actc * ctc_d <= ctc * actc_d
+            and ctc * start.denominator <= start.numerator * ctc_d and comb * ctc_d <= ctc * comb_d
+            and start.numerator * total_d < total * start.denominator):
         raise OrderingViolation(f"thresholds are not monotone for year {params.year}: {ts}")
     return ts

@@ -386,6 +386,12 @@ def rule_overrides(draw):
     return overrides
 
 
+def in_order(ts: ThresholdSet) -> bool:
+    """Whether `ts` is in the category order `thresholds` enforces, compared as Fractions."""
+    return (ts.t_refund_floor <= ts.t_full_actc <= ts.t_full_ctc <= ts.t_phaseout_start
+            and ts.t_full_combined <= ts.t_full_ctc and ts.t_phaseout_start < ts.t_total_phaseout)
+
+
 @pytest.mark.parametrize("mode", list(LiabilityMode), ids=lambda m: m.value)
 class TestInversionMatchesOracle:
     """Threshold inversion equals the references of tests/oracle.py exactly.
@@ -397,7 +403,8 @@ class TestInversionMatchesOracle:
     maximum, ``invert_benefit`` equals the walk's income, or raises
     Unreachable where the walk lands past the phaseout start or never lands.
     ``thresholds`` and ``full_relief_cuts`` are checked against the same
-    references.
+    references; ``thresholds`` raises OrderingViolation exactly when the reference
+    set is out of order. Every income returned is a Fraction, not an equal int.
     """
 
     @staticmethod
@@ -412,6 +419,8 @@ class TestInversionMatchesOracle:
             return
         got = engine()
         assert (type(got), got) == (kind, expected)
+        if kind is ThresholdSet:  # equal fields could still be ints
+            assert in_order(got) and {type(getattr(got, f)) for f in got._fields} == {Fraction}
 
     def assert_thresholds_match_oracle(self, profile, params, mode):
         try:
@@ -420,6 +429,7 @@ class TestInversionMatchesOracle:
         except OrderingViolation as exc:  # every inversion succeeded; the message names them
             expected = thresholds_reference(profile, params, mode)
             assert str(exc) == f"thresholds are not monotone for year {params.year}: {expected}"
+            assert not in_order(expected)
         for rule in BoundRule:
             self.assert_same(lambda: full_relief_cuts_reference(profile, params, rule, mode),
                              lambda: full_relief_cuts(profile, params, rule, mode), kind=tuple)
@@ -428,9 +438,9 @@ class TestInversionMatchesOracle:
         walk = exact_threshold_walk if mode is LiabilityMode.EXACT else table_threshold_scan
         kernel = _Kernel(profile, params, mode, target)
         self.assert_same(lambda: walk(target, profile, params),
-                         lambda: kernel.refund_credit(target))
+                         lambda: Fraction(*kernel.refund_credit(_over(target, kernel.d))))
         self.assert_same(lambda: liability_reference(target, profile, params, mode),
-                         lambda: kernel.liability(_over(target, kernel.d)))
+                         lambda: Fraction(*kernel.liability(_over(target, kernel.d))))
         if target > max_credit(profile, params):
             return
         try:
@@ -442,7 +452,8 @@ class TestInversionMatchesOracle:
             with pytest.raises(Unreachable):
                 invert_benefit(target, profile, params, mode)
         else:
-            assert invert_benefit(target, profile, params, mode) == expected
+            got = invert_benefit(target, profile, params, mode)
+            assert (type(got), got) == (Fraction, expected)
 
     def test_shipped_years(self, params_by_year, pop, mode):
         for year, params in params_by_year.items():
@@ -506,6 +517,19 @@ class TestInversionMatchesOracle:
     @example(year=2010, group=ParentalGroup.SINGLE_MOTHER, children=Fraction(2),
              overrides={"standard_deduction": 0, "exemption_per_person": 0},
              target="max_credit")
+    # Ties, where each non-strict comparison of the ordering or of invert_benefit holds with
+    # equality. 2018, two children, single mother: full credit at 53,600 and full combined
+    # benefit at 30,000, in both modes. The phaseout starts at full credit:
+    @example(year=2018, group=ParentalGroup.SINGLE_MOTHER, children=Fraction(2),
+             overrides={"phaseout_start": 53_600}, target="max_credit")
+    # Parity with the refund floor at full credit: floor, full refundable, full combined and
+    # full credit all at 53,600.
+    @example(year=2018, group=ParentalGroup.SINGLE_MOTHER, children=Fraction(2),
+             overrides={"actc_per_child": 2_000, "refund_threshold": 53_600},
+             target="max_credit")
+    # The phaseout starts at full combined benefit, which invert_benefit returns, not refuses.
+    @example(year=2018, group=ParentalGroup.SINGLE_MOTHER, children=Fraction(2),
+             overrides={"phaseout_start": 30_000}, target="max_credit")
     @settings(max_examples=300, deadline=None)
     def test_random_rule_sets(self, request, mode, year, group, children, overrides, target):
         params = apply_overrides(request.getfixturevalue("params_by_year")[year], overrides,
