@@ -16,6 +16,16 @@ qualifies, and a bin whose lower edge equals the boundary lies wholly above.
 The boundaries become five nondecreasing bin-edge cuts, and each category's count is
 the difference of the cell's cumulative counts (see :mod:`ctcsim.population`) at its
 two cuts; a cut past the data ceiling reads the last entry, the cell's total.
+
+The data stop at $99,999, so each category is flagged by where its cuts put it against
+the ceiling C = $100,000. Category a covers [0, first cut), each later one [its cut, the
+next), and f has no upper end. A category is unavailable if it starts at or above C, or if
+less than a quarter of a bounded range lies below C: its count then measures the few
+incomes it reaches inside the data, not the category. It is an underestimate otherwise if
+it reaches past C (f always does), and accurate if it lies wholly inside the data. The
+quarter is a choice: on the shipped rules the one range it catches has 12-15% inside,
+every other range crossing C has at least a third, and any bound above 0.154 and up to
+1/3 gives the same flags.
 """
 
 from __future__ import annotations
@@ -133,42 +143,23 @@ def assign_bins(cum: Sequence[int], thresholds: ThresholdSet,
             for cat, lo, hi in zip(CATEGORY_ORDER, edges, edges[1:])}
 
 
-def flag_categories(
-    group: ParentalGroup, year: int, scenario: Scenario
-) -> dict[ReliefCategory, GeneralizabilityFlag]:
-    """How far each category estimate generalizes beyond the $99,999 data ceiling.
-
-    Encodes where phaseout boundaries exceed the ceiling: those categories
-    are reported from truncated data (underestimates) or not estimable at
-    all (unavailable), per group and era.
-    """
-    acc = GeneralizabilityFlag.ACCURATE
-    under = GeneralizabilityFlag.UNDERESTIMATE
-    unavail = GeneralizabilityFlag.UNAVAILABLE
-    flags = {c: acc for c in CATEGORY_ORDER}
-    married = group is ParentalGroup.MARRIED
-    post_reform = year >= 2018
-    if married:
-        if post_reform:
-            flags[ReliefCategory.FULL_CTC] = unavail
-        else:
-            flags[ReliefCategory.FULL_CTC] = under
-        flags[ReliefCategory.SOME_CTC] = unavail
-        flags[ReliefCategory.INELIGIBLE_HIGH] = unavail
-    elif post_reform:
-        flags[ReliefCategory.FULL_CTC] = under
-        flags[ReliefCategory.SOME_CTC] = unavail
-        flags[ReliefCategory.INELIGIBLE_HIGH] = unavail
-    elif scenario is Scenario.S1:
-        flags[ReliefCategory.INELIGIBLE_HIGH] = under
-    else:
-        flags[ReliefCategory.SOME_CTC] = under
-        flags[ReliefCategory.INELIGIBLE_HIGH] = unavail
-    return flags
+def _flag(lo: int, hi: int | None) -> GeneralizabilityFlag:
+    """The flag of the category covering incomes [lo, hi); `hi` None means unbounded above."""
+    if lo >= INCOME_CEILING or hi is not None and 4 * (INCOME_CEILING - lo) < hi - lo:
+        return GeneralizabilityFlag.UNAVAILABLE
+    if hi is None or hi > INCOME_CEILING:
+        return GeneralizabilityFlag.UNDERESTIMATE
+    return GeneralizabilityFlag.ACCURATE
 
 
 def classify(pop: PopulationTable, year: int, group: ParentalGroup, thresholds: ThresholdSet,
              scenario: Scenario) -> EligibilityEstimate:
-    """Classify one (year, group) population under `thresholds` and the scenario's bound rule."""
-    counts = assign_bins(pop.cumulative(year, group), thresholds, scenario.rule)
-    return EligibilityEstimate(counts, flag_categories(group, year, scenario))
+    """Classify one (year, group) population under `thresholds` and the scenario's bound rule;
+    the counts and the flags read the same edges."""
+    cum = pop.cumulative(year, group)
+    edges = [0, *category_cuts(thresholds, scenario.rule), None]
+    counts, flags = {}, {}
+    for cat, lo, hi in zip(CATEGORY_ORDER, edges, edges[1:]):
+        counts[cat] = count_between(cum, lo, INCOME_CEILING if hi is None else hi)
+        flags[cat] = _flag(lo, hi)
+    return EligibilityEstimate(counts, flags)

@@ -217,7 +217,7 @@ def _groups(args) -> list[ParentalGroup]:
 
 
 def _outcomes(text: str | None, default: list[str]) -> list[str]:
-    outcomes = text.split(",") if text else default
+    outcomes = text.split(",") if text is not None else default
     for outcome in outcomes:
         if outcome not in OUTCOMES:
             raise ValidationError(f"unknown outcome {outcome!r}")

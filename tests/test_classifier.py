@@ -4,7 +4,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from ctcsim import (
@@ -26,7 +26,6 @@ from ctcsim.classifier import (
     classify,
     count_between,
     cut_income,
-    flag_categories,
 )
 from ctcsim.counterfactual import full_relief_cuts, profile_for
 from ctcsim.errors import ThresholdOutOfRange, Unreachable
@@ -320,33 +319,68 @@ class TestPrefixSums:
 
 
 class TestFlags:
-    def test_married_pre_2018(self):
-        flags = flag_categories(ParentalGroup.MARRIED, 2010, Scenario.S1)
-        assert flags[D] is GeneralizabilityFlag.UNDERESTIMATE
-        assert flags[E] is GeneralizabilityFlag.UNAVAILABLE
-        assert flags[F] is GeneralizabilityFlag.UNAVAILABLE
-        assert flags[A] is GeneralizabilityFlag.ACCURATE
+    """Flags from `classify`: the shipped rules' cells, then any thresholds at all."""
 
-    def test_single_pre_2018_s1(self):
-        flags = flag_categories(ParentalGroup.SINGLE_FATHER, 2010, Scenario.S1)
-        assert all(flags[c] is GeneralizabilityFlag.ACCURATE for c in (A, B, C, D, E))
-        assert flags[F] is GeneralizabilityFlag.UNDERESTIMATE
+    ACC = GeneralizabilityFlag.ACCURATE
+    UNDER = GeneralizabilityFlag.UNDERESTIMATE
+    UNAVAIL = GeneralizabilityFlag.UNAVAILABLE
 
-    def test_single_pre_2018_s2(self):
-        flags = flag_categories(ParentalGroup.SINGLE_MOTHER, 2010, Scenario.S2)
-        assert flags[D] is GeneralizabilityFlag.ACCURATE
-        assert flags[E] is GeneralizabilityFlag.UNDERESTIMATE
-        assert flags[F] is GeneralizabilityFlag.UNAVAILABLE
+    @staticmethod
+    def _flags(pop, params_by_year, group, year, scenario):
+        ts = thresholds(profile_for(pop, group, scenario, year), params_by_year[year])
+        return classify(pop, year, group, ts, scenario).flags
 
-    def test_single_2018(self):
-        flags = flag_categories(ParentalGroup.SINGLE_MOTHER, 2018, Scenario.S1)
-        assert flags[D] is GeneralizabilityFlag.UNDERESTIMATE
-        assert flags[E] is GeneralizabilityFlag.UNAVAILABLE
-        assert flags[F] is GeneralizabilityFlag.UNAVAILABLE
+    def test_married_pre_2018(self, pop, params_by_year):
+        flags = self._flags(pop, params_by_year, ParentalGroup.MARRIED, 2010, Scenario.S1)
+        assert flags[D] is self.UNDER
+        assert flags[E] is self.UNAVAIL
+        assert flags[F] is self.UNAVAIL
+        assert flags[A] is self.ACC
 
-    def test_married_2018(self):
-        flags = flag_categories(ParentalGroup.MARRIED, 2018, Scenario.S2)
-        assert flags[D] is GeneralizabilityFlag.UNAVAILABLE
+    def test_single_pre_2018_s1(self, pop, params_by_year):
+        flags = self._flags(pop, params_by_year, ParentalGroup.SINGLE_FATHER, 2010, Scenario.S1)
+        assert all(flags[c] is self.ACC for c in (A, B, C, D, E))
+        assert flags[F] is self.UNDER
+
+    def test_single_pre_2018_s2(self, pop, params_by_year):
+        flags = self._flags(pop, params_by_year, ParentalGroup.SINGLE_MOTHER, 2010, Scenario.S2)
+        assert flags[D] is self.ACC
+        assert flags[E] is self.UNDER
+        assert flags[F] is self.UNAVAIL
+
+    def test_single_2018(self, pop, params_by_year):
+        flags = self._flags(pop, params_by_year, ParentalGroup.SINGLE_MOTHER, 2018, Scenario.S1)
+        assert flags[D] is self.UNDER
+        assert flags[E] is self.UNAVAIL
+        assert flags[F] is self.UNAVAIL
+
+    def test_married_2018(self, pop, params_by_year):
+        flags = self._flags(pop, params_by_year, ParentalGroup.MARRIED, 2018, Scenario.S2)
+        assert flags[D] is self.UNAVAIL
+
+    @pytest.mark.parametrize("start,hi,flag", [
+        # d covers [80,000, 160,000): exactly a quarter of it lies below the ceiling.
+        (159_000, 160_000, GeneralizabilityFlag.UNDERESTIMATE),
+        # d covers [80,000, 162,500): less than a quarter does.
+        (162_000, 162_500, GeneralizabilityFlag.UNAVAILABLE),
+    ])
+    def test_a_category_mostly_past_the_ceiling_is_unavailable(self, pop, start, hi, flag):
+        ts = make_thresholds(ctc=80_000, start=start, end=200_000)
+        for scenario in Scenario:
+            assert category_cuts(ts, scenario.rule)[2:4] == [80_000, hi]
+            assert classify(pop, 2018, ParentalGroup.MARRIED, ts, scenario).flags[D] is flag
+
+    @given(ts=ordered_thresholds(), scenario=st.sampled_from(list(Scenario)))
+    @example(ts=make_thresholds(ctc=80_000, start=159_000, end=200_000), scenario=Scenario.S1)
+    @settings(max_examples=250, deadline=None)
+    def test_no_category_reaching_past_the_ceiling_is_accurate(self, pop, ts, scenario):
+        flags = classify(pop, 2018, ParentalGroup.MARRIED, ts, scenario).flags
+        edges = [0, *category_cuts(ts, scenario.rule)]
+        for cat, lo, hi in zip(CATEGORY_ORDER, edges, [*edges[1:], None]):  # f: no upper end
+            if lo >= INCOME_CEILING:
+                assert flags[cat] is self.UNAVAIL, cat
+            if hi is None or hi > INCOME_CEILING:
+                assert flags[cat] is not self.ACC, cat
 
 
 class TestCombine:

@@ -103,6 +103,31 @@ class TestClassify:
         rows = json.loads(out)
         assert {r["category"] for r in rows} == set("abcdef")
 
+    @pytest.mark.parametrize("year,status,start,group,scenario,want", [
+        # d runs past the ceiling to $152,500 (s1); e and f start above it.
+        (2010, "head_of_household", 150_000, "single_father", "s1",
+         "underestimate unavailable unavailable"),
+        (2010, "head_of_household", 150_000, "single_father", "s2",
+         "underestimate unavailable unavailable"),
+        # d ends at $62,500 (s1), wholly inside the data; f starts at the ceiling in s1.
+        (2018, "married_joint", 60_000, "married", "s1", "accurate accurate unavailable"),
+        (2018, "married_joint", 60_000, "married", "s2", "accurate underestimate unavailable"),
+    ])
+    def test_flags_follow_the_rules_given(self, capsys, tmp_path, year, status, start, group,
+                                          scenario, want):
+        records = json.loads((DATA / "params.json").read_text())
+        for record in records:
+            if (record["year"], record["filing_status"]) == (year, status):
+                record["phaseout_start"] = start
+        params = tmp_path / "params.json"
+        params.write_text(json.dumps(records))
+        code, out = run_cli(capsys, "classify", "--params", str(params), "--year", str(year),
+                            "--group", group, "--scenario", scenario)
+        assert code == 0
+        flags = {r["category"]: r["flag"] for r in parse_csv(out)}
+        assert " ".join(flags[c] for c in "def") == want
+        assert set(flags[c] for c in "abc") == {"accurate"}
+
 
 class TestAnalyses:
     def test_piecemeal_shape(self, capsys):
@@ -694,6 +719,12 @@ class TestBadInput:
 
     def test_did_outcome_checked_like_regress(self, capsys):
         line = self.assert_one_line_error(capsys, "did", "--outcome", "c,,d")
+        assert line == "error: unknown outcome ''"
+
+    @pytest.mark.parametrize("command", ["regress", "did"])
+    def test_empty_outcome_is_an_unknown_outcome(self, capsys, command):
+        # Like an empty --years or --credits: '' names no outcome, it does not ask for the default.
+        line = self.assert_one_line_error(capsys, command, "--outcome", "")
         assert line == "error: unknown outcome ''"
 
     @pytest.mark.parametrize("command", ["classify", "report", "regress"])

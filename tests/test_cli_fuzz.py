@@ -34,7 +34,7 @@ VALUES = {
     "--years": ["2017", "2016:2018", "2017:2018", "2018:2017", "abc", "1999:2001", "2017:", ""],
     "--year": ["2017", "2018", "2009", "1999", "abc"],
     "--credits": ["500:3600:500", "1000,2000", "-100", "1:x", "0:0:0", "3600:500:100", ""],
-    "--outcome": ["d", "cd,bc", "c,d,e", "z", "a,,b"],
+    "--outcome": ["d", "cd,bc", "c,d,e", "z", "a,,b", ""],
     "--new-ctc": ["2000", "3000", "1000", "0", "abc"],
     "--post-year": ["2018", "2017", "2003", "2030"],
     "--pop-year": ["2018", "1999"],
