@@ -138,9 +138,7 @@ def count_between(cum: Sequence[int], lo: int, hi: int) -> int:
 def assign_bins(cum: Sequence[int], thresholds: ThresholdSet,
                 rule: BoundRule) -> dict[ReliefCategory, int]:
     """Total count per category of cell `cum`; conserves the population exactly."""
-    edges = [0, *category_cuts(thresholds, rule), INCOME_CEILING]
-    return {cat: count_between(cum, lo, hi)
-            for cat, lo, hi in zip(CATEGORY_ORDER, edges, edges[1:])}
+    return _read_cuts(cum, category_cuts(thresholds, rule))[0]
 
 
 def _flag(lo: int, hi: int | None) -> GeneralizabilityFlag:
@@ -152,14 +150,18 @@ def _flag(lo: int, hi: int | None) -> GeneralizabilityFlag:
     return GeneralizabilityFlag.ACCURATE
 
 
-def classify(pop: PopulationTable, year: int, group: ParentalGroup, thresholds: ThresholdSet,
-             scenario: Scenario) -> EligibilityEstimate:
-    """Classify one (year, group) population under `thresholds` and the scenario's bound rule;
-    the counts and the flags read the same edges."""
-    cum = pop.cumulative(year, group)
-    edges = [0, *category_cuts(thresholds, scenario.rule), None]
+def _read_cuts(cum: Sequence[int], cuts: Sequence[int]) -> tuple[dict, dict]:
+    """Counts and flags of cell `cum` per category, both read from the edges [0, *cuts, None]."""
+    edges = [0, *cuts, None]
     counts, flags = {}, {}
     for cat, lo, hi in zip(CATEGORY_ORDER, edges, edges[1:]):
         counts[cat] = count_between(cum, lo, INCOME_CEILING if hi is None else hi)
         flags[cat] = _flag(lo, hi)
-    return EligibilityEstimate(counts, flags)
+    return counts, flags
+
+
+def classify(pop: PopulationTable, year: int, group: ParentalGroup, thresholds: ThresholdSet,
+             scenario: Scenario) -> EligibilityEstimate:
+    """Classify one (year, group) population under `thresholds` and the scenario's bound rule."""
+    return EligibilityEstimate(*_read_cuts(pop.cumulative(year, group),
+                                           category_cuts(thresholds, scenario.rule)))

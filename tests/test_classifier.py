@@ -381,6 +381,9 @@ class TestFlags:
                 assert flags[cat] is self.UNAVAIL, cat
             if hi is None or hi > INCOME_CEILING:
                 assert flags[cat] is not self.ACC, cat
+            # A quarter or more of a bounded range inside, as the example's d: underestimate.
+            if hi is not None and lo < INCOME_CEILING < hi and 4 * (INCOME_CEILING - lo) >= hi - lo:
+                assert flags[cat] is self.UNDER, cat
 
 
 class TestCombine:
