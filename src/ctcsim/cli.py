@@ -28,7 +28,7 @@ from .classifier import CATEGORY_ORDER, ReliefCategory, Scenario
 from .errors import CtcsimError, MissingYear, ParseError, ValidationError
 from .memo import command_scope
 from .money import format_money
-from .params import ParentalGroup, load_params, params_for_year
+from .params import ParentalGroup, load_params, params_for_year, read_json
 from .population import load_population
 from .stats import build_panel, did, fixed_effects
 from .taxmath import LiabilityMode, thresholds
@@ -52,10 +52,6 @@ SHARED = {
     "out": {"help": "write output to this path instead of stdout"},
     "config": {"help": "JSON run-config file; flags take precedence"},
 }
-
-
-def _data_dir() -> Path:
-    return Path(os.environ.get("CTCSIM_DATA_DIR", "data"))
 
 
 def _ints(parts: list[str], what: str, text: str) -> list[int]:
@@ -85,22 +81,21 @@ def _parse_credits(text: str) -> list[int]:
 
 def _load_config(path: str) -> dict:
     """A run-config file: a JSON object of shared options, each a string as on the command line."""
-    with open(path, "r", encoding="utf-8") as fh:
-        try:
-            config = json.load(fh)
-        except ValueError as exc:  # also an integer past the interpreter's digit limit
-            raise ParseError(f"{path}: invalid JSON: {exc}") from exc
-    if not isinstance(config, dict):
-        raise ParseError(f"{path}: expected a JSON object")
-    for name, value in config.items():
-        if name not in SHARED or name == "config":
-            raise ValidationError(f"{path}: unknown config key {name!r}")
-        if not isinstance(value, str):
-            raise ValidationError(f"{path}: config {name!r} must be a string, not {value!r}")
-        choices = SHARED[name].get("choices")
-        if choices and value not in choices:
-            raise ValidationError(
-                f"{path}: config {name!r} must be one of {', '.join(choices)}, not {value!r}")
+    try:
+        config = read_json(path)
+        if not isinstance(config, dict):
+            raise ParseError("expected a JSON object")
+        for name, value in config.items():
+            if name not in SHARED or name == "config":
+                raise ValidationError(f"unknown config key {name!r}")
+            if not isinstance(value, str):
+                raise ValidationError(f"config {name!r} must be a string, not {value!r}")
+            choices = SHARED[name].get("choices")
+            if choices and value not in choices:
+                raise ValidationError(
+                    f"config {name!r} must be one of {', '.join(choices)}, not {value!r}")
+    except CtcsimError as exc:
+        raise type(exc)(f"{path}: {exc}") from None
     return config
 
 
@@ -137,7 +132,7 @@ class Run:
         # The shared flags given override the config file, which overrides the defaults.
         opts = {**config, **{name: value for name in SHARED
                              if (value := getattr(args, name)) is not None}}
-        data = _data_dir()
+        data = Path(os.environ.get("CTCSIM_DATA_DIR", "data"))
         self.params_path = Path(opts.get("params", data / "params.json"))
         self.population_path = Path(opts.get("population", data / "population.csv"))
         self.children_path = Path(opts.get("children", data / "children.csv"))

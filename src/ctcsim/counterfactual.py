@@ -204,7 +204,10 @@ class PricedOutResult(Record):
 
 
 def priced_out_refusal(params: ProgramParameters, new_ctc) -> str | None:
-    """Why `priced_out` refuses baseline rules `params` and a raise to `new_ctc`, else None."""
+    """Why `priced_out` refuses baseline rules `params` and a raise to `new_ctc`, else None.
+    A `new_ctc` that is not positive is no credit under any rules: a ValidationError."""
+    if new_ctc <= 0:
+        raise ValidationError(f"new credit maximum must be positive, not {new_ctc}")
     if params.actc_per_child != params.ctc_per_child:
         return "priced-out baseline requires parity parameters"
     if new_ctc <= params.ctc_per_child:

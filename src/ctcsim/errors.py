@@ -26,7 +26,7 @@ class OrderingViolation(CtcsimError):
 
 
 class GapError(ParseError):
-    """Income bins are not contiguous."""
+    """A cell lacks an income bin, or the years are not contiguous."""
 
 
 class NegativeCount(ValidationError):

@@ -23,7 +23,7 @@ from fractions import Fraction
 from pathlib import Path
 from typing import Iterable, Mapping, Sequence, Union
 
-from .errors import MissingYear, ParseError, ValidationError
+from .errors import CtcsimError, MissingYear, ParseError, ValidationError
 from .money import as_money, as_rate, parse_decimal
 from .record import Record, replace
 
@@ -197,9 +197,7 @@ def _brackets(raw, name: str) -> BracketSchedule:
         if b.upper is not None:
             if b.upper <= prev_upper:
                 raise ValidationError("bracket upper bounds must be strictly increasing")
-            if b.upper.numerator > MAX_MONEY * b.upper.denominator:
-                raise ValidationError(f"bracket upper bound above {MAX_MONEY:,}")
-            prev_upper = b.upper
+            prev_upper = _money(b.upper, "bracket upper bound")
         if not (0 <= b.rate <= 1):
             raise ValidationError("bracket rate outside [0, 1]")
         if b.rate and _below_min_rate(b.rate):
@@ -227,13 +225,13 @@ def _parse(parse, name: str, value, label: str):
 
 
 def _field(rec: Mapping, name: str, parse, label: str):
-    """`rec[name]` parsed; a missing or malformed value is a ParseError naming the field."""
+    """`rec[name]` parsed, `label` before the message of a missing or malformed value too."""
     if name not in rec:
-        raise ParseError(f"missing field {name!r}")
+        raise ParseError(f"{label}: missing field {name!r}")
     try:
         return _parse(parse, name, rec[name], label)
     except (TypeError, ValueError) as exc:
-        raise ParseError(f"bad field {name!r}: {exc}") from None
+        raise ParseError(f"{label}: bad field {name!r}: {exc}") from None
 
 
 def _check_credit_order(params: ProgramParameters) -> None:
@@ -242,39 +240,51 @@ def _check_credit_order(params: ProgramParameters) -> None:
         raise ValidationError(f"year {params.year}: actc_per_child exceeds ctc_per_child")
 
 
+def _unique_keys(pairs: list[tuple[str, object]]) -> dict:
+    """A JSON object from its pairs; a key given twice is a ParseError naming it."""
+    if len(obj := dict(pairs)) < len(pairs):  # dict() kept one value of a repeated key
+        keys = [key for key, _ in pairs]
+        raise ParseError(f"duplicate key {next(k for i, k in enumerate(keys) if k in keys[:i])!r}")
+    return obj
+
+
+def read_json(path: str | Path, parse_float=float):
+    """The JSON document in `path`, each object's keys distinct, else a ParseError."""
+    with open(path, "r", encoding="utf-8") as fh:
+        try:
+            return json.load(fh, parse_float=parse_float, object_pairs_hook=_unique_keys)
+        except ValueError as exc:  # also an integer past the interpreter's digit limit
+            raise ParseError(f"invalid JSON: {exc}") from exc
+
+
 def load_params(path: str | Path) -> dict[int, ProgramParameters]:
     """Load a parameter file, each field checked as it is parsed and each year's
-    actc_per_child against its ctc_per_child; returns {year: ProgramParameters}."""
+    actc_per_child against its ctc_per_child; returns {year: ProgramParameters}.
+    Every error's message starts with the file's path."""
     path = Path(path)
     try:
-        with path.open("r", encoding="utf-8") as fh:
-            raw = json.load(fh, parse_float=parse_decimal)
-    except ValueError as exc:  # also an integer past the interpreter's digit limit
-        raise ParseError(f"{path}: invalid JSON: {exc}") from exc
-    if not isinstance(raw, list) or not raw:
-        raise ParseError(f"{path}: expected a non-empty top-level array of year records")
+        raw = read_json(path, parse_decimal)
+        if not isinstance(raw, list) or not raw:
+            raise ParseError("expected a non-empty top-level array of year records")
+        by_year: dict[int, dict[FilingStatus, Mapping]] = {}
+        for rec in raw:
+            try:
+                year, status = rec["year"], FilingStatus(rec["filing_status"])
+            except (KeyError, TypeError, ValueError) as exc:
+                raise ParseError(f"bad record header: {exc}") from exc
+            if type(year) is not int:
+                raise ParseError(f"year {year!r} is not an integer")
+            slot = by_year.setdefault(year, {})
+            if status in slot:
+                raise ParseError(f"duplicate record for year {year} {status.value}")
+            slot[status] = rec
 
-    by_year: dict[int, dict[FilingStatus, Mapping]] = {}
-    for rec in raw:
-        try:
-            year = rec["year"]
-            status = FilingStatus(rec["filing_status"])
-        except (KeyError, TypeError, ValueError) as exc:
-            raise ParseError(f"{path}: bad record header: {exc}") from exc
-        if type(year) is not int:
-            raise ParseError(f"{path}: year {year!r} is not an integer")
-        slot = by_year.setdefault(year, {})
-        if status in slot:
-            raise ParseError(f"{path}: duplicate record for year {year} {status.value}")
-        slot[status] = rec
-
-    out: dict[int, ProgramParameters] = {}
-    for year in sorted(by_year):
-        recs = by_year[year]
-        if set(recs) != set(FilingStatus):
-            raise ValidationError(f"year {year}: both filing statuses required")
-        shared = {}
-        try:
+        out: dict[int, ProgramParameters] = {}
+        for year in sorted(by_year):
+            recs = by_year[year]
+            if set(recs) != set(FilingStatus):
+                raise ValidationError(f"year {year}: both filing statuses required")
+            shared = {}
             for field, parse in _SHARED_FIELDS.items():
                 values = {_field(rec, field, parse, f"year {year}") for rec in recs.values()}
                 if len(values) != 1:
@@ -284,11 +294,11 @@ def load_params(path: str | Path) -> dict[int, ProgramParameters]:
             filing = {s.value: FilingParams(**{
                 name: _field(recs[s], name, parse, f"year {year} {s.value}")
                 for name, parse in _STATUS_FIELDS.items()}) for s in FilingStatus}
-        except ParseError as exc:
-            raise ParseError(f"{path}: year {year}: {exc}") from None
-        out[year] = ProgramParameters(year=year, **filing, **shared)
-        _check_credit_order(out[year])
-    return out
+            out[year] = ProgramParameters(year=year, **filing, **shared)
+            _check_credit_order(out[year])
+        return out
+    except CtcsimError as exc:
+        raise type(exc)(f"{path}: {exc}") from None
 
 
 def params_for_year(params_by_year: Mapping[int, ProgramParameters], year: int) -> ProgramParameters:

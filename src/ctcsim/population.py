@@ -78,16 +78,16 @@ def _int_field(raw: str, field: str) -> int:
 
 
 def _read_cells(path: Path, header: list[str], parse: Callable) -> dict:
-    """A CSV file with `header` as {(year, group): {key: value}}, the fields after year and
-    group checked and keyed by ``parse(*fields)``. An error names the file and line; a key
-    repeated in a (year, group) names both lines."""
+    """A CSV file with `header` as {(year, group): {key: count}}, each row's other fields read
+    by ``parse(*fields)`` as its key and a count, which may not be negative. An error names
+    the file and line; a key repeated in a (year, group) names both lines."""
     data = path.read_bytes()
     try:
         data.decode("utf-8")  # whole, so an error's position is the file offset
     except UnicodeDecodeError as exc:
         line = data.count(b"\n", 0, exc.start) + 1
         raise ParseError(f"{path}:{line}: {exc}") from None
-    cells: dict = {}  # (year, group name) -> key -> (value, line)
+    cells: dict = {}  # (year, group name) -> key -> (count, line)
     # Parsed from a chunked decoder: a StringIO of the whole text would hold 4 bytes a character.
     reader = csv.reader(io.TextIOWrapper(io.BytesIO(data), encoding="utf-8", newline=""))
     try:
@@ -104,15 +104,17 @@ def _read_cells(path: Path, header: list[str], parse: Callable) -> dict:
                 if group not in _GROUPS:
                     raise ParseError(f"unknown group {group!r}")
                 cell = cells.setdefault((year, group), {})  # a str hashes in C, a member does not
-                key, value = parse(*fields)
+                key, count = parse(*fields)
+                if count < 0:
+                    raise NegativeCount(f"negative count {count}")
                 if key in cell:
                     raise ParseError(f"duplicate row, first seen on line {cell[key][1]}")
             except (ParseError, NegativeCount) as exc:
                 raise type(exc)(f"{path}:{reader.line_num}: {exc}") from None
-            cell[key] = value, reader.line_num
+            cell[key] = count, reader.line_num
     except csv.Error as exc:
         raise ParseError(f"{path}:{reader.line_num}: {exc}") from None
-    return {(year, _GROUPS[group]): {key: value for key, (value, _) in cell.items()}
+    return {(year, _GROUPS[group]): {key: count for key, (count, _) in cell.items()}
             for (year, group), cell in cells.items()}
 
 
@@ -122,12 +124,9 @@ def _income_bin(lower: str, upper: str, count: str) -> tuple[int, int]:
     except ValueError:  # name the first field that is not an integer
         for raw, field in ((lower, "bin_lower"), (upper, "bin_upper"), (count, "count")):
             _int_field(raw, field)
-    if count < 0:
-        raise NegativeCount(f"negative count {count}")
-    if upper - lower != BIN_WIDTH:
-        raise ParseError(f"bin width must be {BIN_WIDTH}")
-    if lower < 0 or upper > INCOME_CEILING:
-        raise ParseError(f"bins must lie within [0, {INCOME_CEILING})")
+    if lower % BIN_WIDTH or upper != lower + BIN_WIDTH or not 0 <= lower < INCOME_CEILING:
+        raise ParseError(f"bin must be {BIN_WIDTH} wide, start on a multiple of {BIN_WIDTH} "
+                         f"and end by {INCOME_CEILING}")
     return lower, count
 
 
@@ -135,35 +134,27 @@ def _children_count(key: str, count: str) -> tuple[str, int]:
     key = key.strip()
     if key not in CHILDREN_KEYS:
         raise ParseError(f"children must be one of {CHILDREN_KEYS}")
-    count = _int_field(count, "count")
-    if count < 0:
-        raise NegativeCount(f"negative count {count}")
-    return key, count
+    return key, _int_field(count, "count")
 
 
 def load_population(path: str | Path, children_path: str | Path | None = None) -> PopulationTable:
-    """Load bin counts (and optionally children histograms) from CSV files."""
-    rows = _read_cells(Path(path), ["year", "group", "bin_lower", "bin_upper", "count"],
-                       _income_bin)
+    """Load bin counts (and optionally children histograms) from CSV files. Each cell must
+    hold all BINS bins; an error about a cell or the years names the file."""
+    path = Path(path)
+    rows = _read_cells(path, ["year", "group", "bin_lower", "bin_upper", "count"], _income_bin)
     counts: dict[tuple[int, ParentalGroup], list[int]] = {}
-    for key, by_lower in rows.items():
-        lowers = sorted(by_lower)
-        expected_lower = 0
-        for lower in lowers:
-            if lower != expected_lower:
-                raise GapError(f"year {key[0]} {key[1].value}: expected bin starting at "
-                               f"{expected_lower}, got {lower}")
-            expected_lower = lower + BIN_WIDTH
-        if expected_lower != INCOME_CEILING:
-            raise GapError(f"year {key[0]} {key[1].value}: bins stop at {expected_lower}, "
-                           f"expected {INCOME_CEILING}")
-        counts[key] = [by_lower[lower] for lower in lowers]
-        if not any(counts[key]):
-            raise EmptyGroup(f"year {key[0]} {key[1].value}: population has zero total")
+    for (year, group), by_lower in rows.items():
+        where = f"{path}: year {year} {group.value}"
+        try:
+            counts[year, group] = [by_lower[lower] for lower in range(0, INCOME_CEILING, BIN_WIDTH)]
+        except KeyError as exc:
+            raise GapError(f"{where}: no bin starting at {exc.args[0]}") from None
+        if not any(counts[year, group]):
+            raise EmptyGroup(f"{where}: population has zero total")
 
     years = sorted({year for year, _ in counts})
     if years and years[-1] - years[0] + 1 != len(years):
-        raise GapError(f"years are not contiguous: {years}")
+        raise GapError(f"{path}: years are not contiguous: {years}")
 
     children = (_read_cells(Path(children_path), ["year", "group", "children", "count"],
                             _children_count) if children_path else {})

@@ -322,8 +322,10 @@ def count_between_reference(counts, lo: int, hi: int) -> int:
 def load_population_reference(path, children_path=None):
     """The population loader before it moved to ``csv.reader``, kept as its reference.
 
-    It numbers records, not lines, and drops the fields past a row's header
-    width; on any other input the two loaders agree.
+    Each row's bin is checked as it is read, and a cell is complete when every
+    one of its bins' lower edges is present. It numbers records, not lines, and
+    drops the fields past a row's header width; on any other input the two
+    loaders agree.
     """
     import csv
     from pathlib import Path
@@ -367,17 +369,16 @@ def load_population_reference(path, children_path=None):
                 cell[key] = value, lineno
         return {k: {key: value for key, (value, _) in cell.items()} for k, cell in cells.items()}
 
-    def _income_bin(row: Mapping[str, str], where: str) -> tuple[int, tuple[int, int, int]]:
+    def _income_bin(row: Mapping[str, str], where: str) -> tuple[int, int]:
         lower = _int_field(row, "bin_lower", where)
         upper = _int_field(row, "bin_upper", where)
         count = _int_field(row, "count", where)
+        if upper - lower != BIN_WIDTH or lower % BIN_WIDTH or lower < 0 or upper > INCOME_CEILING:
+            raise ParseError(f"{where}: bin must be {BIN_WIDTH} wide, start on a multiple of "
+                             f"{BIN_WIDTH} and end by {INCOME_CEILING}")
         if count < 0:
             raise NegativeCount(f"{where}: negative count {count}")
-        if upper - lower != BIN_WIDTH:
-            raise ParseError(f"{where}: bin width must be {BIN_WIDTH}")
-        if lower < 0 or upper > INCOME_CEILING:
-            raise ParseError(f"{where}: bins must lie within [0, {INCOME_CEILING})")
-        return lower, (lower, upper, count)
+        return lower, count
 
     def _children_count(row: Mapping[str, str], where: str) -> tuple[str, int]:
         key = (row.get("children") or "").strip()
@@ -388,29 +389,21 @@ def load_population_reference(path, children_path=None):
             raise NegativeCount(f"{where}: negative count {count}")
         return key, count
 
-    rows = _read_cells(Path(path), ["year", "group", "bin_lower", "bin_upper", "count"],
-                       _income_bin)
+    path = Path(path)
+    rows = _read_cells(path, ["year", "group", "bin_lower", "bin_upper", "count"], _income_bin)
     bins: dict[tuple[int, ParentalGroup], list[int]] = {}
     for key, by_lower in rows.items():
-        seq = sorted(by_lower.values())
-        expected_lower = 0
-        for lower, upper, _ in seq:
-            if lower != expected_lower:
-                raise GapError(
-                    f"year {key[0]} {key[1].value}: expected bin starting at {expected_lower}, got {lower}"
-                )
-            expected_lower = upper
-        if expected_lower != INCOME_CEILING:
-            raise GapError(
-                f"year {key[0]} {key[1].value}: bins stop at {expected_lower}, expected {INCOME_CEILING}"
-            )
-        if not any(count for _, _, count in seq):
-            raise EmptyGroup(f"year {key[0]} {key[1].value}: population has zero total")
-        bins[key] = [count for _, _, count in seq]
+        where = f"{path}: year {key[0]} {key[1].value}"
+        for lower in range(0, INCOME_CEILING, BIN_WIDTH):
+            if lower not in by_lower:
+                raise GapError(f"{where}: no bin starting at {lower}")
+        bins[key] = [by_lower[lower] for lower in range(0, INCOME_CEILING, BIN_WIDTH)]
+        if sum(bins[key]) == 0:
+            raise EmptyGroup(f"{where}: population has zero total")
 
     years = sorted({year for year, _ in bins})
     if years and years[-1] - years[0] + 1 != len(years):
-        raise GapError(f"years are not contiguous: {years}")
+        raise GapError(f"{path}: years are not contiguous: {years}")
 
     children = (_read_cells(Path(children_path), ["year", "group", "children", "count"],
                             _children_count) if children_path else {})

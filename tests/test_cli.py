@@ -4,6 +4,7 @@ import io
 import json
 import math
 import os
+import re
 import stat
 import subprocess
 import sys
@@ -306,6 +307,15 @@ class TestAnalyses:
         assert main(["priced-out", "--year", "2010"]) == 1
         assert capsys.readouterr().err == "error: no baseline in 2010\n"
 
+    @pytest.mark.parametrize("new_ctc", ["-5", "0"])
+    @pytest.mark.parametrize("year", [[], ["--year", "2010"]], ids=["scan", "year"])
+    def test_priced_out_new_credit_not_positive(self, capsys, new_ctc, year):
+        # No year's rules make a credit of 0 a raise: the scan too ends with the error.
+        assert main(["priced-out", "--new-ctc", new_ctc, *year]) == 1
+        captured = capsys.readouterr()
+        assert (captured.out, captured.err) == (
+            "", f"error: new credit maximum must be positive, not {new_ctc}\n")
+
     def test_priced_out_scan_below_every_credit_gives_no_rows(self, capsys):
         # Every parity year's credit is 1000, so a raise to 800 is no raise.
         code, out = run_cli(capsys, "priced-out", "--new-ctc", "800")
@@ -538,6 +548,70 @@ NAMES_ITS_YEAR = [["sweep", "--year", "2017"], ["parity", "--year", "2017"],
                   ["classify", "--year", "2017"], ["eliminate-refund", "--year", "2017"]]
 
 
+def _records(edit):
+    """A text edit of a parameter file: `edit` applied to its list of records."""
+    def apply(text):
+        records = json.loads(text)
+        edit(records)
+        return json.dumps(records, indent=2)
+    return apply
+
+
+def _record(records, year, status):
+    return next(r for r in records if (r["year"], r["filing_status"]) == (year, status))
+
+
+def _rows(pattern, replacement=None):
+    """A text edit of a CSV file: each whole line matching `pattern` replaced, or dropped."""
+    new = "" if replacement is None else replacement + "\n"
+    return lambda text: re.sub(f"^{pattern}\n", new, text, flags=re.M)
+
+
+BIN_RULE = "bin must be 2500 wide, start on a multiple of 2500 and end by 100000"
+
+# A fault in an input file, as (flag, file name, edit of the shipped file's text, what
+# follows the path on the error line): each names the file, whether it is found in a row,
+# a record, a (year, group) cell or across years.
+FILE_FAULTS = {
+    "negative-money": ("--params", "params.json", _records(
+        lambda rs: _record(rs, 2003, "married_joint").update(standard_deduction=-1)),
+        ": year 2003 married_joint: standard_deduction negative"),
+    "one-status": ("--params", "params.json", _records(
+        lambda rs: rs.remove(_record(rs, 2005, "head_of_household"))),
+        ": year 2005: both filing statuses required"),
+    "statuses-differ": ("--params", "params.json", _records(
+        lambda rs: _record(rs, 2005, "head_of_household").update(refund_rate=0.2)),
+        ": year 2005: field 'refund_rate' differs across filing statuses"),
+    "malformed-field": ("--params", "params.json", _records(
+        lambda rs: _record(rs, 2003, "married_joint").update(standard_deduction="9500")),
+        ": year 2003 married_joint: bad field 'standard_deduction': "
+        "money must be int or Fraction, got str"),
+    "actc-above-ctc": ("--params", "params.json", _records(
+        lambda rs: [r.update(actc_per_child=1500) for r in rs if r["year"] == 2003]),
+        ": year 2003: actc_per_child exceeds ctc_per_child"),
+    "open-bracket-first": ("--params", "params.json", _records(
+        lambda rs: _record(rs, 2003, "married_joint")["brackets"][0].pop("upper")),
+        ": year 2003 married_joint: only the last bracket may omit its upper bound"),
+    "duplicate-record-key": ("--params", "params.json",
+        lambda text: text.replace('"refund_rate": ', '"refund_rate": 0.5, "refund_rate": ', 1),
+        ": duplicate key 'refund_rate'"),
+    "duplicate-bracket-key": ("--params", "params.json",
+        lambda text: text.replace('"rate": ', '"rate": 0.5, "rate": ', 1),
+        ": duplicate key 'rate'"),
+    "duplicate-config-key": ("--config", "run.json",
+        lambda text: '{"scenario": "s2", "scenario": "s1"}', ": duplicate key 'scenario'"),
+    "misaligned-bin": ("--population", "population.csv",
+        _rows(r"2003,married,2500,5000,\d+", "2003,married,1000,3500,5"), f":3: {BIN_RULE}"),
+    "missing-bin": ("--population", "population.csv", _rows(r"2003,married,2500,5000,\d+"),
+        ": year 2003 married: no bin starting at 2500"),
+    "zero-total": ("--population", "population.csv",
+        _rows(r"(2010,single_father,\d+,\d+),\d+", r"\1,0"),
+        ": year 2010 single_father: population has zero total"),
+    "year-gap": ("--population", "population.csv", _rows(r"2010,.*"),
+        f": years are not contiguous: {[y for y in range(2003, 2019) if y != 2010]}"),
+}
+
+
 class TestBadInput:
     """Each bad input ends with exit code 1 and one `error:` line, not a traceback."""
 
@@ -674,7 +748,7 @@ class TestBadInput:
         params = tmp_path / "params.json"
         params.write_text(json.dumps(records).replace('"<literal>"', "1e4300"))
         line = self.assert_one_line_error(capsys, command, "--params", str(params))
-        assert line == f"error: {label}: {field} above 1,000,000,000,000"
+        assert line == f"error: {params}: {label}: {field} above 1,000,000,000,000"
 
     @pytest.mark.parametrize("argv, field, literal, message", [
         (["thresholds", "--year", "2018"], "phaseout_rate", "1e-4300",
@@ -706,7 +780,7 @@ class TestBadInput:
         params = tmp_path / "params.json"
         params.write_text(json.dumps(records).replace('"<literal>"', literal))
         line = self.assert_one_line_error(capsys, *argv, "--params", str(params))
-        assert line == f"error: {message}"
+        assert line == f"error: {params}: {message}"
 
     def test_oversized_integer_in_config(self, capsys, tmp_path):
         config = self.config(tmp_path, '{"years": ' + "9" * 4301 + "}")
@@ -727,11 +801,21 @@ class TestBadInput:
         line = self.assert_one_line_error(capsys, command, "--outcome", "")
         assert line == "error: unknown outcome ''"
 
+    @pytest.mark.parametrize("fault", FILE_FAULTS)
+    def test_file_fault_names_the_file(self, capsys, tmp_path, fault):
+        flag, name, edit, rest = FILE_FAULTS[fault]
+        shipped = DATA / name
+        path = tmp_path / name
+        path.write_text(edit(shipped.read_text() if shipped.exists() else ""))
+        line = self.assert_one_line_error(capsys, "classify", flag, str(path))
+        assert line == f"error: {path}{rest}"
+
     @pytest.mark.parametrize("command", ["classify", "report", "regress"])
     def test_population_group_with_zero_total(self, capsys, bad_populations, command):
         line = self.assert_one_line_error(
             capsys, command, "--population", str(bad_populations["zero_group"]))
-        assert line.endswith("year 2010 single_father: population has zero total")
+        assert line == (f"error: {bad_populations['zero_group']}: "
+                        "year 2010 single_father: population has zero total")
 
     @pytest.mark.parametrize("flag, name, prefix", [
         ("--population", "population.csv", "2003,married,2500,"),
@@ -781,37 +865,38 @@ class TestBadInput:
         assert line == (f"error: {path}:{where}'utf-8' codec can't decode byte 0xc0 "
                         f"in position {offset}: invalid start byte")
 
-    @pytest.mark.parametrize("edit", [
-        lambda r: r.update(standard_deduction="9500"),
-        lambda r: r.update(standard_deduction=float("nan")),
-        lambda r: r["brackets"][0].update(rate="abc"),
-        lambda r: r.update(refund_rate="x"),
-        lambda r: r.update(brackets=5),
-        lambda r: r.update(brackets=[5]),
-        lambda r: r["brackets"][0].update(upper="14000"),
-        lambda r: r["brackets"][0].pop("rate"),
+    @pytest.mark.parametrize("edit, label", [
+        (lambda r: r.update(standard_deduction="9500"), "year 2003 married_joint"),
+        (lambda r: r.update(standard_deduction=float("nan")), "year 2003 married_joint"),
+        (lambda r: r["brackets"][0].update(rate="abc"), "year 2003 married_joint"),
+        (lambda r: r.update(refund_rate="x"), "year 2003"),
+        (lambda r: r.update(brackets=5), "year 2003 married_joint"),
+        (lambda r: r.update(brackets=[5]), "year 2003 married_joint"),
+        (lambda r: r["brackets"][0].update(upper="14000"), "year 2003 married_joint"),
+        (lambda r: r["brackets"][0].pop("rate"), "year 2003 married_joint"),
     ], ids=["deduction-string", "deduction-nan", "bracket-rate-string", "refund-rate-string",
             "brackets-number", "bracket-number", "bracket-upper-string", "bracket-without-rate"])
-    def test_bad_parameter_value_names_file_and_year(self, capsys, tmp_path, edit):
+    def test_bad_parameter_value_names_file_and_year(self, capsys, tmp_path, edit, label):
+        # A malformed value has the label of one out of range: its status's fields name it.
         records = json.loads((DATA / "params.json").read_text())
         edit(records[0])  # the 2003 married_joint record
         params = tmp_path / "params.json"
         params.write_text(json.dumps(records))
         line = self.assert_one_line_error(capsys, "thresholds", "--params", str(params),
                                           "--year", "2003")
-        assert line.startswith(f"error: {params}: year 2003: ")
+        assert line.startswith(f"error: {params}: {label}: bad field ")
 
-    @pytest.mark.parametrize("edit, field", [
-        (lambda r: r.update(refund_rate="1/0"), "refund_rate"),
-        (lambda r: r["brackets"][0].update(rate="1/0"), "brackets"),
+    @pytest.mark.parametrize("edit, field, label", [
+        (lambda r: r.update(refund_rate="1/0"), "refund_rate", "year 2003"),
+        (lambda r: r["brackets"][0].update(rate="1/0"), "brackets", "year 2003 married_joint"),
     ], ids=["refund-rate", "bracket-rate"])
-    def test_rate_with_a_zero_denominator(self, capsys, tmp_path, edit, field):
+    def test_rate_with_a_zero_denominator(self, capsys, tmp_path, edit, field, label):
         records = json.loads((DATA / "params.json").read_text())
         edit(records[0])
         params = tmp_path / "params.json"
         params.write_text(json.dumps(records))
         line = self.assert_one_line_error(capsys, "classify", "--params", str(params))
-        assert line == (f"error: {params}: year 2003: bad field {field!r}: "
+        assert line == (f"error: {params}: {label}: bad field {field!r}: "
                         "rate '1/0' has a zero denominator")
 
     def test_non_integer_year_rejected(self, capsys, tmp_path):

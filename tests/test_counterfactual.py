@@ -16,6 +16,7 @@ from ctcsim.counterfactual import (
     credit_size_sweep,
     full_relief_cuts,
     piecemeal_walk,
+    priced_out_refusal,
     profile_for,
     restore_parity,
     run_piecemeal_table,
@@ -157,6 +158,16 @@ class TestPricedOut:
         with pytest.raises(ValidationError):
             priced_out(pop, 2017, ParentalGroup.MARRIED, params_by_year[2017],
                        1000, Scenario.S1)
+
+    @pytest.mark.parametrize("new_ctc", [0, -5])
+    def test_new_ctc_must_be_positive_under_any_rules(self, pop, params_by_year, new_ctc):
+        message = f"new credit maximum must be positive, not {new_ctc}"
+        for year in (2017, 2018):  # parity rules, and rules a raise could not be asked of
+            with pytest.raises(ValidationError, match=message):
+                priced_out_refusal(params_by_year[year], new_ctc)
+        with pytest.raises(ValidationError, match=message):
+            priced_out(pop, 2017, ParentalGroup.MARRIED, params_by_year[2017],
+                       new_ctc, Scenario.S1)
 
 
 class TestSweep:

@@ -75,8 +75,9 @@ class TestLoad:
         only_married = [r for r in records if r["filing_status"] == "married_joint"]
         f = tmp_path / "half.json"
         f.write_text(json.dumps(only_married))
-        with pytest.raises(ValidationError):
+        with pytest.raises(ValidationError) as raised:
             load_params(f)
+        assert str(raised.value) == f"{f}: year 2003: both filing statuses required"
 
     def test_invariant_violation_names_year(self, data_dir, tmp_path):
         records = json.loads((data_dir / "params.json").read_text())
@@ -85,8 +86,20 @@ class TestLoad:
                 r["actc_per_child"] = 1_500
         f = tmp_path / "broken.json"
         f.write_text(json.dumps(records))
-        with pytest.raises(ValidationError, match="2010"):
+        with pytest.raises(ValidationError) as raised:
             load_params(f)
+        assert str(raised.value) == f"{f}: year 2010: actc_per_child exceeds ctc_per_child"
+
+    @pytest.mark.parametrize("field, label", [("refund_rate", "year 2003"),
+                                              ("phaseout_start", "year 2003 married_joint")])
+    def test_missing_field_has_its_range_label(self, data_dir, tmp_path, field, label):
+        records = json.loads((data_dir / "params.json").read_text())
+        del records[0][field]  # the 2003 married_joint record
+        f = tmp_path / "params.json"
+        f.write_text(json.dumps(records))
+        with pytest.raises(ParseError) as raised:
+            load_params(f)
+        assert str(raised.value) == f"{f}: {label}: missing field {field!r}"
 
 
 class TestOverrides:

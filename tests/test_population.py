@@ -47,19 +47,37 @@ class TestLoad:
 
     def test_group_with_zero_total_rejected(self, tmp_path):
         rows = full_rows() + full_rows(group="single_father", count=0)
-        with pytest.raises(EmptyGroup, match="2010 single_father: population has zero total"):
-            load_population(write_population(tmp_path, rows))
+        path = write_population(tmp_path, rows)
+        with pytest.raises(EmptyGroup) as raised:
+            load_population(path)
+        assert str(raised.value) == f"{path}: year 2010 single_father: population has zero total"
 
     def test_gap_detected(self, tmp_path):
         rows = full_rows()
         del rows[1]  # remove [2500, 5000)
-        with pytest.raises(GapError):
-            load_population(write_population(tmp_path, rows))
+        path = write_population(tmp_path, rows)
+        with pytest.raises(GapError) as raised:
+            load_population(path)
+        assert str(raised.value) == f"{path}: year 2010 married: no bin starting at 2500"
 
     def test_truncated_coverage_detected(self, tmp_path):
         rows = full_rows()[:-1]
-        with pytest.raises(GapError):
-            load_population(write_population(tmp_path, rows))
+        path = write_population(tmp_path, rows)
+        with pytest.raises(GapError) as raised:
+            load_population(path)
+        assert str(raised.value) == f"{path}: year 2010 married: no bin starting at 97500"
+
+    @pytest.mark.parametrize("row", ["2010,married,1000,3500,10", "2010,married,0,5000,10",
+                                     "2010,married,-2500,0,10", "2010,married,100000,102500,10"],
+                             ids=["misaligned", "wide", "below-zero", "at-ceiling"])
+    def test_bin_rule_checked_on_its_row(self, tmp_path, row):
+        rows = full_rows()
+        rows[1] = row
+        path = write_population(tmp_path, rows)
+        with pytest.raises(ParseError) as raised:
+            load_population(path)
+        assert str(raised.value) == (f"{path}:3: bin must be 2500 wide, start on a multiple "
+                                     "of 2500 and end by 100000")
 
     def test_negative_count(self, tmp_path):
         rows = full_rows()
@@ -90,8 +108,10 @@ class TestLoad:
 
     def test_noncontiguous_years_rejected(self, tmp_path):
         rows = full_rows("2010") + full_rows("2012")
-        with pytest.raises(GapError):
-            load_population(write_population(tmp_path, rows))
+        path = write_population(tmp_path, rows)
+        with pytest.raises(GapError) as raised:
+            load_population(path)
+        assert str(raised.value) == f"{path}: years are not contiguous: [2010, 2012]"
 
     def test_single_year_is_contiguous(self, tmp_path):
         table = load_population(write_population(tmp_path, full_rows("2018")))
@@ -307,6 +327,7 @@ def _outcome(load, population, children):
 @example(_texts([("population.csv", 2, "2003,married,-2500,0,5")]))
 @example(_texts([("population.csv", 41, "2003,married,100000,102500,5")]))
 @example(_texts([("population.csv", 3, "2003,married,2500,7500,5")]))
+@example(_texts([("population.csv", 3, "2003,married,1000,3500,5")]))
 @example(_texts([("population.csv", 3, "2003,Married,2500,5000,5")]))
 @example(_texts([("children.csv", 3, "2003,married,8+,5")]))
 def test_loader_matches_dictreader_reference(texts):
