@@ -31,7 +31,7 @@ from .params import (
     ParentalGroup,
     ProgramParameters,
     apply_overrides,
-    overrides_to,
+    copy_fields,
     params_for_year,
 )
 from .population import PopulationTable
@@ -136,10 +136,11 @@ def piecemeal_walk(
     Table "1a" walks the full-credit category; "1b" the full refundable
     category with the credit raised last. Step 1 is the new law outright,
     step 2 the baseline; each later step copies more fields from the new
-    law, passing leniently through rule sets strict validation would
-    reject (e.g. refundable maximum above the credit maximum). The last
-    step also takes the new law's year, hence its children averages, so it
-    equals step 1 when the two years differ only in the walked fields.
+    law (:func:`~ctcsim.params.copy_fields`, so no value is parsed again),
+    passing through rule sets the load check would reject (e.g. refundable
+    maximum above the credit maximum). The last step also takes the new
+    law's year, hence its children averages, so it equals step 1 when the
+    two years differ only in the walked fields.
     """
     new = params_for_year(params_by_year, pop_year)
     base = params_for_year(params_by_year, base_year)
@@ -162,7 +163,7 @@ def piecemeal_walk(
     walk = [(f"{pop_year} rules outright", new), (f"{base_year} rules baseline", base)]
     rules = base
     for label, names in moves:
-        rules = apply_overrides(rules, overrides_to(new, names), strict=False)
+        rules = copy_fields(rules, new, names)
         walk.append((label, rules))
     walk[-1] = (label, replace(rules, year=new.year))
     return target, walk
@@ -317,8 +318,8 @@ def restore_parity(
                 ReliefCategory.FULL_CTC)
             for g in GROUPS
         }
-    at_parity = apply_overrides(params, {"actc_per_child": params.ctc_per_child})
-    no_floor = apply_overrides(at_parity, {"refund_threshold": 0})
+    at_parity = replace(params, actc_per_child=params.ctc_per_child)
+    no_floor = replace(at_parity, refund_threshold=Fraction(0))
     return ParityResult(before=before, after=shares(at_parity), no_floor=shares(no_floor))
 
 

@@ -7,12 +7,13 @@ A year's two records load as one `ProgramParameters`: its `married_joint` and
 `head_of_household` fields hold each status's own rules, and the credit rules
 both records must agree on are shared fields.
 Loaded parameter sets are immutable value records (:mod:`ctcsim.record`) and
-safe to share across threads; counterfactuals derive new sets through
-:func:`apply_overrides`.
-Each rule field's range is stated once, in its parser, and checked where the
-field is parsed: at load for every field, at override for each value set. The
-one rule across fields, actc_per_child <= ctc_per_child, is checked at load,
-and at override unless `strict=False`.
+safe to share across threads. Counterfactuals derive new sets two ways:
+:func:`copy_fields` copies fields from another checked set, and
+:func:`apply_overrides` parses new values from outside the rule data.
+Each rule field's range is stated once, in its parser, and a raw value becomes
+a field only through :func:`_parse`: at load for every field, at override for
+each value set. The one rule across fields, actc_per_child <= ctc_per_child, is
+checked at load, and at override unless `strict=False`.
 """
 
 from __future__ import annotations
@@ -58,12 +59,6 @@ class ParentalGroup(Enum):
 # pass the 4,300 digits Python prints of an integer.
 MAX_MONEY = 10**12
 MIN_RATE = Fraction(1, 10**12)
-
-
-def _below_min_rate(rate: Fraction) -> bool:
-    """Whether a positive `rate` is below MIN_RATE, compared on integers as money is
-    against MAX_MONEY: a `Fraction` comparison costs about a microsecond."""
-    return rate.numerator * MIN_RATE.denominator < rate.denominator * MIN_RATE.numerator
 
 
 class Bracket(Record):
@@ -130,12 +125,11 @@ class ProgramParameters(Record):
         return self.married_joint if status is _MARRIED_JOINT else self.head_of_household
 
 
-OverrideValue = Union[int, Fraction, str, Mapping, Sequence, BracketSchedule]
+OverrideValue = Union[int, Fraction, str, Mapping, Sequence]
 
 
-# Each rule field's parser also checks the field's range, comparing on numerators as for
-# MIN_RATE. A value out of range is a ValidationError naming the field; the caller puts the
-# year, and the filing status, before it.
+# Each rule field's parser also checks the field's range. A value out of range is a
+# ValidationError naming the field; `_parse` puts the year, and the filing status, before it.
 
 
 def _money(value, name: str) -> Fraction:
@@ -168,26 +162,23 @@ def _rate_below_1(value, name: str) -> Fraction:
     rate = as_rate(value)
     if not 0 < rate.numerator < rate.denominator:
         raise ValidationError(f"{name} outside (0, 1)")
-    if _below_min_rate(rate):
+    if rate < MIN_RATE:
         raise ValidationError(f"{name} below {MIN_RATE}")
     return rate
 
 
 def _brackets(raw, name: str) -> BracketSchedule:
-    """A schedule from `{"upper", "rate"}` objects, or one already built. It must be nonempty,
-    with upper bounds increasing up to MAX_MONEY and omitted on the last band only, and
-    nondecreasing rates in [0, 1], each zero or at least MIN_RATE."""
-    if isinstance(raw, BracketSchedule):
-        schedule = raw
-    else:
-        brackets = []
-        for entry in raw:
-            if not isinstance(entry, Mapping):
-                raise TypeError(f"bracket must be an object, got {type(entry).__name__}")
-            upper = entry.get("upper")
-            brackets.append(Bracket(None if upper is None else as_money(upper),
-                                    as_rate(entry.get("rate"))))
-        schedule = BracketSchedule(tuple(brackets))
+    """A schedule from `{"upper", "rate"}` objects. It must be nonempty, with upper bounds
+    increasing up to MAX_MONEY and omitted on the last band only, and nondecreasing rates in
+    [0, 1], each zero or at least MIN_RATE."""
+    brackets = []
+    for entry in raw:
+        if not isinstance(entry, Mapping):
+            raise TypeError(f"bracket must be an object, got {type(entry).__name__}")
+        upper = entry.get("upper")
+        brackets.append(Bracket(None if upper is None else as_money(upper),
+                                as_rate(entry.get("rate"))))
+    schedule = BracketSchedule(tuple(brackets))
     if not schedule.brackets:
         raise ValidationError("bracket schedule is empty")
     prev_upper = prev_rate = 0
@@ -200,7 +191,7 @@ def _brackets(raw, name: str) -> BracketSchedule:
             prev_upper = _money(b.upper, "bracket upper bound")
         if not (0 <= b.rate <= 1):
             raise ValidationError("bracket rate outside [0, 1]")
-        if b.rate and _below_min_rate(b.rate):
+        if b.rate and b.rate < MIN_RATE:
             raise ValidationError(f"nonzero bracket rate below {MIN_RATE}")
         if b.rate < prev_rate:
             raise ValidationError("bracket rates must be nondecreasing")
@@ -217,21 +208,21 @@ _STATUS_FIELDS = {"standard_deduction": _money, "exemption_per_person": _money,
 
 
 def _parse(parse, name: str, value, label: str):
-    """``parse(value, name)``, with `label` before the message of a value out of range."""
+    """``parse(value, name)``, with `label` before the message of a value out of range, and
+    a malformed value a ParseError naming `label` and the field."""
     try:
         return parse(value, name)
     except ValidationError as exc:
         raise ValidationError(f"{label}: {exc}") from None
+    except (TypeError, ValueError) as exc:
+        raise ParseError(f"{label}: bad field {name!r}: {exc}") from None
 
 
 def _field(rec: Mapping, name: str, parse, label: str):
-    """`rec[name]` parsed, `label` before the message of a missing or malformed value too."""
+    """`rec[name]` parsed, `label` before the message of a missing value too."""
     if name not in rec:
         raise ParseError(f"{label}: missing field {name!r}")
-    try:
-        return _parse(parse, name, rec[name], label)
-    except (TypeError, ValueError) as exc:
-        raise ParseError(f"{label}: bad field {name!r}: {exc}") from None
+    return _parse(parse, name, rec[name], label)
 
 
 def _check_credit_order(params: ProgramParameters) -> None:
@@ -313,24 +304,27 @@ def apply_overrides(
     overrides: Mapping[str, OverrideValue],
     strict: bool = True,
 ) -> ProgramParameters:
-    """Return a copy of `base` with named fields replaced.
+    """Return a copy of `base` with named fields set to new raw values.
 
     Per-filing-status fields (standard_deduction, exemption_per_person,
     phaseout_start, brackets) accept either one value applied to both
     statuses or a mapping keyed by FilingStatus, which changes only the
-    statuses it names. Only the values given are
-    checked, each against its field's range as it is parsed: `base` was
-    checked when it was built. Then, if `strict`, actc_per_child must not
-    exceed ctc_per_child; `strict=False` allows it, which some
-    counterfactual walks pass through.
+    statuses it names; brackets come as a list of `{"upper", "rate"}`
+    objects. Only the values given are parsed and checked, each against its
+    field's range: `base` was checked when it was built. A malformed value is
+    a ParseError and one out of range a ValidationError, each naming the
+    year, the status of a per-status field, and the field. Then, if
+    `strict`, actc_per_child must not exceed ctc_per_child; `strict=False`
+    allows it, which some counterfactuals pass through. To take fields from
+    another checked rule set, use :func:`copy_fields`.
     """
     changes: dict = {}
     for name, value in overrides.items():
         if name in _SHARED_FIELDS:
             changes[name] = _parse(_SHARED_FIELDS[name], name, value, f"year {base.year}")
         elif name in _STATUS_FIELDS:
-            # No field's own value is a mapping (brackets come as a list or a schedule), so a
-            # mapping holds values per status.
+            # No field's own value is a mapping (brackets come as a list), so a mapping holds
+            # values per status.
             if not isinstance(value, Mapping):
                 value = dict.fromkeys(FilingStatus, value)
             elif bad := [key for key in value if not isinstance(key, FilingStatus)]:
@@ -349,14 +343,19 @@ def apply_overrides(
     return params
 
 
-def overrides_to(target: ProgramParameters, names: Iterable[str]) -> dict:
-    """Build an override mapping that copies the named fields from `target`."""
-    out: dict = {}
+def copy_fields(base: ProgramParameters, source: ProgramParameters,
+                names: Iterable[str]) -> ProgramParameters:
+    """`base` with the named fields copied from `source`, a per-status field for each status.
+    Both were checked when built, so no value is parsed again; nor is the credit order
+    checked, as a walk from one rule set to another may pass through sets that break it."""
+    changes: dict = {}
     for name in names:
         if name in _SHARED_FIELDS:
-            out[name] = getattr(target, name)
+            changes[name] = getattr(source, name)
         elif name in _STATUS_FIELDS:
-            out[name] = {s: getattr(target.for_status(s), name) for s in FilingStatus}
+            for s in FilingStatus:
+                rules = changes.get(s.value) or base.for_status(s)
+                changes[s.value] = replace(rules, **{name: getattr(source.for_status(s), name)})
         else:
-            raise ValidationError(f"unknown override field {name!r}")
-    return out
+            raise ValidationError(f"unknown field {name!r}")
+    return replace(base, **changes)

@@ -239,13 +239,11 @@ class _Kernel:
         return income if income[0] * tax[1] >= tax[0] * income[1] else tax
 
     def liability(self, t: int) -> tuple[int, int]:
-        """Minimal income whose tax liability reaches the target t/D.
+        """Minimal income whose tax liability reaches the target t/D > 0.
 
         Raises ValidationError if the schedule tops out below it (possible only
         when the last rate is zero).
         """
-        if t <= 0:
-            return self.free, self.d
         found = self._first_income(t, 0)
         if found is None:
             raise ValidationError(f"tax target {Fraction(t, self.d)} unreachable under schedule")

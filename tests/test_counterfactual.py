@@ -3,6 +3,7 @@ from fractions import Fraction
 import pytest
 
 from ctcsim import (
+    FilingStatus,
     ParentalGroup,
     ReliefCategory,
     Scenario,
@@ -54,6 +55,32 @@ class TestPiecemeal:
         _, walk = piecemeal_walk(table, params_by_year)
         assert walk[0][1] == walk[-1][1] == params_by_year[2018]
         assert walk[1][1] == params_by_year[2017]
+
+    @pytest.mark.parametrize("table, first, last", [("1a", "ctc_per_child", "actc_per_child"),
+                                                    ("1b", "actc_per_child", "ctc_per_child")])
+    def test_each_step_copies_the_moves_so_far(self, params_by_year, table, first, last):
+        """Step k >= 3 reads the new law's value in each field named by moves 1..k-2 and the
+        baseline's in every other; only the last step takes the new law's year."""
+        moves = [[first], ["standard_deduction", "exemption_per_person"], ["refund_threshold"],
+                 ["phaseout_start"], [last], ["brackets"]]
+        fields = [name for names in moves for name in names] + ["phaseout_rate", "refund_rate"]
+
+        def read(rules, name):
+            if name in ("standard_deduction", "exemption_per_person", "phaseout_start",
+                        "brackets"):
+                return [getattr(rules.for_status(s), name) for s in FilingStatus]
+            return getattr(rules, name)
+
+        for year in sorted(params_by_year)[1:]:
+            base, new = params_by_year[year - 1], params_by_year[year]
+            _, walk = piecemeal_walk(table, params_by_year, pop_year=year, base_year=year - 1)
+            assert len(walk) == 2 + len(moves)
+            for k, (_, rules) in enumerate(walk[2:], start=3):
+                moved = {name for names in moves[:k - 2] for name in names}
+                for name in fields:
+                    assert read(rules, name) == read(new if name in moved else base, name), \
+                        (year, k, name)
+                assert rules.year == (new.year if k == len(walk) else base.year)
 
     def test_unknown_table_rejected(self, params_by_year):
         with pytest.raises(ValidationError):

@@ -91,9 +91,10 @@ def test_report_scales_each_household_once_per_inversion_set(kernels, tmp_path, 
 
 
 def test_report_raises_the_credit_once_per_priced_out_year(overrides, tmp_path):
-    # 15 parity years; the sweep (24), the two walks (24) and parity (4) make the rest.
+    # 15 parity years and the sweep's 24 credits: the only values from outside the rule data.
+    # The walks and parity copy fields that were checked at load, so they make no call.
     assert main(["report", "--out", str(tmp_path / "r.json")]) == 0
-    assert len(overrides) == 67
+    assert len(overrides) == 39
     assert overrides.count("_raised_credit") == 15
 
 

@@ -6,7 +6,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ctcsim import FilingStatus, apply_overrides, load_params
-from ctcsim.params import MAX_MONEY, Bracket, BracketSchedule, params_for_year
+from ctcsim.params import (_SHARED_FIELDS, _STATUS_FIELDS, MAX_MONEY, Bracket, BracketSchedule,
+                           copy_fields, params_for_year)
+from ctcsim.record import replace
 from ctcsim.errors import MissingYear, ParseError, ValidationError
 
 import goldens
@@ -157,10 +159,8 @@ class TestOverrides:
         ("phaseout_rate", Fraction(1, 10**13), "year 2017: phaseout_rate below 1/1000000000000"),
         ("phaseout_start", {FilingStatus.MARRIED_JOINT: 0, FilingStatus.HEAD_OF_HOUSEHOLD: 75000},
          "year 2017 married_joint: phaseout_start must be positive"),
-        ("brackets", BracketSchedule((Bracket(None, Fraction(2)),)),
-         "year 2017 married_joint: bracket rate outside [0, 1]"),
     ], ids=["floor-at-cap", "floor-past-cap", "unprintable", "upper-at-cap", "upper-past-cap",
-            "zero-refund-rate", "tiny-phaseout-rate", "keyed-zero-phaseout", "prebuilt-brackets"])
+            "zero-refund-rate", "tiny-phaseout-rate", "keyed-zero-phaseout"])
     def test_values_are_range_checked(self, params_by_year, name, value, message):
         """Each value set is checked against its field's range. A money field may reach
         MAX_MONEY but not pass it; the message omits the value."""
@@ -171,9 +171,38 @@ class TestOverrides:
                 apply_overrides(params_by_year[2017], {name: value})
             assert str(raised.value) == message
 
+    @pytest.mark.parametrize("name, value, message", [
+        ("refund_rate", "abc",
+         "year 2017: bad field 'refund_rate': Invalid literal for Fraction: 'abc'"),
+        ("refund_rate", "1/0",
+         "year 2017: bad field 'refund_rate': rate '1/0' has a zero denominator"),
+        ("ctc_per_child", 1.5,
+         "year 2017: bad field 'ctc_per_child': money must be int or Fraction, got float"),
+        ("brackets", [5],
+         "year 2017 married_joint: bad field 'brackets': bracket must be an object, got int"),
+        ("phaseout_start", {FilingStatus.MARRIED_JOINT: 2.5},
+         "year 2017 married_joint: bad field 'phaseout_start': money must be int or Fraction, "
+         "got float"),
+    ], ids=["rate-not-a-number", "rate-over-zero", "float-money", "bracket-not-an-object",
+            "keyed-float-phaseout"])
+    def test_malformed_values_name_year_and_field(self, params_by_year, name, value, message):
+        """A malformed value ends in one ParseError with the same label as a value out of
+        range: the year, the status of a per-status field, and the field."""
+        with pytest.raises(ParseError) as raised:
+            apply_overrides(params_by_year[2017], {name: value})
+        assert str(raised.value) == message
+
     def test_unknown_field(self, params_by_year):
         with pytest.raises(ValidationError):
             apply_overrides(params_by_year[2017], {"bogus": 1})
+
+    def test_copy_fields_takes_checked_values(self, params_by_year):
+        base, source = params_by_year[2017], params_by_year[2018]
+        every = [*_SHARED_FIELDS, *_STATUS_FIELDS]
+        assert copy_fields(base, source, every) == replace(source, year=2017)
+        assert copy_fields(base, source, []) == base
+        with pytest.raises(ValidationError, match="unknown field 'bogus'"):
+            copy_fields(base, source, ["bogus"])
 
     def test_idempotent(self, params_by_year):
         overrides = {"ctc_per_child": 2_000, "refund_threshold": 2_500}
@@ -208,7 +237,7 @@ def _schedules(draw):
                                  min_size=len(uppers) + 1, max_size=len(uppers) + 1)))
     schedule = BracketSchedule(tuple(map(Bracket, [*uppers, None], rates)))
     raw = [{"upper": u, "rate": str(r)} for u, r in zip(uppers, rates)] + [{"rate": str(rates[-1])}]
-    return draw(st.sampled_from([schedule, raw])), schedule
+    return raw, schedule
 
 
 def _per_status(values):
