@@ -30,7 +30,6 @@ every other range crossing C has at least a third, and any bound above 0.154 and
 
 from __future__ import annotations
 
-from enum import Enum
 from fractions import Fraction
 from itertools import accumulate
 from typing import Mapping, Sequence
@@ -38,7 +37,7 @@ from typing import Mapping, Sequence
 from .errors import ThresholdOutOfRange
 from .params import ParentalGroup
 from .population import BIN_WIDTH, BINS, INCOME_CEILING, PopulationTable
-from .record import Record
+from .record import Enum, Record
 from .taxmath import ThresholdSet
 
 

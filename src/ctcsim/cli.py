@@ -338,16 +338,17 @@ def _fit_rows(run: Run, fit, outcomes, years) -> list[tuple]:
     outcome's panel sums its categories' counts over one read of the (year, group) cells."""
     rows = []
     for scenario in run.scenarios:
-        cells = [(year, group, cf.eligibility(run.pop, year, group, params, scenario, run.mode))
+        cells = [(year, group, est.counts, est.total)
                  for year in years for params in [params_for_year(run.params, year)]
-                 for group in cf.GROUPS]
+                 for group in cf.GROUPS
+                 for est in [cf.eligibility(run.pop, year, group, params, scenario, run.mode)]]
         for outcome in outcomes:
             cats = OUTCOMES[outcome]
-            res = fit(build_panel([(year, group, sum(est.counts[c] for c in cats) / est.total)
-                                   for year, group, est in cells]))
+            res = fit(build_panel([(year, group, sum(counts[c] for c in cats) / total)
+                                   for year, group, counts, total in cells]))
             defined = res.df_resid > 0  # a zero-df fit has no SE, hence no stars
-            for name in res.names:
-                est, se = res.estimate(name), res.se(name)
+            for i, (name, est) in enumerate(zip(res.names, res.estimates)):
+                se = math.sqrt(res.cov[i][i])
                 rows.append((scenario.value, outcome, name, _fmt(est), _fmt(se) if defined else "",
                              _stars(est, se) if defined else ""))
     return rows

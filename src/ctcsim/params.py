@@ -19,14 +19,13 @@ checked at load, and at override unless `strict=False`.
 from __future__ import annotations
 
 import json
-from enum import Enum
 from fractions import Fraction
 from pathlib import Path
 from typing import Iterable, Mapping, Sequence, Union
 
 from .errors import CtcsimError, MissingYear, ParseError, ValidationError
 from .money import as_money, as_rate, parse_decimal
-from .record import Record, replace
+from .record import Enum, Record, replace
 
 
 class FilingStatus(Enum):

@@ -7,10 +7,13 @@ taking the fields in order, positionally or by name, that ends by calling
 ``__post_init__`` when the class defines one. Records compare equal only to
 records of the same class with equal fields, hash by their fields, and reject
 assignment and deletion.
+
+The package's enums derive from `Enum` here, whose members hash by identity.
 """
 
 from __future__ import annotations
 
+import enum
 from operator import attrgetter
 
 
@@ -63,3 +66,10 @@ def replace(record: Record, **changes) -> Record:
     coerced and checked) by its ``__init__``."""
     return record.__class__(**{field: getattr(record, field) for field in record._fields}
                             | changes)
+
+
+class Enum(enum.Enum):
+    """Base of the package's enums. A member equals only itself, so it hashes by identity,
+    in C; `enum.Enum` hashes the member's name in Python, once per dict or memo lookup."""
+
+    __hash__ = object.__hash__

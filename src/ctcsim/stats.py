@@ -122,12 +122,6 @@ def ols(columns: Mapping[str, Sequence[float]], y: Sequence[float]) -> Regressio
     )
 
 
-def _contrast(weights: Mapping[int, int], nums: Sequence[int], dens: Sequence[int]) -> tuple[int, int]:
-    """Σ w_c · nums[c] / dens[c] over cells c, as an integer numerator and denominator."""
-    common = math.lcm(*(dens[c] for c in weights))
-    return sum(w * nums[c] * (common // dens[c]) for c, w in weights.items()), common
-
-
 def _two_way(
     obs: Sequence[tuple[int, int, float]], rows: Sequence[str], cols: Sequence[str], sep: str
 ) -> RegressionResult:
@@ -137,13 +131,15 @@ def _two_way(
     `rows[0]`, one per column after `cols[0]` and one per pair of those (named
     row + sep + col), in that order. Each outcome is read exactly as an integer
     over one common power of two, so each cell keeps an exact integer count,
-    sum and sum of squares, and each result is one correctly rounded int / int.
+    sum and sum of squares. Every cell mean is then an integer over one common
+    denominator, and every variance term one over its cube, so each result is
+    one integer sum and one correctly rounded int / int.
     """
     width = len(cols)
     k = len(rows) * width
-    unit = max((y.as_integer_ratio()[1] for _, _, y in obs), default=1)
-    cells = [(r * width + c, num * (unit // den))
-             for r, c, y in obs for num, den in [y.as_integer_ratio()]]
+    ratios = [(r * width + c, *y.as_integer_ratio()) for r, c, y in obs]
+    unit = max((den for _, _, den in ratios), default=1)
+    cells = [(cell, num * (unit // den)) for cell, num, den in ratios]
     count, total, squares = [0] * k, [0] * k, [0] * k
     for cell, v in cells:
         count[cell] += 1
@@ -161,9 +157,12 @@ def _two_way(
     terms.update({f"{rows[r]}{sep}{cols[c]}": {r * width + c: 1, r * width: -1, c: -1, 0: 1}
                   for r in range(1, len(rows)) for c in range(1, width)})
 
-    estimates = tuple(num / (den * unit)
-                      for num, den in (_contrast(w, total, count) for w in terms.values()))
-    fitted = tuple(total[cell] / (count[cell] * unit) for cell, _ in cells)
+    common = math.lcm(*count)  # cell c's mean is means[c] / (common * unit)
+    means = [s * (common // m) for m, s in zip(count, total)]
+    estimates = tuple(sum(w * means[c] for c, w in weights.items()) / (common * unit)
+                      for weights in terms.values())
+    cell_fit = [s / (m * unit) for m, s in zip(count, total)]
+    fitted = tuple(cell_fit[cell] for cell, _ in cells)
     residuals = tuple((v * count[cell] - total[cell]) / (count[cell] * unit) for cell, v in cells)
     n = len(cells)
     df_resid = n - k
@@ -172,14 +171,16 @@ def _two_way(
 
     # n_c times each cell's sum of squared residuals, in units of 1 / unit^2.
     spread = [m * q - s * s for m, s, q in zip(count, total, squares)]
-    # HC1: cov(b_i, b_j) = n / (n - k) · Σ_c w_ic w_jc SSR_c / n_c^2.
-    cubes = [m ** 3 for m in count]
-    cov = tuple(tuple(num * n / (den * unit * unit * df_resid) for num, den in (
-        _contrast({c: w * wj[c] for c, w in wi.items() if c in wj}, spread, cubes)
-        for wj in terms.values())) for wi in terms.values())
-    ss_res, den = _contrast(dict.fromkeys(range(k), 1), spread, count)
+    # HC1: cov(b_i, b_j) = n / (n - k) · Σ_c w_ic w_jc SSR_c / n_c^2, where
+    # SSR_c / n_c^2 = var[c] / (common^3 · unit^2).
+    cube = common ** 3
+    var = [d * (cube // m ** 3) for m, d in zip(count, spread)]
+    scale = cube * unit * unit * df_resid
+    cov = tuple(tuple(sum(w * wj[c] * var[c] for c, w in wi.items() if c in wj) * n / scale
+                      for wj in terms.values()) for wi in terms.values())
+    ss_res = sum(d * (common // m) for m, d in zip(count, spread))  # over common
     ss_tot = n * sum(squares) - sum(total) ** 2  # n times the total sum of squares
-    r_squared = 1.0 if not ss_tot else (den * ss_tot - n * ss_res) / (den * ss_tot)
+    r_squared = 1.0 if not ss_tot else (common * ss_tot - n * ss_res) / (common * ss_tot)
     return RegressionResult(tuple(terms), estimates, cov, residuals, fitted, r_squared, n, df_resid)
 
 
@@ -225,4 +226,9 @@ def did(panel: Sequence[PanelRow], post_year: int = 2018) -> RegressionResult:
     pair = (ParentalGroup.SINGLE_FATHER, ParentalGroup.SINGLE_MOTHER)
     obs = [(group is pair[1], year >= post_year, outcome)
            for year, group, outcome in panel if group in pair]
+    present = {(treated, post) for treated, post, _ in obs}
+    for treated, group in enumerate(pair):
+        for post, period in enumerate((f"before {post_year}", f"from {post_year} on")):
+            if (treated, post) not in present:
+                raise ValidationError(f"did: no {group.value} rows {period}")
     return _two_way(obs, ("control", "treated"), ("pre", "post"), "_")

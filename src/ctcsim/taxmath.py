@@ -35,7 +35,6 @@ O(number of brackets) integer steps.
 
 from __future__ import annotations
 
-from enum import Enum
 from fractions import Fraction
 from math import lcm
 
@@ -43,7 +42,7 @@ from .errors import OrderingViolation, Unreachable, ValidationError
 from .memo import once
 from .money import as_money
 from .params import FilingParams, ParentalGroup, ProgramParameters
-from .record import Record
+from .record import Enum, Record
 
 TABLE_ROW_WIDTH = Fraction(50)
 

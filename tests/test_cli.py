@@ -29,6 +29,10 @@ def data_env(monkeypatch):
     monkeypatch.setenv("CTCSIM_DATA_DIR", str(DATA))
 
 
+# SHA-256 of the default (exact) report.
+REPORT_SHA256 = "4aa013303a98256127d70a22ba7f675393ff03144a2262487399593517d1cc58"
+
+
 def run_cli(capsys, *argv):
     code = main(list(argv))
     out = capsys.readouterr().out
@@ -335,13 +339,25 @@ class TestConfigAndDeterminism:
         assert {r["scenario"] for r in rows} == {"s1"}
 
     @pytest.mark.parametrize("flags, digest", [
-        ([], "4aa013303a98256127d70a22ba7f675393ff03144a2262487399593517d1cc58"),
+        ([], REPORT_SHA256),
         (["--liability", "table"], "96c85aed6143d919fc367b74910f84dfcef924ee9570c4cbe796aabdc18588c8"),
     ], ids=["exact", "table"])
     def test_report_bytes_are_pinned(self, tmp_path, flags, digest):
         out = tmp_path / "report.json"
         assert main(["report", "--out", str(out), *flags]) == 0
         assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
+
+    @pytest.mark.parametrize("seed", ["0", "1"])
+    def test_report_bytes_are_the_same_under_any_hash_seed(self, seed):
+        """Enum members hash by identity and strings by a per-process seed; no set whose
+        order follows those hashes reaches the report."""
+        proc = subprocess.run(
+            [sys.executable, "-m", "ctcsim.cli", "report"], capture_output=True,
+            env={"PATH": "", "PYTHONHASHSEED": seed, "CTCSIM_DATA_DIR": str(DATA),
+                 "PYTHONPATH": str(DATA.parent / "src")},
+        )
+        assert proc.returncode == 0, proc.stderr.decode()
+        assert hashlib.sha256(proc.stdout).hexdigest() == REPORT_SHA256
 
     # Commands whose inputs the report pins do not reach: non-default walk
     # years, the S2 walk alone, and the full sweep with and without parity;
@@ -691,6 +707,13 @@ class TestBadInput:
 
     def test_credits_flag_not_a_number(self, capsys):
         self.assert_one_line_error(capsys, "sweep", "--credits", "1:x")
+
+    @pytest.mark.parametrize("flags, message", [
+        (["--post-year", "2030"], "error: did: no single_father rows from 2030 on"),
+        (["--years", "2018:2018"], "error: did: no single_father rows before 2018"),
+    ], ids=["no-post", "no-pre"])
+    def test_did_names_the_group_and_period_it_lacks(self, capsys, flags, message):
+        assert self.assert_one_line_error(capsys, "did", *flags) == message
 
     def test_config_unknown_scenario(self, capsys, tmp_path):
         line = self.assert_one_line_error(

@@ -1,8 +1,13 @@
 """Value records (`ctcsim.record`): equality, hashing, immutability, replace and repr."""
 
+import enum
+import importlib
+import pkgutil
 from fractions import Fraction
 
 import pytest
+
+import ctcsim
 
 from ctcsim import HouseholdProfile, ParentalGroup, apply_overrides, benefit_at_income
 from ctcsim.errors import ValidationError
@@ -102,3 +107,18 @@ def test_records_compare_and_hash_through_the_base():
     assert {name: methods for name, methods in own.items() if methods} == {
         "ProgramParameters": ["__hash__"]}
     assert ProgramParameters.__eq__ is Record.__eq__
+
+
+def test_every_enum_hashes_by_identity():
+    """Enum members hash in C, by identity, not by `enum.Enum`'s Python hash of the name."""
+    modules = [importlib.import_module(f"ctcsim.{info.name}")
+               for info in pkgutil.iter_modules(ctcsim.__path__)]
+    enums = {value for module in modules for value in vars(module).values()
+             if isinstance(value, type) and issubclass(value, enum.Enum)
+             and value.__module__.startswith("ctcsim.")}
+    assert {cls.__name__ for cls in enums} >= {
+        "FilingStatus", "ParentalGroup", "LiabilityMode", "ReliefCategory", "BoundRule",
+        "Scenario", "GeneralizabilityFlag"}
+    assert [cls.__name__ for cls in enums if cls.__hash__ is not object.__hash__] == []
+    member = ctcsim.ParentalGroup.MARRIED
+    assert {member: 1}[ctcsim.ParentalGroup("married")] == 1

@@ -286,6 +286,16 @@ def fe_panels(draw):
     return build_panel(draw(st.permutations(rows)))
 
 
+def sized_did_panel(father, mother):
+    """A did panel whose cells hold the given (pre, post) row counts for single fathers and
+    single mothers, around the 2018 reform, each row with its own outcome."""
+    rows = [(year, group, (year * 7 + i * 3) % 10 / 8 + i / 3)
+            for i, (group, (pre, post)) in enumerate(
+                [(ParentalGroup.SINGLE_FATHER, father), (ParentalGroup.SINGLE_MOTHER, mother)])
+            for year in range(2018 - pre, 2018 + post)]
+    return build_panel(rows)
+
+
 class TestCellMeansEqualExactOls:
     """`fixed_effects` and `did` give bit for bit what exact `ols` gives on their dummy designs."""
 
@@ -302,6 +312,9 @@ class TestCellMeansEqualExactOls:
 
     @given(panel=did_panels())
     @example(panel=build_panel((y, g, 0.5) for y in (2016, 2017, 2018) for g in ParentalGroup))
+    # Pairwise coprime cell counts: their common cube, 2520^3, is far from any one count's.
+    @example(panel=sized_did_panel((5, 7), (8, 9)))
+    @example(panel=sized_did_panel((9, 8), (7, 5)))
     @settings(max_examples=100, deadline=None)
     def test_unbalanced_did_panels(self, panel):
         assert_same_fit(did(panel), ols(*did_design(panel)))

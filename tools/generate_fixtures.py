@@ -27,8 +27,9 @@ sys.path.insert(0, str(ROOT / "src"))
 
 from ctcsim.classifier import CATEGORY_ORDER, Scenario, category_cuts, cut_income
 from ctcsim.counterfactual import full_relief_cuts, piecemeal_walk
-from ctcsim.params import ParentalGroup, apply_overrides, load_params
+from ctcsim.params import ParentalGroup, load_params
 from ctcsim.population import BIN_WIDTH, INCOME_CEILING
+from ctcsim.record import replace
 from ctcsim.taxmath import HouseholdProfile, thresholds
 
 DATA = ROOT / "data"
@@ -391,8 +392,8 @@ def walk_pins(all_pins: dict, params_by_year, table: str, walk: dict):
 
 def parity_pins(all_pins: dict, params_by_year):
     params = params_by_year[2018]
-    at_parity = apply_overrides(params, {"actc_per_child": params.ctc_per_child})
-    no_floor = apply_overrides(at_parity, {"refund_threshold": 0})
+    at_parity = replace(params, actc_per_child=params.ctc_per_child)
+    no_floor = replace(at_parity, refund_threshold=Fraction(0))
     for scenario in Scenario:
         for group in GROUPS:
             pins = all_pins[(2018, group)]
