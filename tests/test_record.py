@@ -120,5 +120,3 @@ def test_every_enum_hashes_by_identity():
         "FilingStatus", "ParentalGroup", "LiabilityMode", "ReliefCategory", "BoundRule",
         "Scenario", "GeneralizabilityFlag"}
     assert [cls.__name__ for cls in enums if cls.__hash__ is not object.__hash__] == []
-    member = ctcsim.ParentalGroup.MARRIED
-    assert {member: 1}[ctcsim.ParentalGroup("married")] == 1
