@@ -108,9 +108,13 @@ def cut_income(boundary: Fraction, strictly_above: bool, rule: BoundRule) -> int
     Boundaries are incomes; the returned cut is always a multiple of the
     bin width. Bins at or above the cut belong to the higher category.
     """
-    if boundary.numerator < 0:
-        raise ThresholdOutOfRange(f"negative classification boundary {boundary}")
-    num, den = boundary.numerator, boundary.denominator
+    return _cut(boundary.numerator, boundary.denominator, strictly_above, rule)
+
+
+def _cut(num: int, den: int, strictly_above: bool, rule: BoundRule) -> int:
+    """:func:`cut_income` of the boundary num/den, `den` > 0; the pair need not be reduced."""
+    if num < 0:
+        raise ThresholdOutOfRange(f"negative classification boundary {Fraction(num, den)}")
     floor_edge = num // (den * BIN_WIDTH) * BIN_WIDTH
     if rule is BoundRule.MIDDLE:
         # At or past the bin midpoint: 2 * boundary >= 2 * floor_edge + BIN_WIDTH.

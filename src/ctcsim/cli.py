@@ -24,7 +24,7 @@ from pathlib import Path
 from typing import Callable, NamedTuple
 
 from . import counterfactual as cf
-from .classifier import CATEGORY_ORDER, ReliefCategory, Scenario
+from .classifier import CATEGORY_ORDER, GeneralizabilityFlag, ReliefCategory, Scenario
 from .errors import CtcsimError, MissingYear, ParseError, ValidationError
 from .memo import command_scope
 from .money import format_money
@@ -235,16 +235,21 @@ def rows_thresholds(run: Run, args) -> list[tuple]:
 
 
 def rows_classify(run: Run, args) -> list[tuple]:
+    # Each enum value is read once here, not once per row.
+    groups = [(group, group.value) for group in _groups(args)]
+    scenarios = [(scenario, scenario.value) for scenario in run.scenarios]
+    cats = [(cat, cat.value) for cat in CATEGORY_ORDER]
+    flag_values = {flag: flag.value for flag in GeneralizabilityFlag}
     rows = []
     for year in _years(run, args):
         params = params_for_year(run.params, year)
-        for group in _groups(args):
-            for scenario in run.scenarios:
+        for group, group_value in groups:
+            for scenario, scenario_value in scenarios:
                 est = cf.eligibility(run.pop, year, group, params, scenario, mode=run.mode)
-                total = est.total
-                for cat in CATEGORY_ORDER:
-                    rows.append((year, group.value, scenario.value, cat.value, est.counts[cat],
-                                 _fmt(est.counts[cat] / total), est.flags[cat].value))
+                counts, flags, total = est.counts, est.flags, est.total
+                for cat, cat_value in cats:
+                    rows.append((year, group_value, scenario_value, cat_value, counts[cat],
+                                 _fmt(counts[cat] / total), flag_values[flags[cat]]))
     return rows
 
 
@@ -338,6 +343,7 @@ def _fit_rows(run: Run, fit, outcomes, years) -> list[tuple]:
     outcome's panel sums its categories' counts over one read of the (year, group) cells."""
     rows = []
     for scenario in run.scenarios:
+        scenario_value = scenario.value
         cells = [(year, group, est.counts, est.total)
                  for year in years for params in [params_for_year(run.params, year)]
                  for group in cf.GROUPS
@@ -349,7 +355,7 @@ def _fit_rows(run: Run, fit, outcomes, years) -> list[tuple]:
             defined = res.df_resid > 0  # a zero-df fit has no SE, hence no stars
             for i, (name, est) in enumerate(zip(res.names, res.estimates)):
                 se = math.sqrt(res.cov[i][i])
-                rows.append((scenario.value, outcome, name, _fmt(est), _fmt(se) if defined else "",
+                rows.append((scenario_value, outcome, name, _fmt(est), _fmt(se) if defined else "",
                              _stars(est, se) if defined else ""))
     return rows
 

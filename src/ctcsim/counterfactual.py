@@ -21,6 +21,7 @@ from .classifier import (
     ReliefCategory,
     Scenario,
     classify,
+    _cut,
     count_between,
     cut_income,
 )
@@ -36,15 +37,10 @@ from .params import (
 )
 from .population import PopulationTable
 from .record import Record, replace
-from .taxmath import (
-    HouseholdProfile,
-    LiabilityMode,
-    invert_benefit,
-    max_credit,
-    thresholds,
-)
+from .taxmath import HouseholdProfile, LiabilityMode, _benefit_income, thresholds
 
 GROUPS = tuple(ParentalGroup)
+_ONE_CHILD = {group: HouseholdProfile.one_child(group) for group in GROUPS}
 
 
 def profile_for(
@@ -55,7 +51,7 @@ def profile_for(
 ) -> HouseholdProfile:
     """Household profile under the scenario's children convention."""
     if scenario.fixed_one_child:
-        return HouseholdProfile.one_child(group)
+        return _ONE_CHILD[group]
     return HouseholdProfile(group, pop.average_children(children_year, group))
 
 
@@ -94,24 +90,27 @@ def full_relief_cuts(
     (incomes above it can no longer realize the full amount). Raises
     Unreachable when the phaseout erodes the full benefit before it accrues.
     """
-    t_combined = invert_benefit(max_credit(profile, params), profile, params, mode)
+    lo = _cut(*_benefit_income(profile, params, mode), strictly_above=False, rule=rule)
     phaseout = params.for_status(profile.group.filing_status).phaseout_start
-    lo = cut_income(t_combined, strictly_above=False, rule=rule)
-    hi = cut_income(phaseout, strictly_above=True, rule=rule)
-    return lo, hi
+    return lo, cut_income(phaseout, strictly_above=True, rule=rule)
 
 
 def full_relief_proportion(pop: PopulationTable, pop_year: int, group: ParentalGroup,
                            params: ProgramParameters, scenario: Scenario,
                            mode: LiabilityMode = LiabilityMode.EXACT) -> Fraction:
     """Share of the group able to realize the full benefit as credit and/or refund."""
+    return Fraction(*_full_relief(pop, pop_year, group, params, scenario, mode))
+
+
+def _full_relief(pop, pop_year, group, params, scenario, mode) -> tuple[int, int]:
+    """The cell's count able to realize the full benefit (0 if unreachable), and its total."""
     profile = profile_for(pop, group, scenario, params.year)
     cum = pop.cumulative(pop_year, group)
     try:
         lo, hi = full_relief_cuts(profile, params, scenario.rule, mode)
     except Unreachable:
-        return Fraction(0)
-    return Fraction(count_between(cum, lo, hi), cum[-1])
+        return 0, cum[-1]
+    return count_between(cum, lo, hi), cum[-1]
 
 
 # ---------------------------------------------------------------------------
@@ -228,7 +227,7 @@ def priced_out(
     """Households losing full relief when the credit maximum rises alone.
 
     Baseline: the cell's full relief via either pathway under parity rules
-    (categories c and d). Survivors: its full-relief share once the credit
+    (categories c and d). Survivors: its full-relief count once the credit
     maximum rises and the refundable maximum stays. Raises ValidationError
     with the reason :func:`priced_out_refusal` gives.
     """
@@ -238,10 +237,10 @@ def priced_out(
     est = eligibility(pop, year, group, params_parity, scenario, mode)
     old = est.counts[ReliefCategory.FULL_ACTC] + est.counts[ReliefCategory.FULL_CTC]
     raised = once(_raised_credit, params_parity, new_ctc)
-    survivors = full_relief_proportion(pop, year, group, raised, scenario, mode) * est.total
+    survivors, _ = _full_relief(pop, year, group, raised, scenario, mode)
     # Both ranges end at the phaseout cut, which the credit maximum leaves alone, so one holds
     # the other: the loss is their difference, or 0 if the raised range starts below c's.
-    return PricedOutResult(full_relief_old=old, priced_out=max(0, old - int(survivors)))
+    return PricedOutResult(full_relief_old=old, priced_out=max(0, old - survivors))
 
 
 def _raised_credit(params: ProgramParameters, new_ctc: Fraction) -> ProgramParameters:

@@ -11,16 +11,16 @@ exactly where L + phase-in reaches t and L alone reaches t - R. Both sums
 never fall as income grows, so the threshold is the larger of their two
 minimal incomes, and one walk over the linear segments in income space
 finds each (with the refund rate as ramp, then with ramp 0). That walk is
-`_Kernel`'s, and two functions reach it: :func:`thresholds` for every
-category boundary of a household, and :func:`invert_benefit` for one
-benefit target.
+`_Kernel`'s: :func:`thresholds` reaches it for every category boundary of a
+household, and `_benefit_income` for one benefit target, :func:`invert_benefit`'s
+or the credit maximum of a full-relief cut in :mod:`ctcsim.counterfactual`.
 
 The walk runs on integers, scaled once per household: money (the tax-free
 amount, refund floor, benefit maxima, bracket uppers, targets) over D, the
 lcm of its denominators, and rates over Q, so each running total is an
 integer over D·Q. An income found is an integer pair (numerator, positive
 denominator), ordered against others by cross-multiplying: exact, as Fractions
-are, but with no gcd per step. Each answer is built as one Fraction.
+are, but with no gcd per step. A public answer is built as one Fraction.
 
 Two liability modes are supported: ``EXACT`` applies the bracket schedule
 analytically; ``TABLE`` evaluates liability at the midpoint of the
@@ -324,19 +324,27 @@ def invert_benefit(
     (the phased-out ceiling makes targets above the per-household maximum,
     or reachable only past the phaseout start, unattainable).
     """
-    target = as_money(target)
-    if target.numerator <= 0:
-        raise Unreachable(f"benefit target {target} must be positive")
-    kernel = _Kernel(profile, params, mode, target)
-    if (t := _over(target, kernel.d)) > kernel.credit:
-        raise Unreachable(f"benefit target {target} exceeds the maximum "
-                          f"{max_credit(profile, params)}")
+    return Fraction(*_benefit_income(profile, params, mode, as_money(target)))
+
+
+def _benefit_income(profile: HouseholdProfile, params: ProgramParameters, mode: LiabilityMode,
+                    target: Fraction | None = None) -> tuple[int, int]:
+    """:func:`invert_benefit`'s answer as (numerator, positive denominator). A `target`
+    of None is the credit maximum, read as the kernel's own integer."""
+    kernel = _Kernel(profile, params, mode, *(() if target is None else (target,)))
+    t = kernel.credit if target is None else _over(target, kernel.d)
+    if t <= 0:
+        raise Unreachable(f"benefit target {Fraction(t, kernel.d)} must be positive")
+    if t > kernel.credit:
+        raise Unreachable(f"benefit target {Fraction(t, kernel.d)} exceeds the maximum "
+                          f"{Fraction(kernel.credit, kernel.d)}")
     y, den = kernel.refund_credit(t)
     start = _filing(profile, params).phaseout_start
     if y * start.denominator > start.numerator * den:
         # Past the phaseout start the attainable total only shrinks.
-        raise Unreachable(f"benefit target {target} is eroded by the phaseout before it accrues")
-    return Fraction(y, den)
+        raise Unreachable(f"benefit target {Fraction(t, kernel.d)} is eroded by the phaseout "
+                          "before it accrues")
+    return y, den
 
 
 def thresholds(

@@ -1,9 +1,12 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from ctcsim import (
     FilingStatus,
+    HouseholdProfile,
     ParentalGroup,
     ReliefCategory,
     Scenario,
@@ -13,17 +16,25 @@ from ctcsim import (
     load_population,
     priced_out,
 )
+from ctcsim.classifier import count_between
 from ctcsim.counterfactual import (
+    PricedOutResult,
     credit_size_sweep,
     full_relief_cuts,
+    full_relief_proportion,
     piecemeal_walk,
     priced_out_refusal,
     profile_for,
     restore_parity,
     run_piecemeal_table,
 )
-from ctcsim.errors import ValidationError
+from ctcsim.errors import OrderingViolation, Unreachable, ValidationError
 from ctcsim.population import PopulationTable
+from ctcsim.record import replace
+from ctcsim.taxmath import LiabilityMode
+
+from oracle import full_relief_cuts_reference
+from test_taxmath import rule_overrides
 
 GROUPS = list(ParentalGroup)
 PP = Fraction(1, 100)  # one percentage point
@@ -282,3 +293,82 @@ class TestEliminateRefundability:
         assert result.gaining_households == 0
         assert all(d == 0 for d in result.deltas.values())
 
+
+
+@pytest.mark.parametrize("mode", list(LiabilityMode), ids=lambda m: m.value)
+class TestFullReliefMatchesOracle:
+    """The full-relief share and the priced-out count equal their Fraction formulas over
+    ``full_relief_cuts_reference`` (tests/oracle.py), on random rule sets.
+
+    The share is the cell's count between the reference cuts over its total, or 0 where
+    the reference raises Unreachable; the priced-out loss is the baseline count less the
+    integer part of the raised rules' share times the total, or 0 if that is negative.
+    Errors the baseline's thresholds raise reach `priced_out` unchanged. A profile of any
+    children, none included, cuts as the reference does, and S1's is the one-child profile.
+    """
+
+    @staticmethod
+    def share_reference(pop, pop_year, group, rules, scenario, mode):
+        profile = profile_for(pop, group, scenario, rules.year)
+        cum = pop.cumulative(pop_year, group)
+        try:
+            cuts = full_relief_cuts_reference(profile, rules, scenario.rule, mode)
+        except Unreachable:
+            return Fraction(0)
+        return Fraction(count_between(cum, *cuts), cum[-1])
+
+    def assert_share(self, pop, pop_year, group, rules, scenario, mode):
+        got = full_relief_proportion(pop, pop_year, group, rules, scenario, mode)
+        expected = self.share_reference(pop, pop_year, group, rules, scenario, mode)
+        assert (type(got), got) == (Fraction, expected)
+        return expected
+
+    @given(
+        year=st.sampled_from(range(2003, 2019)),
+        pop_year=st.sampled_from(range(2003, 2019)),
+        group=st.sampled_from(GROUPS),
+        scenario=st.sampled_from(list(Scenario)),
+        children=st.integers(0, 800).map(lambda c: Fraction(c, 100)),
+        overrides=rule_overrides(),
+        raise_by=st.integers(1, 4_000),
+    )
+    # The phaseout starts before the raised credit accrues: everyone is priced out.
+    @example(year=2017, pop_year=2017, group=ParentalGroup.SINGLE_MOTHER, scenario=Scenario.S2,
+             children=Fraction(1), overrides={"phaseout_start": 50_000}, raise_by=9_000)
+    # The phaseout starts before the full benefit accrues even at baseline, whose thresholds
+    # are then out of order; the profile has no children, so its credit maximum is 0.
+    @example(year=2017, pop_year=2017, group=ParentalGroup.SINGLE_MOTHER, scenario=Scenario.S1,
+             children=Fraction(0), overrides={"phaseout_start": 5_000}, raise_by=9_000)
+    # The full benefit accrues at 22,500 in both modes, a bin edge, where S1 counts its bin.
+    @example(year=2018, pop_year=2018, group=ParentalGroup.SINGLE_MOTHER, scenario=Scenario.S1,
+             children=Fraction(1), overrides={"standard_deduction": 16_500}, raise_by=100)
+    @settings(max_examples=100, deadline=None)
+    def test_random_rule_sets(self, pop, params_by_year, mode, year, pop_year, group, scenario,
+                              children, overrides, raise_by):
+        params = apply_overrides(params_by_year[year], overrides, strict=False)
+        assert profile_for(pop, group, Scenario.S1, year) == HouseholdProfile.one_child(group)
+        profile = HouseholdProfile(group, children)
+        try:
+            expected = full_relief_cuts_reference(profile, params, scenario.rule, mode)
+        except Unreachable as exc:
+            with pytest.raises(Unreachable) as raised:
+                full_relief_cuts(profile, params, scenario.rule, mode)
+            assert str(raised.value) == str(exc)
+        else:
+            assert full_relief_cuts(profile, params, scenario.rule, mode) == expected
+        self.assert_share(pop, pop_year, group, params, scenario, mode)
+
+        parity = replace(params, actc_per_child=params.ctc_per_child)
+        new_ctc = parity.ctc_per_child + raise_by
+        raised = apply_overrides(parity, {"ctc_per_child": new_ctc}, strict=False)
+        share = self.assert_share(pop, pop_year, group, raised, scenario, mode)
+        try:
+            est = eligibility(pop, pop_year, group, parity, scenario, mode)
+        except (OrderingViolation, Unreachable, ValidationError) as exc:
+            with pytest.raises(type(exc)) as raised_exc:
+                priced_out(pop, pop_year, group, parity, new_ctc, scenario, mode)
+            assert str(raised_exc.value) == str(exc)
+            return
+        old = est.counts[ReliefCategory.FULL_ACTC] + est.counts[ReliefCategory.FULL_CTC]
+        expected = PricedOutResult(old, max(0, old - int(share * est.total)))
+        assert priced_out(pop, pop_year, group, parity, new_ctc, scenario, mode) == expected

@@ -13,7 +13,7 @@ from conftest import ROOT
 
 DEMOS = sorted((ROOT / "demos").glob("*.py"))
 
-# SHA-256 of each demo's stdout; the same under any PYTHONHASHSEED.
+# SHA-256 of each demo's stdout, checked under two PYTHONHASHSEEDs.
 STDOUT_SHA256 = {
     "01_benefit_schedule.py": "7363b116fe8aada9403ce525e9276cda4fbf98ca85e40788ab5cad5675067166",
     "02_eligibility_classification.py":
@@ -30,11 +30,14 @@ def test_demos_found():
 
 @pytest.mark.parametrize("demo", DEMOS, ids=[d.name for d in DEMOS])
 def test_demo_runs(demo):
-    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
-    proc = subprocess.run([sys.executable, str(demo)], capture_output=True, env=env, cwd=ROOT,
-                          timeout=120)
-    assert proc.returncode == 0, proc.stderr.decode()
-    assert hashlib.sha256(proc.stdout).hexdigest() == STDOUT_SHA256[demo.name]
+    """Enum members hash by identity and strings by a per-process seed; no set whose order
+    follows those hashes reaches a demo's output."""
+    for seed in ("0", "1"):
+        env = dict(os.environ, PYTHONPATH=str(ROOT / "src"), PYTHONHASHSEED=seed)
+        proc = subprocess.run([sys.executable, str(demo)], capture_output=True, env=env,
+                              cwd=ROOT, timeout=120)
+        assert proc.returncode == 0, proc.stderr.decode()
+        assert hashlib.sha256(proc.stdout).hexdigest() == STDOUT_SHA256[demo.name], seed
 
 
 def test_readme_quick_start_runs():
