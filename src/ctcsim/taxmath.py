@@ -24,13 +24,13 @@ are, but with no gcd per step. A public answer is built as one Fraction.
 
 Two liability modes are supported: ``EXACT`` applies the bracket schedule
 analytically; ``TABLE`` evaluates liability at the midpoint of the
-enclosing $50-wide taxable-income row, mimicking lookup-table filing. There
-the liability term rounds the exact walk up to its first row with one integer
-ceiling division. The phase-in term splits the rows into pieces: rows whose
-midpoints share a bracket band and which end on one side of the refund floor.
-Within a piece, "this row holds a solution" is a linear inequality in the row
-index, so one ceiling division per piece finds the first row, in
-O(number of brackets) integer steps.
+enclosing $50-wide taxable-income row, mimicking lookup-table filing. Both
+terms invert there by the same walk with the refund floor moved down half a
+row: at a row's midpoint its total is the row's liability plus the ramp at
+the row's end, so the row holds a solution exactly when that total reaches
+the target. One integer ceiling division finds the first row whose midpoint
+is at or past the walk's income, and a linear solve the income inside it,
+in O(number of brackets) integer steps.
 """
 
 from __future__ import annotations
@@ -45,6 +45,7 @@ from .params import FilingParams, ParentalGroup, ProgramParameters
 from .record import Enum, Record
 
 TABLE_ROW_WIDTH = Fraction(50)
+_ROW = int(TABLE_ROW_WIDTH)  # the row width as the kernel's integer, in dollars
 
 
 class LiabilityMode(Enum):
@@ -198,6 +199,7 @@ class _Kernel:
     D covers the money here and the `targets` named when it is built, and only those; the
     bands are (upper income over D or None, rate over Q). Both inversions take a target over
     D and return an income as (numerator, positive denominator), for the caller to compare.
+    Both run `_income`, the one step that reads the liability mode.
     """
 
     __slots__ = ("mode", "d", "q", "free", "refundable", "credit", "floor", "rate", "bands")
@@ -228,13 +230,10 @@ class _Kernel:
         """
         if t <= 0:
             raise Unreachable("threshold target must be positive")
-        income = (self._table_phase_in(t) if self.mode is LiabilityMode.TABLE
-                  else self._first_income(t, self.rate))
-        gap = t - self.refundable
-        try:
-            tax = self.liability(gap) if gap > 0 else income
-        except ValidationError:
-            raise Unreachable(f"benefit target {Fraction(t, self.d)} is never reached") from None
+        income, gap = self._income(t, self.rate), t - self.refundable
+        tax = self._income(gap, 0) if gap > 0 else income
+        if tax is None:
+            raise Unreachable(f"benefit target {Fraction(t, self.d)} is never reached")
         return income if income[0] * tax[1] >= tax[0] * income[1] else tax
 
     def liability(self, t: int) -> tuple[int, int]:
@@ -243,73 +242,58 @@ class _Kernel:
         Raises ValidationError if the schedule tops out below it (possible only
         when the last rate is zero).
         """
-        found = self._first_income(t, 0)
+        found = self._income(t, 0)
         if found is None:
             raise ValidationError(f"tax target {Fraction(t, self.d)} unreachable under schedule")
-        if self.mode is LiabilityMode.TABLE:  # the first $50 row whose midpoint clears it
-            (income, den), d, width = found, self.d, int(TABLE_ROW_WIDTH) * self.d
-            row = -(((self.free + width // 2) * den - income * d) // (width * den))
-            return self.free + row * width, d
         return found
 
-    def _first_income(self, t: int, ramp: int) -> tuple[int, int] | None:
-        """Minimal income where exact liability plus `ramp` (over Q) per dollar above
-        the refund floor reaches t/D > 0, as its integer numerator and denominator
-        (D·slope), or None if the total tops out below it.
-        Segments are the bands split at the refund floor; the running total is over D·Q."""
-        floor, target = self.floor, t * self.q
-        lo = total = 0
+    def _income(self, t: int, ramp: int) -> tuple[int, int] | None:
+        """Minimal income where liability plus `ramp` (over Q) per dollar above the refund
+        floor reaches t/D > 0, or None if the total tops out below it (only when ramp is 0).
+
+        The walk runs over the bands split at the floor, from the floor if it is below
+        zero; the running total is over D·Q, and an income found is its integer numerator
+        over D·slope. In table mode it walks exact liability with the floor moved down half
+        a row, and `_row_solve` takes the answer from the income that walk finds."""
+        table, floor = self.mode is LiabilityMode.TABLE, self.floor
+        if table:
+            floor -= _ROW * self.d // 2
+        target, lo, total = t * self.q, floor if floor < 0 else 0, 0
         for hi, rate in self.bands:
             for end in (floor, hi) if lo < floor and (hi is None or floor < hi) else (hi,):
                 slope = rate + ramp if lo >= floor else rate
                 if slope and (end is None or total + slope * (end - lo) >= target):
-                    return lo * slope + target - total, self.d * slope
+                    found = lo * slope + target - total, self.d * slope
+                    return self._row_solve(t, ramp, *found) if table else found
                 if end is not None:
                     total, lo = total + slope * (end - lo), end
         return None
 
-    def _table_phase_in(self, t: int) -> tuple[int, int]:
-        """Minimal income where table liability plus the uncapped phase-in reaches
-        t/D: the first $50 row holding a solution, then the solve within it.
+    def _row_solve(self, t: int, ramp: int, income: int, den: int) -> tuple[int, int]:
+        """Table mode's answer, from income/den found under the floor moved down W/2.
 
-        Row k >= 0 spans [free + kW, free + (k + 1)W), W the row width, and owes the
-        liability at its midpoint; row -1 is every income below `free` and owes none.
-        A row ending at or below the floor holds a solution iff its liability reaches
-        the target; one ending above it, iff its liability plus the phase-in at its end
-        exceeds the target. Over the rows whose midpoints share a band and which end on
-        one side of the floor, that test is linear in k, so one ceiling division finds
-        the first such row holding a solution. The pieces are walked in income order.
-        Incomes in the solve are integers over D·rate (the refund rate over Q)."""
-        d, target, floor, rate, free = self.d, t * self.q, self.floor, self.rate, self.free
-        width = int(TABLE_ROW_WIDTH) * d
+        Row k spans [free + kW, free + (k + 1)W), W the row width, and owes the exact
+        liability at its midpoint m_k; rows below free owe none. At m_k, exact liability plus
+        the ramp above the moved floor is the row's liability plus the ramp at the row's end,
+        so row k holds a solution exactly when that sum reaches t. The sum never falls: the
+        first such row is the first whose midpoint is at or past income/den, and the answer
+        is the solve within it, over D or over D·ramp. A tie at the row's end solves to that
+        end, the next row's start, where the total has reached t too."""
+        d, width = self.d, _ROW * self.d
         half = width // 2
+        start = self.free - (((self.free + half) * den - income * d) // (width * den)) * width
+        need = t * self.q - self._tax(start + half)
+        if need <= 0:
+            return start, d
+        return max(start * ramp, self.floor * ramp + need), d * ramp
 
-        def solve(start: int, end: int, liability: int) -> tuple[int, int] | None:
-            """Minimal income in [start, end) over D reaching the target, or None."""
-            need = target - liability
-            y = start * rate if need <= 0 else max(start * rate, floor * rate + need)
-            return (y, d * rate) if y < end * rate else None
-
-        income = solve(0, free, 0)
-        if income is not None:
-            return income
-        split = (floor - free) // width  # the first row ending above the floor
-        total, lo, first = 0, free, 0  # liability at lo over D·Q; the first row past lo
-        for hi, band_rate in self.bands[1:]:
-            last = None if hi is None else (hi - free - half) // width  # midpoint <= hi
-            base = total + band_rate * (free + half - lo)  # row k owes base + band_rate·W·k
-            # Each piece: its rows k0..k1 (None: unbounded) hold a solution iff a·k >= b.
-            for k0, k1, a, b in (
-                    (first, split - 1 if last is None else min(last, split - 1),
-                     band_rate * width, target - base),
-                    (max(first, split), last, (band_rate + rate) * width,
-                     target + 1 - base - rate * (free + width - floor))):
-                k = k0 if a * k0 >= b else -(-b // a) if a else None
-                if k is not None and (k1 is None or k <= k1):
-                    return solve(free + k * width, free + (k + 1) * width,
-                                 base + band_rate * width * k)
-            total, lo, first = total + band_rate * (hi - lo), hi, last + 1
-        raise AssertionError("unreachable: the last band's second piece is unbounded")
+    def _tax(self, y: int) -> int:
+        """Exact liability at income y over D, over D·Q."""
+        lo = total = 0
+        for hi, rate in self.bands:
+            if hi is None or y <= hi:
+                return total + rate * (y - lo)
+            total, lo = total + rate * (hi - lo), hi
 
 
 def invert_benefit(

@@ -370,6 +370,14 @@ class TestFlags:
             assert category_cuts(ts, scenario.rule)[2:4] == [80_000, hi]
             assert classify(pop, 2018, ParentalGroup.MARRIED, ts, scenario).flags[D] is flag
 
+    def test_a_category_ending_at_the_ceiling_is_accurate(self, pop):
+        # e ends at the total phaseout, 100,000: it lies wholly inside the data.
+        ts = make_thresholds(end=100_000)
+        for scenario in Scenario:
+            assert category_cuts(ts, scenario.rule)[4] == INCOME_CEILING
+            flags = classify(pop, 2018, ParentalGroup.MARRIED, ts, scenario).flags
+            assert (flags[E], flags[F]) == (self.ACC, self.UNAVAIL)
+
     @given(ts=ordered_thresholds(), scenario=st.sampled_from(list(Scenario)))
     @example(ts=make_thresholds(ctc=80_000, start=159_000, end=200_000), scenario=Scenario.S1)
     @settings(max_examples=250, deadline=None)

@@ -325,6 +325,15 @@ class TestTableMode:
         ts = thresholds(ONE_MARRIED, params_by_year[2018], LiabilityMode.TABLE)
         assert ts.t_full_ctc == 43_850
 
+    def test_no_row_at_the_tax_free_amount(self, params_by_year):
+        # Taxable income 0 owes nothing; a cent more opens row 0, owing its midpoint's tax.
+        params = params_by_year[2018]
+        brackets = params.for_status(ONE_SINGLE.group.filing_status).brackets
+        assert tax_free_amount(ONE_SINGLE, params) == 18_000
+        table, cent_above = LiabilityMode.TABLE, Fraction(1_800_001, 100)
+        assert tax_liability(18_000, ONE_SINGLE, params, table) == 0
+        assert tax_liability(cent_above, ONE_SINGLE, params, table) == brackets.tax(25) > 0
+
     def test_row_boundary_uses_row_starting_there(self, params_by_year):
         # Taxable income exactly on a row edge belongs to the row it opens.
         params = params_by_year[2018]
@@ -495,6 +504,12 @@ class TestInversionMatchesOracle:
     # floor lies inside row 200, [29,350, 29,400), which holds the phase-in answer.
     @example(year=2010, group=ParentalGroup.SINGLE_MOTHER, children=Fraction(2),
              overrides={"refund_threshold": 29_375}, target=Fraction(1_004))
+    # A refund floor under half a row: moved down $25 for the row search, it lies below zero,
+    # so that walk starts there, with $25 of phase-in accrued by zero income. The answer,
+    # 59,650/3, lies in row 10, [19,850, 19,900).
+    @example(year=2010, group=ParentalGroup.SINGLE_MOTHER, children=Fraction(2),
+             overrides={"refund_threshold": 0, "ctc_per_child": 2_000, "actc_per_child": 2_000},
+             target=Fraction(3_035))
     # The phase-in reaches the target exactly at row 200's end, so row 201 holds the answer.
     @example(year=2010, group=ParentalGroup.SINGLE_MOTHER, children=Fraction(2),
              overrides={"refund_threshold": 29_375}, target=Fraction(4_025, 4))
