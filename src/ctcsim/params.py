@@ -71,7 +71,8 @@ class BracketSchedule(Record):
     brackets: tuple[Bracket, ...]
 
     def tax(self, taxable: Fraction) -> Fraction:
-        """Tax due on `taxable` income (0 if not positive)."""
+        """Tax due on `taxable` income (0 if not positive). Kept for the test oracle and the
+        benchmark's tracer; the package reads liability on `taxmath._Kernel`'s integers."""
         if taxable <= 0:
             return Fraction(0)
         total = Fraction(0)

@@ -14,6 +14,9 @@ finds each (with the refund rate as ramp, then with ramp 0). That walk is
 `_Kernel`'s: :func:`thresholds` reaches it for every category boundary of a
 household, and `_benefit_income` for one benefit target, :func:`invert_benefit`'s
 or the credit maximum of a full-relief cut in :mod:`ctcsim.counterfactual`.
+The forward evaluation, :func:`benefit_at_income`, builds the same kernel
+with its income as a target and reads liability there through `_Kernel.owed`,
+so forward and inverse share one scaling and one rule per liability mode.
 
 The walk runs on integers, scaled once per household: money (the tax-free
 amount, refund floor, benefit maxima, bracket uppers, targets) over D, the
@@ -44,8 +47,7 @@ from .money import as_money
 from .params import FilingParams, ParentalGroup, ProgramParameters
 from .record import Enum, Record
 
-TABLE_ROW_WIDTH = Fraction(50)
-_ROW = int(TABLE_ROW_WIDTH)  # the row width as the kernel's integer, in dollars
+_ROW = 50  # the width of a tax-table row, in dollars of taxable income
 
 
 class LiabilityMode(Enum):
@@ -132,39 +134,10 @@ def _tax_free(profile: HouseholdProfile, params: ProgramParameters) -> tuple[int
     return ded.numerator * den + ex.numerator * persons * ded.denominator, ded.denominator * den
 
 
-def tax_free_amount(profile: HouseholdProfile, params: ProgramParameters) -> Fraction:
-    """Standard deduction plus per-person exemptions for the household."""
-    return Fraction(*_tax_free(profile, params))
-
-
-def tax_liability(
-    income,
-    profile: HouseholdProfile,
-    params: ProgramParameters,
-    mode: LiabilityMode = LiabilityMode.EXACT,
-) -> Fraction:
-    """Bracket tax on income net of the tax-free amount; nondecreasing in income."""
-    income = as_money(income)
-    if income < 0:
-        raise ValidationError("income must be nonnegative")
-    taxable = income - tax_free_amount(profile, params)
-    if mode is LiabilityMode.TABLE and taxable > 0:
-        taxable = (taxable // TABLE_ROW_WIDTH) * TABLE_ROW_WIDTH + TABLE_ROW_WIDTH / 2
-    return _filing(profile, params).brackets.tax(taxable)
-
-
 def _per_child(amount: Fraction, profile: HouseholdProfile) -> tuple[int, int]:
     """`amount` per child times the household's children, as (numerator, denominator)."""
     kids = profile.children
     return amount.numerator * kids.numerator, amount.denominator * kids.denominator
-
-
-def max_credit(profile: HouseholdProfile, params: ProgramParameters) -> Fraction:
-    return Fraction(*_per_child(params.ctc_per_child, profile))
-
-
-def max_refund(profile: HouseholdProfile, params: ProgramParameters) -> Fraction:
-    return Fraction(*_per_child(params.actc_per_child, profile))
 
 
 def benefit_at_income(
@@ -173,19 +146,24 @@ def benefit_at_income(
     params: ProgramParameters,
     mode: LiabilityMode = LiabilityMode.EXACT,
 ) -> BenefitSplit:
-    """Realizable benefit at `income`, split into credit and refund."""
+    """Realizable benefit at `income`, split into credit and refund.
+
+    Read on a kernel built with `income` as a target: liability through `owed`, and the
+    phase-in and both maxima as its integers. Only the phaseout allowance is a Fraction step.
+    """
     income = as_money(income)
-    fp = _filing(profile, params)
-    allowed = max_credit(profile, params) - params.phaseout_rate * max(
-        Fraction(0), income - fp.phaseout_start
-    )
-    allowed = max(Fraction(0), allowed)
-    liability = tax_liability(income, profile, params, mode)
+    if income < 0:
+        raise ValidationError("income must be nonnegative")
+    kernel = _Kernel(profile, params, mode, income)
+    d, q, y = kernel.d, kernel.q, _over(income, kernel.d)
+    liability = Fraction(kernel.owed(y), d * q)
+    phase_in = Fraction(kernel.rate * max(0, y - kernel.floor), d * q)
+    start = _filing(profile, params).phaseout_start
+    allowed = max(Fraction(0), Fraction(kernel.credit, d)
+                  - params.phaseout_rate * max(0, income - start))
     credit = min(liability, allowed)
-    phase_in = params.refund_rate * max(Fraction(0), income - params.refund_threshold)
-    refund = min(phase_in, max_refund(profile, params), allowed - credit)
-    refund = max(Fraction(0), refund)
-    return BenefitSplit(credit=credit, refund=refund)
+    refund = min(phase_in, Fraction(kernel.refundable, d), allowed - credit)
+    return BenefitSplit(credit=credit, refund=max(Fraction(0), refund))
 
 
 def _over(x: Fraction, den: int) -> int:
@@ -194,12 +172,13 @@ def _over(x: Fraction, den: int) -> int:
 
 
 class _Kernel:
-    """One household's rules on integers, scaled once for all its inversions.
+    """One household's rules on integers, scaled once for its inversions or one evaluation.
 
     D covers the money here and the `targets` named when it is built, and only those; the
     bands are (upper income over D or None, rate over Q). Both inversions take a target over
     D and return an income as (numerator, positive denominator), for the caller to compare.
-    Both run `_income`, the one step that reads the liability mode.
+    Both run `_income`; the forward evaluation reads liability at an income through `owed`.
+    These two are the only steps that read the liability mode.
     """
 
     __slots__ = ("mode", "d", "q", "free", "refundable", "credit", "floor", "rate", "bands")
@@ -286,6 +265,16 @@ class _Kernel:
         if need <= 0:
             return start, d
         return max(start * ramp, self.floor * ramp + need), d * ramp
+
+    def owed(self, y: int) -> int:
+        """Liability at income y over D, over D·Q. In table mode it is the exact liability
+        at the midpoint of y's row, and none at or below the tax-free amount."""
+        if self.mode is LiabilityMode.TABLE:
+            if y <= self.free:
+                return 0
+            width = _ROW * self.d
+            y += width // 2 - (y - self.free) % width
+        return self._tax(y)
 
     def _tax(self, y: int) -> int:
         """Exact liability at income y over D, over D·Q."""

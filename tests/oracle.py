@@ -7,9 +7,13 @@ rationals with denominator dividing 300, so no integer-dollar grid point
 sits closer to a boundary than 1/300 and the guard can never flip a
 classification.
 
-The exceptions are the exact references for the engine's threshold
-inversion, built only on the public ``tax_liability`` and the bracket
-schedule: :func:`exact_threshold_walk` evaluates credit plus capped refund
+The exceptions are the exact references, in Fraction arithmetic on the
+rules and the bracket schedule's own ``tax``, sharing no code with the
+engine's integer kernel. The forward one is :func:`benefit_reference`: the
+credit and refund at one income, from :func:`tax_liability` (with its $50
+table rows), :func:`tax_free_amount`, :func:`max_credit` and
+:func:`max_refund`. The engine's threshold inversion has its own:
+:func:`exact_threshold_walk` evaluates credit plus capped refund
 at every breakpoint of the piecewise-linear benefit and interpolates,
 :func:`table_threshold_scan` walks every $50 row in table mode, and
 :func:`liability_reference` solves the brackets one by one;
@@ -105,6 +109,56 @@ def grid_categories(incomes: np.ndarray, params, group, children: float) -> np.n
     return cats
 
 
+TABLE_ROW_WIDTH = Fraction(50)
+
+
+def tax_free_amount(profile, params) -> Fraction:
+    """Standard deduction plus per-person exemptions for the household."""
+    fp = params.for_status(profile.group.filing_status)
+    return fp.standard_deduction + fp.exemption_per_person * (profile.group.adults
+                                                              + profile.children)
+
+
+def tax_liability(income, profile, params, mode=None) -> Fraction:
+    """Bracket tax on income net of the tax-free amount; in table mode, at the midpoint of
+    the $50 row of taxable income that holds it, and none at taxable income 0 or below."""
+    from ctcsim.errors import ValidationError
+    from ctcsim.taxmath import LiabilityMode
+
+    income = Fraction(income)
+    if income < 0:
+        raise ValidationError("income must be nonnegative")
+    taxable = income - tax_free_amount(profile, params)
+    if mode is LiabilityMode.TABLE and taxable > 0:
+        taxable = (taxable // TABLE_ROW_WIDTH) * TABLE_ROW_WIDTH + TABLE_ROW_WIDTH / 2
+    return params.for_status(profile.group.filing_status).brackets.tax(taxable)
+
+
+def max_credit(profile, params) -> Fraction:
+    return params.ctc_per_child * profile.children
+
+
+def max_refund(profile, params) -> Fraction:
+    return params.actc_per_child * profile.children
+
+
+def benefit_reference(income, profile, params, mode=None) -> tuple[Fraction, Fraction]:
+    """The (credit, refund) at `income`, from the rules one term at a time.
+
+    The credit is liability capped by the phased-out maximum; the refund is the
+    phase-in above the floor, capped by the refundable maximum and by what the
+    credit leaves of that allowance.
+    """
+    income = Fraction(income)
+    fp = params.for_status(profile.group.filing_status)
+    allowed = max(Fraction(0), max_credit(profile, params)
+                  - params.phaseout_rate * max(Fraction(0), income - fp.phaseout_start))
+    credit = min(tax_liability(income, profile, params, mode), allowed)
+    phase_in = params.refund_rate * max(Fraction(0), income - params.refund_threshold)
+    refund = min(phase_in, max_refund(profile, params), allowed - credit)
+    return credit, max(Fraction(0), refund)
+
+
 def exact_threshold_walk(target: Fraction, profile, params) -> Fraction:
     """Minimal income where exact liability plus the capped refund reaches `target`.
 
@@ -115,7 +169,6 @@ def exact_threshold_walk(target: Fraction, profile, params) -> Fraction:
     """
     # Imported here so that loading this module binds no library function.
     from ctcsim.errors import Unreachable
-    from ctcsim.taxmath import max_refund, tax_free_amount, tax_liability
 
     if target <= 0:
         raise Unreachable("threshold target must be positive")
@@ -157,7 +210,6 @@ def table_threshold_scan(target: Fraction, profile, params) -> Fraction:
     calls the bracket tax once a row.
     """
     from ctcsim.errors import Unreachable
-    from ctcsim.taxmath import TABLE_ROW_WIDTH, max_refund, tax_free_amount
 
     free = tax_free_amount(profile, params)
     refundable = max_refund(profile, params)
@@ -198,7 +250,7 @@ def liability_reference(target: Fraction, profile, params, mode) -> Fraction:
     answer. Raises ValidationError when the schedule tops out below `target`.
     """
     from ctcsim.errors import ValidationError
-    from ctcsim.taxmath import TABLE_ROW_WIDTH, LiabilityMode, tax_free_amount
+    from ctcsim.taxmath import LiabilityMode
 
     schedule = params.for_status(profile.group.filing_status).brackets
     free = tax_free_amount(profile, params)
@@ -230,7 +282,7 @@ def thresholds_reference(profile, params, mode):
     from :func:`liability_reference`; a target of zero is never reached.
     """
     from ctcsim.errors import Unreachable
-    from ctcsim.taxmath import LiabilityMode, ThresholdSet, max_credit, max_refund
+    from ctcsim.taxmath import LiabilityMode, ThresholdSet
 
     def refund_walk(target):
         if target <= 0:
@@ -258,7 +310,7 @@ def full_relief_cuts_reference(profile, params, rule, mode) -> tuple[int, int]:
     the phaseout start, is unreachable.
     """
     from ctcsim.errors import Unreachable
-    from ctcsim.taxmath import LiabilityMode, max_credit
+    from ctcsim.taxmath import LiabilityMode
 
     target = max_credit(profile, params)
     if target <= 0:

@@ -380,6 +380,8 @@ class TestFlags:
 
     @given(ts=ordered_thresholds(), scenario=st.sampled_from(list(Scenario)))
     @example(ts=make_thresholds(ctc=80_000, start=159_000, end=200_000), scenario=Scenario.S1)
+    # e ends exactly at the ceiling, so it lies wholly inside the data.
+    @example(ts=make_thresholds(end=100_000), scenario=Scenario.S1)
     @settings(max_examples=250, deadline=None)
     def test_no_category_reaching_past_the_ceiling_is_accurate(self, pop, ts, scenario):
         flags = classify(pop, 2018, ParentalGroup.MARRIED, ts, scenario).flags
@@ -387,11 +389,13 @@ class TestFlags:
         for cat, lo, hi in zip(CATEGORY_ORDER, edges, [*edges[1:], None]):  # f: no upper end
             if lo >= INCOME_CEILING:
                 assert flags[cat] is self.UNAVAIL, cat
-            if hi is None or hi > INCOME_CEILING:
+            elif hi is None or hi > INCOME_CEILING:
                 assert flags[cat] is not self.ACC, cat
-            # A quarter or more of a bounded range inside, as the example's d: underestimate.
-            if hi is not None and lo < INCOME_CEILING < hi and 4 * (INCOME_CEILING - lo) >= hi - lo:
-                assert flags[cat] is self.UNDER, cat
+                # A quarter or more of a bounded range inside, as the example's d: underestimate.
+                if hi is not None and 4 * (INCOME_CEILING - lo) >= hi - lo:
+                    assert flags[cat] is self.UNDER, cat
+            else:  # lo < ceiling and hi <= ceiling: wholly inside the data
+                assert flags[cat] is self.ACC, cat
 
 
 class TestCombine:

@@ -16,24 +16,20 @@ from ctcsim import (
 from ctcsim.classifier import BoundRule
 from ctcsim.counterfactual import full_relief_cuts
 from ctcsim.errors import OrderingViolation, Unreachable, ValidationError
-from ctcsim.taxmath import (
-    LiabilityMode,
-    ThresholdSet,
-    _Kernel,
-    _over,
-    max_credit,
-    max_refund,
-    tax_free_amount,
-    tax_liability,
-)
+from ctcsim.taxmath import LiabilityMode, ThresholdSet, _Kernel, _over
 
 import goldens
 from oracle import (
+    benefit_reference,
     exact_threshold_walk,
     full_relief_cuts_reference,
     grid_categories,
     liability_reference,
+    max_credit,
+    max_refund,
     table_threshold_scan,
+    tax_free_amount,
+    tax_liability,
     thresholds_reference,
 )
 
@@ -45,20 +41,29 @@ def profile_one(kind):
     return ONE_MARRIED if kind == "married" else ONE_SINGLE
 
 
+def owed(income, profile, params, mode=LiabilityMode.EXACT) -> Fraction:
+    """Liability at `income` on the package's kernel, asserted equal to the oracle's."""
+    income = Fraction(income)
+    kernel = _Kernel(profile, params, mode, income)
+    got = Fraction(kernel.owed(_over(income, kernel.d)), kernel.d * kernel.q)
+    assert got == tax_liability(income, profile, params, mode)
+    return got
+
+
 class TestLiability:
     def test_below_tax_free_amount_is_zero(self, params_by_year):
-        assert tax_liability(13_000, ONE_SINGLE, params_by_year[2003]) == 0
+        assert owed(13_000, ONE_SINGLE, params_by_year[2003]) == 0
 
     def test_single_2003_threshold_income_owes_full_credit(self, params_by_year):
-        assert tax_liability(23_100, ONE_SINGLE, params_by_year[2003]) == 1000
+        assert owed(23_100, ONE_SINGLE, params_by_year[2003]) == 1000
 
     def test_married_2018_threshold_income(self, params_by_year):
-        liability = tax_liability(43_850, ONE_MARRIED, params_by_year[2018])
+        liability = owed(43_850, ONE_MARRIED, params_by_year[2018])
         assert abs(liability - 2000) <= 10
 
     def test_monotone_in_income(self, params_by_year):
         params = params_by_year[2018]
-        values = [tax_liability(y, ONE_SINGLE, params) for y in range(0, 60_000, 500)]
+        values = [owed(y, ONE_SINGLE, params) for y in range(0, 60_000, 500)]
         assert all(a <= b for a, b in zip(values, values[1:]))
 
 
@@ -329,15 +334,19 @@ class TestTableMode:
         # Taxable income 0 owes nothing; a cent more opens row 0, owing its midpoint's tax.
         params = params_by_year[2018]
         brackets = params.for_status(ONE_SINGLE.group.filing_status).brackets
-        assert tax_free_amount(ONE_SINGLE, params) == 18_000
+        kernel = _Kernel(ONE_SINGLE, params, LiabilityMode.TABLE)
+        assert tax_free_amount(ONE_SINGLE, params) == Fraction(kernel.free, kernel.d) == 18_000
         table, cent_above = LiabilityMode.TABLE, Fraction(1_800_001, 100)
-        assert tax_liability(18_000, ONE_SINGLE, params, table) == 0
-        assert tax_liability(cent_above, ONE_SINGLE, params, table) == brackets.tax(25) > 0
+        assert owed(18_000, ONE_SINGLE, params, table) == 0
+        assert owed(cent_above, ONE_SINGLE, params, table) == brackets.tax(25) > 0
+        # Below the phaseout the allowance does not bind, so the credit is the liability.
+        assert benefit_at_income(18_000, ONE_SINGLE, params, table).credit == 0
+        assert benefit_at_income(cent_above, ONE_SINGLE, params, table).credit == brackets.tax(25)
 
     def test_row_boundary_uses_row_starting_there(self, params_by_year):
         # Taxable income exactly on a row edge belongs to the row it opens.
         params = params_by_year[2018]
-        at_edge = tax_liability(18_000 + 13_600, ONE_SINGLE, params, LiabilityMode.TABLE)
+        at_edge = owed(18_000 + 13_600, ONE_SINGLE, params, LiabilityMode.TABLE)
         expected = params.for_status(ONE_SINGLE.group.filing_status).brackets.tax(13_600 + 25)
         assert at_edge == expected
 
@@ -346,8 +355,8 @@ class TestTableMode:
         params = params_by_year[2018]
         bound = Fraction("0.12") * 50
         for y in range(18_000, 60_000, 333):
-            exact = tax_liability(y, ONE_SINGLE, params)
-            table = tax_liability(y, ONE_SINGLE, params, LiabilityMode.TABLE)
+            exact = owed(y, ONE_SINGLE, params)
+            table = owed(y, ONE_SINGLE, params, LiabilityMode.TABLE)
             assert abs(exact - table) < bound
 
     def test_refund_path_threshold_table_mode(self, params_by_year):
@@ -393,6 +402,13 @@ def rule_overrides(draw):
         overrides["brackets"] = ([{"upper": u, "rate": r} for u, r in zip(uppers, rates)]
                                  + [{"rate": rates[-1]}])
     return overrides
+
+
+# Up to eight children, in hundredths or over a drawn coprime denominator.
+CHILDREN = st.one_of(
+    st.integers(0, 800).map(lambda c: Fraction(c, 100)),
+    st.sampled_from(COPRIME_DENOMINATORS).flatmap(
+        lambda den: st.integers(0, 8 * den).map(lambda c: Fraction(c, den))))
 
 
 def in_order(ts: ThresholdSet) -> bool:
@@ -463,6 +479,22 @@ class TestInversionMatchesOracle:
         else:
             got = invert_benefit(target, profile, params, mode)
             assert (type(got), got) == (Fraction, expected)
+            self.assert_first_reached_at(got, target, profile, params, mode)
+
+    @staticmethod
+    def assert_first_reached_at(income, target, profile, params, mode):
+        """The oracle's benefit reaches `target` at `income`, and a cent lower it does not."""
+        def total(y):
+            return sum(benefit_reference(y, profile, params, mode))
+
+        cent = Fraction(1, 100)
+        if total(income) < target:
+            # Table liability is 0 at the tax-free amount and a row's tax just above it, so
+            # there the minimal income is an infimum, reached a cent later.
+            assert mode is LiabilityMode.TABLE and income == tax_free_amount(profile, params)
+            assert total(income + cent) >= target
+        if income > 0:
+            assert total(max(Fraction(0), income - cent)) < target
 
     def test_shipped_years(self, params_by_year, pop, mode):
         for year, params in params_by_year.items():
@@ -476,10 +508,7 @@ class TestInversionMatchesOracle:
     @given(
         year=st.sampled_from(sorted(range(2003, 2019))),
         group=st.sampled_from(list(ParentalGroup)),
-        children=st.one_of(
-            st.integers(0, 800).map(lambda c: Fraction(c, 100)),
-            st.sampled_from(COPRIME_DENOMINATORS).flatmap(
-                lambda den: st.integers(0, 8 * den).map(lambda c: Fraction(c, den)))),
+        children=CHILDREN,
         overrides=rule_overrides(),
         target=st.one_of(st.sampled_from(["max_refund", "max_credit"]),
                          st.integers(1, 1_000_000).map(lambda c: Fraction(c, 100))),
@@ -557,6 +586,61 @@ class TestInversionMatchesOracle:
         if target > 0:
             self.assert_matches_oracle(target, profile, params, mode)
         self.assert_thresholds_match_oracle(profile, params, mode)
+
+
+@pytest.mark.parametrize("mode", list(LiabilityMode), ids=lambda m: m.value)
+class TestForwardMatchesOracle:
+    """``benefit_at_income`` on the kernel equals the oracle's Fraction reference exactly.
+
+    An income is drawn as money or named by the rule it sits on: the tax-free amount, a
+    cent above it, the refund floor, the first bracket's upper end as income, the phaseout
+    start or the total phaseout.
+    """
+
+    @staticmethod
+    def named_income(name, profile, params):
+        fp = params.for_status(profile.group.filing_status)
+        free = tax_free_amount(profile, params)
+        uppers = [b.upper for b in fp.brackets.brackets if b.upper is not None]
+        return {
+            "free": free,
+            "free+cent": free + Fraction(1, 100),
+            "floor": params.refund_threshold,
+            "upper": free + uppers[0] if uppers else free,
+            "start": fp.phaseout_start,
+            "total": fp.phaseout_start + max_credit(profile, params) / params.phaseout_rate,
+        }[name]
+
+    @given(
+        year=st.sampled_from(sorted(range(2003, 2019))),
+        group=st.sampled_from(list(ParentalGroup)),
+        children=CHILDREN,
+        overrides=rule_overrides(),
+        income=st.one_of(st.sampled_from(["free", "free+cent", "floor", "upper", "start",
+                                          "total"]), money(0, 500_000)),
+    )
+    @example(year=2018, group=ParentalGroup.SINGLE_MOTHER, children=Fraction(2), overrides={},
+             income="free")
+    @example(year=2018, group=ParentalGroup.SINGLE_MOTHER, children=Fraction(2), overrides={},
+             income="free+cent")
+    @example(year=2018, group=ParentalGroup.SINGLE_FATHER, children=Fraction(5, 3),
+             overrides={"refund_threshold": Fraction(10_001, 4)}, income="floor")
+    @example(year=2009, group=ParentalGroup.MARRIED, children=Fraction(7, 3), overrides={},
+             income="upper")
+    @example(year=2018, group=ParentalGroup.MARRIED, children=Fraction(2), overrides={},
+             income="start")
+    @example(year=2003, group=ParentalGroup.SINGLE_MOTHER, children=Fraction(5, 3),
+             overrides={}, income="total")
+    @settings(max_examples=200, deadline=None)
+    def test_random_rule_sets(self, request, mode, year, group, children, overrides, income):
+        params = apply_overrides(request.getfixturevalue("params_by_year")[year], overrides,
+                                 strict=False)
+        profile = HouseholdProfile(group, children)
+        if isinstance(income, str):
+            income = self.named_income(income, profile, params)
+        split = benefit_at_income(income, profile, params, mode)
+        assert (split.credit, split.refund) == benefit_reference(income, profile, params, mode)
+        assert (type(split.credit), type(split.refund)) == (Fraction, Fraction)
 
 
 class TestGridEquivalence:
