@@ -219,15 +219,21 @@ def _outcomes(text: str | None, default: list[str]) -> list[str]:
     return outcomes
 
 
+def _valued(members) -> list[tuple]:
+    """Each enum member with its value, read once here rather than once per row."""
+    return [(member, member.value) for member in members]
+
+
 def rows_thresholds(run: Run, args) -> list[tuple]:
+    groups, scenarios = _valued(_groups(args)), _valued(run.scenarios)
     rows = []
     for year in _years(run, args):
         params = params_for_year(run.params, year)
-        for group in _groups(args):
-            for scenario in run.scenarios:
+        for group, group_value in groups:
+            for scenario, scenario_value in scenarios:
                 profile = cf.profile_for(run.pop, group, scenario, year)
                 ts = thresholds(profile, params, run.mode)
-                rows.append((year, group.value, scenario.value, f"{float(profile.children):.2f}",
+                rows.append((year, group_value, scenario_value, f"{float(profile.children):.2f}",
                              format_money(ts.t_refund_floor), format_money(ts.t_full_actc),
                              format_money(ts.t_full_ctc), format_money(ts.t_full_combined),
                              format_money(ts.t_phaseout_start), format_money(ts.t_total_phaseout)))
@@ -235,12 +241,8 @@ def rows_thresholds(run: Run, args) -> list[tuple]:
 
 
 def rows_classify(run: Run, args) -> list[tuple]:
-    # Each enum value is read once here, not once per row.
-    groups = [(group, group.value) for group in _groups(args)]
-    scenarios = [(scenario, scenario.value) for scenario in run.scenarios]
-    cats = [(cat, cat.value) for cat in CATEGORY_ORDER]
-    flag_values = {flag: flag.value for flag in GeneralizabilityFlag}
-    rows = []
+    groups, scenarios, rows = _valued(_groups(args)), _valued(run.scenarios), []
+    cats, flag_values = _valued(CATEGORY_ORDER), dict(_valued(GeneralizabilityFlag))
     for year in _years(run, args):
         params = params_for_year(run.params, year)
         for group, group_value in groups:
@@ -259,11 +261,11 @@ def rows_piecemeal(run: Run, args) -> list[tuple]:
     if args.base_year is None and base_year not in run.params and pop_year in run.params:
         raise MissingYear(f"--base-year defaults to --pop-year - 1, and year {base_year} "
                           "is not present in parameter data")
-    rows = []
-    for scenario in run.scenarios:
+    group_values, rows = dict(_valued(ParentalGroup)), []
+    for scenario, scenario_value in _valued(run.scenarios):
         for r in cf.run_piecemeal_table(args.table, run.pop, run.params, scenario,
                                         pop_year=pop_year, base_year=base_year, mode=run.mode):
-            rows.append((args.table, scenario.value, r.step, r.label, r.group.value,
+            rows.append((args.table, scenario_value, r.step, r.label, group_values[r.group],
                          _fmt(r.proportion)))
     return rows
 
@@ -272,29 +274,29 @@ def rows_sweep(run: Run, args) -> list[tuple]:
     credits = _parse_credits(args.credits)
     year = _last_year(run, args.year)
     params = params_for_year(run.params, year)
-    rows = []
-    for scenario in run.scenarios:
+    group_values, rows = dict(_valued(ParentalGroup)), []
+    for scenario, scenario_value in _valued(run.scenarios):
         table = cf.credit_size_sweep(run.pop, year, credits, scenario, params,
                                      parity=not args.no_parity, mode=run.mode)
         for credit, group, share in table:
-            rows.append((year, scenario.value, int(credit), group.value, _fmt(share)))
+            rows.append((year, scenario_value, int(credit), group_values[group], _fmt(share)))
     rows.sort()  # by (scenario, credit, group), which fix the proportion
     return rows
 
 
 def rows_priced_out(run: Run, args) -> list[tuple]:
     """A named year must be one `priced_out` takes; a scan skips each year it refuses."""
-    rows = []
+    groups, scenarios, rows = _valued(cf.GROUPS), _valued(run.scenarios), []
     for year in _years(run, args):
         params = params_for_year(run.params, year)
         if args.year is None and cf.priced_out_refusal(params, args.new_ctc) is not None:
             continue
-        for scenario in run.scenarios:
-            for group in cf.GROUPS:
+        for scenario, scenario_value in scenarios:
+            for group, group_value in groups:
                 result = cf.priced_out(run.pop, year, group, params, args.new_ctc, scenario,
                                        run.mode)
                 share = result.proportion_priced_out
-                rows.append((year, scenario.value, group.value, result.full_relief_old,
+                rows.append((year, scenario_value, group_value, result.full_relief_old,
                              result.priced_out, "" if share is None else _fmt(share)))
     return rows
 
@@ -302,15 +304,15 @@ def rows_priced_out(run: Run, args) -> list[tuple]:
 def rows_parity(run: Run, args) -> list[tuple]:
     year = _last_year(run, args.year)
     params = params_for_year(run.params, year)
-    rows = []
-    for scenario in run.scenarios:
+    groups, rows = _valued(cf.GROUPS), []
+    for scenario, scenario_value in _valued(run.scenarios):
         result = cf.restore_parity(run.pop, year, params, scenario, run.mode)
         steps = (("1", "full credit, baseline rules", result.before),
                  ("2", "full relief after refundable parity", result.after),
                  ("3", "full relief after parity, floor removed", result.no_floor))
         for step, label, shares in steps:
-            for group in cf.GROUPS:
-                rows.append((year, scenario.value, step, label, group.value,
+            for group, group_value in groups:
+                rows.append((year, scenario_value, step, label, group_value,
                              _fmt(shares[group])))
     return rows
 
@@ -318,12 +320,12 @@ def rows_parity(run: Run, args) -> list[tuple]:
 def rows_eliminate(run: Run, args) -> list[tuple]:
     year = _last_year(run, args.year)
     params = params_for_year(run.params, year)
-    rows = []
-    for scenario in run.scenarios:
+    groups, rows = _valued(cf.GROUPS), []
+    for scenario, scenario_value in _valued(run.scenarios):
         result = cf.eliminate_refundability(run.pop, year, params, scenario, run.mode)
-        for group in cf.GROUPS:
-            rows.append((year, scenario.value, group.value, _fmt(result.deltas[group]), ""))
-        rows.append((year, scenario.value, "all", "", result.gaining_households))
+        for group, group_value in groups:
+            rows.append((year, scenario_value, group_value, _fmt(result.deltas[group]), ""))
+        rows.append((year, scenario_value, "all", "", result.gaining_households))
     return rows
 
 

@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import json
 from fractions import Fraction
+from math import lcm
 from pathlib import Path
 from typing import Iterable, Mapping, Sequence, Union
 
@@ -68,7 +69,19 @@ class Bracket(Record):
 
 
 class BracketSchedule(Record):
+    """Bands in order. `_scaled`, set when the schedule is built, is its exact integer form
+    ``(U, R, ((upper over U or None, rate over R), ...))``, U the lcm of the uppers'
+    denominators and R of the rates'; not a field, so equality, hash and ``repr`` ignore it."""
+
     brackets: tuple[Bracket, ...]
+    _scaled: tuple
+
+    def __post_init__(self):
+        uppers = lcm(*(b.upper.denominator for b in self.brackets if b.upper is not None))
+        rates = lcm(*(b.rate.denominator for b in self.brackets))
+        object.__setattr__(self, "_scaled", (uppers, rates, tuple(
+            (None if b.upper is None else b.upper.numerator * (uppers // b.upper.denominator),
+             b.rate.numerator * (rates // b.rate.denominator)) for b in self.brackets)))
 
     def tax(self, taxable: Fraction) -> Fraction:
         """Tax due on `taxable` income (0 if not positive). Kept for the test oracle and the

@@ -21,9 +21,11 @@ so forward and inverse share one scaling and one rule per liability mode.
 The walk runs on integers, scaled once per household: money (the tax-free
 amount, refund floor, benefit maxima, bracket uppers, targets) over D, the
 lcm of its denominators, and rates over Q, so each running total is an
-integer over D·Q. An income found is an integer pair (numerator, positive
-denominator), ordered against others by cross-multiplying: exact, as Fractions
-are, but with no gcd per step. A public answer is built as one Fraction.
+integer over D·Q. A kernel reads its filing status's rules once, and the
+bracket schedule's own integers (`BracketSchedule._scaled`, built with the
+schedule) only multiplied up to D and Q. An income found is an integer pair
+(numerator, positive denominator), ordered against others by cross-multiplying:
+exact, as Fractions are, but with no gcd per step. A public answer is one Fraction.
 
 Two liability modes are supported: ``EXACT`` applies the bracket schedule
 analytically; ``TABLE`` evaluates liability at the midpoint of the
@@ -44,7 +46,7 @@ from math import lcm
 from .errors import OrderingViolation, Unreachable, ValidationError
 from .memo import once
 from .money import as_money
-from .params import FilingParams, ParentalGroup, ProgramParameters
+from .params import ParentalGroup, ProgramParameters
 from .record import Enum, Record
 
 _ROW = 50  # the width of a tax-table row, in dollars of taxable income
@@ -120,26 +122,6 @@ class ThresholdSet(Record):
         )
 
 
-def _filing(profile: HouseholdProfile, params: ProgramParameters) -> FilingParams:
-    return params.for_status(profile.group.filing_status)
-
-
-def _tax_free(profile: HouseholdProfile, params: ProgramParameters) -> tuple[int, int]:
-    """The tax-free amount as (numerator, positive denominator), not reduced."""
-    fp = _filing(profile, params)
-    ded, ex, kids = fp.standard_deduction, fp.exemption_per_person, profile.children
-    # ded + ex * (adults + kids), over the product of the denominators
-    persons = profile.group.adults * kids.denominator + kids.numerator  # over kids.denominator
-    den = ex.denominator * kids.denominator
-    return ded.numerator * den + ex.numerator * persons * ded.denominator, ded.denominator * den
-
-
-def _per_child(amount: Fraction, profile: HouseholdProfile) -> tuple[int, int]:
-    """`amount` per child times the household's children, as (numerator, denominator)."""
-    kids = profile.children
-    return amount.numerator * kids.numerator, amount.denominator * kids.denominator
-
-
 def benefit_at_income(
     income,
     profile: HouseholdProfile,
@@ -158,9 +140,8 @@ def benefit_at_income(
     d, q, y = kernel.d, kernel.q, _over(income, kernel.d)
     liability = Fraction(kernel.owed(y), d * q)
     phase_in = Fraction(kernel.rate * max(0, y - kernel.floor), d * q)
-    start = _filing(profile, params).phaseout_start
     allowed = max(Fraction(0), Fraction(kernel.credit, d)
-                  - params.phaseout_rate * max(0, income - start))
+                  - params.phaseout_rate * max(0, income - kernel.start))
     credit = min(liability, allowed)
     refund = min(phase_in, Fraction(kernel.refundable, d), allowed - credit)
     return BenefitSplit(credit=credit, refund=max(Fraction(0), refund))
@@ -175,28 +156,42 @@ class _Kernel:
     """One household's rules on integers, scaled once for its inversions or one evaluation.
 
     D covers the money here and the `targets` named when it is built, and only those; the
-    bands are (upper income over D or None, rate over Q). Both inversions take a target over
-    D and return an income as (numerator, positive denominator), for the caller to compare.
-    Both run `_income`; the forward evaluation reads liability at an income through `owed`.
-    These two are the only steps that read the liability mode.
+    bands are (upper income over D or None, rate over Q), the schedule's own integers scaled
+    by D // U and Q // R. The status's rules are read once; `start`, the phaseout start, is
+    kept for the callers. Both inversions take a target over D and return an income as
+    (numerator, positive denominator), for the caller to compare. Both run `_income`; the
+    forward evaluation reads liability at an income through `owed`. These two are the only
+    steps that read the liability mode.
     """
 
-    __slots__ = ("mode", "d", "q", "free", "refundable", "credit", "floor", "rate", "bands")
+    __slots__ = ("mode", "d", "q", "free", "refundable", "credit", "floor", "rate", "bands",
+                 "start")
 
     def __init__(self, profile: HouseholdProfile, params: ProgramParameters,
                  mode: LiabilityMode, *targets: Fraction):
-        (free, free_d), (refundable, refundable_d), (credit, credit_d) = (
-            _tax_free(profile, params), _per_child(params.actc_per_child, profile),
-            _per_child(params.ctc_per_child, profile))
-        floor, brackets = params.refund_threshold, _filing(profile, params).brackets.brackets
-        d = lcm(free_d, refundable_d, credit_d, *(x.denominator for x in (floor, *targets)),
-                *(b.upper.denominator for b in brackets if b.upper is not None))
-        q = lcm(params.refund_rate.denominator, *(b.rate.denominator for b in brackets))
-        self.mode, self.d, self.q, self.rate = mode, d, q, _over(params.refund_rate, q)
-        self.refundable, self.credit = refundable * (d // refundable_d), credit * (d // credit_d)
-        self.free, self.floor = free, floor = free * (d // free_d), _over(floor, d)
-        self.bands = [(free, 0)] + [(None if b.upper is None else free + _over(b.upper, d),
-                                     _over(b.rate, q)) for b in brackets]
+        group, kids, actc, ctc = (profile.group, profile.children, params.actc_per_child,
+                                  params.ctc_per_child)
+        rules, floor, refund_rate = (params.for_status(group.filing_status),
+                                     params.refund_threshold, params.refund_rate)
+        ded, ex, (upper_d, rate_d, scaled) = (rules.standard_deduction,
+                                              rules.exemption_per_person, rules.brackets._scaled)
+        # The tax-free amount, ded + ex * (adults + kids), over the product of the denominators.
+        free_d, refundable_d, credit_d = (ded.denominator * ex.denominator * kids.denominator,
+                                          actc.denominator * kids.denominator,
+                                          ctc.denominator * kids.denominator)
+        free = (ded.numerator * ex.denominator * kids.denominator + ded.denominator
+                * ex.numerator * (group.adults * kids.denominator + kids.numerator))
+        d = lcm(free_d, refundable_d, credit_d, upper_d, floor.denominator,
+                *(x.denominator for x in targets))
+        q = lcm(refund_rate.denominator, rate_d)
+        self.mode, self.d, self.q, self.start = mode, d, q, rules.phaseout_start
+        self.rate, self.floor = _over(refund_rate, q), _over(floor, d)
+        self.refundable = actc.numerator * kids.numerator * (d // refundable_d)
+        self.credit = ctc.numerator * kids.numerator * (d // credit_d)
+        self.free = free = free * (d // free_d)
+        upper_k, rate_k = d // upper_d, q // rate_d
+        self.bands = [(free, 0)] + [(None if upper is None else free + upper * upper_k,
+                                     rate * rate_k) for upper, rate in scaled]
 
     def refund_credit(self, t: int) -> tuple[int, int]:
         """Minimal income at which refund plus credit reaches the target t/D.
@@ -312,7 +307,7 @@ def _benefit_income(profile: HouseholdProfile, params: ProgramParameters, mode: 
         raise Unreachable(f"benefit target {Fraction(t, kernel.d)} exceeds the maximum "
                           f"{Fraction(kernel.credit, kernel.d)}")
     y, den = kernel.refund_credit(t)
-    start = _filing(profile, params).phaseout_start
+    start = kernel.start
     if y * start.denominator > start.numerator * den:
         # Past the phaseout start the attainable total only shrinks.
         raise Unreachable(f"benefit target {Fraction(t, kernel.d)} is eroded by the phaseout "
@@ -337,7 +332,7 @@ def _thresholds(profile: HouseholdProfile, params: ProgramParameters,
                 mode: LiabilityMode) -> ThresholdSet:
     kernel = _Kernel(profile, params, mode)
     d, credit, floor, rate = kernel.d, kernel.credit, params.refund_threshold, params.phaseout_rate
-    start = _filing(profile, params).phaseout_start
+    start = kernel.start
     actc, actc_d = kernel.refund_credit(kernel.refundable)
     (ctc, ctc_d), (comb, comb_d) = kernel.liability(credit), kernel.refund_credit(credit)
     # start + credit / rate, over start's denominator · D · the rate's numerator

@@ -26,17 +26,23 @@ def test_first_side_alternates_within_each_workload(workloads):
 
 def test_a_run_keeps_its_unscaled_times(monkeypatch, tmp_path):
     """`run_once` reads the result line and, from the record line before it, the raw setup
-    and op times."""
+    and op times. It runs the child with bytecode writes off."""
     record = {"workload": "x", "samples": {"raw_setup_s_each": [0.11, 0.12], "raw_op_p50_ms": 4.5,
                                            "setup_s_each": [0.1, 0.1]}}
     result = {"correct": True, "attempted": 9, "failed": 0,
               "metrics": {"setup_s": {"value": 0.1, "unit": "s"}}}
     stdout = "\n".join(["warming up", json.dumps(record), json.dumps(result)]) + "\n"
-    monkeypatch.setattr(bench_pairs.subprocess, "run",
-                        lambda *args, **kwargs: subprocess.CompletedProcess(args, 0, stdout, ""))
+    envs = []
+
+    def run(*args, **kwargs):
+        envs.append(kwargs["env"])
+        return subprocess.CompletedProcess(args, 0, stdout, "")
+
+    monkeypatch.setattr(bench_pairs.subprocess, "run", run)
     assert bench_pairs.run_once(tmp_path, "x", 1, 1.0) == {
         "correct": True, "attempted": 9, "failed": 0, "metrics": {"setup_s": 0.1},
         "samples": {"raw_setup_s_each": [0.11, 0.12], "raw_op_p50_ms": 4.5}}
+    assert [env["PYTHONDONTWRITEBYTECODE"] for env in envs] == ["1"]
 
 
 def mocked_record(tmp_path, monkeypatch, seeds, outcome=lambda side, workload, seed: (True, 0)):
@@ -55,7 +61,6 @@ def mocked_record(tmp_path, monkeypatch, seeds, outcome=lambda side, workload, s
                 "metrics": {m["name"]: 2.0 if side == "change" else 3.0 for m in metrics}}
 
     monkeypatch.setattr(bench_pairs, "run_once", run_once)
-    monkeypatch.setattr(bench_pairs.subprocess, "run", lambda *args, **kwargs: None)
     out = tmp_path / "bench.json"
     assert bench_pairs.main(["--parent", str(parent), "--change", str(change), "--seeds", seeds,
                              "--workloads", "x,y", "--out", str(out)]) == 0
@@ -117,6 +122,8 @@ def test_no_gain_is_claimable_from_an_incorrect_run(tmp_path, monkeypatch, side,
 
 
 FAKE_RUN = """import json, sys
+sys.path.insert(0, "src")
+import m  # a source module, which the run must not cache
 args = dict(zip(sys.argv[1::2], sys.argv[2::2]))
 if {fails}:
     sys.exit("Traceback (most recent call last):\\nRuntimeError: boom " + args["--seed"])
@@ -128,12 +135,15 @@ print(json.dumps({{"correct": True, "attempted": 1, "failed": 0, "metrics": metr
 
 
 def test_a_run_that_exits_with_an_error_is_kept_as_incorrect(tmp_path):
-    """Checkouts whose `ctcbench/run.py` only prints its two lines; the change's exits 1 on
-    workload y and on seed 2. The set still runs to the end and writes its record."""
+    """Checkouts whose `ctcbench/run.py` imports a source module and prints its two lines;
+    the change's exits 1 on workload y and on seed 2. The set still runs to the end and
+    writes its record. Both sides run from source: the stale bytecode caches each held are
+    removed, and no run writes one."""
     sides = {"parent": "False", "change": 'args["--workload"] == "y" or args["--seed"] == "2"'}
     for side, fails in sides.items():
-        for sub in ("src", "ctcbench", "tests"):
+        for sub in ("src/__pycache__", "ctcbench/__pycache__"):
             (tmp_path / side / sub).mkdir(parents=True)
+            (tmp_path / side / sub / "m.cpython-311.pyc").write_bytes(b"stale")
         (tmp_path / side / "BENCHMARK.json").write_text((ROOT / "BENCHMARK.json").read_text())
         (tmp_path / side / "ctcbench" / "run.py").write_text(FAKE_RUN.format(fails=fails))
         (tmp_path / side / "src" / "m.py").write_text(f"side = {side[0]!r}\n")  # differ by a byte
@@ -142,6 +152,7 @@ def test_a_run_that_exits_with_an_error_is_kept_as_incorrect(tmp_path):
                              "--change", str(tmp_path / "change"), "--seeds", "1:2",
                              "--workloads", "x,y", "--seconds", "0.1", "--out", str(out)]) == 0
     record = json.loads(out.read_text())
+    assert list(tmp_path.rglob("__pycache__")) == []
     assert record["code_sha256"] == {side: bench_pairs.code_sha256(tmp_path / side)
                                      for side in sides}
     assert record["code_sha256"]["parent"] != record["code_sha256"]["change"]

@@ -360,7 +360,8 @@ class TestConfigAndDeterminism:
         assert hashlib.sha256(proc.stdout).hexdigest() == REPORT_SHA256
 
     # Commands whose inputs the report pins do not reach: non-default walk
-    # years, the S2 walk alone, and the full sweep with and without parity;
+    # years, the S2 walk alone, the full sweep with and without parity, the
+    # full-dollar credit curve in both liability modes;
     # and each other command's default CSV table, which the report writes as JSON.
     @pytest.mark.parametrize("argv, digest", [
         (["thresholds"], "371ac8b1157b9b1cd05ea9a7f775364dca8978628a46dbe9dd563a58e746b44b"),
@@ -375,8 +376,13 @@ class TestConfigAndDeterminism:
          "2a328051e78d7a3cd0107931d442d32509aa20c146b330816ffb859cc6691a83"),
         (["sweep"], "ed2d5785a7450fb3b0cad5d0144f77b9a1ec751a9d775cc12c637d33262d8755"),
         (["sweep", "--no-parity"], "22d5df475ceca7c78005194334af6028355b9472bd762a9ad309f33358305596"),
+        (["sweep", "--credits", "1:6000:1", "--years", "2018"],
+         "58cc094229758e9ea1f1cbc1c190cecf54a1c1dbf6318969f2c04eb795c95ca6"),
+        (["sweep", "--credits", "1:6000:1", "--years", "2018", "--liability", "table"],
+         "dd1adcc22d9d5f2c624d89cec7f2a67c7dedeb49e193ea3dcfdd1fcf5adfa0c5"),
     ], ids=["thresholds", "priced-out", "parity", "eliminate-refund", "regress", "did",
-            "walk-1a-2010-to-2017", "walk-1b-s2-from-2005", "sweep", "sweep-no-parity"])
+            "walk-1a-2010-to-2017", "walk-1b-s2-from-2005", "sweep", "sweep-no-parity",
+            "sweep-dollar-grid", "sweep-dollar-grid-table"])
     def test_command_bytes_are_pinned(self, capsys, argv, digest):
         code, out = run_cli(capsys, *argv)
         assert code == 0

@@ -277,3 +277,19 @@ def test_overrides_apply_alike_at_once_and_one_at_a_time(request, year, drawn, d
         assert at_once.for_status(status) is getattr(at_once, status.value)
     for name in _OVERRIDES:  # an overridden field reads its new value, any other the base's
         assert _read(at_once, name) == (drawn[name][1] if name in drawn else _read(base, name))
+
+
+def test_a_schedule_holds_its_integer_form_outside_its_fields():
+    """`_scaled` is (U, R, bands): upper bounds over U, the lcm of their denominators, and
+    rates over R, the lcm of theirs. It is built with the schedule, and takes no part in
+    equality, hashing or ``repr``; ``replace`` builds it anew."""
+    brackets = (Bracket(Fraction(100_000, 7), Fraction(1, 3)), Bracket(None, Fraction(2, 5)))
+    a, b = BracketSchedule(brackets), BracketSchedule(tuple(map(replace, brackets)))
+    assert a.brackets is not b.brackets
+    assert a == b and hash(a) == hash(b)
+    assert a._scaled == b._scaled == (7, 15, ((100_000, 5), (None, 6)))
+    assert repr(a) == f"BracketSchedule(brackets={brackets!r})"
+    flat = replace(a, brackets=(Bracket(10_000, Fraction(1, 10)), Bracket(None, Fraction(1, 4))))
+    assert flat._scaled == (1, 20, ((10_000, 2), (None, 5)))
+    back = replace(flat, brackets=brackets)
+    assert back == a and back._scaled == a._scaled

@@ -35,6 +35,11 @@ from oracle import (
 
 ONE_SINGLE = HouseholdProfile.one_child(ParentalGroup.SINGLE_MOTHER)
 ONE_MARRIED = HouseholdProfile.one_child(ParentalGroup.MARRIED)
+# A schedule whose rates and upper bound are not decimals, so the kernel rescales both the
+# schedule's rates (over 6) into its rate scale (over 60, with a refund rate of 3/20) and
+# its upper bound (over 7) into its money scale (over 21, with 5/3 children).
+THIRDS = {"brackets": [{"upper": Fraction(100_000, 7), "rate": Fraction(1, 3)},
+                       {"rate": Fraction(1, 2)}]}
 
 
 def profile_one(kind):
@@ -574,6 +579,11 @@ class TestInversionMatchesOracle:
     # The phaseout starts at full combined benefit, which invert_benefit returns, not refuses.
     @example(year=2018, group=ParentalGroup.SINGLE_MOTHER, children=Fraction(2),
              overrides={"phaseout_start": 30_000}, target="max_credit")
+    # Bracket rates and an upper bound off the decimal grid.
+    @example(year=2018, group=ParentalGroup.SINGLE_MOTHER, children=Fraction(5, 3),
+             overrides=THIRDS, target="max_credit")
+    @example(year=2018, group=ParentalGroup.SINGLE_MOTHER, children=Fraction(5, 3),
+             overrides=THIRDS, target=Fraction(5_001))
     @settings(max_examples=300, deadline=None)
     def test_random_rule_sets(self, request, mode, year, group, children, overrides, target):
         params = apply_overrides(request.getfixturevalue("params_by_year")[year], overrides,
@@ -631,6 +641,10 @@ class TestForwardMatchesOracle:
              income="start")
     @example(year=2003, group=ParentalGroup.SINGLE_MOTHER, children=Fraction(5, 3),
              overrides={}, income="total")
+    @example(year=2018, group=ParentalGroup.SINGLE_MOTHER, children=Fraction(5, 3),
+             overrides=THIRDS, income="upper")
+    @example(year=2018, group=ParentalGroup.SINGLE_MOTHER, children=Fraction(5, 3),
+             overrides=THIRDS, income=Fraction(70_001, 2))
     @settings(max_examples=200, deadline=None)
     def test_random_rule_sets(self, request, mode, year, group, children, overrides, income):
         params = apply_overrides(request.getfixturevalue("params_by_year")[year], overrides,

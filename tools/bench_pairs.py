@@ -5,7 +5,9 @@
         --workloads rule-sweep,report-exact,report-table --out BENCH_9.json
 
 Each DIR is a plain checkout of one commit (``git archive``, not a worktree).
-Both get their bytecode caches built the same way first. Then, per seed and
+Both run from source, as a fresh checkout does: each side's ``__pycache__``
+directories are removed first, and every run has ``PYTHONDONTWRITEBYTECODE=1``,
+so each run compiles what it imports and writes no cache. Then, per seed and
 workload, each side runs ``ctcbench/run.py --trace 0`` once; within each
 workload, the side that runs first alternates from seed to seed. The record
 keeps every run's end-to-end metrics and, per workload and metric, each side's
@@ -32,6 +34,7 @@ import hashlib
 import json
 import os
 import platform
+import shutil
 import statistics
 import subprocess
 import sys
@@ -62,11 +65,18 @@ def src_lines(checkout: Path) -> int:
     return sum(path.read_bytes().count(b"\n") for path in source_files(checkout).values())
 
 
+def clear_bytecode(checkout: Path) -> None:
+    """Remove every ``__pycache__`` directory under `checkout`."""
+    for cache in [path for path in checkout.rglob("__pycache__") if path.is_dir()]:
+        shutil.rmtree(cache)
+
+
 def run_once(checkout: Path, workload: str, seed: int, seconds: float) -> dict:
     proc = subprocess.run(
         [sys.executable, "ctcbench/run.py", "--workload", workload, "--seed", str(seed),
          "--seconds", str(seconds), "--trace", "0"],
-        cwd=checkout, capture_output=True, text=True)
+        cwd=checkout, capture_output=True, text=True,
+        env={**os.environ, "PYTHONDONTWRITEBYTECODE": "1"})
     if proc.returncode:  # an incorrect run with no metrics; the set goes on
         stderr = proc.stderr.strip().splitlines()
         return {"correct": False, "attempted": 0, "failed": 0, "exit_code": proc.returncode,
@@ -141,8 +151,7 @@ def main(argv: list[str] | None = None) -> int:
     code = {side: code_sha256(checkout) for side, checkout in sides.items()}
     lines = {side: src_lines(checkout) for side, checkout in sides.items()}
     for checkout in sides.values():
-        subprocess.run([sys.executable, "-m", "compileall", "-q", "src", "ctcbench", "tests"],
-                       cwd=checkout, check=True)
+        clear_bytecode(checkout)
     metrics = json.loads((sides["change"] / "BENCHMARK.json").read_text())["end_to_end"]
     runs = []
     for seed, workload, order in schedule(seeds, workloads):
