@@ -24,7 +24,7 @@ from pathlib import Path
 from typing import Callable, NamedTuple
 
 from . import counterfactual as cf
-from .classifier import CATEGORY_ORDER, GeneralizabilityFlag, ReliefCategory, Scenario
+from .classifier import CATEGORY_ORDER, ReliefCategory, Scenario
 from .errors import CtcsimError, MissingYear, ParseError, ValidationError
 from .memo import command_scope
 from .money import format_money
@@ -53,6 +53,8 @@ SHARED = {
     "config": {"help": "JSON run-config file; flags take precedence"},
 }
 
+_MAX_CREDITS = 1_000_000  # the most credits `--credits A:B:STEP` may name; 1:6000:1 names 6,000
+
 
 def _ints(parts: list[str], what: str, text: str) -> list[int]:
     try:
@@ -75,6 +77,9 @@ def _parse_credits(text: str) -> list[int]:
         lo, hi, step = _ints(parts, "credits", text)
         if step <= 0 or hi < lo:
             raise ValidationError(f"bad credit range {text!r}")
+        if (count := (hi - lo) // step + 1) > _MAX_CREDITS:
+            raise ValidationError(f"credit range {text!r} names {count:,} credits; a sweep "
+                                  f"takes at most {_MAX_CREDITS:,}")
         return list(range(lo, hi + 1, step))
     return _ints(text.split(","), "credits", text)
 
@@ -219,21 +224,15 @@ def _outcomes(text: str | None, default: list[str]) -> list[str]:
     return outcomes
 
 
-def _valued(members) -> list[tuple]:
-    """Each enum member with its value, read once here rather than once per row."""
-    return [(member, member.value) for member in members]
-
-
 def rows_thresholds(run: Run, args) -> list[tuple]:
-    groups, scenarios = _valued(_groups(args)), _valued(run.scenarios)
     rows = []
     for year in _years(run, args):
         params = params_for_year(run.params, year)
-        for group, group_value in groups:
-            for scenario, scenario_value in scenarios:
+        for group in _groups(args):
+            for scenario in run.scenarios:
                 profile = cf.profile_for(run.pop, group, scenario, year)
                 ts = thresholds(profile, params, run.mode)
-                rows.append((year, group_value, scenario_value, f"{float(profile.children):.2f}",
+                rows.append((year, group.value, scenario.value, f"{float(profile.children):.2f}",
                              format_money(ts.t_refund_floor), format_money(ts.t_full_actc),
                              format_money(ts.t_full_ctc), format_money(ts.t_full_combined),
                              format_money(ts.t_phaseout_start), format_money(ts.t_total_phaseout)))
@@ -241,17 +240,17 @@ def rows_thresholds(run: Run, args) -> list[tuple]:
 
 
 def rows_classify(run: Run, args) -> list[tuple]:
-    groups, scenarios, rows = _valued(_groups(args)), _valued(run.scenarios), []
-    cats, flag_values = _valued(CATEGORY_ORDER), dict(_valued(GeneralizabilityFlag))
+    rows = []
     for year in _years(run, args):
         params = params_for_year(run.params, year)
-        for group, group_value in groups:
-            for scenario, scenario_value in scenarios:
+        for group in _groups(args):
+            for scenario in run.scenarios:
                 est = cf.eligibility(run.pop, year, group, params, scenario, mode=run.mode)
                 counts, flags, total = est.counts, est.flags, est.total
-                for cat, cat_value in cats:
-                    rows.append((year, group_value, scenario_value, cat_value, counts[cat],
-                                 _fmt(counts[cat] / total), flag_values[flags[cat]]))
+                group_value, scenario_value = group.value, scenario.value  # once for six rows
+                for cat in CATEGORY_ORDER:
+                    rows.append((year, group_value, scenario_value, cat.value, counts[cat],
+                                 _fmt(counts[cat] / total), flags[cat].value))
     return rows
 
 
@@ -261,11 +260,11 @@ def rows_piecemeal(run: Run, args) -> list[tuple]:
     if args.base_year is None and base_year not in run.params and pop_year in run.params:
         raise MissingYear(f"--base-year defaults to --pop-year - 1, and year {base_year} "
                           "is not present in parameter data")
-    group_values, rows = dict(_valued(ParentalGroup)), []
-    for scenario, scenario_value in _valued(run.scenarios):
+    rows = []
+    for scenario in run.scenarios:
         for r in cf.run_piecemeal_table(args.table, run.pop, run.params, scenario,
                                         pop_year=pop_year, base_year=base_year, mode=run.mode):
-            rows.append((args.table, scenario_value, r.step, r.label, group_values[r.group],
+            rows.append((args.table, scenario.value, r.step, r.label, r.group.value,
                          _fmt(r.proportion)))
     return rows
 
@@ -274,29 +273,29 @@ def rows_sweep(run: Run, args) -> list[tuple]:
     credits = _parse_credits(args.credits)
     year = _last_year(run, args.year)
     params = params_for_year(run.params, year)
-    group_values, rows = dict(_valued(ParentalGroup)), []
-    for scenario, scenario_value in _valued(run.scenarios):
+    rows = []
+    for scenario in run.scenarios:
         table = cf.credit_size_sweep(run.pop, year, credits, scenario, params,
                                      parity=not args.no_parity, mode=run.mode)
         for credit, group, share in table:
-            rows.append((year, scenario_value, int(credit), group_values[group], _fmt(share)))
+            rows.append((year, scenario.value, int(credit), group.value, _fmt(share)))
     rows.sort()  # by (scenario, credit, group), which fix the proportion
     return rows
 
 
 def rows_priced_out(run: Run, args) -> list[tuple]:
     """A named year must be one `priced_out` takes; a scan skips each year it refuses."""
-    groups, scenarios, rows = _valued(cf.GROUPS), _valued(run.scenarios), []
+    rows = []
     for year in _years(run, args):
         params = params_for_year(run.params, year)
         if args.year is None and cf.priced_out_refusal(params, args.new_ctc) is not None:
             continue
-        for scenario, scenario_value in scenarios:
-            for group, group_value in groups:
+        for scenario in run.scenarios:
+            for group in cf.GROUPS:
                 result = cf.priced_out(run.pop, year, group, params, args.new_ctc, scenario,
                                        run.mode)
                 share = result.proportion_priced_out
-                rows.append((year, scenario_value, group_value, result.full_relief_old,
+                rows.append((year, scenario.value, group.value, result.full_relief_old,
                              result.priced_out, "" if share is None else _fmt(share)))
     return rows
 
@@ -304,28 +303,27 @@ def rows_priced_out(run: Run, args) -> list[tuple]:
 def rows_parity(run: Run, args) -> list[tuple]:
     year = _last_year(run, args.year)
     params = params_for_year(run.params, year)
-    groups, rows = _valued(cf.GROUPS), []
-    for scenario, scenario_value in _valued(run.scenarios):
+    rows = []
+    for scenario in run.scenarios:
         result = cf.restore_parity(run.pop, year, params, scenario, run.mode)
         steps = (("1", "full credit, baseline rules", result.before),
                  ("2", "full relief after refundable parity", result.after),
                  ("3", "full relief after parity, floor removed", result.no_floor))
         for step, label, shares in steps:
-            for group, group_value in groups:
-                rows.append((year, scenario_value, step, label, group_value,
-                             _fmt(shares[group])))
+            for group in cf.GROUPS:
+                rows.append((year, scenario.value, step, label, group.value, _fmt(shares[group])))
     return rows
 
 
 def rows_eliminate(run: Run, args) -> list[tuple]:
     year = _last_year(run, args.year)
     params = params_for_year(run.params, year)
-    groups, rows = _valued(cf.GROUPS), []
-    for scenario, scenario_value in _valued(run.scenarios):
+    rows = []
+    for scenario in run.scenarios:
         result = cf.eliminate_refundability(run.pop, year, params, scenario, run.mode)
-        for group, group_value in groups:
-            rows.append((year, scenario_value, group_value, _fmt(result.deltas[group]), ""))
-        rows.append((year, scenario_value, "all", "", result.gaining_households))
+        for group in cf.GROUPS:
+            rows.append((year, scenario.value, group.value, _fmt(result.deltas[group]), ""))
+        rows.append((year, scenario.value, "all", "", result.gaining_households))
     return rows
 
 
@@ -345,7 +343,6 @@ def _fit_rows(run: Run, fit, outcomes, years) -> list[tuple]:
     outcome's panel sums its categories' counts over one read of the (year, group) cells."""
     rows = []
     for scenario in run.scenarios:
-        scenario_value = scenario.value
         cells = [(year, group, est.counts, est.total)
                  for year in years for params in [params_for_year(run.params, year)]
                  for group in cf.GROUPS
@@ -357,7 +354,7 @@ def _fit_rows(run: Run, fit, outcomes, years) -> list[tuple]:
             defined = res.df_resid > 0  # a zero-df fit has no SE, hence no stars
             for i, (name, est) in enumerate(zip(res.names, res.estimates)):
                 se = math.sqrt(res.cov[i][i])
-                rows.append((scenario_value, outcome, name, _fmt(est), _fmt(se) if defined else "",
+                rows.append((scenario.value, outcome, name, _fmt(est), _fmt(se) if defined else "",
                              _stars(est, se) if defined else ""))
     return rows
 

@@ -90,9 +90,9 @@ def full_relief_cuts(
     (incomes above it can no longer realize the full amount). Raises
     Unreachable when the phaseout erodes the full benefit before it accrues.
     """
-    lo = _cut(*_benefit_income(profile, params, mode), strictly_above=False, rule=rule)
-    phaseout = params.for_status(profile.group.filing_status).phaseout_start
-    return lo, cut_income(phaseout, strictly_above=True, rule=rule)
+    y, den, phaseout = _benefit_income(profile, params, mode)
+    return (_cut(y, den, strictly_above=False, rule=rule),
+            cut_income(phaseout, strictly_above=True, rule=rule))
 
 
 def full_relief_proportion(pop: PopulationTable, pop_year: int, group: ParentalGroup,

@@ -87,7 +87,7 @@ def _read_cells(path: Path, header: list[str], parse: Callable) -> dict:
     except UnicodeDecodeError as exc:
         line = data.count(b"\n", 0, exc.start) + 1
         raise ParseError(f"{path}:{line}: {exc}") from None
-    cells: dict = {}  # (year, group name) -> key -> (count, line)
+    cells: dict = {}  # (year, group) -> key -> (count, line)
     # Parsed from a chunked decoder: a StringIO of the whole text would hold 4 bytes a character.
     reader = csv.reader(io.TextIOWrapper(io.BytesIO(data), encoding="utf-8", newline=""))
     try:
@@ -100,10 +100,10 @@ def _read_cells(path: Path, header: list[str], parse: Callable) -> dict:
                 if len(row) != len(header):
                     raise ParseError(f"expected {len(header)} fields, got {len(row)}")
                 year, group, *fields = row
-                year, group = _int_field(year, "year"), group.strip()
-                if group not in _GROUPS:
-                    raise ParseError(f"unknown group {group!r}")
-                cell = cells.setdefault((year, group), {})  # a str hashes in C, a member does not
+                year, group = _int_field(year, "year"), _GROUPS.get(group.strip())
+                if group is None:
+                    raise ParseError(f"unknown group {row[1].strip()!r}")
+                cell = cells.setdefault((year, group), {})
                 key, count = parse(*fields)
                 if count < 0:
                     raise NegativeCount(f"negative count {count}")
@@ -114,8 +114,7 @@ def _read_cells(path: Path, header: list[str], parse: Callable) -> dict:
             cell[key] = count, reader.line_num
     except csv.Error as exc:
         raise ParseError(f"{path}:{reader.line_num}: {exc}") from None
-    return {(year, _GROUPS[group]): {key: count for key, (count, _) in cell.items()}
-            for (year, group), cell in cells.items()}
+    return {k: {key: count for key, (count, _) in cell.items()} for k, cell in cells.items()}
 
 
 def _income_bin(lower: str, upper: str, count: str) -> tuple[int, int]:

@@ -8,7 +8,7 @@ taking the fields in order, positionally or by name, that ends by calling
 records of the same class with equal fields, hash by their fields, and reject
 assignment and deletion.
 
-The package's enums derive from `Enum` here, whose members hash by identity.
+The package's enums derive from `Enum` here: its members hash and read their value in C.
 """
 
 from __future__ import annotations
@@ -69,7 +69,8 @@ def replace(record: Record, **changes) -> Record:
 
 
 class Enum(enum.Enum):
-    """Base of the package's enums. A member equals only itself, so it hashes by identity,
-    in C; `enum.Enum` hashes the member's name in Python, once per dict or memo lookup."""
+    """Base of the package's enums: a member hashes by identity (it equals only itself) and
+    reads its value in C, where `enum.Enum` does both in Python, once per lookup or read."""
 
     __hash__ = object.__hash__
+    value = property(attrgetter("_value_"))

@@ -292,13 +292,13 @@ def invert_benefit(
     (the phased-out ceiling makes targets above the per-household maximum,
     or reachable only past the phaseout start, unattainable).
     """
-    return Fraction(*_benefit_income(profile, params, mode, as_money(target)))
+    return Fraction(*_benefit_income(profile, params, mode, as_money(target))[:2])
 
 
 def _benefit_income(profile: HouseholdProfile, params: ProgramParameters, mode: LiabilityMode,
-                    target: Fraction | None = None) -> tuple[int, int]:
-    """:func:`invert_benefit`'s answer as (numerator, positive denominator). A `target`
-    of None is the credit maximum, read as the kernel's own integer."""
+                    target: Fraction | None = None) -> tuple[int, int, Fraction]:
+    """:func:`invert_benefit`'s answer as (numerator, positive denominator), and the kernel's
+    phaseout start. A `target` of None is the credit maximum, read as the kernel's integer."""
     kernel = _Kernel(profile, params, mode, *(() if target is None else (target,)))
     t = kernel.credit if target is None else _over(target, kernel.d)
     if t <= 0:
@@ -312,7 +312,7 @@ def _benefit_income(profile: HouseholdProfile, params: ProgramParameters, mode: 
         # Past the phaseout start the attainable total only shrinks.
         raise Unreachable(f"benefit target {Fraction(t, kernel.d)} is eroded by the phaseout "
                           "before it accrues")
-    return y, den
+    return y, den, start
 
 
 def thresholds(

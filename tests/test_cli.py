@@ -714,6 +714,18 @@ class TestBadInput:
     def test_credits_flag_not_a_number(self, capsys):
         self.assert_one_line_error(capsys, "sweep", "--credits", "1:x")
 
+    @pytest.mark.parametrize("credits, count", [
+        ("1:1000000000000:1", "1,000,000,000,000"),
+        ("1:100000000000000000000:1", "100,000,000,000,000,000,000"),  # past sys.maxsize
+        ("0:1000000:1", "1,000,001"),
+    ], ids=["trillion", "past-maxsize", "one-past-the-limit"])
+    def test_credit_range_too_long_is_refused_before_its_list_is_built(self, capsys, credits,
+                                                                       count):
+        """A trillion credits once ended in a MemoryError traceback from building the list."""
+        line = self.assert_one_line_error(capsys, "sweep", "--credits", credits, "--years", "2018")
+        assert line == (f"error: credit range {credits!r} names {count} credits; "
+                        "a sweep takes at most 1,000,000")
+
     @pytest.mark.parametrize("flags, message", [
         (["--post-year", "2030"], "error: did: no single_father rows from 2030 on"),
         (["--years", "2018:2018"], "error: did: no single_father rows before 2018"),

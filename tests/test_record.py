@@ -1,7 +1,10 @@
 """Value records (`ctcsim.record`): equality, hashing, immutability, replace and repr."""
 
+import copy
 import enum
 import importlib
+import inspect
+import pickle
 import pkgutil
 from fractions import Fraction
 
@@ -13,7 +16,7 @@ from ctcsim import HouseholdProfile, ParentalGroup, apply_overrides, benefit_at_
 from ctcsim.errors import ValidationError
 from ctcsim.params import Bracket, BracketSchedule, FilingParams, ProgramParameters
 from ctcsim.counterfactual import PricedOutResult
-from ctcsim.record import Record, replace
+from ctcsim.record import Enum, Record, replace
 
 MOTHER = ParentalGroup.SINGLE_MOTHER
 
@@ -110,7 +113,9 @@ def test_records_compare_and_hash_through_the_base():
 
 
 def test_every_enum_hashes_by_identity():
-    """Enum members hash in C, by identity, not by `enum.Enum`'s Python hash of the name."""
+    """Enum members hash in C, by identity, not by `enum.Enum`'s Python hash of the name,
+    and read their value through `record.Enum`'s C property, not `enum.Enum`'s Python
+    descriptor. Members still round-trip through their value, pickle and deepcopy."""
     modules = [importlib.import_module(f"ctcsim.{info.name}")
                for info in pkgutil.iter_modules(ctcsim.__path__)]
     enums = {value for module in modules for value in vars(module).values()
@@ -120,3 +125,13 @@ def test_every_enum_hashes_by_identity():
         "FilingStatus", "ParentalGroup", "LiabilityMode", "ReliefCategory", "BoundRule",
         "Scenario", "GeneralizabilityFlag"}
     assert [cls.__name__ for cls in enums if cls.__hash__ is not object.__hash__] == []
+    value = vars(Enum)["value"]
+    assert [cls.__name__ for cls in enums
+            if inspect.getattr_static(cls, "value") is not value] == []
+    for cls in enums:
+        for member in cls:
+            assert cls(member.value) is member
+            assert pickle.loads(pickle.dumps(member)) is member
+            assert copy.deepcopy(member) is member
+            with pytest.raises(AttributeError):
+                member.value = member.value
