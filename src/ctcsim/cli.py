@@ -30,7 +30,7 @@ from .memo import command_scope
 from .money import format_money
 from .params import ParentalGroup, load_params, params_for_year, read_json
 from .population import load_population
-from .stats import build_panel, did, fixed_effects
+from .stats import did, fixed_effects
 from .taxmath import LiabilityMode, thresholds
 
 # Each panel outcome: the relief categories whose household counts it sums.
@@ -349,8 +349,8 @@ def _fit_rows(run: Run, fit, outcomes, years) -> list[tuple]:
                  for est in [cf.eligibility(run.pop, year, group, params, scenario, run.mode)]]
         for outcome in outcomes:
             cats = OUTCOMES[outcome]
-            res = fit(build_panel([(year, group, sum(counts[c] for c in cats) / total)
-                                   for year, group, counts, total in cells]))
+            res = fit([(year, group, sum(counts[c] for c in cats) / total)
+                       for year, group, counts, total in cells])
             defined = res.df_resid > 0  # a zero-df fit has no SE, hence no stars
             for i, (name, est) in enumerate(zip(res.names, res.estimates)):
                 se = math.sqrt(res.cov[i][i])

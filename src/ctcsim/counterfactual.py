@@ -309,17 +309,15 @@ def restore_parity(
     def shares(rules: ProgramParameters) -> dict[ParentalGroup, Fraction]:
         return {g: full_relief_proportion(pop, year, g, rules, scenario, mode) for g in GROUPS}
 
-    if params.actc_per_child == params.ctc_per_child:
-        before = shares(params)
-    else:
-        before = {
-            g: eligibility(pop, year, g, params, scenario, mode=mode).proportion(
-                ReliefCategory.FULL_CTC)
-            for g in GROUPS
-        }
     at_parity = replace(params, actc_per_child=params.ctc_per_child)
+    after = shares(at_parity)
+    if params.actc_per_child == params.ctc_per_child:  # already at parity: at_parity == params
+        before = after
+    else:
+        before = {g: eligibility(pop, year, g, params, scenario, mode=mode).proportion(
+            ReliefCategory.FULL_CTC) for g in GROUPS}
     no_floor = replace(at_parity, refund_threshold=Fraction(0))
-    return ParityResult(before=before, after=shares(at_parity), no_floor=shares(no_floor))
+    return ParityResult(before=before, after=after, no_floor=shares(no_floor))
 
 
 class EliminationResult(Record):

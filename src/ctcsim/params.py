@@ -122,17 +122,6 @@ class ProgramParameters(Record):
     refund_threshold: Fraction
     refund_rate: Fraction
     phaseout_rate: Fraction
-    _hash: int
-
-    def __hash__(self) -> int:
-        # Hashing the nested Fractions is costly and the fields never change,
-        # so the hash is computed once per object.
-        try:
-            return self._hash
-        except AttributeError:
-            cached = Record.__hash__(self)
-            object.__setattr__(self, "_hash", cached)
-            return cached
 
     def for_status(self, status: FilingStatus) -> FilingParams:
         return self.married_joint if status is _MARRIED_JOINT else self.head_of_household

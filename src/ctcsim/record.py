@@ -1,12 +1,12 @@
 """Immutable value records, the package's lightweight stand-in for frozen dataclasses.
 
 A record class names its fields once, as annotations; each gets a slot, and
-an annotated name starting with ``_`` is a private slot, such as a cached
-hash, rather than a field. At class creation the record gets an ``__init__``
-taking the fields in order, positionally or by name, that ends by calling
-``__post_init__`` when the class defines one. Records compare equal only to
-records of the same class with equal fields, hash by their fields, and reject
-assignment and deletion.
+an annotated name starting with ``_`` is a private slot rather than a field.
+At class creation the record gets an ``__init__`` taking the fields in order,
+positionally or by name, that ends by calling ``__post_init__`` when the class
+defines one. Records compare equal only to records of the same class with
+equal fields, and reject assignment and deletion. Each record hashes by its
+fields once: the base stores the hash on first use.
 
 The package's enums derive from `Enum` here: its members hash and read their value in C.
 """
@@ -37,10 +37,10 @@ class _RecordType(type):
 
 
 class Record(metaclass=_RecordType):
-    """Base of the value records; a subclass declares its fields as annotations, and may
-    define its own ``__eq__`` or ``__hash__``."""
+    """Base of the value records; a subclass declares its fields as annotations."""
 
     _fields = ()
+    _hash: int
 
     def __eq__(self, other):
         if other.__class__ is self.__class__:  # so a one-field record never equals its field
@@ -48,7 +48,13 @@ class Record(metaclass=_RecordType):
         return NotImplemented
 
     def __hash__(self):
-        return hash(self._values(self))
+        """Hash of the fields, stored on first use; an unhashable field raises on every call."""
+        try:
+            return self._hash
+        except AttributeError:
+            value = hash(self._values(self))
+            object.__setattr__(self, "_hash", value)
+            return value
 
     def __repr__(self) -> str:
         values = ", ".join(f"{field}={getattr(self, field)!r}" for field in self._fields)

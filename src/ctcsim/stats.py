@@ -1,7 +1,7 @@
 """Exact least squares with heteroskedasticity-robust (HC1) covariance.
 
-Every number is computed exactly from the float inputs and rounded once to a
-float, so no result depends on a solver's rounding or a rank tolerance.
+Every number is computed exactly from the inputs and rounded once to a float,
+so no result depends on a solver's rounding or a rank tolerance.
 
 `ols` is the general path: Gauss-Jordan over `Fraction` on the normal
 equations, where a zero pivot names a column that depends on earlier ones.
@@ -122,23 +122,26 @@ def ols(columns: Mapping[str, Sequence[float]], y: Sequence[float]) -> Regressio
     )
 
 
-def _two_way(
-    obs: Sequence[tuple[int, int, float]], rows: Sequence[str], cols: Sequence[str], sep: str
-) -> RegressionResult:
+def _two_way(obs: Sequence[tuple[int, int, float | Fraction]], rows: Sequence[str],
+             cols: Sequence[str], sep: str) -> RegressionResult:
     """Saturated two-way cell-means fit of each (row index, col index, outcome).
 
     Equals `ols` on the dummy design with terms `const`, one per row after
     `rows[0]`, one per column after `cols[0]` and one per pair of those (named
     row + sep + col), in that order. Each outcome is read exactly as an integer
-    over one common power of two, so each cell keeps an exact integer count,
-    sum and sum of squares. Every cell mean is then an integer over one common
-    denominator, and every variance term one over its cube, so each result is
-    one integer sum and one correctly rounded int / int.
+    over the lcm of the outcomes' denominators (for floats, the largest, a power
+    of two), so each cell keeps an exact integer count, sum and sum of squares.
+    Every cell mean is then an integer over one common denominator, and every
+    variance term one over its cube, so each result is one integer sum and one
+    correctly rounded int / int.
     """
     width = len(cols)
     k = len(rows) * width
-    ratios = [(r * width + c, *y.as_integer_ratio()) for r, c, y in obs]
-    unit = max((den for _, _, den in ratios), default=1)
+    try:
+        ratios = [(r * width + c, *y.as_integer_ratio()) for r, c, y in obs]
+    except (ValueError, OverflowError):
+        raise ValidationError("panel outcomes must be finite") from None
+    unit = math.lcm(*(den for _, _, den in ratios))
     cells = [(cell, num * (unit // den)) for cell, num, den in ratios]
     count, total, squares = [0] * k, [0] * k, [0] * k
     for cell, v in cells:

@@ -90,6 +90,14 @@ def test_report_scales_each_household_once_per_inversion_set(kernels, tmp_path, 
     assert len(kernels) == 324
 
 
+@pytest.mark.parametrize("year, built", [(2017, 6), (2018, 9)])
+def test_parity_measures_the_parity_shares_once(kernels, tmp_path, year, built):
+    # At parity (2017) "before" is the parity shares, so only those and the no-floor shares
+    # invert: 3 groups each. 2018 also reads its non-parity baseline's threshold sets.
+    assert main(["parity", "--year", str(year), "--out", str(tmp_path / "p.csv")]) == 0
+    assert len(kernels) == built
+
+
 def test_report_raises_the_credit_once_per_priced_out_year(overrides, tmp_path):
     # 15 parity years and the sweep's 24 credits: the only values from outside the rule data.
     # The walks and parity copy fields that were checked at load, so they make no call.

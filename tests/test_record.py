@@ -14,8 +14,8 @@ import ctcsim
 
 from ctcsim import HouseholdProfile, ParentalGroup, apply_overrides, benefit_at_income
 from ctcsim.errors import ValidationError
-from ctcsim.params import Bracket, BracketSchedule, FilingParams, ProgramParameters
-from ctcsim.counterfactual import PricedOutResult
+from ctcsim.params import Bracket, BracketSchedule, ProgramParameters
+from ctcsim.counterfactual import EliminationResult, PricedOutResult
 from ctcsim.record import Enum, Record, replace
 
 MOTHER = ParentalGroup.SINGLE_MOTHER
@@ -30,15 +30,30 @@ def test_equal_overrides_give_equal_keys_with_equal_hashes(params_by_year):
     assert a != apply_overrides(params_by_year[2017], overrides | {"ctc_per_child": 2400})
 
 
-def test_program_parameters_hash_once(params_by_year, monkeypatch):
-    calls = []
-    field_hash = FilingParams.__hash__
-    monkeypatch.setattr(FilingParams, "__hash__", lambda self: calls.append(1) or field_hash(self))
-    rules = apply_overrides(params_by_year[2018], {"ctc_per_child": 2100})
-    first = hash(rules)
-    assert len(calls) == 2  # one per filing status
-    assert hash(rules) == first and len(calls) == 2
-    assert isinstance(rules, ProgramParameters)
+@pytest.mark.parametrize("build", [
+    lambda rules: HouseholdProfile(MOTHER, Fraction(5, 3)),
+    lambda rules: Bracket(Fraction(19050), Fraction(1, 10)),
+    lambda rules: rules.married_joint.brackets,
+    lambda rules: rules.head_of_household,
+    lambda rules: apply_overrides(rules, {"ctc_per_child": 2100}),
+], ids=["HouseholdProfile", "Bracket", "BracketSchedule", "FilingParams", "ProgramParameters"])
+def test_a_record_hashes_its_fields_once(build, params_by_year, monkeypatch):
+    record = build(params_by_year[2018])
+    first = hash(record)
+    assert first == hash(record._values(record))  # the hash of the fields
+    hashed = []
+    fraction_hash = Fraction.__hash__
+    monkeypatch.setattr(Fraction, "__hash__", lambda f: hashed.append(f) or fraction_hash(f))
+    assert hash(record) == first and hashed == []  # the second hash reads no field
+    hash(HouseholdProfile(MOTHER, Fraction(7, 3)))
+    assert len(hashed) == 1  # a fresh record's first hash is counted
+
+
+def test_a_record_with_a_dict_field_never_hashes():
+    result = EliminationResult(deltas={MOTHER: Fraction(1, 2)}, gaining_households=1)
+    for _ in range(2):
+        with pytest.raises(TypeError, match="unhashable"):
+            hash(result)
 
 
 @pytest.mark.parametrize("record, values", [
@@ -107,9 +122,9 @@ def test_records_compare_and_hash_through_the_base():
     own = {cls.__name__: [m for m in ("__eq__", "__hash__") if m in vars(cls)]
            for cls in _records()}
     assert len(own) >= 10
-    assert {name: methods for name, methods in own.items() if methods} == {
-        "ProgramParameters": ["__hash__"]}
+    assert {name: methods for name, methods in own.items() if methods} == {}
     assert ProgramParameters.__eq__ is Record.__eq__
+    assert ProgramParameters.__hash__ is Record.__hash__
 
 
 def test_every_enum_hashes_by_identity():

@@ -1,5 +1,6 @@
 import math
 from fractions import Fraction
+from functools import partial
 
 import numpy as np
 import pytest
@@ -214,6 +215,14 @@ class TestFixedEffects:
             build_panel([(2017, ParentalGroup.MARRIED, 0.5),
                          (2018, ParentalGroup.SINGLE_FATHER, outcome)])
 
+    @pytest.mark.parametrize("fit", [partial(fixed_effects, baseline_year=2017), did])
+    @pytest.mark.parametrize("outcome", [math.nan, math.inf])
+    def test_non_finite_outcome_rejected_by_the_fit_itself(self, fit, outcome):
+        panel = [(year, group, 0.5) for year in (2017, 2018) for group in ParentalGroup]
+        panel[-1] = (2018, ParentalGroup.SINGLE_MOTHER, outcome)
+        with pytest.raises(ValidationError, match="panel outcomes must be finite"):
+            fit(panel)
+
 
 class TestDid:
     @staticmethod
@@ -298,6 +307,17 @@ def sized_did_panel(father, mother):
 
 class TestCellMeansEqualExactOls:
     """`fixed_effects` and `did` give bit for bit what exact `ols` gives on their dummy designs."""
+
+    @pytest.mark.parametrize("years", [range(2015, 2018), range(2003, 2019)])
+    def test_fraction_shares(self, pop, params_by_year, years):
+        # Exact shares, not read through `build_panel`: their denominators, the group sizes,
+        # are no powers of two, so only their lcm puts every outcome over one integer.
+        panel = [(year, group, eligibility(pop, year, group, params_by_year[year], Scenario.S1)
+                  .proportion(ReliefCategory.FULL_CTC))
+                 for year in years for group in ParentalGroup]
+        assert_same_fit(fixed_effects(panel, baseline_year=2017), ols(*fe_design(panel, 2017)))
+        if 2018 in years:
+            assert_same_fit(did(panel), ols(*did_design(panel)))
 
     def test_shipped_fixed_effects_panel(self, pop, params_by_year):
         panel = fixture_panel(pop, params_by_year, [ReliefCategory.FULL_CTC])
