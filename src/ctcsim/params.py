@@ -273,17 +273,17 @@ def load_params(path: str | Path) -> dict[int, ProgramParameters]:
             slot[status] = rec
 
         out: dict[int, ProgramParameters] = {}
-        for year in sorted(by_year):
-            recs = by_year[year]
+        for year, recs in sorted(by_year.items()):
             if set(recs) != set(FilingStatus):
                 raise ValidationError(f"year {year}: both filing statuses required")
-            shared = {}
+            shared, (first, second) = {}, recs.values()  # the records in file order
             for field, parse in _SHARED_FIELDS.items():
-                values = {_field(rec, field, parse, f"year {year}") for rec in recs.values()}
-                if len(values) != 1:
+                shared[field] = value = _field(first, field, parse, f"year {year}")
+                raw = second.get(field)  # parsed alike if equal in type too, as True == 1
+                if ((type(raw), raw) != (type(first[field]), first[field])
+                        and _field(second, field, parse, f"year {year}") != value):
                     raise ValidationError(
                         f"year {year}: field {field!r} differs across filing statuses")
-                shared[field] = values.pop()
             filing = {s.value: FilingParams(**{
                 name: _field(recs[s], name, parse, f"year {year} {s.value}")
                 for name, parse in _STATUS_FIELDS.items()}) for s in FilingStatus}

@@ -14,10 +14,11 @@ from __future__ import annotations
 
 import csv
 import io
+from collections import defaultdict
 from fractions import Fraction
 from itertools import accumulate
 from pathlib import Path
-from typing import Callable, Mapping, Sequence
+from typing import Mapping, Sequence
 
 from .errors import EmptyGroup, EmptyHistogram, GapError, NegativeCount, ParseError
 from .params import ParentalGroup
@@ -32,11 +33,8 @@ CHILDREN_KEYS = tuple(str(k) for k in range(8)) + ("8plus",)
 class PopulationTable:
     """Immutable container of cumulative bin counts and children counts."""
 
-    def __init__(
-        self,
-        counts: Mapping[tuple[int, ParentalGroup], Sequence[int]],
-        children: Mapping[tuple[int, ParentalGroup], Mapping[str, int]] | None = None,
-    ):
+    def __init__(self, counts: Mapping[tuple[int, ParentalGroup], Sequence[int]],
+                 children: Mapping[tuple[int, ParentalGroup], Mapping[str, int]] | None = None):
         """`counts` holds the BINS per-bin counts of each cell, lowest bin first, and
         `children` each cell's respondent counts by CHILDREN_KEYS key."""
         self._cum = {key: tuple(accumulate(value, initial=0)) for key, value in counts.items()}
@@ -68,93 +66,95 @@ class PopulationTable:
 
 
 _GROUPS = {g.value: g for g in ParentalGroup}
+_BIN_INDEX = {lower: i for i, lower in enumerate(range(0, INCOME_CEILING, BIN_WIDTH))}
+_BINS_HEADER = ["year", "group", "bin_lower", "bin_upper", "count"]
 
 
-def _int_field(raw: str, field: str) -> int:
-    try:
-        return int(raw)
-    except ValueError:
-        raise ParseError(f"field {field!r} is not an integer: {raw.strip()!r}") from None
+def _row_key(row: list[str], header: list[str]) -> tuple:
+    """A data row's (year, group, bin lower edge or children key), its checks made in the
+    loaders' order: width, each field in column order, the bin rule, a negative count."""
+    if len(row) != len(header):
+        raise ParseError(f"expected {len(header)} fields, got {len(row)}")
+    value = {}
+    for raw, field in zip(row, header):
+        if field == "group" and raw.strip() not in _GROUPS:
+            raise ParseError(f"unknown group {raw.strip()!r}")
+        if field == "children" and raw.strip() not in CHILDREN_KEYS:
+            raise ParseError(f"children must be one of {CHILDREN_KEYS}")
+        try:
+            value[field] = raw.strip() if field in ("group", "children") else int(raw)
+        except ValueError:
+            raise ParseError(f"field {field!r} is not an integer: {raw.strip()!r}") from None
+    key = value.get("bin_lower", value.get("children"))
+    if "bin_lower" in value and (key not in _BIN_INDEX or value["bin_upper"] != key + BIN_WIDTH):
+        raise ParseError(f"bin must be {BIN_WIDTH} wide, start on a multiple of {BIN_WIDTH} "
+                         f"and end by {INCOME_CEILING}")
+    if value["count"] < 0:
+        raise NegativeCount(f"negative count {value['count']}")
+    return value["year"], value["group"], key
 
 
-def _read_cells(path: Path, header: list[str], parse: Callable) -> dict:
-    """A CSV file with `header` as {(year, group): {key: count}}, each row's other fields read
-    by ``parse(*fields)`` as its key and a count, which may not be negative. An error names
-    the file and line; a key repeated in a (year, group) names both lines."""
+def _read_cells(path: Path, header: list[str]) -> dict:
+    """A CSV file with `header` as {(year, group): cell}, in one pass. A bin file's cell is its
+    BINS counts, lowest bin first and -1 where no row gave one; a children file's is {key:
+    count}. An error names the file and line, and a key repeated in a cell both lines."""
     data = path.read_bytes()
     try:
         data.decode("utf-8")  # whole, so an error's position is the file offset
-    except UnicodeDecodeError as exc:
-        line = data.count(b"\n", 0, exc.start) + 1
-        raise ParseError(f"{path}:{line}: {exc}") from None
-    cells: dict = {}  # (year, group) -> key -> (count, line)
+    except UnicodeDecodeError as exc:  # bytes end a line where csv does: at \r\n, \r or \n
+        raise ParseError(f"{path}:{len(data[:exc.start + 1].splitlines())}: {exc}") from None
+    cells = defaultdict(lambda: [-1] * BINS) if header is _BINS_HEADER else defaultdict(dict)
     # Parsed from a chunked decoder: a StringIO of the whole text would hold 4 bytes a character.
     reader = csv.reader(io.TextIOWrapper(io.BytesIO(data), encoding="utf-8", newline=""))
     try:
         if next(reader, None) != header:
             raise ParseError(f"{path}: header must be {','.join(header)}")
-        for row in reader:
-            if not row:
-                continue  # a blank line
-            try:
-                if len(row) != len(header):
-                    raise ParseError(f"expected {len(header)} fields, got {len(row)}")
-                year, group, *fields = row
-                year, group = _int_field(year, "year"), _GROUPS.get(group.strip())
-                if group is None:
-                    raise ParseError(f"unknown group {row[1].strip()!r}")
-                cell = cells.setdefault((year, group), {})
-                key, count = parse(*fields)
-                if count < 0:
-                    raise NegativeCount(f"negative count {count}")
-                if key in cell:
-                    raise ParseError(f"duplicate row, first seen on line {cell[key][1]}")
-            except (ParseError, NegativeCount) as exc:
-                raise type(exc)(f"{path}:{reader.line_num}: {exc}") from None
-            cell[key] = count, reader.line_num
+        if header is _BINS_HEADER:
+            for row in filter(None, reader):  # blank lines skipped
+                year, group, lower, upper, count = row
+                cell = cells[int(year), _GROUPS[group.strip()]]
+                i, count = _BIN_INDEX[int(lower)], int(count)
+                if int(upper) != (i + 1) * BIN_WIDTH or count < 0 or cell[i] >= 0:
+                    raise ValueError
+                cell[i] = count
+        else:
+            for row in filter(None, reader):
+                year, group, key, count = row
+                cell = cells[int(year), _GROUPS[group.strip()]]
+                key, count = key.strip(), int(count)
+                if key not in CHILDREN_KEYS or count < 0 or key in cell:
+                    raise ValueError
+                cell[key] = count
     except csv.Error as exc:
         raise ParseError(f"{path}:{reader.line_num}: {exc}") from None
-    return {k: {key: count for key, (count, _) in cell.items()} for k, cell in cells.items()}
-
-
-def _income_bin(lower: str, upper: str, count: str) -> tuple[int, int]:
-    try:
-        lower, upper, count = int(lower), int(upper), int(count)
-    except ValueError:  # name the first field that is not an integer
-        for raw, field in ((lower, "bin_lower"), (upper, "bin_upper"), (count, "count")):
-            _int_field(raw, field)
-    if lower % BIN_WIDTH or upper != lower + BIN_WIDTH or not 0 <= lower < INCOME_CEILING:
-        raise ParseError(f"bin must be {BIN_WIDTH} wide, start on a multiple of {BIN_WIDTH} "
-                         f"and end by {INCOME_CEILING}")
-    return lower, count
-
-
-def _children_count(key: str, count: str) -> tuple[str, int]:
-    key = key.strip()
-    if key not in CHILDREN_KEYS:
-        raise ParseError(f"children must be one of {CHILDREN_KEYS}")
-    return key, _int_field(count, "count")
+    except (ValueError, KeyError):  # a refused row: the first check it fails, else a duplicate
+        try:
+            key = _row_key(row, header)
+            again = csv.reader(io.StringIO(data.decode("utf-8"), newline=""))
+            first = next(again.line_num for row in again  # the header is line 1
+                         if again.line_num > 1 and row and _row_key(row, header) == key)
+            raise ParseError(f"duplicate row, first seen on line {first}")
+        except (ParseError, NegativeCount) as exc:
+            raise type(exc)(f"{path}:{reader.line_num}: {exc}") from None
+    return cells
 
 
 def load_population(path: str | Path, children_path: str | Path | None = None) -> PopulationTable:
     """Load bin counts (and optionally children histograms) from CSV files. Each cell must
     hold all BINS bins; an error about a cell or the years names the file."""
     path = Path(path)
-    rows = _read_cells(path, ["year", "group", "bin_lower", "bin_upper", "count"], _income_bin)
-    counts: dict[tuple[int, ParentalGroup], list[int]] = {}
-    for (year, group), by_lower in rows.items():
-        where = f"{path}: year {year} {group.value}"
-        try:
-            counts[year, group] = [by_lower[lower] for lower in range(0, INCOME_CEILING, BIN_WIDTH)]
-        except KeyError as exc:
-            raise GapError(f"{where}: no bin starting at {exc.args[0]}") from None
-        if not any(counts[year, group]):
-            raise EmptyGroup(f"{where}: population has zero total")
+    counts = _read_cells(path, _BINS_HEADER)
+    for (year, group), bins in counts.items():
+        if -1 in bins:
+            raise GapError(f"{path}: year {year} {group.value}: no bin starting at "
+                           f"{bins.index(-1) * BIN_WIDTH}")
+        if not any(bins):
+            raise EmptyGroup(f"{path}: year {year} {group.value}: population has zero total")
 
     years = sorted({year for year, _ in counts})
     if years and years[-1] - years[0] + 1 != len(years):
         raise GapError(f"{path}: years are not contiguous: {years}")
 
-    children = (_read_cells(Path(children_path), ["year", "group", "children", "count"],
-                            _children_count) if children_path else {})
+    children = (_read_cells(Path(children_path), ["year", "group", "children", "count"])
+                if children_path else {})
     return PopulationTable(counts, children)

@@ -446,6 +446,19 @@ class TestConfigAndDeterminism:
         assert main(["report", "--out", str(b)]) == 0
         assert a.read_bytes() == b.read_bytes()
 
+    def test_report_reads_csv_files_with_crlf_line_ends(self, tmp_path, monkeypatch):
+        """The shipped inputs with each CSV line ended by CR LF, as ``sed 's/$/\\r/'`` makes
+        them, give the shipped report byte for byte."""
+        for path in DATA.iterdir():
+            data = path.read_bytes()
+            (tmp_path / path.name).write_bytes(
+                data.replace(b"\n", b"\r\n") if path.suffix == ".csv" else data)
+        assert b"\r\n" in (tmp_path / "children.csv").read_bytes()
+        monkeypatch.setenv("CTCSIM_DATA_DIR", str(tmp_path))
+        out = tmp_path / "report.json"
+        assert main(["report", "--out", str(out)]) == 0
+        assert hashlib.sha256(out.read_bytes()).hexdigest() == REPORT_SHA256
+
     def test_out_flag_writes_file(self, tmp_path, capsys):
         out_path = tmp_path / "t.csv"
         code, out = run_cli(capsys, "thresholds", "--year", "2009", "--out", str(out_path))

@@ -12,6 +12,7 @@ from ctcsim.record import replace
 from ctcsim.errors import MissingYear, ParseError, ValidationError
 
 import goldens
+from conftest import DATA
 
 
 class TestLoad:
@@ -102,6 +103,65 @@ class TestLoad:
         with pytest.raises(ParseError) as raised:
             load_params(f)
         assert str(raised.value) == f"{f}: {label}: missing field {field!r}"
+
+
+@pytest.fixture(params=["married_joint first", "head_of_household first"])
+def shared_pair(request, tmp_path):
+    """`write(edit)`: the shipped file with `edit(married_joint, head_of_household)` applied to
+    the 2003 records, which are written in the order the param names; returns its path."""
+    def write(edit):
+        records = json.loads((DATA / "params.json").read_text())
+        married, head = records[0], records[1]  # the 2003 records, as shipped
+        edit(married, head)
+        if request.param.startswith("head"):
+            records[0], records[1] = head, married
+        f = tmp_path / "params.json"
+        f.write_text(json.dumps(records))
+        return f
+
+    return write
+
+
+class TestSharedFields:
+    """Each shared field is parsed from the first record in file order, and from the second
+    only where its raw value differs in type or value; each case runs in both file orders."""
+
+    @pytest.mark.parametrize("field, value, message", [
+        ("ctc_per_child", 1000, "bool is not a money amount"),
+        ("refund_rate", 1, "bool is not a rate"),
+    ])
+    @pytest.mark.parametrize("true_in", ["married_joint", "head_of_household"])
+    def test_true_beside_its_equal_integer_is_refused(self, shared_pair, field, value, message,
+                                                       true_in):
+        def edit(married, head):
+            married[field], head[field] = (True, value) if true_in == "married_joint" else (
+                value, True)
+
+        f = shared_pair(edit)
+        with pytest.raises(ParseError) as raised:
+            load_params(f)
+        assert str(raised.value) == f"{f}: year 2003: bad field {field!r}: {message}"
+
+    def test_a_field_missing_from_one_record(self, shared_pair):
+        f = shared_pair(lambda married, head: head.pop("refund_threshold"))
+        with pytest.raises(ParseError) as raised:
+            load_params(f)
+        assert str(raised.value) == f"{f}: year 2003: missing field 'refund_threshold'"
+
+    def test_an_integer_equals_its_decimal_literal(self, shared_pair, params_by_year):
+        def edit(married, head):
+            married["ctc_per_child"], head["ctc_per_child"] = 1000, 1000.0
+
+        f = shared_pair(edit)
+        assert f.read_text().count('"ctc_per_child": 1000.0') == 1
+        assert load_params(f) == params_by_year
+
+    def test_a_field_that_differs_keeps_its_message(self, shared_pair):
+        f = shared_pair(lambda married, head: head.update(ctc_per_child=1100))
+        with pytest.raises(ValidationError) as raised:
+            load_params(f)
+        assert str(raised.value) == (
+            f"{f}: year 2003: field 'ctc_per_child' differs across filing statuses")
 
 
 class TestOverrides:

@@ -247,6 +247,20 @@ class TestLineNumbers:
             self.load(**{name.split(".")[0]: path})
         assert str(raised.value) == f"{path}:2: {message}"
 
+    @pytest.mark.parametrize("end", ["\n", "\r\n", "\r"], ids=["lf", "crlf", "cr"])
+    def test_decode_error_counts_lines_as_csv_does(self, tmp_path, end):
+        """Lines end at LF, CR LF or a lone CR, for a byte that is not UTF-8 as for a bad
+        field: each error on the third line names line 3."""
+        lines = (DATA / "population.csv").read_bytes().splitlines()
+        path = tmp_path / "population.csv"
+        for bad, message in [(b"\xff", "'utf-8' codec can't decode byte 0xff in position "),
+                             (b"x", "unknown group 'xmarried'")]:
+            edited = lines[:2] + [lines[2].replace(b"married", bad + b"married", 1)] + lines[3:]
+            path.write_bytes(end.encode().join(edited) + end.encode())
+            with pytest.raises(ParseError) as raised:
+                self.load(population=path)
+            assert str(raised.value).startswith(f"{path}:3: {message}")
+
 
 # ---------------------------------------------------------------------------
 # The loader against its DictReader reference, on corrupted copies of the shipped files
@@ -313,6 +327,12 @@ def _texts(edits=()):
     return {name: "\n".join(lines) + "\n" for name, lines in files.items()}
 
 
+def _rewritten(texts, line, bom=""):
+    """`texts` with `line` applied to each line before its LF, and `bom` put first in each."""
+    return {name: bom + "".join(line(text) + "\n" for text in body.splitlines())
+            for name, body in texts.items()}
+
+
 def _outcome(load, population, children):
     try:
         table = load(population, children)
@@ -330,6 +350,11 @@ def _outcome(load, population, children):
 @example(_texts([("population.csv", 3, "2003,married,1000,3500,5")]))
 @example(_texts([("population.csv", 3, "2003,Married,2500,5000,5")]))
 @example(_texts([("children.csv", 3, "2003,married,8+,5")]))
+@example(_rewritten(_texts(), lambda line: line + "\r"))  # CR LF line ends
+@example(_rewritten(_texts([("population.csv", 4, "2003,married,0,2500,5")]),
+                    lambda line: line + "\r"))
+@example(_rewritten(_texts(), lambda line: '"' + line.replace(",", '","') + '"'))
+@example(_rewritten(_texts(), lambda line: line, bom="\ufeff"))  # a header error in both
 def test_loader_matches_dictreader_reference(texts):
     with tempfile.TemporaryDirectory() as tmp:
         population, children = Path(tmp) / "population.csv", Path(tmp) / "children.csv"
