@@ -13,9 +13,11 @@ start), so a boundary sitting on a bin's lower edge still makes that bin
 ambiguous. At the remaining boundaries the boundary income itself already
 qualifies, and a bin whose lower edge equals the boundary lies wholly above.
 
-The boundaries become five nondecreasing bin-edge cuts, and each category's count is
-the difference of the cell's cumulative counts (see :mod:`ctcsim.population`) at its
-two cuts; a cut past the data ceiling reads the last entry, the cell's total.
+A cell is classified in one pass over the five boundaries, which `classify`, `assign_bins`
+and `category_cuts` all run. Each boundary becomes a bin-edge cut, raised to the cut before
+it if lower, so the cuts never fall. The category below it counts the difference of the
+cell's cumulative counts (see :mod:`ctcsim.population`) at its two cuts, a cut past the data
+ceiling reading the last entry, the cell's total, and takes its flag from the same two cuts.
 
 The data stop at $99,999, so each category is flagged by where its cuts put it against
 the ceiling C = $100,000. Category a covers [0, first cut), each later one [its cut, the
@@ -31,7 +33,6 @@ every other range crossing C has at least a third, and any bound above 0.154 and
 from __future__ import annotations
 
 from fractions import Fraction
-from itertools import accumulate
 from typing import Mapping, Sequence
 
 from .errors import ThresholdOutOfRange
@@ -75,19 +76,22 @@ class Scenario(Enum):
     S1 = "s1"
     S2 = "s2"
 
-    @property
-    def rule(self) -> BoundRule:
-        return BoundRule.UPPER if self is Scenario.S1 else BoundRule.MIDDLE
-
-    @property
-    def fixed_one_child(self) -> bool:
-        return self is Scenario.S1
+    def __init__(self, value: str):
+        # Plain attributes, not properties: every classified cell reads them.
+        self.fixed_one_child = value == "s1"
+        self.rule = BoundRule.UPPER if self.fixed_one_child else BoundRule.MIDDLE
 
 
 class GeneralizabilityFlag(Enum):
     ACCURATE = "accurate"
     UNDERESTIMATE = "underestimate"
     UNAVAILABLE = "unavailable"
+
+
+# Module names read faster than Enum class attributes, and these are read once per cut.
+_MIDDLE, _HIGH = BoundRule.MIDDLE, ReliefCategory.INELIGIBLE_HIGH
+_ACCURATE, _UNDERESTIMATE, _UNAVAILABLE = GeneralizabilityFlag
+_NO_CELL = (0,) * (BINS + 1)  # the cuts do not read the cell, so any one will do
 
 
 class EligibilityEstimate(Record):
@@ -116,7 +120,7 @@ def _cut(num: int, den: int, strictly_above: bool, rule: BoundRule) -> int:
     if num < 0:
         raise ThresholdOutOfRange(f"negative classification boundary {Fraction(num, den)}")
     floor_edge = num // (den * BIN_WIDTH) * BIN_WIDTH
-    if rule is BoundRule.MIDDLE:
+    if rule is _MIDDLE:
         # At or past the bin midpoint: 2 * boundary >= 2 * floor_edge + BIN_WIDTH.
         return floor_edge + BIN_WIDTH if 2 * num >= (2 * floor_edge + BIN_WIDTH) * den else floor_edge
     if num == floor_edge * den and not strictly_above:
@@ -126,9 +130,7 @@ def _cut(num: int, den: int, strictly_above: bool, rule: BoundRule) -> int:
 
 def category_cuts(thresholds: ThresholdSet, rule: BoundRule) -> list[int]:
     """The five nondecreasing bin-edge cuts separating categories a-f."""
-    cuts = (cut_income(boundary, strictly_above, rule)
-            for boundary, strictly_above in thresholds.boundaries())
-    return list(accumulate(cuts, max))
+    return _classify(_NO_CELL, thresholds, rule)[2]
 
 
 def count_between(cum: Sequence[int], lo: int, hi: int) -> int:
@@ -141,30 +143,38 @@ def count_between(cum: Sequence[int], lo: int, hi: int) -> int:
 def assign_bins(cum: Sequence[int], thresholds: ThresholdSet,
                 rule: BoundRule) -> dict[ReliefCategory, int]:
     """Total count per category of cell `cum`; conserves the population exactly."""
-    return _read_cuts(cum, category_cuts(thresholds, rule))[0]
+    return _classify(cum, thresholds, rule)[0]
 
 
 def _flag(lo: int, hi: int | None) -> GeneralizabilityFlag:
     """The flag of the category covering incomes [lo, hi); `hi` None means unbounded above."""
     if lo >= INCOME_CEILING or hi is not None and 4 * (INCOME_CEILING - lo) < hi - lo:
-        return GeneralizabilityFlag.UNAVAILABLE
+        return _UNAVAILABLE
     if hi is None or hi > INCOME_CEILING:
-        return GeneralizabilityFlag.UNDERESTIMATE
-    return GeneralizabilityFlag.ACCURATE
+        return _UNDERESTIMATE
+    return _ACCURATE
 
 
-def _read_cuts(cum: Sequence[int], cuts: Sequence[int]) -> tuple[dict, dict]:
-    """Counts and flags of cell `cum` per category, both read from the edges [0, *cuts, None]."""
-    edges = [0, *cuts, None]
-    counts, flags = {}, {}
-    for cat, lo, hi in zip(CATEGORY_ORDER, edges, edges[1:]):
-        counts[cat] = count_between(cum, lo, INCOME_CEILING if hi is None else hi)
-        flags[cat] = _flag(lo, hi)
-    return counts, flags
+def _classify(cum: Sequence[int], thresholds: ThresholdSet,
+              rule: BoundRule) -> tuple[dict, dict, list[int]]:
+    """Counts and flags of cell `cum` per category, and the five cuts: the one pass. Each cut
+    closes the category below it; f runs from the last cut up, with no upper end."""
+    counts, flags, cuts = {}, {}, []
+    lo = below = 0
+    for cat, (boundary, strictly_above) in zip(CATEGORY_ORDER, thresholds.boundaries()):
+        hi = _cut(boundary.numerator, boundary.denominator, strictly_above, rule)
+        if hi < lo:
+            hi = lo
+        up = cum[hi // BIN_WIDTH] if hi < INCOME_CEILING else cum[BINS]
+        counts[cat], flags[cat] = up - below, _flag(lo, hi)
+        cuts.append(hi)
+        lo, below = hi, up
+    counts[_HIGH], flags[_HIGH] = cum[BINS] - below, _flag(lo, None)
+    return counts, flags, cuts
 
 
 def classify(pop: PopulationTable, year: int, group: ParentalGroup, thresholds: ThresholdSet,
              scenario: Scenario) -> EligibilityEstimate:
     """Classify one (year, group) population under `thresholds` and the scenario's bound rule."""
-    return EligibilityEstimate(*_read_cuts(pop.cumulative(year, group),
-                                           category_cuts(thresholds, scenario.rule)))
+    counts, flags, _ = _classify(pop.cumulative(year, group), thresholds, scenario.rule)
+    return EligibilityEstimate(counts, flags)

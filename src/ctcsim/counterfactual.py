@@ -91,8 +91,7 @@ def full_relief_cuts(
     Unreachable when the phaseout erodes the full benefit before it accrues.
     """
     y, den, phaseout = _benefit_income(profile, params, mode)
-    return (_cut(y, den, strictly_above=False, rule=rule),
-            cut_income(phaseout, strictly_above=True, rule=rule))
+    return _cut(y, den, False, rule), cut_income(phaseout, True, rule)  # only the start is strict
 
 
 def full_relief_proportion(pop: PopulationTable, pop_year: int, group: ParentalGroup,

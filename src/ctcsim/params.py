@@ -36,6 +36,7 @@ class FilingStatus(Enum):
 
 # A module name reads faster than an Enum class attribute, and `for_status` is on hot paths.
 _MARRIED_JOINT = FilingStatus.MARRIED_JOINT
+_STATUSES = dict.fromkeys(FilingStatus).keys()  # in class order, and set-like
 
 
 class ParentalGroup(Enum):
@@ -43,15 +44,11 @@ class ParentalGroup(Enum):
     SINGLE_FATHER = "single_father"
     SINGLE_MOTHER = "single_mother"
 
-    @property
-    def filing_status(self) -> FilingStatus:
-        if self is ParentalGroup.MARRIED:
-            return FilingStatus.MARRIED_JOINT
-        return FilingStatus.HEAD_OF_HOUSEHOLD
-
-    @property
-    def adults(self) -> int:
-        return 2 if self is ParentalGroup.MARRIED else 1
+    def __init__(self, value: str):
+        # Plain attributes, not properties: every kernel reads both.
+        married = value == "married"
+        self.filing_status = _MARRIED_JOINT if married else FilingStatus.HEAD_OF_HOUSEHOLD
+        self.adults = 2 if married else 1
 
 
 # The largest money amount a rule set may hold, in dollars, and its smallest nonzero rate.
@@ -134,9 +131,12 @@ OverrideValue = Union[int, Fraction, str, Mapping, Sequence]
 # ValidationError naming the field; `_parse` puts the year, and the filing status, before it.
 
 
-def _money(value, name: str) -> Fraction:
-    """A dollar amount in [0, MAX_MONEY]; the message omits the value."""
+def _money(value, name: str, positive: bool = False) -> Fraction:
+    """A dollar amount in [0, MAX_MONEY], or in (0, MAX_MONEY] if `positive`, coerced once;
+    the message omits the value."""
     amount = as_money(value)
+    if positive and amount.numerator <= 0:
+        raise ValidationError(f"{name} must be positive")
     if amount.numerator < 0:
         raise ValidationError(f"{name} negative")
     if amount.numerator > MAX_MONEY * amount.denominator:
@@ -145,10 +145,7 @@ def _money(value, name: str) -> Fraction:
 
 
 def _positive_money(value, name: str) -> Fraction:
-    amount = as_money(value)
-    if amount.numerator <= 0:
-        raise ValidationError(f"{name} must be positive")
-    return _money(amount, name)
+    return _money(value, name, positive=True)
 
 
 def _rate_up_to_1(value, name: str) -> Fraction:
@@ -181,23 +178,25 @@ def _brackets(raw, name: str) -> BracketSchedule:
         brackets.append(Bracket(None if upper is None else as_money(upper),
                                 as_rate(entry.get("rate"))))
     schedule = BracketSchedule(tuple(brackets))
-    if not schedule.brackets:
+    if not brackets:
         raise ValidationError("bracket schedule is empty")
+    _, rate_d, scaled = schedule._scaled  # compared as integers: uppers over U, rates over R
     prev_upper = prev_rate = 0
-    for i, b in enumerate(schedule.brackets):
-        if (b.upper is None) != (i == len(schedule.brackets) - 1):
+    for i, (b, (upper, rate)) in enumerate(zip(brackets, scaled)):
+        if (upper is None) != (i == len(brackets) - 1):
             raise ValidationError("only the last bracket may omit its upper bound")
-        if b.upper is not None:
-            if b.upper <= prev_upper:
+        if upper is not None:
+            if upper <= prev_upper:
                 raise ValidationError("bracket upper bounds must be strictly increasing")
-            prev_upper = _money(b.upper, "bracket upper bound")
-        if not (0 <= b.rate <= 1):
+            prev_upper = upper
+            _money(b.upper, "bracket upper bound")
+        if not 0 <= rate <= rate_d:
             raise ValidationError("bracket rate outside [0, 1]")
-        if b.rate and b.rate < MIN_RATE:
+        if rate and rate * MIN_RATE.denominator < MIN_RATE.numerator * rate_d:
             raise ValidationError(f"nonzero bracket rate below {MIN_RATE}")
-        if b.rate < prev_rate:
+        if rate < prev_rate:
             raise ValidationError("bracket rates must be nondecreasing")
-        prev_rate = b.rate
+        prev_rate = rate
     return schedule
 
 
@@ -229,7 +228,8 @@ def _field(rec: Mapping, name: str, parse, label: str):
 
 def _check_credit_order(params: ProgramParameters) -> None:
     """The one rule across fields: the refundable maximum may not exceed the credit maximum."""
-    if params.actc_per_child > params.ctc_per_child:
+    actc, ctc = params.actc_per_child, params.ctc_per_child
+    if actc.numerator * ctc.denominator > ctc.numerator * actc.denominator:
         raise ValidationError(f"year {params.year}: actc_per_child exceeds ctc_per_child")
 
 
@@ -322,19 +322,19 @@ def apply_overrides(
     """
     changes: dict = {}
     for name, value in overrides.items():
-        if name in _SHARED_FIELDS:
-            changes[name] = _parse(_SHARED_FIELDS[name], name, value, f"year {base.year}")
-        elif name in _STATUS_FIELDS:
+        if (parse := _SHARED_FIELDS.get(name)) is not None:
+            changes[name] = _parse(parse, name, value, f"year {base.year}")
+        elif (parse := _STATUS_FIELDS.get(name)) is not None:
             # No field's own value is a mapping (brackets come as a list), so a mapping holds
-            # values per status.
+            # values per status. A member hashes by identity, so only a member is in _STATUSES.
             if not isinstance(value, Mapping):
-                value = dict.fromkeys(FilingStatus, value)
-            elif bad := [key for key in value if not isinstance(key, FilingStatus)]:
-                raise ValidationError(f"override {name!r}: key {bad[0]!r} is not a FilingStatus")
+                value = dict.fromkeys(_STATUSES, value)
+            elif not value.keys() <= _STATUSES:
+                bad = next(key for key in value if key not in _STATUSES)
+                raise ValidationError(f"override {name!r}: key {bad!r} is not a FilingStatus")
             for s, status_value in value.items():
                 rules = changes.get(s.value) or base.for_status(s)
-                parsed = _parse(_STATUS_FIELDS[name], name, status_value,
-                                f"year {base.year} {s.value}")
+                parsed = _parse(parse, name, status_value, f"year {base.year} {s.value}")
                 changes[s.value] = replace(rules, **{name: parsed})
         else:
             raise ValidationError(f"unknown override field {name!r}")

@@ -25,12 +25,13 @@ class _RecordType(type):
         if not fields:
             return cls
         cls._values = attrgetter(*fields)  # a tuple of the values, or a lone field's value
-        # Written out per class, as dataclasses does: slot stores by name are faster than
-        # any generic loop over the field names.
-        sets = "".join(f"\n    _set(self, {field!r}, {field})" for field in fields)
+        # Written out per class, as dataclasses does, each store through its slot's own
+        # setter: faster than any generic loop over the field names, or a store by name.
+        setters = {f"_set_{field}": getattr(cls, field).__set__ for field in fields}
+        sets = "".join(f"\n    _set_{field}(self, {field})" for field in fields)
         post = "\n    self.__post_init__()" if hasattr(cls, "__post_init__") else ""
         code: dict = {}
-        exec(f"def __init__(self, {', '.join(fields)}):{sets}{post}", {"_set": object.__setattr__}, code)
+        exec(f"def __init__(self, {', '.join(fields)}):{sets}{post}", setters, code)
         cls.__init__ = code["__init__"]
         cls.__init__.__module__, cls.__init__.__qualname__ = cls.__module__, f"{name}.__init__"
         return cls

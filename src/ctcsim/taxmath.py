@@ -57,6 +57,9 @@ class LiabilityMode(Enum):
     TABLE = "table"
 
 
+_TABLE = LiabilityMode.TABLE  # a module name reads faster than an Enum class attribute
+
+
 class HouseholdProfile(Record):
     """A filing household: parental group plus (possibly fractional) children.
 
@@ -161,10 +164,10 @@ class _Kernel:
     kept for the callers. Both inversions take a target over D and return an income as
     (numerator, positive denominator), for the caller to compare. Both run `_income`; the
     forward evaluation reads liability at an income through `owed`. These two are the only
-    steps that read the liability mode.
+    steps that read the liability mode, as `table`, set once.
     """
 
-    __slots__ = ("mode", "d", "q", "free", "refundable", "credit", "floor", "rate", "bands",
+    __slots__ = ("table", "d", "q", "free", "refundable", "credit", "floor", "rate", "bands",
                  "start")
 
     def __init__(self, profile: HouseholdProfile, params: ProgramParameters,
@@ -181,17 +184,19 @@ class _Kernel:
                                           ctc.denominator * kids.denominator)
         free = (ded.numerator * ex.denominator * kids.denominator + ded.denominator
                 * ex.numerator * (group.adults * kids.denominator + kids.numerator))
-        d = lcm(free_d, refundable_d, credit_d, upper_d, floor.denominator,
-                *(x.denominator for x in targets))
+        d = lcm(free_d, refundable_d, credit_d, upper_d, floor.denominator)
+        if targets:  # none for a threshold set or a full-relief cut
+            d = lcm(d, *(x.denominator for x in targets))
         q = lcm(refund_rate.denominator, rate_d)
-        self.mode, self.d, self.q, self.start = mode, d, q, rules.phaseout_start
+        self.table, self.d, self.q, self.start = mode is _TABLE, d, q, rules.phaseout_start
         self.rate, self.floor = _over(refund_rate, q), _over(floor, d)
         self.refundable = actc.numerator * kids.numerator * (d // refundable_d)
         self.credit = ctc.numerator * kids.numerator * (d // credit_d)
         self.free = free = free * (d // free_d)
         upper_k, rate_k = d // upper_d, q // rate_d
-        self.bands = [(free, 0)] + [(None if upper is None else free + upper * upper_k,
-                                     rate * rate_k) for upper, rate in scaled]
+        self.bands = bands = [(free, 0)]
+        for upper, rate in scaled:  # a loop: a comprehension's own frame costs more here
+            bands.append((None if upper is None else free + upper * upper_k, rate * rate_k))
 
     def refund_credit(self, t: int) -> tuple[int, int]:
         """Minimal income at which refund plus credit reaches the target t/D.
@@ -229,7 +234,7 @@ class _Kernel:
         zero; the running total is over D·Q, and an income found is its integer numerator
         over D·slope. In table mode it walks exact liability with the floor moved down half
         a row, and `_row_solve` takes the answer from the income that walk finds."""
-        table, floor = self.mode is LiabilityMode.TABLE, self.floor
+        table, floor = self.table, self.floor
         if table:
             floor -= _ROW * self.d // 2
         target, lo, total = t * self.q, floor if floor < 0 else 0, 0
@@ -264,7 +269,7 @@ class _Kernel:
     def owed(self, y: int) -> int:
         """Liability at income y over D, over D·Q. In table mode it is the exact liability
         at the midpoint of y's row, and none at or below the tax-free amount."""
-        if self.mode is LiabilityMode.TABLE:
+        if self.table:
             if y <= self.free:
                 return 0
             width = _ROW * self.d

@@ -398,6 +398,54 @@ class TestFlags:
                 assert flags[cat] is self.ACC, cat
 
 
+@st.composite
+def unordered_thresholds(draw):
+    """Five boundaries in any order, some past the ceiling: the running maximum clamps
+    every cut below the one before it."""
+    floor, actc, ctc, start, end = draw(st.lists(st.one_of(
+        boundary_incomes(), st.fractions(INCOME_CEILING, 10**7, max_denominator=300)),
+        min_size=5, max_size=5))
+    return ThresholdSet(floor, actc, ctc, start, end, actc)
+
+
+def ceiling_flag(lo, hi):
+    """The module docstring's rule for the category covering [lo, hi), hi None for f:
+    unavailable if it starts at or past the ceiling, or if less than a quarter of a bounded
+    range lies below it; else an underestimate if it reaches past the ceiling."""
+    if lo >= INCOME_CEILING or hi is not None and 4 * (min(hi, INCOME_CEILING) - lo) < hi - lo:
+        return GeneralizabilityFlag.UNAVAILABLE
+    if hi is None or hi > INCOME_CEILING:
+        return GeneralizabilityFlag.UNDERESTIMATE
+    return GeneralizabilityFlag.ACCURATE
+
+
+class TestOnePass:
+    """`classify`'s one pass over the boundaries against the per-bin and Fraction references,
+    for any five boundaries: in order or not, inside the data or past it."""
+
+    @given(counts=count_vectors(), ts=st.one_of(ordered_thresholds(), unordered_thresholds()),
+           scenario=st.sampled_from(list(Scenario)))
+    @example(counts=uniform_bins(), ts=make_thresholds(150_000, 5_000, 120_000, 99_999, 250_000),
+             scenario=Scenario.S1)
+    @example(counts=uniform_bins(), ts=make_thresholds(95_000, 60_000, 40_000, 20_000, 1_250),
+             scenario=Scenario.S2)
+    @example(counts=one_bin(97_500), ts=make_thresholds(100_000, 100_000, 101_250, 300_000,
+                                                        10**6), scenario=Scenario.S2)
+    @settings(max_examples=400, deadline=None)
+    def test_classify_matches_the_references(self, counts, ts, scenario):
+        rule, group = scenario.rule, ParentalGroup.SINGLE_FATHER
+        est = classify(PopulationTable({(2017, group): counts}), 2017, group, ts, scenario)
+        cuts = list(accumulate((cut_income_reference(boundary, strictly_above, rule)
+                                for boundary, strictly_above in ts.boundaries()), max))
+        assert category_cuts(ts, rule) == cuts
+        assert list(est.counts) == list(est.flags) == list(CATEGORY_ORDER)
+        assert est.counts == assign_bins_reference(counts, ts, rule)
+        edges = [0, *cuts, None]
+        assert est.flags == {cat: ceiling_flag(lo, hi)
+                             for cat, lo, hi in zip(CATEGORY_ORDER, edges, edges[1:])}
+        assert assign_bins(cumulative(counts), ts, rule) == est.counts
+
+
 class TestCombine:
     def _estimate(self, pop, params_by_year, year=2017, group=ParentalGroup.MARRIED,
                   scenario=Scenario.S1):

@@ -6,7 +6,7 @@ from fractions import Fraction
 
 import pytest
 
-from ctcsim import ParentalGroup, apply_overrides
+from ctcsim import FilingStatus, ParentalGroup, Scenario, apply_overrides
 from ctcsim import counterfactual, memo, taxmath
 from ctcsim.cli import main
 from ctcsim.errors import OrderingViolation
@@ -134,6 +134,25 @@ def test_no_memo_outside_a_command(inversions, params_by_year, tmp_path):
     second = thresholds(profile, params_by_year[2017])
     assert first == second
     assert len(inversions) == 2
+
+
+def test_a_rule_sweep_op_adds_no_work_and_stores_nothing(kernels, inversions, params_by_year,
+                                                          pop):
+    # One rule set scored outside a command, as the benchmark's rule-sweep op scores it: each
+    # of the 6 cells inverts one threshold set and one full-relief cut, a kernel each, and a
+    # second run repeats every one of them.
+    overrides = {"ctc_per_child": 2500, "actc_per_child": 1800, "refund_threshold": 2000,
+                 "refund_rate": Fraction(3, 20),
+                 "phaseout_start": {FilingStatus.MARRIED_JOINT: 300_000,
+                                    FilingStatus.HEAD_OF_HOUSEHOLD: 150_000}}
+    for runs in (1, 2):
+        rules = apply_overrides(params_by_year[2018], overrides)
+        for group in ParentalGroup:
+            for scenario in Scenario:
+                counterfactual.eligibility(pop, 2018, group, rules, scenario)
+                counterfactual.full_relief_proportion(pop, 2018, group, rules, scenario)
+        assert (len(kernels), len(inversions)) == (12 * runs, 6 * runs)
+        assert memo._results.get() is None
 
 
 def test_consecutive_commands_share_nothing(tmp_path):

@@ -6,8 +6,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ctcsim import FilingStatus, apply_overrides, load_params
-from ctcsim.params import (_SHARED_FIELDS, _STATUS_FIELDS, MAX_MONEY, Bracket, BracketSchedule,
-                           copy_fields, params_for_year)
+from ctcsim.params import (_SHARED_FIELDS, _STATUS_FIELDS, MAX_MONEY, MIN_RATE, Bracket,
+                           BracketSchedule, copy_fields, params_for_year)
 from ctcsim.record import replace
 from ctcsim.errors import MissingYear, ParseError, ValidationError
 
@@ -251,6 +251,33 @@ class TestOverrides:
         with pytest.raises(ParseError) as raised:
             apply_overrides(params_by_year[2017], {name: value})
         assert str(raised.value) == message
+
+    @pytest.mark.parametrize("bands, message", [
+        ([{"upper": 1000, "rate": "0.1"}, {"upper": 1000, "rate": "0.2"}, {"rate": "0.3"}],
+         "bracket upper bounds must be strictly increasing"),
+        ([{"upper": Fraction(4003, 4), "rate": "0.1"}, {"upper": Fraction(2001, 2), "rate": "0.2"},
+          {"rate": "0.3"}], "bracket upper bounds must be strictly increasing"),
+        ([{"upper": 1000, "rate": "0.2"}, {"rate": "0.1"}],
+         "bracket rates must be nondecreasing"),
+        ([], "bracket schedule is empty"),
+        ([{"upper": 1000, "rate": "-0.1"}, {"rate": "0.1"}], "bracket rate outside [0, 1]"),
+        ([{"upper": 1000, "rate": "0.1"}, {"rate": "1.5"}], "bracket rate outside [0, 1]"),
+        ([{"upper": 1000, "rate": MIN_RATE}, {"rate": "0.1"}], None),
+        ([{"upper": 1000, "rate": MIN_RATE - Fraction(1, 10**24)}, {"rate": "0.1"}],
+         f"nonzero bracket rate below {MIN_RATE}"),
+        ([{"upper": 1000, "rate": 0}, {"upper": 2000, "rate": "0.1"}, {"rate": "0.1"}], None),
+    ], ids=["equal-uppers", "fractional-uppers-fall", "rates-fall", "empty", "rate-negative",
+            "rate-past-1", "rate-at-min", "rate-below-min", "zero-then-equal-rates"])
+    def test_bracket_schedule_messages(self, params_by_year, bands, message):
+        """Each rule of a schedule has its own message, after the year and the status."""
+        overrides = {"brackets": {FilingStatus.MARRIED_JOINT: bands}}
+        if message is None:
+            schedule = apply_overrides(params_by_year[2017], overrides).married_joint.brackets
+            assert [b.rate for b in schedule.brackets] == [Fraction(b["rate"]) for b in bands]
+        else:
+            with pytest.raises(ValidationError) as raised:
+                apply_overrides(params_by_year[2017], overrides)
+            assert str(raised.value) == f"year 2017 married_joint: {message}"
 
     def test_unknown_field(self, params_by_year):
         with pytest.raises(ValidationError):
