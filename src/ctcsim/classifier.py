@@ -13,11 +13,13 @@ start), so a boundary sitting on a bin's lower edge still makes that bin
 ambiguous. At the remaining boundaries the boundary income itself already
 qualifies, and a bin whose lower edge equals the boundary lies wholly above.
 
-A cell is classified in one pass over the five boundaries, which `classify`, `assign_bins`
-and `category_cuts` all run. Each boundary becomes a bin-edge cut, raised to the cut before
-it if lower, so the cuts never fall. The category below it counts the difference of the
-cell's cumulative counts (see :mod:`ctcsim.population`) at its two cuts, a cut past the data
-ceiling reading the last entry, the cell's total, and takes its flag from the same two cuts.
+A cell is classified in one pass over the five boundaries, each an integer pair (numerator,
+positive denominator): `eligibility` passes in :mod:`ctcsim.taxmath`'s memoised pairs, and
+`classify`, `assign_bins` and `category_cuts` read theirs off a ThresholdSet. Each boundary
+becomes a bin-edge cut, raised to the cut before it if lower, so the cuts never fall. The
+category below it counts the difference of the cell's cumulative counts (see
+:mod:`ctcsim.population`) at its two cuts, a cut past the data ceiling reading the last
+entry, the cell's total, and takes its flag from the same two cuts.
 
 The data stop at $99,999, so each category is flagged by where its cuts put it against
 the ceiling C = $100,000. Category a covers [0, first cut), each later one [its cut, the
@@ -39,7 +41,7 @@ from .errors import ThresholdOutOfRange
 from .params import ParentalGroup
 from .population import BIN_WIDTH, BINS, INCOME_CEILING, PopulationTable
 from .record import Enum, Record
-from .taxmath import ThresholdSet
+from .taxmath import STRICTLY_ABOVE, ThresholdSet
 
 
 class ReliefCategory(Enum):
@@ -130,7 +132,7 @@ def _cut(num: int, den: int, strictly_above: bool, rule: BoundRule) -> int:
 
 def category_cuts(thresholds: ThresholdSet, rule: BoundRule) -> list[int]:
     """The five nondecreasing bin-edge cuts separating categories a-f."""
-    return _classify(_NO_CELL, thresholds, rule)[2]
+    return _classify(_NO_CELL, _pairs(thresholds), rule)[2]
 
 
 def count_between(cum: Sequence[int], lo: int, hi: int) -> int:
@@ -143,7 +145,7 @@ def count_between(cum: Sequence[int], lo: int, hi: int) -> int:
 def assign_bins(cum: Sequence[int], thresholds: ThresholdSet,
                 rule: BoundRule) -> dict[ReliefCategory, int]:
     """Total count per category of cell `cum`; conserves the population exactly."""
-    return _classify(cum, thresholds, rule)[0]
+    return _classify(cum, _pairs(thresholds), rule)[0]
 
 
 def _flag(lo: int, hi: int | None) -> GeneralizabilityFlag:
@@ -155,14 +157,18 @@ def _flag(lo: int, hi: int | None) -> GeneralizabilityFlag:
     return _ACCURATE
 
 
-def _classify(cum: Sequence[int], thresholds: ThresholdSet,
+def _pairs(thresholds: ThresholdSet) -> list[tuple[int, int]]:
+    return [(b.numerator, b.denominator) for b, _ in thresholds.boundaries()]
+
+
+def _classify(cum: Sequence[int], bounds: Sequence[tuple[int, int]],
               rule: BoundRule) -> tuple[dict, dict, list[int]]:
-    """Counts and flags of cell `cum` per category, and the five cuts: the one pass. Each cut
-    closes the category below it; f runs from the last cut up, with no upper end."""
+    """Counts and flags of cell `cum` per category, and the five cuts, from the boundary pairs
+    `bounds`: the one pass. Each cut closes the category below it; f runs from the last cut up."""
     counts, flags, cuts = {}, {}, []
     lo = below = 0
-    for cat, (boundary, strictly_above) in zip(CATEGORY_ORDER, thresholds.boundaries()):
-        hi = _cut(boundary.numerator, boundary.denominator, strictly_above, rule)
+    for cat, (num, den), strictly_above in zip(CATEGORY_ORDER, bounds, STRICTLY_ABOVE):
+        hi = _cut(num, den, strictly_above, rule)
         if hi < lo:
             hi = lo
         up = cum[hi // BIN_WIDTH] if hi < INCOME_CEILING else cum[BINS]
@@ -176,5 +182,5 @@ def _classify(cum: Sequence[int], thresholds: ThresholdSet,
 def classify(pop: PopulationTable, year: int, group: ParentalGroup, thresholds: ThresholdSet,
              scenario: Scenario) -> EligibilityEstimate:
     """Classify one (year, group) population under `thresholds` and the scenario's bound rule."""
-    counts, flags, _ = _classify(pop.cumulative(year, group), thresholds, scenario.rule)
+    counts, flags, _ = _classify(pop.cumulative(year, group), _pairs(thresholds), scenario.rule)
     return EligibilityEstimate(counts, flags)

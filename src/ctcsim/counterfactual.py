@@ -20,7 +20,7 @@ from .classifier import (
     EligibilityEstimate,
     ReliefCategory,
     Scenario,
-    classify,
+    _classify,
     _cut,
     count_between,
     cut_income,
@@ -37,7 +37,8 @@ from .params import (
 )
 from .population import PopulationTable
 from .record import Record, replace
-from .taxmath import HouseholdProfile, LiabilityMode, _benefit_income, thresholds
+# `thresholds` stays bound here, unused: ctcbench's tracer and its self-test reach it here.
+from .taxmath import HouseholdProfile, LiabilityMode, _benefit_income, _threshold_pairs, thresholds
 
 GROUPS = tuple(ParentalGroup)
 _ONE_CHILD = {group: HouseholdProfile.one_child(group) for group in GROUPS}
@@ -73,8 +74,9 @@ def eligibility(
 
 def _eligibility(pop, pop_year, group, params, scenario, mode) -> EligibilityEstimate:
     profile = profile_for(pop, group, scenario, params.year)
-    ts = thresholds(profile, params, mode)
-    return classify(pop, pop_year, group, ts, scenario)
+    counts, flags, _ = _classify(pop.cumulative(pop_year, group),
+                                 _threshold_pairs(profile, params, mode), scenario.rule)
+    return EligibilityEstimate(counts, flags)
 
 
 def full_relief_cuts(

@@ -11,21 +11,22 @@ exactly where L + phase-in reaches t and L alone reaches t - R. Both sums
 never fall as income grows, so the threshold is the larger of their two
 minimal incomes, and one walk over the linear segments in income space
 finds each (with the refund rate as ramp, then with ramp 0). That walk is
-`_Kernel`'s: :func:`thresholds` reaches it for every category boundary of a
+`_Kernel`'s: `_thresholds` reaches it for every category boundary of a
 household, and `_benefit_income` for one benefit target, :func:`invert_benefit`'s
 or the credit maximum of a full-relief cut in :mod:`ctcsim.counterfactual`.
 The forward evaluation, :func:`benefit_at_income`, builds the same kernel
 with its income as a target and reads liability there through `_Kernel.owed`,
 so forward and inverse share one scaling and one rule per liability mode.
 
-The walk runs on integers, scaled once per household: money (the tax-free
-amount, refund floor, benefit maxima, bracket uppers, targets) over D, the
-lcm of its denominators, and rates over Q, so each running total is an
-integer over D·Q. A kernel reads its filing status's rules once, and the
-bracket schedule's own integers (`BracketSchedule._scaled`, built with the
-schedule) only multiplied up to D and Q. An income found is an integer pair
-(numerator, positive denominator), ordered against others by cross-multiplying:
-exact, as Fractions are, but with no gcd per step. A public answer is one Fraction.
+The walk runs on integers, scaled once per household: money (the tax-free amount, refund
+floor, benefit maxima, bracket uppers, targets) over D, the lcm of its denominators, and
+rates over Q, so each running total is an integer over D·Q. A kernel reads its filing
+status's rules once, and the bracket schedule's own integers (`BracketSchedule._scaled`,
+built with the schedule) only multiplied up to D and Q. An income found is an integer pair
+(numerator, positive denominator), ordered against others by cross-multiplying: exact, as
+Fractions are, but with no gcd per step. A public answer is Fractions. `_thresholds` gives
+a household's six boundary incomes as pairs, checked in order, and a classified cell cuts
+them as they are: only :func:`thresholds` builds their ThresholdSet.
 
 Two liability modes are supported: ``EXACT`` applies the bracket schedule
 analytically; ``TABLE`` evaluates liability at the midpoint of the
@@ -109,20 +110,13 @@ class ThresholdSet(Record):
     t_full_combined: Fraction
 
     def boundaries(self) -> tuple[tuple[Fraction, bool], ...]:
-        """The five category boundaries as (income, strictly_above) pairs.
+        """The five category boundaries as (income, strictly_above) pairs."""
+        return tuple(zip((self.t_refund_floor, self.t_full_actc, self.t_full_ctc,
+                          self.t_phaseout_start, self.t_total_phaseout), STRICTLY_ABOVE))
 
-        `strictly_above` marks boundaries where an income exactly equal to
-        the boundary still belongs to the lower category: the refund floor
-        (no refund accrues at the floor itself) and the phaseout start (the
-        full benefit survives at exactly the start).
-        """
-        return (
-            (self.t_refund_floor, True),
-            (self.t_full_actc, False),
-            (self.t_full_ctc, False),
-            (self.t_phaseout_start, True),
-            (self.t_total_phaseout, False),
-        )
+
+# Per category boundary, whether an income equal to it is still below (see ctcsim.classifier).
+STRICTLY_ABOVE = (True, False, False, True, False)
 
 
 def benefit_at_income(
@@ -178,20 +172,23 @@ class _Kernel:
                                      params.refund_threshold, params.refund_rate)
         ded, ex, (upper_d, rate_d, scaled) = (rules.standard_deduction,
                                               rules.exemption_per_person, rules.brackets._scaled)
+        # Each Fraction's integers read once, into locals: a read is a Python property call.
+        kids_n, kids_d, ded_n, ded_d, ex_n, ex_d, floor_d, rr_d = (
+            kids.numerator, kids.denominator, ded.numerator, ded.denominator, ex.numerator,
+            ex.denominator, floor.denominator, refund_rate.denominator)
         # The tax-free amount, ded + ex * (adults + kids), over the product of the denominators.
-        free_d, refundable_d, credit_d = (ded.denominator * ex.denominator * kids.denominator,
-                                          actc.denominator * kids.denominator,
-                                          ctc.denominator * kids.denominator)
-        free = (ded.numerator * ex.denominator * kids.denominator + ded.denominator
-                * ex.numerator * (group.adults * kids.denominator + kids.numerator))
-        d = lcm(free_d, refundable_d, credit_d, upper_d, floor.denominator)
+        free_d, refundable_d, credit_d = (ded_d * ex_d * kids_d, actc.denominator * kids_d,
+                                          ctc.denominator * kids_d)
+        free = ded_n * ex_d * kids_d + ded_d * ex_n * (group.adults * kids_d + kids_n)
+        d = lcm(free_d, refundable_d, credit_d, upper_d, floor_d)
         if targets:  # none for a threshold set or a full-relief cut
             d = lcm(d, *(x.denominator for x in targets))
-        q = lcm(refund_rate.denominator, rate_d)
+        q = lcm(rr_d, rate_d)
         self.table, self.d, self.q, self.start = mode is _TABLE, d, q, rules.phaseout_start
-        self.rate, self.floor = _over(refund_rate, q), _over(floor, d)
-        self.refundable = actc.numerator * kids.numerator * (d // refundable_d)
-        self.credit = ctc.numerator * kids.numerator * (d // credit_d)
+        self.rate, self.floor = (refund_rate.numerator * (q // rr_d),
+                                 floor.numerator * (d // floor_d))
+        self.refundable = actc.numerator * kids_n * (d // refundable_d)
+        self.credit = ctc.numerator * kids_n * (d // credit_d)
         self.free = free = free * (d // free_d)
         upper_k, rate_k = d // upper_d, q // rate_d
         self.bands = bands = [(free, 0)]
@@ -325,28 +322,38 @@ def thresholds(
     params: ProgramParameters,
     mode: LiabilityMode = LiabilityMode.EXACT,
 ) -> ThresholdSet:
-    """All category-boundary incomes for one household under one rule set.
+    """All category-boundary incomes for one household under one rule set, inverted once per
+    distinct (profile, params, mode) inside a command scope (see :mod:`ctcsim.memo`)."""
+    return _threshold_set(_threshold_pairs(profile, params, mode))
 
-    Inside a command scope each distinct (profile, params, mode) is
-    inverted once (see :mod:`ctcsim.memo`).
-    """
+
+def _threshold_pairs(profile: HouseholdProfile, params: ProgramParameters,
+                     mode: LiabilityMode) -> tuple[tuple[int, int], ...]:
+    """:func:`_thresholds`, inverted once per distinct call inside a command scope."""
     return once(_thresholds, profile, params, mode)
 
 
+def _threshold_set(pairs: tuple[tuple[int, int], ...]) -> ThresholdSet:
+    return ThresholdSet(*(Fraction(num, den) for num, den in pairs))
+
+
 def _thresholds(profile: HouseholdProfile, params: ProgramParameters,
-                mode: LiabilityMode) -> ThresholdSet:
-    kernel = _Kernel(profile, params, mode)
-    d, credit, floor, rate = kernel.d, kernel.credit, params.refund_threshold, params.phaseout_rate
-    start = kernel.start
+                mode: LiabilityMode) -> tuple[tuple[int, int], ...]:
+    """The six boundary incomes of :class:`ThresholdSet`, in its field order, each as
+    (numerator, positive denominator), not reduced; OrderingViolation if out of order."""
+    kernel, rate = _Kernel(profile, params, mode), params.phaseout_rate
+    d, credit, floor, start = kernel.d, kernel.credit, kernel.floor, kernel.start
+    start_n, start_d, rate_n = start.numerator, start.denominator, rate.numerator
     actc, actc_d = kernel.refund_credit(kernel.refundable)
     (ctc, ctc_d), (comb, comb_d) = kernel.liability(credit), kernel.refund_credit(credit)
     # start + credit / rate, over start's denominator · D · the rate's numerator
-    total_d = start.denominator * d * rate.numerator
-    total = start.numerator * d * rate.numerator + credit * rate.denominator * start.denominator
-    ts = ThresholdSet(floor, Fraction(actc, actc_d), Fraction(ctc, ctc_d), start,
-                      Fraction(total, total_d), Fraction(comb, comb_d))
-    if not (floor.numerator * actc_d <= actc * floor.denominator and actc * ctc_d <= ctc * actc_d
-            and ctc * start.denominator <= start.numerator * ctc_d and comb * ctc_d <= ctc * comb_d
-            and start.numerator * total_d < total * start.denominator):
-        raise OrderingViolation(f"thresholds are not monotone for year {params.year}: {ts}")
-    return ts
+    total_d = start_d * d * rate_n
+    total = start_n * d * rate_n + credit * rate.denominator * start_d
+    pairs = ((floor, d), (actc, actc_d), (ctc, ctc_d), (start_n, start_d), (total, total_d),
+             (comb, comb_d))
+    if not (floor * actc_d <= actc * d and actc * ctc_d <= ctc * actc_d
+            and ctc * start_d <= start_n * ctc_d and comb * ctc_d <= ctc * comb_d
+            and start_n * total_d < total * start_d):
+        raise OrderingViolation(f"thresholds are not monotone for year {params.year}: "
+                                f"{_threshold_set(pairs)}")
+    return pairs

@@ -16,7 +16,7 @@ from ctcsim import (
     load_population,
     priced_out,
 )
-from ctcsim.classifier import count_between
+from ctcsim.classifier import classify, count_between
 from ctcsim.counterfactual import (
     PricedOutResult,
     credit_size_sweep,
@@ -31,7 +31,7 @@ from ctcsim.counterfactual import (
 from ctcsim.errors import OrderingViolation, Unreachable, ValidationError
 from ctcsim.population import PopulationTable
 from ctcsim.record import replace
-from ctcsim.taxmath import LiabilityMode
+from ctcsim.taxmath import LiabilityMode, thresholds
 
 from oracle import full_relief_cuts_reference
 from test_taxmath import rule_overrides
@@ -293,6 +293,42 @@ class TestEliminateRefundability:
         assert result.gaining_households == 0
         assert all(d == 0 for d in result.deltas.values())
 
+
+
+@pytest.mark.parametrize("mode", list(LiabilityMode), ids=lambda m: m.value)
+class TestCellPathMatchesPublicPath:
+    """`eligibility` classifies a cell from the memoised integer boundary pairs, with no
+    ThresholdSet built; the public path classifies the cell from `thresholds`' ThresholdSet.
+    On random rule sets, in every group and scenario, both give the same estimate, or both
+    raise the same error with the same message."""
+
+    @given(
+        year=st.sampled_from(range(2003, 2019)),
+        pop_year=st.sampled_from(range(2003, 2019)),
+        overrides=rule_overrides(),
+    )
+    # The refund floor lies above the income of the full refundable benefit: out of order.
+    @example(year=2017, pop_year=2017, overrides={"refund_threshold": 60_000})
+    @settings(max_examples=100, deadline=None)
+    def test_random_rule_sets(self, pop, params_by_year, mode, year, pop_year, overrides):
+        params = apply_overrides(params_by_year[year], overrides, strict=False)
+        for group in GROUPS:
+            for scenario in Scenario:
+                profile = profile_for(pop, group, scenario, params.year)
+                try:
+                    expected = classify(pop, pop_year, group, thresholds(profile, params, mode),
+                                        scenario)
+                except (OrderingViolation, Unreachable, ValidationError) as exc:
+                    with pytest.raises(type(exc)) as raised:
+                        eligibility(pop, pop_year, group, params, scenario, mode)
+                    assert str(raised.value) == str(exc)
+                    continue
+                assert eligibility(pop, pop_year, group, params, scenario, mode) == expected
+
+    def test_the_example_is_out_of_order(self, pop, params_by_year, mode):
+        params = apply_overrides(params_by_year[2017], {"refund_threshold": 60_000})
+        with pytest.raises(OrderingViolation):
+            eligibility(pop, 2017, ParentalGroup.MARRIED, params, Scenario.S1, mode)
 
 
 @pytest.mark.parametrize("mode", list(LiabilityMode), ids=lambda m: m.value)

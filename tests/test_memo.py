@@ -10,7 +10,7 @@ from ctcsim import FilingStatus, ParentalGroup, Scenario, apply_overrides
 from ctcsim import counterfactual, memo, taxmath
 from ctcsim.cli import main
 from ctcsim.errors import OrderingViolation
-from ctcsim.taxmath import HouseholdProfile, thresholds
+from ctcsim.taxmath import HouseholdProfile, ThresholdSet, thresholds
 
 from conftest import DATA
 
@@ -51,6 +51,20 @@ def kernels(monkeypatch):
 
 
 @pytest.fixture
+def threshold_sets(monkeypatch):
+    """Counts constructions of `ThresholdSet`, wherever they happen."""
+    built = []
+    init = ThresholdSet.__init__
+
+    def counted(self, *args, **kwargs):
+        built.append(args)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(ThresholdSet, "__init__", counted)
+    return built
+
+
+@pytest.fixture
 def overrides(monkeypatch):
     """The name of the function behind each `apply_overrides` call."""
     callers = []
@@ -84,10 +98,12 @@ def test_report_inverts_each_distinct_threshold_set_once(inversions, tmp_path):
 
 
 @pytest.mark.parametrize("liability", ["exact", "table"])
-def test_report_scales_each_household_once_per_inversion_set(kernels, tmp_path, liability):
-    # 150 threshold sets, one kernel each, and 174 full-benefit inversions.
+def test_report_scales_each_household_once_per_inversion_set(kernels, threshold_sets, tmp_path,
+                                                             liability):
+    # 150 threshold sets, one kernel each, and 174 full-benefit inversions. Only the 96 rows
+    # of the `thresholds` command build a ThresholdSet; the classified cells read the pairs.
     assert main(["report", "--liability", liability, "--out", str(tmp_path / "r.json")]) == 0
-    assert len(kernels) == 324
+    assert (len(kernels), len(threshold_sets)) == (324, 96)
 
 
 @pytest.mark.parametrize("year, built", [(2017, 6), (2018, 9)])
@@ -136,11 +152,11 @@ def test_no_memo_outside_a_command(inversions, params_by_year, tmp_path):
     assert len(inversions) == 2
 
 
-def test_a_rule_sweep_op_adds_no_work_and_stores_nothing(kernels, inversions, params_by_year,
-                                                          pop):
+def test_a_rule_sweep_op_adds_no_work_and_stores_nothing(kernels, inversions, threshold_sets,
+                                                          params_by_year, pop):
     # One rule set scored outside a command, as the benchmark's rule-sweep op scores it: each
     # of the 6 cells inverts one threshold set and one full-relief cut, a kernel each, and a
-    # second run repeats every one of them.
+    # second run repeats every one of them. No cell builds a ThresholdSet.
     overrides = {"ctc_per_child": 2500, "actc_per_child": 1800, "refund_threshold": 2000,
                  "refund_rate": Fraction(3, 20),
                  "phaseout_start": {FilingStatus.MARRIED_JOINT: 300_000,
@@ -151,7 +167,7 @@ def test_a_rule_sweep_op_adds_no_work_and_stores_nothing(kernels, inversions, pa
             for scenario in Scenario:
                 counterfactual.eligibility(pop, 2018, group, rules, scenario)
                 counterfactual.full_relief_proportion(pop, 2018, group, rules, scenario)
-        assert (len(kernels), len(inversions)) == (12 * runs, 6 * runs)
+        assert (len(kernels), len(inversions), len(threshold_sets)) == (12 * runs, 6 * runs, 0)
         assert memo._results.get() is None
 
 
