@@ -18,6 +18,7 @@ import math
 import os
 import stat
 import sys
+from collections import Counter
 from fractions import Fraction
 from functools import cached_property, partial
 from pathlib import Path
@@ -63,6 +64,12 @@ def _ints(parts: list[str], what: str, text: str) -> list[int]:
         raise ValidationError(f"bad {what} {text!r}") from None
 
 
+def _distinct(values: list, what: str) -> list:
+    if twice := [value for value, n in Counter(values).items() if n > 1]:  # rows would repeat
+        raise ValidationError(f"{what} {twice[0]!r} named twice")
+    return values
+
+
 def _parse_years(text: str) -> tuple[int, int]:
     parts = text.split(":", 1)
     lo, hi = _ints(parts if len(parts) == 2 else parts * 2, "year range", text)
@@ -81,7 +88,7 @@ def _parse_credits(text: str) -> list[int]:
             raise ValidationError(f"credit range {text!r} names {count:,} credits; a sweep "
                                   f"takes at most {_MAX_CREDITS:,}")
         return list(range(lo, hi + 1, step))
-    return _ints(text.split(","), "credits", text)
+    return _distinct(_ints(text.split(","), "credits", text), "credit")
 
 
 def _load_config(path: str) -> dict:
@@ -221,7 +228,7 @@ def _outcomes(text: str | None, default: list[str]) -> list[str]:
     for outcome in outcomes:
         if outcome not in OUTCOMES:
             raise ValidationError(f"unknown outcome {outcome!r}")
-    return outcomes
+    return _distinct(outcomes, "outcome")
 
 
 def rows_thresholds(run: Run, args) -> list[tuple]:

@@ -23,7 +23,6 @@ from .classifier import (
     _classify,
     _cut,
     count_between,
-    cut_income,
 )
 from .errors import Unreachable, ValidationError
 from .memo import once
@@ -92,8 +91,8 @@ def full_relief_cuts(
     (incomes above it can no longer realize the full amount). Raises
     Unreachable when the phaseout erodes the full benefit before it accrues.
     """
-    y, den, phaseout = _benefit_income(profile, params, mode)
-    return _cut(y, den, False, rule), cut_income(phaseout, True, rule)  # only the start is strict
+    y, den, start, d = _benefit_income(profile, params, mode)
+    return _cut(y, den, False, rule), _cut(start, d, True, rule)  # only the start is strict
 
 
 def full_relief_proportion(pop: PopulationTable, pop_year: int, group: ParentalGroup,

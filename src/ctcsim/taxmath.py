@@ -19,14 +19,14 @@ with its income as a target and reads liability there through `_Kernel.owed`,
 so forward and inverse share one scaling and one rule per liability mode.
 
 The walk runs on integers, scaled once per household: money (the tax-free amount, refund
-floor, benefit maxima, bracket uppers, targets) over D, the lcm of its denominators, and
-rates over Q, so each running total is an integer over D·Q. A kernel reads its filing
-status's rules once, and the bracket schedule's own integers (`BracketSchedule._scaled`,
-built with the schedule) only multiplied up to D and Q. An income found is an integer pair
-(numerator, positive denominator), ordered against others by cross-multiplying: exact, as
-Fractions are, but with no gcd per step. A public answer is Fractions. `_thresholds` gives
-a household's six boundary incomes as pairs, checked in order, and a classified cell cuts
-them as they are: only :func:`thresholds` builds their ThresholdSet.
+floor, benefit maxima, bracket uppers, phaseout start, targets) over D, the lcm of its
+denominators, and the refund, bracket and phaseout rates over Q, so each running total is
+an integer over D·Q. A kernel reads the rules once; the bracket schedule's own integers
+(`BracketSchedule._scaled`) are only multiplied up to D and Q. An income found is an
+integer pair (numerator, positive denominator), compared by cross-multiplying: exact, but
+with no gcd per step. A public answer's Fractions are built last. `_thresholds` gives the
+six boundary incomes as pairs, checked in order; a classified cell and a full-relief cut
+cut pairs as they are, and only :func:`thresholds` builds a ThresholdSet.
 
 Two liability modes are supported: ``EXACT`` applies the bracket schedule
 analytically; ``TABLE`` evaluates liability at the midpoint of the
@@ -128,20 +128,18 @@ def benefit_at_income(
     """Realizable benefit at `income`, split into credit and refund.
 
     Read on a kernel built with `income` as a target: liability through `owed`, and the
-    phase-in and both maxima as its integers. Only the phaseout allowance is a Fraction step.
+    phase-in, both maxima and the phaseout allowance as its integers, each over D·Q.
     """
     income = as_money(income)
     if income < 0:
         raise ValidationError("income must be nonnegative")
     kernel = _Kernel(profile, params, mode, income)
-    d, q, y = kernel.d, kernel.q, _over(income, kernel.d)
-    liability = Fraction(kernel.owed(y), d * q)
-    phase_in = Fraction(kernel.rate * max(0, y - kernel.floor), d * q)
-    allowed = max(Fraction(0), Fraction(kernel.credit, d)
-                  - params.phaseout_rate * max(0, income - kernel.start))
-    credit = min(liability, allowed)
-    refund = min(phase_in, Fraction(kernel.refundable, d), allowed - credit)
-    return BenefitSplit(credit=credit, refund=max(Fraction(0), refund))
+    dq, y = kernel.d * kernel.q, _over(income, kernel.d)
+    allowed = max(0, kernel.credit * kernel.q - kernel.phaseout * max(0, y - kernel.start))
+    credit = min(kernel.owed(y), allowed)
+    refund = min(kernel.rate * max(0, y - kernel.floor), kernel.refundable * kernel.q,
+                 allowed - credit)
+    return BenefitSplit(credit=Fraction(credit, dq), refund=Fraction(max(0, refund), dq))
 
 
 def _over(x: Fraction, den: int) -> int:
@@ -152,43 +150,42 @@ def _over(x: Fraction, den: int) -> int:
 class _Kernel:
     """One household's rules on integers, scaled once for its inversions or one evaluation.
 
-    D covers the money here and the `targets` named when it is built, and only those; the
-    bands are (upper income over D or None, rate over Q), the schedule's own integers scaled
-    by D // U and Q // R. The status's rules are read once; `start`, the phaseout start, is
-    kept for the callers. Both inversions take a target over D and return an income as
-    (numerator, positive denominator), for the caller to compare. Both run `_income`; the
-    forward evaluation reads liability at an income through `owed`. These two are the only
-    steps that read the liability mode, as `table`, set once.
+    D covers the money here, the phaseout `start` among it, and the `targets` named when it
+    is built, and only those; Q covers the rates, the `phaseout` rate among them. The bands
+    are (upper income over D or None, rate over Q), the schedule's own integers scaled by
+    D // U and Q // R. Both inversions take a target over D and return an income as
+    (numerator, positive denominator), for the caller to compare. Both run `_income`, and
+    `owed` gives the liability at one income: only these two read the mode, as `table`.
     """
 
     __slots__ = ("table", "d", "q", "free", "refundable", "credit", "floor", "rate", "bands",
-                 "start")
+                 "start", "phaseout")
 
     def __init__(self, profile: HouseholdProfile, params: ProgramParameters,
                  mode: LiabilityMode, *targets: Fraction):
-        group, kids, actc, ctc = (profile.group, profile.children, params.actc_per_child,
-                                  params.ctc_per_child)
-        rules, floor, refund_rate = (params.for_status(group.filing_status),
-                                     params.refund_threshold, params.refund_rate)
-        ded, ex, (upper_d, rate_d, scaled) = (rules.standard_deduction,
-                                              rules.exemption_per_person, rules.brackets._scaled)
-        # Each Fraction's integers read once, into locals: a read is a Python property call.
-        kids_n, kids_d, ded_n, ded_d, ex_n, ex_d, floor_d, rr_d = (
-            kids.numerator, kids.denominator, ded.numerator, ded.denominator, ex.numerator,
-            ex.denominator, floor.denominator, refund_rate.denominator)
+        group = profile.group
+        rules = params.for_status(group.filing_status)
+        upper_d, rate_d, scaled = rules.brackets._scaled
+        # Each rule's integers from one call: `numerator` and `denominator` are a call each.
+        (kids_n, kids_d), (actc_n, actc_d), (ctc_n, ctc_d), (floor_n, floor_d) = (
+            profile.children.as_integer_ratio(), params.actc_per_child.as_integer_ratio(),
+            params.ctc_per_child.as_integer_ratio(), params.refund_threshold.as_integer_ratio())
+        (rr_n, rr_d), (po_n, po_d), (ded_n, ded_d), (ex_n, ex_d), (start_n, start_d) = (
+            params.refund_rate.as_integer_ratio(), params.phaseout_rate.as_integer_ratio(),
+            rules.standard_deduction.as_integer_ratio(),
+            rules.exemption_per_person.as_integer_ratio(), rules.phaseout_start.as_integer_ratio())
         # The tax-free amount, ded + ex * (adults + kids), over the product of the denominators.
-        free_d, refundable_d, credit_d = (ded_d * ex_d * kids_d, actc.denominator * kids_d,
-                                          ctc.denominator * kids_d)
+        free_d, refundable_d, credit_d = ded_d * ex_d * kids_d, actc_d * kids_d, ctc_d * kids_d
         free = ded_n * ex_d * kids_d + ded_d * ex_n * (group.adults * kids_d + kids_n)
-        d = lcm(free_d, refundable_d, credit_d, upper_d, floor_d)
+        d = lcm(free_d, refundable_d, credit_d, upper_d, floor_d, start_d)
         if targets:  # none for a threshold set or a full-relief cut
             d = lcm(d, *(x.denominator for x in targets))
-        q = lcm(rr_d, rate_d)
-        self.table, self.d, self.q, self.start = mode is _TABLE, d, q, rules.phaseout_start
-        self.rate, self.floor = (refund_rate.numerator * (q // rr_d),
-                                 floor.numerator * (d // floor_d))
-        self.refundable = actc.numerator * kids_n * (d // refundable_d)
-        self.credit = ctc.numerator * kids_n * (d // credit_d)
+        q = lcm(rr_d, rate_d, po_d)
+        self.table, self.d, self.q = mode is _TABLE, d, q
+        self.rate, self.phaseout = rr_n * (q // rr_d), po_n * (q // po_d)
+        self.floor, self.start = floor_n * (d // floor_d), start_n * (d // start_d)
+        self.refundable = actc_n * kids_n * (d // refundable_d)
+        self.credit = ctc_n * kids_n * (d // credit_d)
         self.free = free = free * (d // free_d)
         upper_k, rate_k = d // upper_d, q // rate_d
         self.bands = bands = [(free, 0)]
@@ -298,9 +295,9 @@ def invert_benefit(
 
 
 def _benefit_income(profile: HouseholdProfile, params: ProgramParameters, mode: LiabilityMode,
-                    target: Fraction | None = None) -> tuple[int, int, Fraction]:
-    """:func:`invert_benefit`'s answer as (numerator, positive denominator), and the kernel's
-    phaseout start. A `target` of None is the credit maximum, read as the kernel's integer."""
+                    target: Fraction | None = None) -> tuple[int, int, int, int]:
+    """:func:`invert_benefit`'s answer, then the phaseout start, each as (numerator, positive
+    denominator). A `target` of None is the credit maximum, read as the kernel's integer."""
     kernel = _Kernel(profile, params, mode, *(() if target is None else (target,)))
     t = kernel.credit if target is None else _over(target, kernel.d)
     if t <= 0:
@@ -309,12 +306,11 @@ def _benefit_income(profile: HouseholdProfile, params: ProgramParameters, mode: 
         raise Unreachable(f"benefit target {Fraction(t, kernel.d)} exceeds the maximum "
                           f"{Fraction(kernel.credit, kernel.d)}")
     y, den = kernel.refund_credit(t)
-    start = kernel.start
-    if y * start.denominator > start.numerator * den:
+    if y * kernel.d > kernel.start * den:
         # Past the phaseout start the attainable total only shrinks.
         raise Unreachable(f"benefit target {Fraction(t, kernel.d)} is eroded by the phaseout "
                           "before it accrues")
-    return y, den, start
+    return y, den, kernel.start, kernel.d
 
 
 def thresholds(
@@ -341,19 +337,17 @@ def _thresholds(profile: HouseholdProfile, params: ProgramParameters,
                 mode: LiabilityMode) -> tuple[tuple[int, int], ...]:
     """The six boundary incomes of :class:`ThresholdSet`, in its field order, each as
     (numerator, positive denominator), not reduced; OrderingViolation if out of order."""
-    kernel, rate = _Kernel(profile, params, mode), params.phaseout_rate
-    d, credit, floor, start = kernel.d, kernel.credit, kernel.floor, kernel.start
-    start_n, start_d, rate_n = start.numerator, start.denominator, rate.numerator
+    kernel = _Kernel(profile, params, mode)
+    d, q, credit, floor, start, rate = (kernel.d, kernel.q, kernel.credit, kernel.floor,
+                                        kernel.start, kernel.phaseout)
     actc, actc_d = kernel.refund_credit(kernel.refundable)
     (ctc, ctc_d), (comb, comb_d) = kernel.liability(credit), kernel.refund_credit(credit)
-    # start + credit / rate, over start's denominator · D · the rate's numerator
-    total_d = start_d * d * rate_n
-    total = start_n * d * rate_n + credit * rate.denominator * start_d
-    pairs = ((floor, d), (actc, actc_d), (ctc, ctc_d), (start_n, start_d), (total, total_d),
+    total = start * rate + credit * q  # start + credit / rate, over D·rate
+    pairs = ((floor, d), (actc, actc_d), (ctc, ctc_d), (start, d), (total, d * rate),
              (comb, comb_d))
     if not (floor * actc_d <= actc * d and actc * ctc_d <= ctc * actc_d
-            and ctc * start_d <= start_n * ctc_d and comb * ctc_d <= ctc * comb_d
-            and start_n * total_d < total * start_d):
+            and ctc * d <= start * ctc_d and comb * ctc_d <= ctc * comb_d
+            and start * rate < total):
         raise OrderingViolation(f"thresholds are not monotone for year {params.year}: "
                                 f"{_threshold_set(pairs)}")
     return pairs

@@ -21,9 +21,10 @@ at every breakpoint of the piecewise-linear benefit and interpolates,
 a threshold set and the full-benefit cuts from them. The bin cut has one
 too: :func:`cut_income_reference` computes it in Fraction arithmetic. So does
 the count per category: :func:`assign_bins_reference` walks the bins one by
-one, and :func:`count_between_reference` sums the bins between two cuts. And
-the population loader: :func:`load_population_reference` reads the CSV files
-through ``csv.DictReader``, a field at a time by name.
+one over that reference's cuts, and :func:`count_between_reference` sums the
+bins between two cuts. And the population loader:
+:func:`load_population_reference` reads the CSV files through
+``csv.DictReader``, a field at a time by name.
 """
 
 from __future__ import annotations
@@ -351,13 +352,17 @@ def assign_bins_reference(counts, thresholds, rule) -> dict:
 
     The classifier's assignment before it moved to cumulative counts: each
     bin goes to the category of the number of cuts at or below its lower edge.
+    The cuts are :func:`cut_income_reference`'s, each raised to the one before
+    it if lower, not the classifier's own.
     """
     from bisect import bisect_right
+    from itertools import accumulate
 
-    from ctcsim.classifier import CATEGORY_ORDER, category_cuts
+    from ctcsim.classifier import CATEGORY_ORDER
     from ctcsim.population import BIN_WIDTH
 
-    cuts = category_cuts(thresholds, rule)
+    cuts = list(accumulate((cut_income_reference(boundary, strictly_above, rule)
+                            for boundary, strictly_above in thresholds.boundaries()), max))
     out = [0] * len(CATEGORY_ORDER)
     for i, count in enumerate(counts):
         out[bisect_right(cuts, i * BIN_WIDTH)] += count

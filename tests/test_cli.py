@@ -739,6 +739,12 @@ class TestBadInput:
         assert line == (f"error: credit range {credits!r} names {count} credits; "
                         "a sweep takes at most 1,000,000")
 
+    @pytest.mark.parametrize("credits", ["500,500", "500,1000,0500"])
+    def test_credit_named_twice(self, capsys, credits):
+        """A repeated credit once printed each of its rows twice."""
+        line = self.assert_one_line_error(capsys, "sweep", "--credits", credits, "--years", "2018")
+        assert line == "error: credit 500 named twice"
+
     @pytest.mark.parametrize("flags, message", [
         (["--post-year", "2030"], "error: did: no single_father rows from 2030 on"),
         (["--years", "2018:2018"], "error: did: no single_father rows before 2018"),
@@ -848,6 +854,13 @@ class TestBadInput:
     def test_did_outcome_checked_like_regress(self, capsys):
         line = self.assert_one_line_error(capsys, "did", "--outcome", "c,,d")
         assert line == "error: unknown outcome ''"
+
+    @pytest.mark.parametrize("command, outcomes, twice", [
+        ("regress", "cd,cd", "cd"), ("did", "c,c", "c"), ("did", "a,c,d,c", "c")])
+    def test_outcome_named_twice(self, capsys, command, outcomes, twice):
+        """A repeated outcome once printed each of its fits twice."""
+        line = self.assert_one_line_error(capsys, command, "--outcome", outcomes)
+        assert line == f"error: outcome {twice!r} named twice"
 
     @pytest.mark.parametrize("command", ["regress", "did"])
     def test_empty_outcome_is_an_unknown_outcome(self, capsys, command):

@@ -372,6 +372,8 @@ class TestTableMode:
 
 # Denominators that share no factor with one another or with the shipped money.
 COPRIME_DENOMINATORS = [3, 7, 9_973, 104_729, 1_299_709]
+# A phaseout start off whole dollars and a phaseout rate off the shipped rates' grid.
+OFF_GRID_PHASEOUT = {"phaseout_start": Fraction(150_001, 3), "phaseout_rate": Fraction(1, 7)}
 
 
 def money(lo, hi):
@@ -386,8 +388,9 @@ def rule_overrides(draw):
     """Overrides of a shipped year's rules, valid under ``strict=False``.
 
     Covers refundable maxima above the credit maximum, refund floors above
-    the tax-free amount, bracket schedules whose rates are all zero, and
-    money whose denominators differ from field to field.
+    the tax-free amount, bracket schedules whose rates are all zero, money
+    whose denominators differ from field to field, and phaseout starts and
+    rates off the shipped grid: a rate is a tenth of k/den, 0 < k <= den.
     """
     overrides = {
         "ctc_per_child": draw(st.integers(100, 4_000)),
@@ -406,6 +409,11 @@ def rule_overrides(draw):
                                      max_size=bands - 1)))
         overrides["brackets"] = ([{"upper": u, "rate": r} for u, r in zip(uppers, rates)]
                                  + [{"rate": rates[-1]}])
+    if draw(st.booleans()):
+        overrides["phaseout_start"] = draw(money(1_000, 450_000))
+    if draw(st.booleans()):
+        den = draw(st.sampled_from([2, 5, 7, 10, 9_973, 104_729, 1_299_709]))
+        overrides["phaseout_rate"] = Fraction(draw(st.integers(1, den)), 10 * den)
     return overrides
 
 
@@ -584,6 +592,12 @@ class TestInversionMatchesOracle:
              overrides=THIRDS, target="max_credit")
     @example(year=2018, group=ParentalGroup.SINGLE_MOTHER, children=Fraction(5, 3),
              overrides=THIRDS, target=Fraction(5_001))
+    # A phaseout start off whole dollars and a rate of 1/7: in order for one child in 2003,
+    # and below full credit, 53,600, for two in 2018.
+    @example(year=2003, group=ParentalGroup.SINGLE_MOTHER, children=Fraction(1),
+             overrides=OFF_GRID_PHASEOUT, target="max_credit")
+    @example(year=2018, group=ParentalGroup.SINGLE_MOTHER, children=Fraction(2),
+             overrides=OFF_GRID_PHASEOUT, target="max_credit")
     @settings(max_examples=300, deadline=None)
     def test_random_rule_sets(self, request, mode, year, group, children, overrides, target):
         params = apply_overrides(request.getfixturevalue("params_by_year")[year], overrides,
@@ -645,6 +659,14 @@ class TestForwardMatchesOracle:
              overrides=THIRDS, income="upper")
     @example(year=2018, group=ParentalGroup.SINGLE_MOTHER, children=Fraction(5, 3),
              overrides=THIRDS, income=Fraction(70_001, 2))
+    # A phaseout start off whole dollars and a rate of 1/7: at the start, $100 past it, and
+    # at the total phaseout.
+    @example(year=2003, group=ParentalGroup.MARRIED, children=Fraction(5, 3),
+             overrides=OFF_GRID_PHASEOUT, income="start")
+    @example(year=2003, group=ParentalGroup.MARRIED, children=Fraction(5, 3),
+             overrides=OFF_GRID_PHASEOUT, income=Fraction(150_301, 3))
+    @example(year=2003, group=ParentalGroup.MARRIED, children=Fraction(5, 3),
+             overrides=OFF_GRID_PHASEOUT, income="total")
     @settings(max_examples=200, deadline=None)
     def test_random_rule_sets(self, request, mode, year, group, children, overrides, income):
         params = apply_overrides(request.getfixturevalue("params_by_year")[year], overrides,
