@@ -108,17 +108,10 @@ class EligibilityEstimate(Record):
         return Fraction(self.counts[category], self.total)
 
 
-def cut_income(boundary: Fraction, strictly_above: bool, rule: BoundRule) -> int:
-    """Bin edge at which the category above `boundary` starts, post-rule.
-
-    Boundaries are incomes; the returned cut is always a multiple of the
-    bin width. Bins at or above the cut belong to the higher category.
-    """
-    return _cut(boundary.numerator, boundary.denominator, strictly_above, rule)
-
-
 def _cut(num: int, den: int, strictly_above: bool, rule: BoundRule) -> int:
-    """:func:`cut_income` of the boundary num/den, `den` > 0; the pair need not be reduced."""
+    """Bin edge at which the category above the boundary income num/den starts, post-rule:
+    a multiple of the bin width, with bins at or above it in the higher category. `den` > 0;
+    the pair need not be reduced."""
     if num < 0:
         raise ThresholdOutOfRange(f"negative classification boundary {Fraction(num, den)}")
     floor_edge = num // (den * BIN_WIDTH) * BIN_WIDTH

@@ -21,6 +21,7 @@ import sys
 from collections import Counter
 from fractions import Fraction
 from functools import cached_property, partial
+from itertools import repeat
 from pathlib import Path
 from typing import Callable, NamedTuple
 
@@ -358,11 +359,11 @@ def _fit_rows(run: Run, fit, outcomes, years) -> list[tuple]:
             cats = OUTCOMES[outcome]
             res = fit([(year, group, sum(counts[c] for c in cats) / total)
                        for year, group, counts, total in cells])
-            defined = res.df_resid > 0  # a zero-df fit has no SE, hence no stars
-            for i, (name, est) in enumerate(zip(res.names, res.estimates)):
-                se = math.sqrt(res.cov[i][i])
-                rows.append((scenario.value, outcome, name, _fmt(est), _fmt(se) if defined else "",
-                             _stars(est, se) if defined else ""))
+            # A zero-df fit has no SE, hence no stars.
+            marks = [(_fmt(se), _stars(est, se)) for i, est in enumerate(res.estimates)
+                     for se in [math.sqrt(res.cov[i][i])]] if res.df_resid else repeat(("", ""))
+            rows += [(scenario.value, outcome, name, _fmt(est), *mark)
+                     for name, est, mark in zip(res.names, res.estimates, marks)]
     return rows
 
 

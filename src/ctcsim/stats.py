@@ -5,12 +5,13 @@ so no result depends on a solver's rounding or a rank tolerance.
 
 `ols` is the general path: Gauss-Jordan over `Fraction` on the normal
 equations, where a zero pivot names a column that depends on earlier ones.
-`fixed_effects` and `did` are saturated two-way cell-means models, whose
-coefficients are contrasts of at most four cell means (Angrist & Pischke,
-*Mostly Harmless Econometrics*, ch. 3 and 5); they are computed from integer
-cell statistics without building a design. Robust covariance is the HC1
-sandwich, the HC0 form scaled by n / (n - k). A fit with no residual degrees
-of freedom (n == k) reproduces its outcomes exactly and has no covariance.
+`fixed_effects` and `did` are saturated two-way cell-means models (Angrist &
+Pischke, *Mostly Harmless Econometrics*, ch. 3 and 5). Each coefficient is a row of
+the contrast map C over at most four cell means, so the estimates are C·means and
+the covariance C·diag(var)·Cᵀ, from integer cell statistics without building a
+design. Robust covariance is the HC1 sandwich, the HC0 form scaled by n / (n - k).
+A fit with no residual degrees of freedom (n == k) reproduces its outcomes exactly
+and has no covariance; it sums no squares.
 """
 
 from __future__ import annotations
@@ -43,10 +44,6 @@ class RegressionResult(Record):
         """Robust standard error of one term; NaN when df_resid is 0."""
         idx = self.names.index(name)
         return math.sqrt(self.cov[idx][idx])
-
-
-def _no_cov(k: int) -> tuple[tuple[float, ...], ...]:
-    return ((math.nan,) * k,) * k
 
 
 def ols(columns: Mapping[str, Sequence[float]], y: Sequence[float]) -> RegressionResult:
@@ -105,7 +102,7 @@ def ols(columns: Mapping[str, Sequence[float]], y: Sequence[float]) -> Regressio
         cov = tuple(tuple(float(sum(h * b for h, b in zip(row, col)) * scale)
                           for col in zip(*bread)) for row in half)
     else:
-        cov = _no_cov(k)
+        cov = ((math.nan,) * k,) * k
 
     mean = sum(yv) / n
     ss_tot = sum((v - mean) ** 2 for v in yv)
@@ -122,69 +119,79 @@ def ols(columns: Mapping[str, Sequence[float]], y: Sequence[float]) -> Regressio
     )
 
 
+def _contrast(v: Sequence[int], nr: int, width: int) -> list[int]:
+    """C·v: the k terms, in design order, of the per-cell vector `v` (cell r·width + c is row
+    r, column c). C, the contrast map, inverts the cell-by-term dummy matrix: `const` reads
+    v[00], a row v[r0] - v[00], a column v[0c] - v[00], a pair v[rc] - v[r0] - v[0c] + v[00]."""
+    base = v[0]
+    starts = range(width, nr * width, width)  # each row's first cell, after row 0
+    terms = [base, *[v[r] - base for r in starts], *[v[c] - base for c in range(1, width)]]
+    for r in starts:
+        terms += [v[r + c] - v[c] - v[r] + base for c in range(1, width)]
+    return terms
+
+
 def _two_way(obs: Sequence[tuple[int, int, float | Fraction]], rows: Sequence[str],
              cols: Sequence[str], sep: str) -> RegressionResult:
     """Saturated two-way cell-means fit of each (row index, col index, outcome).
 
-    Equals `ols` on the dummy design with terms `const`, one per row after
-    `rows[0]`, one per column after `cols[0]` and one per pair of those (named
-    row + sep + col), in that order. Each outcome is read exactly as an integer
-    over the lcm of the outcomes' denominators (for floats, the largest, a power
-    of two), so each cell keeps an exact integer count, sum and sum of squares.
-    Every cell mean is then an integer over one common denominator, and every
-    variance term one over its cube, so each result is one integer sum and one
-    correctly rounded int / int.
+    Equals `ols` on the dummy design with terms `const`, one per row after `rows[0]`, one per
+    column after `cols[0]` and one per pair of those (named row + sep + col), in that order.
+    Each outcome is read exactly as an integer over the lcm of the outcomes' distinct
+    denominators (for floats, the largest, a power of two), and every cell mean as an integer
+    over one common denominator: the estimates are C·means (:func:`_contrast`). Only a fit with
+    residual degrees of freedom sums squares; each cell's variance term is then an integer over
+    the common cube, and the covariance C·diag(var)·Cᵀ. So each result is one integer sum and
+    one correctly rounded int / int.
     """
-    width = len(cols)
-    k = len(rows) * width
+    nr, width = len(rows), len(cols)
+    k = nr * width
     try:
         ratios = [(r * width + c, *y.as_integer_ratio()) for r, c, y in obs]
     except (ValueError, OverflowError):
         raise ValidationError("panel outcomes must be finite") from None
-    unit = math.lcm(*(den for _, _, den in ratios))
+    unit = math.lcm(*{den for _, _, den in ratios})
     cells = [(cell, num * (unit // den)) for cell, num, den in ratios]
-    count, total, squares = [0] * k, [0] * k, [0] * k
+    count, total = [0] * k, [0] * k
     for cell, v in cells:
         count[cell] += 1
         total[cell] += v
-        squares[cell] += v * v
     for cell, m in enumerate(count):
         if not m:
             raise ValidationError(
                 f"panel has no observations for {rows[cell // width]}, {cols[cell % width]}")
 
-    # Each term as {cell: ±1}, the contrast of cell means it estimates.
-    terms = {"const": {0: 1}}
-    terms.update({rows[r]: {r * width: 1, 0: -1} for r in range(1, len(rows))})
-    terms.update({cols[c]: {c: 1, 0: -1} for c in range(1, width)})
-    terms.update({f"{rows[r]}{sep}{cols[c]}": {r * width + c: 1, r * width: -1, c: -1, 0: 1}
-                  for r in range(1, len(rows)) for c in range(1, width)})
-
+    names = ("const", *rows[1:], *cols[1:], *(f"{r}{sep}{c}" for r in rows[1:] for c in cols[1:]))
     common = math.lcm(*count)  # cell c's mean is means[c] / (common * unit)
     means = [s * (common // m) for m, s in zip(count, total)]
-    estimates = tuple(sum(w * means[c] for c, w in weights.items()) / (common * unit)
-                      for weights in terms.values())
+    estimates = tuple(t / (common * unit) for t in _contrast(means, nr, width))
     cell_fit = [s / (m * unit) for m, s in zip(count, total)]
     fitted = tuple(cell_fit[cell] for cell, _ in cells)
     residuals = tuple((v * count[cell] - total[cell]) / (count[cell] * unit) for cell, v in cells)
     n = len(cells)
     df_resid = n - k
-    if not df_resid:  # one observation per cell: an exact fit
-        return RegressionResult(tuple(terms), estimates, _no_cov(k), residuals, fitted, 1.0, n, 0)
+    if not df_resid:  # one observation per cell: an exact fit, with no covariance
+        cov = ((math.nan,) * k,) * k
+        return RegressionResult(names, estimates, cov, residuals, fitted, 1.0, n, 0)
 
+    squares = [0] * k
+    for cell, v in cells:
+        squares[cell] += v * v
     # n_c times each cell's sum of squared residuals, in units of 1 / unit^2.
     spread = [m * q - s * s for m, s, q in zip(count, total, squares)]
-    # HC1: cov(b_i, b_j) = n / (n - k) · Σ_c w_ic w_jc SSR_c / n_c^2, where
+    # HC1: cov(b_i, b_j) = n / (n - k) · Σ_c C_ic C_jc SSR_c / n_c^2, where
     # SSR_c / n_c^2 = var[c] / (common^3 · unit^2).
     cube = common ** 3
     var = [d * (cube // m ** 3) for m, d in zip(count, spread)]
     scale = cube * unit * unit * df_resid
-    cov = tuple(tuple(sum(w * wj[c] * var[c] for c, w in wi.items() if c in wj) * n / scale
-                      for wj in terms.values()) for wi in terms.values())
+    # C's columns are the contrasts of the unit cell vectors; zip gives its rows.
+    c_rows = zip(*[_contrast([int(c == j) for c in range(k)], nr, width) for j in range(k)])
+    cov = tuple(tuple(s * n / scale for s in _contrast([w * x for w, x in zip(row, var)], nr, width))
+                for row in c_rows)
     ss_res = sum(d * (common // m) for m, d in zip(count, spread))  # over common
     ss_tot = n * sum(squares) - sum(total) ** 2  # n times the total sum of squares
     r_squared = 1.0 if not ss_tot else (common * ss_tot - n * ss_res) / (common * ss_tot)
-    return RegressionResult(tuple(terms), estimates, cov, residuals, fitted, r_squared, n, df_resid)
+    return RegressionResult(names, estimates, cov, residuals, fitted, r_squared, n, df_resid)
 
 
 def build_panel(rows: Iterable[tuple[int, ParentalGroup, float | Fraction]]) -> list[PanelRow]:

@@ -346,8 +346,7 @@ def _thresholds(profile: HouseholdProfile, params: ProgramParameters,
     pairs = ((floor, d), (actc, actc_d), (ctc, ctc_d), (start, d), (total, d * rate),
              (comb, comb_d))
     if not (floor * actc_d <= actc * d and actc * ctc_d <= ctc * actc_d
-            and ctc * d <= start * ctc_d and comb * ctc_d <= ctc * comb_d
-            and start * rate < total):
+            and ctc * d <= start * ctc_d and comb * ctc_d <= ctc * comb_d):
         raise OrderingViolation(f"thresholds are not monotone for year {params.year}: "
                                 f"{_threshold_set(pairs)}")
     return pairs

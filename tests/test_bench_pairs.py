@@ -86,6 +86,19 @@ def test_the_record_flags_each_metric_worse_than_its_bound(tmp_path, monkeypatch
             assert workloads[workload][m["name"]]["regressed"] == (m["better"] == "higher")
 
 
+def test_each_workload_and_metric_prints_its_verdict(tmp_path, monkeypatch, capsys):
+    """After the record, stdout holds one line per workload and metric: the medians, the
+    change in percent, the pairs won, `gain_claimable` and `regressed`, as the record has
+    them. The mocked change reads 2.0 to the parent's 3.0 in each of three pairs."""
+    mocked_record(tmp_path, monkeypatch, "1:3")
+    metrics = json.loads((ROOT / "BENCHMARK.json").read_text())["end_to_end"]
+    assert capsys.readouterr().out.splitlines() == [
+        f"{workload} {m['name']}: parent 3 change 2 (-33.3%), "
+        f"wins {3 if m['better'] == 'lower' else 0}/3, "
+        f"gain_claimable {m['better'] == 'lower'}, regressed {m['better'] == 'higher'}"
+        for workload in ("x", "y") for m in metrics]
+
+
 @pytest.mark.parametrize("better, parent, change, regressed", [
     ("lower", 10.0, 12.4, False), ("lower", 10.0, 12.6, True), ("lower", 10.0, 7.0, False),
     ("higher", 10.0, 7.6, False), ("higher", 10.0, 7.4, True), ("higher", 10.0, 13.0, False),
@@ -134,7 +147,7 @@ print(json.dumps({{"correct": True, "attempted": 1, "failed": 0, "metrics": metr
 """
 
 
-def test_a_run_that_exits_with_an_error_is_kept_as_incorrect(tmp_path):
+def test_a_run_that_exits_with_an_error_is_kept_as_incorrect(tmp_path, capsys):
     """Checkouts whose `ctcbench/run.py` imports a source module and prints its two lines;
     the change's exits 1 on workload y and on seed 2. The set still runs to the end and
     writes its record. Both sides run from source: the stale bytecode caches each held are
@@ -169,6 +182,11 @@ def test_a_run_that_exits_with_an_error_is_kept_as_incorrect(tmp_path):
     assert x["op_p50_ms"]["pairs"] == 1 and not x["op_p50_ms"]["gain_claimable"]
     assert y["op_p50_ms"] == {"unit": "ms", "better": "lower", "pairs": 0,
                               "gain_claimable": False}
+    # One verdict line per workload and metric: x from its one whole pair, y from none.
+    names = [m["name"] for m in json.loads((ROOT / "BENCHMARK.json").read_text())["end_to_end"]]
+    assert capsys.readouterr().out.splitlines() == [
+        f"x {name}: parent 1 change 1 (+0.0%), wins 0/1, gain_claimable False, regressed False"
+        for name in names] + [f"y {name}: no pair with both runs whole" for name in names]
 
 
 def fake_checkout(root, files):

@@ -21,11 +21,11 @@ from ctcsim.classifier import (
     BoundRule,
     CATEGORY_ORDER,
     GeneralizabilityFlag,
+    _cut,
     assign_bins,
     category_cuts,
     classify,
     count_between,
-    cut_income,
 )
 from ctcsim.counterfactual import full_relief_cuts, profile_for
 from ctcsim.errors import ThresholdOutOfRange, Unreachable
@@ -68,28 +68,28 @@ def one_bin(lower, count=100):
 class TestCutRules:
     def test_upper_rule_interior_threshold(self):
         # Straddled bin joins the lower category: next category starts a bin later.
-        assert cut_income(Fraction(25_650), False, BoundRule.UPPER) == 27_500
+        assert _cut(25_650, 1, False, BoundRule.UPPER) == 27_500
 
     def test_upper_rule_on_edge_at_or_above(self):
-        assert cut_income(Fraction(25_000), False, BoundRule.UPPER) == 25_000
+        assert _cut(25_000, 1, False, BoundRule.UPPER) == 25_000
 
     def test_upper_rule_on_edge_strict(self):
         # Qualification needs income beyond the boundary, so the bin opening
         # at the boundary is still ambiguous and stays low.
-        assert cut_income(Fraction(2_500), True, BoundRule.UPPER) == 5_000
+        assert _cut(2_500, 1, True, BoundRule.UPPER) == 5_000
 
     def test_middle_rule_below_midpoint(self):
-        assert cut_income(Fraction(25_650), False, BoundRule.MIDDLE) == 25_000
+        assert _cut(25_650, 1, False, BoundRule.MIDDLE) == 25_000
 
     def test_middle_rule_at_or_past_midpoint(self):
-        assert cut_income(Fraction(27_000), False, BoundRule.MIDDLE) == 27_500
+        assert _cut(27_000, 1, False, BoundRule.MIDDLE) == 27_500
 
     def test_middle_rule_exactly_midpoint_goes_low(self):
-        assert cut_income(Fraction(26_250), False, BoundRule.MIDDLE) == 27_500
+        assert _cut(26_250, 1, False, BoundRule.MIDDLE) == 27_500
 
     def test_negative_boundary_rejected(self):
         with pytest.raises(ThresholdOutOfRange):
-            cut_income(Fraction(-1), False, BoundRule.UPPER)
+            _cut(-1, 1, False, BoundRule.UPPER)
 
 
 def denominators():
@@ -116,10 +116,18 @@ def cut_or_error(cut, boundary, strictly_above, rule):
         return str(exc)
 
 
-@given(boundary=boundaries(), strictly_above=st.booleans(), rule=st.sampled_from(list(BoundRule)))
+@given(boundary=boundaries(), scale=st.integers(1, 10**6), strictly_above=st.booleans(),
+       rule=st.sampled_from(list(BoundRule)))
+@example(boundary=Fraction(26_250), scale=7, strictly_above=False, rule=BoundRule.MIDDLE)
+@example(boundary=Fraction(-1, 3), scale=2**61 - 1, strictly_above=False, rule=BoundRule.UPPER)
 @settings(max_examples=500, deadline=None)
-def test_cut_income_matches_fraction_reference(boundary, strictly_above, rule):
-    assert cut_or_error(cut_income, boundary, strictly_above, rule) == cut_or_error(
+def test_cut_income_matches_fraction_reference(boundary, scale, strictly_above, rule):
+    """`_cut` of the boundary as an unreduced pair, numerator and denominator both times
+    `scale`, against the reference on the boundary itself."""
+    def cut(b, strictly_above, rule):
+        return _cut(b.numerator * scale, b.denominator * scale, strictly_above, rule)
+
+    assert cut_or_error(cut, boundary, strictly_above, rule) == cut_or_error(
         cut_income_reference, boundary, strictly_above, rule)
 
 
@@ -249,7 +257,7 @@ def ordered_thresholds(draw):
 
 
 def cut_edges():
-    """Bin-edge cuts from $0 past the ceiling, as `cut_income` returns them."""
+    """Bin-edge cuts from $0 past the ceiling, as `_cut` returns them."""
     return st.integers(0, 60).map(lambda k: k * BIN_WIDTH)
 
 

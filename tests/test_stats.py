@@ -295,6 +295,28 @@ def fe_panels(draw):
     return build_panel(draw(st.permutations(rows)))
 
 
+@st.composite
+def repeated_fe_panels(draw):
+    """Complete panels of two or three groups and three to six years, holding the married
+    2017 baseline, with 1-3 rows per cell in any order: at least six terms. A plain list:
+    `build_panel` refuses a repeated cell, and only repeated cells leave the fit residual
+    degrees of freedom, hence a covariance."""
+    others = draw(st.sets(st.sampled_from([ParentalGroup.SINGLE_FATHER, ParentalGroup.SINGLE_MOTHER]),
+                          min_size=1))
+    years = draw(st.sets(st.sampled_from(range(2012, 2017)), min_size=2)) | {2017}
+    rows = [(y, g, draw(outcomes)) for g in [ParentalGroup.MARRIED, *others] for y in sorted(years)
+            for _ in range(draw(st.integers(1, 3)))]
+    return draw(st.permutations(rows))
+
+
+def repeated_fe_panel():
+    """Three groups over 2015-2017, cell i holding i % 3 + 1 rows: nine terms, nine residual
+    degrees of freedom, and outcomes that differ within each cell."""
+    cells = [(year, group) for group in ParentalGroup for year in (2015, 2016, 2017)]
+    return [(year, group, (i * 5 + j * 3) % 7 / 8 - j / 4)
+            for i, (year, group) in enumerate(cells) for j in range(i % 3 + 1)]
+
+
 def sized_did_panel(father, mother):
     """A did panel whose cells hold the given (pre, post) row counts for single fathers and
     single mothers, around the 2018 reform, each row with its own outcome."""
@@ -342,4 +364,10 @@ class TestCellMeansEqualExactOls:
     @given(panel=fe_panels())
     @settings(max_examples=60, deadline=None)
     def test_fixed_effects_panels(self, panel):
+        assert_same_fit(fixed_effects(panel, baseline_year=2017), ols(*fe_design(panel, 2017)))
+
+    @given(panel=repeated_fe_panels())
+    @example(panel=repeated_fe_panel())
+    @settings(max_examples=30, deadline=None)
+    def test_fixed_effects_panels_with_repeated_cells(self, panel):
         assert_same_fit(fixed_effects(panel, baseline_year=2017), ols(*fe_design(panel, 2017)))

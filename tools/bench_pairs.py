@@ -16,7 +16,8 @@ claimed: wins in at least nine tenths of the pairs, medians further apart than
 the parent's quartiles, and every run of the workload correct on both sides,
 and whether the metric ``regressed``: the change's median is worse than the
 parent's by more than the metric's ``bound`` in ``BENCHMARK.json``, a fraction
-of the parent's median.
+of the parent's median. After writing the record it prints one verdict line per
+workload and metric (:func:`verdicts`).
 Each workload also records each side's count of incorrect runs: a run whose
 checks failed, which had a failed op, or which exited with an error. A run
 that exited with an error keeps its exit code and last stderr line but no
@@ -135,6 +136,26 @@ def summarise(runs: list[dict], metrics: list[dict]) -> dict:
     return out
 
 
+def verdicts(workloads: dict) -> list[str]:
+    """One line per workload and metric of a summary: the parent and change medians, the
+    change in percent of the parent's, the pairs the change won, `gain_claimable` and
+    `regressed`."""
+    lines = []
+    for workload, summary in workloads.items():
+        for name, m in summary.items():
+            if name == "incorrect_runs":
+                continue
+            if not m["pairs"]:
+                lines.append(f"{workload} {name}: no pair with both runs whole")
+                continue
+            before, after = m["parent"]["median"], m["change"]["median"]
+            percent = f"{100 * (after - before) / abs(before):+.1f}%" if before else "n/a"
+            lines.append(f"{workload} {name}: parent {before:.6g} change {after:.6g} ({percent}), "
+                         f"wins {m['change_wins']}/{m['pairs']}, "
+                         f"gain_claimable {m['gain_claimable']}, regressed {m['regressed']}")
+    return lines
+
+
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--parent", type=Path, required=True)
@@ -166,6 +187,8 @@ def main(argv: list[str] | None = None) -> int:
               "src_lines": lines,
               "workloads": summarise(runs, metrics), "runs": runs}
     args.out.write_text(json.dumps(record, indent=1) + "\n")
+    for line in verdicts(record["workloads"]):
+        print(line)
     return 0
 
 

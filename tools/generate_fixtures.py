@@ -25,7 +25,7 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(ROOT / "src"))
 
-from ctcsim.classifier import CATEGORY_ORDER, Scenario, category_cuts, cut_income
+from ctcsim.classifier import CATEGORY_ORDER, Scenario, _cut, category_cuts
 from ctcsim.counterfactual import full_relief_cuts, piecemeal_walk
 from ctcsim.params import ParentalGroup, load_params
 from ctcsim.population import BIN_WIDTH, INCOME_CEILING
@@ -350,7 +350,8 @@ def sweep_pins(pins: Pins, year: int, group: str, params, scenario: Scenario):
     profile = (HouseholdProfile.one_child(group_enum(group))
                if scenario.fixed_one_child else children_profile(year, group))
     phaseout = params.for_status(profile.group.filing_status).phaseout_start
-    hi = min(cut_income(phaseout, True, scenario.rule), INCOME_CEILING)
+    hi = min(_cut(phaseout.numerator, phaseout.denominator, True, scenario.rule),
+             INCOME_CEILING)
     cum_hi = pins.get(hi)
     if cum_hi is None:
         return
@@ -359,7 +360,7 @@ def sweep_pins(pins: Pins, year: int, group: str, params, scenario: Scenario):
             continue
         # Benchmark sweep rows track the refund phase-in path only.
         t = params.refund_threshold + Fraction(credit) * profile.children / params.refund_rate
-        lo = cut_income(t, False, scenario.rule)
+        lo = _cut(t.numerator, t.denominator, False, scenario.rule)
         if 0 < lo < INCOME_CEILING:
             pins.set(lo, cum_hi - pct / 100.0, f"sweep {scenario.value} c={credit}")
 
